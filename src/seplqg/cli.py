@@ -136,6 +136,7 @@ def cmd_design(args):
 def _report_payload(report):
     return {
         "n_runs": report.n_runs,
+        "n_effective": report.n_effective,
         "base_seed": report.base_seed,
         "mean_traj": report.mean_traj.tolist(),
         "probe_positions": list(report.probe_positions),

@@ -80,8 +80,10 @@ class ExperimentConfig:
         o = dict(self.raw.get("optimize", {}))
         if seed is not None:
             o["seed"] = seed
-        known = {f for f in OptimizeOptions.__dataclass_fields__}
-        return OptimizeOptions(**{k: v for k, v in o.items() if k in known})
+        unknown = sorted(set(o) - set(OptimizeOptions.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown optimize option(s): {', '.join(unknown)}")
+        return OptimizeOptions(**o)
 
     def sysid(self):
         s = self.raw.get("sysid", {})

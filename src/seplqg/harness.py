@@ -15,7 +15,7 @@ import numpy as np
 
 from .belief import enkf_predict_members, enkf_update_members, psd_sqrt
 from .exceptions import IntegrationDivergedError
-from .plant import Plant
+from .lqg import kf_recursion, lqg_update
 from .rng import stream
 from .sysid import collect_impulse_responses
 
@@ -37,75 +37,28 @@ def probe_nodes_from_fractions(n_x, fractions):
 
 
 # ---------------------------------------------------------------------------
-# Cost linearization coefficients (finite differences of the stage costs)
+# Cost linearization coefficients (closed-form gradients of the stage costs)
 # ---------------------------------------------------------------------------
 
 
-def cost_gradient_coefficients(nominal, spec, h=1e-5):
-    """Gradients of the stage costs at the nominal trajectory.
+def cost_gradient_coefficients(nominal, spec):
+    """Gradients of the quadratic stage costs at the nominal trajectory.
 
-    Central finite differences of the stage cost in each belief-mean
-    coordinate and each control coordinate (and in the covariance
-    diagonal when the trace term is active).  Returns (C_mu (N+1, n_x),
-    C_u (N, n_u), c_trace) where row N of C_mu is the terminal-cost
-    gradient.
+    C_mu[k] = 2 Q (mu_k - target) with Q = Q_terminal at k = N and
+    Q_mean before, C_u[k] = 2 R_u u_k, and the trace weight q_trace,
+    the derivative of the cost in every covariance diagonal entry.
+    Returns (C_mu (N+1, n_x), C_u (N, n_u), c_trace).
     """
-    means = nominal.means
-    U = nominal.controls
-    N, n_u = U.shape
-    n_x = means.shape[1]
-    tgt = spec.target
-    C_mu = np.empty((N + 1, n_x))
-    eye = np.eye(n_x)
-
-    def state_cost(mu, Q):
-        d = mu - tgt
-        return np.einsum("...i,...i->...", d @ Q, d)
-
-    for k in range(N + 1):
-        Q = spec.Q_terminal if k == N else spec.Q_mean
-        plus = state_cost(means[k] + h * eye, Q)
-        minus = state_cost(means[k] - h * eye, Q)
-        C_mu[k] = (plus - minus) / (2.0 * h)
-
-    eye_u = np.eye(n_u)
-    C_u = np.empty((N, n_u))
-    for k in range(N):
-        plus = np.einsum("...i,...i->...", (U[k] + h * eye_u) @ spec.R_u, U[k] + h * eye_u)
-        minus = np.einsum("...i,...i->...", (U[k] - h * eye_u) @ spec.R_u, U[k] - h * eye_u)
-        C_u[k] = (plus - minus) / (2.0 * h)
-
-    # the trace term is linear in the covariance diagonal: d(cost)/dSigma_ii
-    # by the same central difference, identical for every i and k
-    c_trace = 0.0
-    if spec.q_trace:
-        c_trace = (spec.q_trace * (1.0 + h) - spec.q_trace * (1.0 - h)) / (2.0 * h)
-    return C_mu, C_u, c_trace
+    d = nominal.means - spec.target
+    C_mu = 2.0 * (d @ spec.Q_mean)
+    C_mu[-1] = 2.0 * (d[-1] @ spec.Q_terminal)
+    C_u = 2.0 * (nominal.controls @ spec.R_u)
+    return C_mu, C_u, float(spec.q_trace)
 
 
 # ---------------------------------------------------------------------------
 # Probe output rows and closed-loop bands
 # ---------------------------------------------------------------------------
-
-
-class _ProbeView:
-    """Plant wrapper observing arbitrary state entries (noiselessly)."""
-
-    def __init__(self, plant, nodes):
-        self.plant = plant
-        self.nodes = np.asarray(nodes, dtype=int)
-        self.spec = plant.spec
-        self.n_x, self.n_u, self.n_y = plant.n_x, plant.n_u, len(nodes)
-        self.horizon, self.dt = plant.horizon, plant.dt
-
-    def step(self, state, control, process_noise, k=0):
-        return self.plant.step(state, control, process_noise, k)
-
-    def observe(self, state, meas_noise, k=0):
-        return np.asarray(state)[..., self.nodes] + meas_noise
-
-    def simulate_nominal(self, x0, controls):
-        return Plant.simulate_nominal(self, x0, controls)
 
 
 def probe_output_rows(plant, nominal, rom, nodes, epsilon=1e-2, lag=None):
@@ -117,8 +70,7 @@ def probe_output_rows(plant, nominal, rom, nodes, epsilon=1e-2, lag=None):
     ROM's own Hankel depth, time_range start).  Returns (N+1, n_probe,
     n_r).
     """
-    view = _ProbeView(plant, nodes)
-    probe_markov = collect_impulse_responses(view, nominal, epsilon)
+    probe_markov = collect_impulse_responses(plant, nominal, epsilon, nodes=nodes)
     N = rom.horizon
     n_r, n_u = rom.n_r, rom.n_u
     n_p = len(nodes)
@@ -192,9 +144,15 @@ def closed_loop_band(controller, C_rows):
 
 @dataclass
 class MonteCarloReport:
-    """Aggregated paired closed/open-loop Monte Carlo results."""
+    """Aggregated paired closed/open-loop Monte Carlo results.
+
+    n_runs counts the runs requested; the averages, delta_J_samples and
+    cost_samples cover only the n_effective runs that did not diverge
+    (failures = n_runs - n_effective).
+    """
 
     n_runs: int
+    n_effective: int
     base_seed: int
     mean_traj: np.ndarray  # (N+1, n_x) closed-loop average
     probe_positions: tuple
@@ -237,11 +195,14 @@ def _safe_step(plant, X, U, w, k):
 
 
 def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, belief, coeffs, cost,
-                    probe_nodes, collect_first, mean_sum):
-    """Simulate one chunk of paired runs; returns per-run aggregates.
+                    probe_nodes, collect_first, mean_sum, summed=None):
+    """Simulate one chunk of paired runs; returns per-run aggregates and
+    the mask of diverged runs, which are frozen on the nominal so the
+    batch stays healthy.
 
-    mean_sum (N+1, n_x) is accumulated in strict run-index order so the
-    report is bit-identical no matter how runs are chunked."""
+    The closed-loop states of the runs in the mask `summed` (default:
+    all) are added to mean_sum (N+1, n_x) in strict run-index order, so
+    the report is bit-identical no matter how runs are chunked."""
     rom = controller.rom
     N = nominal.horizon
     R = len(run_ids)
@@ -264,7 +225,7 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, belief, coef
         gens_w = [stream(base_seed, r, "enkf-w") for r in run_ids]
         gens_v = [stream(base_seed, r, "enkf-v") for r in run_ids]
         members = np.empty((R, M, n_x))
-        S0 = psd_sqrt(nominal.covs[0])
+        S0 = psd_sqrt(nominal.prior_cov)
         for i, r in enumerate(run_ids):
             Z = stream(base_seed, r, "enkf-init").standard_normal((M, n_x))
             members[i] = x0 + Z @ S0.T
@@ -278,8 +239,10 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, belief, coef
     a_hat = np.zeros((R, rom.n_r))
     failed = np.zeros(R, dtype=bool)
 
-    for _ in range(R):
+    summed = range(R) if summed is None else np.flatnonzero(summed)
+    for _ in summed:
         mean_sum[0] += x0
+
     probe_nodes = np.asarray(probe_nodes, dtype=int)
     n_p = len(probe_nodes)
     sq_closed = np.zeros((R, n_p))
@@ -297,20 +260,15 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, belief, coef
         base_state_cost = float(d0 @ cost.Q_mean @ d0)
         cost_acc += base_state_cost
         if cost.q_trace:
-            cost_acc += cost.q_trace * np.trace(nominal.covs[0])
+            cost_acc += cost.q_trace * np.trace(nominal.prior_cov)
     if coeffs is not None:
         C_mu, C_u, c_trace = coeffs
-        trace_nom = np.einsum("kii->k", nominal.covs) if c_trace else None
 
     for k in range(N):
         # measurement and controller update
         y = plant.observe(x_cl, v_all[:, k], k)
-        dy = y - nominal.observations[k]
-        C = rom.C_hat[k]
-        a_hat = a_hat + (dy - a_hat @ C.T) @ controller.K_gains[k].T
-        du = -(a_hat @ controller.L_gains[k].T)
+        du, a_hat = lqg_update(controller, k, y - nominal.observations[k], a_hat)
         u = nominal.controls[k] + du
-        a_hat = a_hat @ rom.A_hat[k].T + du @ rom.B_hat[k].T
 
         if coeffs is not None:
             delta_J += du @ C_u[k]
@@ -348,16 +306,16 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, belief, coef
             members = enkf_update_members(members, y_next, vb, plant, V, k + 1)
             mu_belief = members.mean(axis=1)
         elif belief_mode == "kf":
-            A, B, C1 = kf_gains["ABC"][k]
+            A, B, C1, K = (seq[k] for seq in kf_gains)
             y_next = plant.observe(x_cl, v_all[:, k + 1], k + 1)
             mu_pred = mu_belief @ A.T + u @ B.T
-            mu_belief = mu_pred + (y_next - mu_pred @ C1.T) @ kf_gains["K"][k].T
+            mu_belief = mu_pred + (y_next - mu_pred @ C1.T) @ K.T
 
         if coeffs is not None:
             delta_J += (mu_belief - nominal.means[k + 1]) @ C_mu[k + 1]
             if c_trace and belief_mode == "enkf":
                 tr = ((members - mu_belief[:, None, :]) ** 2).sum(axis=(1, 2)) / (M - 1)
-                delta_J += c_trace * (tr - trace_nom[k + 1])
+                delta_J += c_trace * (tr - nominal.cov_traces[k + 1])
         if cost is not None and k + 1 <= N - 1:
             d = mu_belief - cost.target
             cost_acc += np.einsum("ri,ij,rj->r", d, cost.Q_mean, d)
@@ -365,7 +323,7 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, belief, coef
                 tr = ((members - mu_belief[:, None, :]) ** 2).sum(axis=(1, 2)) / (M - 1)
                 cost_acc += cost.q_trace * tr
 
-        for i in range(R):
+        for i in summed:
             mean_sum[k + 1] += x_cl[i]
         if n_p:
             err_c = x_cl[:, probe_nodes] - nominal.means[k + 1][probe_nodes]
@@ -403,7 +361,8 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
     spec is given, a belief filter runs alongside each closed-loop
     simulation (EnKF of size belief_size, or the exact KF via
     belief="kf" for linear plants) to produce per-run realized costs and
-    first-order cost deviations.
+    first-order cost deviations.  Runs whose plant step diverges are
+    counted in `failures` and left out of every average and sample.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -426,40 +385,42 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
 
     N = nominal.horizon
     mean_sum = np.zeros((N + 1, plant.n_x))
-    sq_closed_runs = np.empty((n_runs, len(probe_nodes)))
-    sq_open_runs = np.empty((n_runs, len(probe_nodes)))
-    delta_J = np.empty(n_runs)
-    cost_samples = np.empty(n_runs)
+    sq_closed = np.zeros(len(probe_nodes))
+    sq_open = np.zeros(len(probe_nodes))
+    delta_J = []
+    cost_samples = []
     failures = 0
     run0 = None
     for lo in range(0, n_runs, chunk):
-        ids = range(lo, min(lo + chunk, n_runs))
-        out = _simulate_chunk(
-            plant, nominal, controller, list(ids), base_seed, belief_arg, coeffs, cost,
-            probe_nodes, collect_first=(lo == 0), mean_sum=mean_sum,
-        )
-        hi = lo + len(out["delta_J"])
-        sq_closed_runs[lo:hi] = out["sq_closed"]
-        sq_open_runs[lo:hi] = out["sq_open"]
-        delta_J[lo:hi] = out["delta_J"]
-        cost_samples[lo:hi] = out["cost"]
-        failures += int(out["failed"].sum())
+        args = (plant, nominal, controller, list(range(lo, min(lo + chunk, n_runs))), base_seed,
+                belief_arg, coeffs, cost, probe_nodes, lo == 0)
+        mean_before = mean_sum.copy()
+        out = _simulate_chunk(*args, mean_sum)
+        ok = ~out["failed"]
+        if not ok.all():
+            # replay the same batch, so that every run repeats bit for bit,
+            # and sum only the runs that did not diverge into mean_sum
+            mean_sum[:] = mean_before
+            _simulate_chunk(*args, mean_sum, summed=ok)
+        failures += int((~ok).sum())
+        delta_J.append(out["delta_J"][ok])
+        cost_samples.append(out["cost"][ok])
+        # strict run-order folds keep aggregates independent of chunking
+        for i in np.flatnonzero(ok):
+            sq_closed += out["sq_closed"][i]
+            sq_open += out["sq_open"][i]
         if lo == 0:
             run0 = out["run0"]
-    # strict run-order folds keep aggregates independent of chunking
-    sq_closed = np.zeros(len(probe_nodes))
-    sq_open = np.zeros(len(probe_nodes))
-    for r in range(n_runs):
-        sq_closed += sq_closed_runs[r]
-        sq_open += sq_open_runs[r]
-    if failures > max(1, n_runs // 100):
+    if failures == n_runs or failures > max(1, n_runs // 100):
         raise RuntimeError(f"{failures}/{n_runs} Monte Carlo runs diverged")
 
-    denom = n_runs * (N + 1)
+    n_effective = n_runs - failures
+    denom = n_effective * (N + 1)
     return MonteCarloReport(
         n_runs=n_runs,
+        n_effective=n_effective,
         base_seed=base_seed,
-        mean_traj=mean_sum / n_runs,
+        mean_traj=mean_sum / n_effective,
         probe_positions=tuple(probe_positions),
         probe_nodes=probe_nodes,
         run0_closed_err=run0["closed"] if run0 else np.zeros((N + 1, 0)),
@@ -467,36 +428,24 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
         two_sigma=two_sigma,
         mse_closed=sq_closed / denom,
         mse_open=sq_open / denom,
-        delta_J_samples=delta_J if cost is not None else np.zeros(0),
-        cost_samples=cost_samples if cost is not None else np.zeros(0),
+        delta_J_samples=np.concatenate(delta_J) if cost is not None else np.zeros(0),
+        cost_samples=np.concatenate(cost_samples) if cost is not None else np.zeros(0),
         nominal_cost=float(nominal.nominal_cost),
         failures=failures,
     )
 
 
 def _kf_gain_table(plant, nominal):
-    """Exact-KF gains in plant coordinates for linear plants."""
-    if not hasattr(plant, "matrices"):
-        raise ValueError('belief="kf" needs a linear plant exposing matrices(k)')
-    N = nominal.horizon
-    P = nominal.covs[0].copy()
-    gains = []
-    abc = []
-    eye = np.eye(plant.n_x)
-    for k in range(N):
-        A, B, _ = plant.matrices(k)
-        _, _, C1 = plant.matrices(k + 1)
-        abc.append((A, B, C1))
-        P = A @ P @ A.T + B @ plant.spec.W @ B.T
-        S = C1 @ P @ C1.T + plant.spec.V
-        K = np.linalg.solve(S, C1 @ P).T
-        gains.append(K)
-        IKC = eye - K @ C1
-        P = IKC @ P @ IKC.T + K @ plant.spec.V @ K.T
-    return {"K": gains, "ABC": abc}
+    """Plant sequences and exact-KF gains (A_k, B_k, C_{k+1}, K_{k+1})
+    for k = 0..N-1, from the nominal prior, for linear plants."""
+    if not hasattr(plant, "sequences"):
+        raise ValueError('belief="kf" needs a linear plant exposing sequences(N)')
+    A, B, C = plant.sequences(nominal.horizon)
+    K, _ = kf_recursion(A, B, C[1:], plant.spec.W, plant.spec.V, nominal.prior_cov)
+    return A, B, C[1:], K
 
 
-def check_theorem1(plant, nominal, controller, spec, n_runs, base_seed, h=1e-5,
+def check_theorem1(plant, nominal, controller, spec, n_runs, base_seed,
                    belief="enkf", belief_size=100, chunk=100):
     """Monte Carlo check that the expected first-order cost deviation
     vanishes: returns (mean delta_J, standard error, nominal cost)."""

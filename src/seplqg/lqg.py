@@ -1,8 +1,10 @@
 """Time-varying LQG synthesis on the identified reduced-order model.
 
 Backward LQR Riccati recursion for the feedback gains, forward Kalman
-Riccati recursion for the estimator gains, and the online control law
-that tracks the nominal trajectory:
+Riccati recursion for the estimator gains (`kf_recursion`, the one
+covariance recursion the exact-KF belief paths share), and the online
+control law that tracks the nominal trajectory (`lqg_update`, shared by
+single runs and the batched Monte Carlo engine):
 
     du_k = -L_k da_hat_k,     u_k = u_bar_k + du_k
 
@@ -11,7 +13,7 @@ enters the ROM through the input matrix (B W B'), matching the plant
 contract where disturbances share the control channels.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import json
 
 import numpy as np
@@ -22,8 +24,10 @@ from .sysid import LtvRom
 __all__ = [
     "LqgController",
     "lqr_backward",
+    "kf_recursion",
     "kf_forward",
     "design_lqg",
+    "lqg_update",
     "closed_loop_step",
 ]
 
@@ -61,71 +65,71 @@ def lqr_backward(rom, Qk, QN, Rk):
     return L, S
 
 
-def kf_forward(rom, W, V, P0):
-    """Forward Kalman Riccati recursion on the ROM.
+def _kf_update(P_pred, C, V, k):
+    """Measurement update: gain and symmetrized Joseph-form covariance."""
+    S = C @ P_pred @ C.T + V
+    try:
+        K = np.linalg.solve(S, C @ P_pred).T
+    except np.linalg.LinAlgError as e:
+        raise DegenerateMeasurementError(f"innovation covariance singular at step k={k}") from e
+    IKC = np.eye(P_pred.shape[0]) - K @ C
+    P = IKC @ P_pred @ IKC.T + K @ V @ K.T
+    return K, 0.5 * (P + P.T)
+
+
+def kf_recursion(A, B, C, W, V, P):
+    """Kalman covariance recursion from the post-update covariance P at
+    step 0:
 
     P_pred = A_k P_k A_k' + B_k W B_k'
     K_{k+1} = P_pred C_{k+1}' (C_{k+1} P_pred C_{k+1}' + V)^-1
-    P_{k+1} = Joseph(P_pred, K_{k+1})
+    P_{k+1} = Joseph(P_pred, K_{k+1}), symmetrized
+
+    A, B are stacked over k = 0..N-1 and C over k = 1..N.  Returns
+    (K (N, n, n_y) with K[k] = K_{k+1}, P (N+1, n, n) with P[0] = P).
+    """
+    N = len(A)
+    n = P.shape[0]
+    K = np.empty((N, n, C[0].shape[0]))
+    Ps = np.empty((N + 1, n, n))
+    Ps[0] = P
+    for k in range(N):
+        P_pred = A[k] @ Ps[k] @ A[k].T + B[k] @ W @ B[k].T
+        K[k], Ps[k + 1] = _kf_update(P_pred, C[k], V, k + 1)
+    return K, Ps
+
+
+def kf_forward(rom, W, V, P0):
+    """Forward Kalman Riccati recursion on the ROM (see kf_recursion).
 
     K_0 comes from the prior P0 the same way, so a measurement update is
     available at every step 0..N.  Returns (K_gains (N+1, n_r, n_y),
     P (N+1, n_r, n_r)) with P the post-update covariances.
     """
-    N = rom.horizon
-    n_r, n_y = rom.n_r, rom.n_y
     W = np.asarray(W, dtype=float)
     V = np.asarray(V, dtype=float)
-    K = np.empty((N + 1, n_r, n_y))
-    P = np.empty((N + 1, n_r, n_r))
-    eye = np.eye(n_r)
-
-    def update(P_pred, k):
-        C = rom.C_hat[k]
-        S = C @ P_pred @ C.T + V
-        try:
-            Kk = np.linalg.solve(S, C @ P_pred).T
-        except np.linalg.LinAlgError as e:
-            raise DegenerateMeasurementError(f"innovation covariance singular at step k={k}") from e
-        IKC = eye - Kk @ C
-        Pk = IKC @ P_pred @ IKC.T + Kk @ V @ Kk.T
-        return Kk, 0.5 * (Pk + Pk.T)
-
-    K[0], P[0] = update(np.asarray(P0, dtype=float), 0)
-    for k in range(N):
-        A, B = rom.A_hat[k], rom.B_hat[k]
-        P_pred = A @ P[k] @ A.T + B @ W @ B.T
-        K[k + 1], P[k + 1] = update(P_pred, k + 1)
-    return K, P
+    K0, P_post = _kf_update(np.asarray(P0, dtype=float), rom.C_hat[0], V, 0)
+    K, P = kf_recursion(rom.A_hat, rom.B_hat, rom.C_hat[1:], W, V, P_post)
+    return np.concatenate([K0[None], K]), P
 
 
 @dataclass
 class LqgController:
-    """Offline gains plus the online estimator state.
+    """Offline gains of the LQG law on a ROM.
 
-    a_hat is the current ROM deviation estimate; reset() rewinds it for
-    a fresh closed-loop run.  P_filter holds the post-update estimator
-    covariances, S_traces the LQR cost-to-go traces (diagnostics).
+    The controller holds no run state: the ROM deviation estimate a_hat
+    is passed to and returned by `lqg_update`.  P_filter holds the
+    post-update estimator covariances, S_traces the LQR cost-to-go
+    traces (diagnostics).
     """
 
     rom: LtvRom
     L_gains: np.ndarray
     K_gains: np.ndarray
-    Qk: np.ndarray
-    QN: np.ndarray
-    Rk: np.ndarray
     W: np.ndarray
     V: np.ndarray
     P_filter: np.ndarray
     S_traces: np.ndarray
-    a_hat: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.a_hat is None:
-            self.reset()
-
-    def reset(self):
-        self.a_hat = np.zeros(self.rom.n_r)
 
     @property
     def horizon(self):
@@ -135,9 +139,6 @@ class LqgController:
         payload = {
             "L_gains": self.L_gains.tolist(),
             "K_gains": self.K_gains.tolist(),
-            "Qk": np.asarray(self.Qk).tolist(),
-            "QN": np.asarray(self.QN).tolist(),
-            "Rk": np.asarray(self.Rk).tolist(),
             "W": np.asarray(self.W).tolist(),
             "V": np.asarray(self.V).tolist(),
             "P_filter": self.P_filter.tolist(),
@@ -172,9 +173,6 @@ class LqgController:
             rom=rom,
             L_gains=np.asarray(payload["L_gains"]),
             K_gains=np.asarray(payload["K_gains"]),
-            Qk=np.asarray(payload["Qk"]),
-            QN=np.asarray(payload["QN"]),
-            Rk=np.asarray(payload["Rk"]),
             W=np.asarray(payload["W"]),
             V=np.asarray(payload["V"]),
             P_filter=np.asarray(payload["P_filter"]),
@@ -222,9 +220,6 @@ def design_lqg(rom, W=None, V=None, P0=None, Qk=None, QN=None, Rk=None,
         rom=rom,
         L_gains=L,
         K_gains=K,
-        Qk=np.asarray(Qk, dtype=float),
-        QN=np.asarray(QN, dtype=float),
-        Rk=np.asarray(Rk, dtype=float),
         W=W,
         V=V,
         P_filter=P,
@@ -232,21 +227,29 @@ def design_lqg(rom, W=None, V=None, P0=None, Qk=None, QN=None, Rk=None,
     )
 
 
-def closed_loop_step(ctrl, k, y, nominal):
-    """Apply one measurement and return the control for step k.
+def lqg_update(ctrl, k, dy, a_hat):
+    """One step of the LQG law, batched over the leading axes of dy and
+    a_hat (row vectors).
 
-    Order: innovation against the nominal observation, measurement
-    update of da_hat with K_k, control du = -L_k da_hat, then the time
-    update of da_hat with (A_k, B_k).  Call with k = 0..N-1; the
-    returned control is u_bar_k + du_k.
+    Order: measurement update of a_hat with K_k on the output deviation
+    dy, control du = -L_k a_hat, then the time update with (A_k, B_k).
+    Returns (du_k, a_hat for step k+1).
+    """
+    rom = ctrl.rom
+    a = a_hat + (dy - a_hat @ rom.C_hat[k].T) @ ctrl.K_gains[k].T
+    du = -(a @ ctrl.L_gains[k].T)
+    return du, a @ rom.A_hat[k].T + du @ rom.B_hat[k].T
+
+
+def closed_loop_step(ctrl, k, y, nominal, a_hat):
+    """Apply measurement y at step k = 0..N-1 to the estimate a_hat.
+
+    The innovation is taken against the nominal observation.  Returns
+    (u_bar_k + du_k, a_hat for step k+1); start a run from
+    a_hat = zeros(n_r).
     """
     rom = ctrl.rom
     if not 0 <= k < rom.horizon:
         raise IndexError(f"step index {k} outside horizon [0, {rom.horizon})")
-    dy = np.asarray(y, dtype=float) - nominal.observations[k]
-    C = rom.C_hat[k]
-    a = ctrl.a_hat
-    a = a + ctrl.K_gains[k] @ (dy - C @ a)
-    du = -ctrl.L_gains[k] @ a
-    ctrl.a_hat = rom.A_hat[k] @ a + rom.B_hat[k] @ du
-    return nominal.controls[k] + du
+    du, a_next = lqg_update(ctrl, k, np.asarray(y, dtype=float) - nominal.observations[k], a_hat)
+    return nominal.controls[k] + du, a_next

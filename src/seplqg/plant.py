@@ -284,10 +284,7 @@ class HeatPlant(Plant):
 
     def step(self, state, control, process_noise, k=0):
         c = self.config
-        T = np.asarray(state)
-        if T.dtype not in (np.float32, np.float64):
-            T = T.astype(float)
-        dtype = T.dtype
+        T = np.asarray(state, dtype=float)
         with np.errstate(invalid="ignore", over="ignore"):
             lap = np.empty_like(T)
             np.subtract(T[..., 2:], T[..., 1:-1], out=lap[..., 1:-1])
@@ -301,13 +298,13 @@ class HeatPlant(Plant):
                 lap[..., 0] = 2.0 * (T[..., 1] - T[..., 0])
                 lap[..., -1] = 0.0
             # K(x,T)/dx^2 * lap, reusing lap as scratch
-            diff = np.multiply(T, dtype.type(c.k1 * c.k0 * self._inv_dx2), dtype=dtype)
-            diff += dtype.type(c.k0 * self._inv_dx2)
+            diff = T * (c.k1 * c.k0 * self._inv_dx2)
+            diff += c.k0 * self._inv_dx2
             diff *= lap
-            out = np.multiply(T, dtype.type(1.0 - c.eta * c.dt), dtype=dtype)
-            diff *= dtype.type(c.dt)
+            out = T * (1.0 - c.eta * c.dt)
+            diff *= c.dt
             out += diff
-            drive = np.multiply(np.add(control, process_noise, dtype=dtype), dtype.type(c.dt))
+            drive = np.add(control, process_noise, dtype=float) * c.dt
             out[..., self._act] += drive
             if not c.insulated:
                 out[..., -1] = T[..., -1]
@@ -362,6 +359,13 @@ class LinearPlant(Plant):
             return self._A[k], self._B[k], self.output_matrix(k)
         return self._A, self._B, self._C
 
+    def sequences(self, N):
+        """Stacked A_k, B_k for k = 0..N-1 and C_k for k = 0..N."""
+        if self._tv:
+            return self._A[:N], self._B[:N], np.stack([self.output_matrix(k) for k in range(N + 1)])
+        return (np.broadcast_to(self._A, (N, *self._A.shape)), np.broadcast_to(self._B, (N, *self._B.shape)),
+                np.broadcast_to(self._C, (N + 1, *self._C.shape)))
+
     def output_matrix(self, k):
         if not self._tv:
             return self._C
@@ -372,11 +376,10 @@ class LinearPlant(Plant):
         B = self._B[k] if self._tv else self._B
         x = np.asarray(state, dtype=float)
         with np.errstate(invalid="ignore", over="ignore"):
-            drive = np.add(control, process_noise, dtype=x.dtype)
-            out = x @ A.T.astype(x.dtype) + drive @ B.T.astype(x.dtype)
+            out = x @ A.T + np.add(control, process_noise) @ B.T
         return _as_finite(out, "linear plant step", k)
 
     def observe(self, state, meas_noise, k=0):
         C = self.output_matrix(k)
         x = np.asarray(state, dtype=float)
-        return x @ C.T.astype(x.dtype) + meas_noise
+        return x @ C.T + meas_noise

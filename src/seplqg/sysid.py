@@ -153,7 +153,7 @@ class LtvRom:
         )
 
 
-def collect_impulse_responses(plant, nominal, epsilon=1e-2):
+def collect_impulse_responses(plant, nominal, epsilon=1e-2, nodes=None):
     """Estimate Markov parameters by one-shot input perturbations.
 
     For every input channel m and time j, one noiseless rollout applies
@@ -161,7 +161,8 @@ def collect_impulse_responses(plant, nominal, epsilon=1e-2):
     column m of data[k, j] is (y_k_pert - y_k_nominal) / epsilon.  All
     rollouts share the nominal prefix up to j, so they are spawned from
     the baseline trajectory there (N * n_u rollouts, ~N^2 n_u / 2 plant
-    steps total).
+    steps total).  The outputs y are the plant's sensors
+    (`plant.observe`) by default, or the state entries `nodes`.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -172,8 +173,12 @@ def collect_impulse_responses(plant, nominal, epsilon=1e-2):
         states_base, obs_base = plant.simulate_nominal(x0, U)
     except IntegrationDivergedError as e:
         raise PerturbationDivergedError(f"nominal rollout diverged: {e}") from e
+    if nodes is not None:
+        nodes = np.asarray(nodes, dtype=int)
+        obs_base = states_base[:, nodes]
+    n_out = obs_base.shape[1]
 
-    data = np.zeros((N + 1, N, plant.n_y, plant.n_u))
+    data = np.zeros((N + 1, N, n_out, n_u))
     X = np.empty((N * n_u, plant.n_x))
     active = 0
     try:
@@ -185,10 +190,10 @@ def collect_impulse_responses(plant, nominal, epsilon=1e-2):
             ub = np.broadcast_to(U[k], (active, n_u)).copy()
             ub[lo : lo + n_u] += epsilon * np.eye(n_u)
             X[:active] = plant.step(X[:active], ub, 0.0, k)
-            Y = plant.observe(X[:active], 0.0, k + 1)
-            dy = (Y - obs_base[k + 1]) / epsilon  # (active, n_y)
+            Y = plant.observe(X[:active], 0.0, k + 1) if nodes is None else X[:active, nodes]
+            dy = (Y - obs_base[k + 1]) / epsilon  # (active, n_out)
             # job index lo + m probes channel m at time j = job_index // n_u
-            block = dy.reshape(k + 1, n_u, plant.n_y)
+            block = dy.reshape(k + 1, n_u, n_out)
             data[k + 1, : k + 1] = np.swapaxes(block, 1, 2)
     except IntegrationDivergedError as e:
         raise PerturbationDivergedError(

@@ -33,6 +33,7 @@ from .belief import (
     psd_sqrt,
 )
 from .exceptions import GradientEvaluationError
+from .lqg import kf_recursion
 from .rng import stream
 
 __all__ = [
@@ -108,12 +109,16 @@ class CostSpec:
 
 @dataclass
 class NominalTrajectory:
-    """Optimized nominal: controls (N, n_u), means/covs/observations over
-    k = 0..N, the nominal cost, and optimizer bookkeeping."""
+    """Optimized nominal: controls (N, n_u), belief means and noiseless
+    observations over k = 0..N, the prior covariance (n_x, n_x), the
+    belief covariance traces over k = 0..N, the nominal cost, and
+    optimizer bookkeeping.  Later stages read no other covariance, so
+    the per-step covariances are not kept."""
 
     controls: np.ndarray
     means: np.ndarray
-    covs: np.ndarray
+    prior_cov: np.ndarray
+    cov_traces: np.ndarray
     observations: np.ndarray
     nominal_cost: float
     iterations: int
@@ -124,10 +129,14 @@ class NominalTrajectory:
     def __post_init__(self):
         self.controls = np.atleast_2d(np.asarray(self.controls, dtype=float))
         self.means = np.atleast_2d(np.asarray(self.means, dtype=float))
-        self.covs = np.asarray(self.covs, dtype=float)
+        self.prior_cov = np.asarray(self.prior_cov, dtype=float)
+        self.cov_traces = np.asarray(self.cov_traces, dtype=float).reshape(-1)
         self.observations = np.atleast_2d(np.asarray(self.observations, dtype=float))
         n = self.controls.shape[0]
-        for name, arr in (("means", self.means), ("covs", self.covs), ("observations", self.observations)):
+        if self.prior_cov.shape != (self.means.shape[1],) * 2:
+            raise ValueError(f"prior_cov must be n_x x n_x, got {self.prior_cov.shape}")
+        for name, arr in (("means", self.means), ("cov_traces", self.cov_traces),
+                          ("observations", self.observations)):
             if arr.shape[0] != n + 1:
                 raise ValueError(f"{name} must have length N+1 = {n + 1}, got {arr.shape[0]}")
         if not np.isfinite(self.nominal_cost):
@@ -137,14 +146,12 @@ class NominalTrajectory:
     def horizon(self):
         return self.controls.shape[0]
 
-    def beliefs(self):
-        return [GaussianBelief(m, c) for m, c in zip(self.means, self.covs)]
-
     def to_json(self, path):
         payload = {
             "controls": self.controls.tolist(),
             "means": self.means.tolist(),
-            "covs": self.covs.tolist(),
+            "prior_cov": self.prior_cov.tolist(),
+            "cov_traces": self.cov_traces.tolist(),
             "observations": self.observations.tolist(),
             "nominal_cost": float(self.nominal_cost),
             "iterations": int(self.iterations),
@@ -160,7 +167,8 @@ class NominalTrajectory:
         return cls(
             controls=np.asarray(payload["controls"], dtype=float),
             means=np.asarray(payload["means"], dtype=float),
-            covs=np.asarray(payload["covs"], dtype=float),
+            prior_cov=np.asarray(payload["prior_cov"], dtype=float),
+            cov_traces=np.asarray(payload["cov_traces"], dtype=float),
             observations=np.asarray(payload["observations"], dtype=float),
             nominal_cost=payload["nominal_cost"],
             iterations=payload["iterations"],
@@ -206,33 +214,31 @@ class _EnkfEngine:
     sequences.
     """
 
-    def __init__(self, plant, b0, M, seed, inflation=1.0, dtype=np.float64):
+    def __init__(self, plant, b0, M, seed, inflation=1.0):
         self.plant = plant
         self.b0 = b0
         self.M = int(M)
         self.seed = seed
         self.inflation = inflation
-        self.dtype = np.dtype(dtype)
         N = plant.horizon
         W_s = psd_sqrt(plant.spec.W)
         V_s = psd_sqrt(plant.spec.V)
         g_init = stream(seed, "enkf-init")
         g_w = stream(seed, "enkf-w")
         g_v = stream(seed, "enkf-v")
-        self.members0 = (b0.mean + g_init.standard_normal((self.M, plant.n_x)) @ psd_sqrt(b0.cov).T).astype(self.dtype)
-        self.w_draws = (g_w.standard_normal((N, self.M, plant.n_u)) @ W_s.T).astype(self.dtype)
-        self.v_draws = (g_v.standard_normal((N, self.M, plant.n_y)) @ V_s.T).astype(self.dtype)
-        self.V = plant.spec.V.astype(self.dtype)
+        self.members0 = b0.mean + g_init.standard_normal((self.M, plant.n_x)) @ psd_sqrt(b0.cov).T
+        self.w_draws = g_w.standard_normal((N, self.M, plant.n_u)) @ W_s.T
+        self.v_draws = g_v.standard_normal((N, self.M, plant.n_y)) @ V_s.T
 
     def _step_batch(self, D, E, controls, k):
         """Advance det states D (B, n_x) and ensembles E (B, M, n_x) one
         step under controls (B, n_u); returns (D', E', y', post_means)."""
         plant = self.plant
-        D_next = plant.step(D, controls, self.dtype.type(0.0), k)
-        y_next = plant.observe(D_next, self.dtype.type(0.0), k + 1)
+        D_next = plant.step(D, controls, 0.0, k)
+        y_next = plant.observe(D_next, 0.0, k + 1)
         E_pred = enkf_predict_members(E, controls, self.w_draws[k], plant, k)
         E_next = enkf_update_members(
-            E_pred, y_next, self.v_draws[k], plant, self.V, k + 1, self.inflation
+            E_pred, y_next, self.v_draws[k], plant, plant.spec.V, k + 1, self.inflation
         )
         return D_next, E_next, y_next, E_next.mean(axis=-2)
 
@@ -243,8 +249,8 @@ class _EnkfEngine:
         plant, spec_b0 = self.plant, self.b0
         controls = np.atleast_2d(np.asarray(controls, dtype=float))
         N = controls.shape[0]
-        D = spec_b0.mean.astype(self.dtype)[None]
-        E = self.members0[None].copy()
+        D = spec_b0.mean[None]
+        E = self.members0[None]
         means = np.empty((N + 1, plant.n_x))
         traces = np.empty(N + 1)
         obs = np.empty((N + 1, plant.n_y))
@@ -252,9 +258,8 @@ class _EnkfEngine:
         traces[0] = np.trace(spec_b0.cov)
         obs[0] = plant.observe(spec_b0.mean, 0.0, 0)
         beliefs = [GaussianBelief(spec_b0.mean, spec_b0.cov)] if want_beliefs else None
-        u = controls.astype(self.dtype)
         for k in range(N):
-            D, E, y, post_mean = self._step_batch(D, E, u[k][None], k)
+            D, E, y, post_mean = self._step_batch(D, E, controls[k][None], k)
             means[k + 1] = post_mean[0]
             obs[k + 1] = y[0]
             traces[k + 1] = float(((E[0] - post_mean[0]) ** 2).sum() / (self.M - 1))
@@ -276,21 +281,20 @@ class _EnkfEngine:
         plant = self.plant
         U = np.asarray(controls, dtype=float)
         N, n_u = U.shape
-        dt_u = U.astype(self.dtype)
 
         # baseline pass, snapshotting states so jobs can fork mid-way
-        D_snap = np.empty((N, plant.n_x), dtype=self.dtype)
-        E_snap = np.empty((N, self.M, plant.n_x), dtype=self.dtype)
+        D_snap = np.empty((N, plant.n_x))
+        E_snap = np.empty((N, self.M, plant.n_x))
         means = np.empty((N + 1, plant.n_x))
         traces = np.zeros(N + 1)
-        D = self.b0.mean.astype(self.dtype)[None]
-        E = self.members0[None].copy()
+        D = self.b0.mean[None]
+        E = self.members0[None]
         means[0] = self.b0.mean
         traces[0] = np.trace(self.b0.cov)
         for k in range(N):
             D_snap[k] = D[0]
             E_snap[k] = E[0]
-            D, E, _, post_mean = self._step_batch(D, E, dt_u[k][None], k)
+            D, E, _, post_mean = self._step_batch(D, E, U[k][None], k)
             means[k + 1] = post_mean[0]
             if spec.q_trace:
                 traces[k + 1] = float(((E[0] - post_mean[0]) ** 2).sum() / (self.M - 1))
@@ -307,12 +311,11 @@ class _EnkfEngine:
         Qm = spec.Q_mean
         Qt = spec.Q_terminal
         tgt = spec.target
-        hh = self.dtype.type(h)
         for j0 in range(0, N, chunk):
             j1 = min(j0 + chunk, N)
             n_jobs = 2 * n_u * (j1 - j0)
-            Db = np.empty((n_jobs, plant.n_x), dtype=self.dtype)
-            Eb = np.empty((n_jobs, self.M, plant.n_x), dtype=self.dtype)
+            Db = np.empty((n_jobs, plant.n_x))
+            Eb = np.empty((n_jobs, self.M, plant.n_x))
             suffix = np.zeros(n_jobs)
             active = 0
             for k in range(j0, N):
@@ -322,18 +325,18 @@ class _EnkfEngine:
                         Db[lo + 2 * m] = Db[lo + 2 * m + 1] = D_snap[k]
                         Eb[lo + 2 * m] = Eb[lo + 2 * m + 1] = E_snap[k]
                     active = lo + 2 * n_u
-                ub = np.broadcast_to(dt_u[k], (active, n_u)).copy()
+                ub = np.broadcast_to(U[k], (active, n_u)).copy()
                 if k < j1:
                     for m in range(n_u):
-                        ub[lo + 2 * m, m] += hh
-                        ub[lo + 2 * m + 1, m] -= hh
+                        ub[lo + 2 * m, m] += h
+                        ub[lo + 2 * m + 1, m] -= h
                 try:
                     Db[:active], Eb[:active], _, post_mean = self._step_batch(
                         Db[:active], Eb[:active], ub, k
                     )
                 except FloatingPointError as e:  # pragma: no cover - defensive
                     raise GradientEvaluationError(str(e)) from e
-                dd = post_mean.astype(float) - tgt
+                dd = post_mean - tgt
                 q = Qt if k == N - 1 else Qm
                 suffix[:active] += np.einsum("bi,bi->b", dd @ q, dd)
                 if spec.q_trace:
@@ -361,33 +364,18 @@ class _KalmanEngine:
     """Exact-KF counterpart of _EnkfEngine for linear plants.
 
     The covariance recursion is control-independent, so gains and
-    covariance traces are computed once; batched rollouts only carry
-    means.
+    covariances are computed once; batched rollouts only carry means.
     """
 
-    def __init__(self, plant, b0, seed=None, dtype=np.float64):
-        if not hasattr(plant, "matrices"):
-            raise ValueError("exact-KF rollouts need a linear plant exposing matrices(k)")
+    def __init__(self, plant, b0):
+        if not hasattr(plant, "sequences"):
+            raise ValueError("exact-KF rollouts need a linear plant exposing sequences(N)")
         self.plant = plant
         self.b0 = b0
-        N = plant.horizon
-        W, V = plant.spec.W, plant.spec.V
-        self.gains = []
-        self.traces = np.empty(N + 1)
-        P = b0.cov.copy()
-        self.traces[0] = np.trace(P)
-        eye = np.eye(plant.n_x)
-        for k in range(N):
-            A, B, _ = plant.matrices(k)
-            _, _, C1 = plant.matrices(k + 1)
-            P = A @ P @ A.T + B @ W @ B.T
-            S = C1 @ P @ C1.T + V
-            K = np.linalg.solve(S, C1 @ P).T
-            self.gains.append(K)
-            IKC = eye - K @ C1
-            P = IKC @ P @ IKC.T + K @ V @ K.T
-            self.traces[k + 1] = np.trace(P)
-        self.P_final = P
+        self.A, self.B, C = plant.sequences(plant.horizon)
+        self.C1 = C[1:]
+        self.gains, self.covs = kf_recursion(self.A, self.B, self.C1, plant.spec.W, plant.spec.V, b0.cov)
+        self.traces = np.einsum("kii->k", self.covs)
 
     def _roll_means(self, U_batch):
         """Means (B, N+1, n_x) of the filtered belief for each control
@@ -399,8 +387,7 @@ class _KalmanEngine:
         out = np.empty((B_, N + 1, plant.n_x))
         out[:, 0] = mu
         for k in range(N):
-            A, Bm, _ = plant.matrices(k)
-            _, _, C1 = plant.matrices(k + 1)
+            A, Bm, C1 = self.A[k], self.B[k], self.C1[k]
             xd = xd @ A.T + U_batch[:, k] @ Bm.T
             y = xd @ C1.T
             mu = mu @ A.T + U_batch[:, k] @ Bm.T
@@ -419,26 +406,8 @@ class _KalmanEngine:
             obs[k + 1] = self.plant.observe(xd, 0.0, k + 1)
         beliefs = None
         if want_beliefs:
-            covs = self.covariances()
-            beliefs = [GaussianBelief(m, c) for m, c in zip(means, covs)]
+            beliefs = [GaussianBelief(m, c) for m, c in zip(means, self.covs)]
         return means, self.traces.copy(), obs, beliefs
-
-    def covariances(self):
-        plant = self.plant
-        N = plant.horizon
-        covs = np.empty((N + 1, plant.n_x, plant.n_x))
-        P = self.b0.cov.copy()
-        covs[0] = P
-        eye = np.eye(plant.n_x)
-        for k in range(N):
-            A, B, _ = plant.matrices(k)
-            _, _, C1 = plant.matrices(k + 1)
-            P = A @ P @ A.T + B @ plant.spec.W @ B.T
-            K = self.gains[k]
-            IKC = eye - K @ C1
-            P = IKC @ P @ IKC.T + K @ plant.spec.V @ K.T
-            covs[k + 1] = P
-        return covs
 
     def cost(self, controls, spec):
         means, traces, _, _ = self.rollout(controls)
@@ -473,9 +442,9 @@ class _KalmanEngine:
         return J0, grad
 
 
-def _make_engine(plant, b0, M, seed, method, inflation=1.0, dtype=np.float64):
+def _make_engine(plant, b0, M, seed, method, inflation=1.0):
     if method == "enkf":
-        return _EnkfEngine(plant, b0, M, seed, inflation, dtype)
+        return _EnkfEngine(plant, b0, M, seed, inflation)
     if method == "kf":
         return _KalmanEngine(plant, b0)
     raise ValueError(f"unknown rollout method {method!r}")
@@ -516,7 +485,6 @@ class OptimizeOptions:
     h: float = 1e-4
     method: str = "enkf"
     inflation: float = 1.0
-    dtype: str = "float64"
     normalize_alpha: bool = True
     max_halvings: int = 30
     chunk: int = 64
@@ -535,7 +503,7 @@ def optimize(u_init, b0, plant, spec, opts=None):
     opts = opts or OptimizeOptions()
     U = np.atleast_2d(np.asarray(u_init, dtype=float)).copy()
     N = U.shape[0]
-    engine = _make_engine(plant, b0, opts.M, opts.seed, opts.method, opts.inflation, np.dtype(opts.dtype))
+    engine = _make_engine(plant, b0, opts.M, opts.seed, opts.method, opts.inflation)
     J = engine.cost(U, spec)
     history = [J]
     iterations = 0
@@ -569,15 +537,14 @@ def optimize(u_init, b0, plant, spec, opts=None):
         if delta <= opts.tol * (1.0 + abs(J)):
             converged = True
             break
-    means, traces, obs, beliefs = engine.rollout(U, want_beliefs=True)
-    covs = np.stack([b.cov for b in beliefs])
-    final_cost = nominal_cost(beliefs, U, spec)
+    means, traces, obs, _ = engine.rollout(U)
     return NominalTrajectory(
         controls=U,
-        means=np.stack([b.mean for b in beliefs]),
-        covs=covs,
+        means=means,
+        prior_cov=b0.cov,
+        cov_traces=traces,
         observations=obs,
-        nominal_cost=final_cost,
+        nominal_cost=_cost_from_arrays(means, traces, U, spec),
         iterations=iterations,
         converged=converged,
         cost_history=history,

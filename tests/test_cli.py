@@ -169,6 +169,13 @@ def test_benchmark_config_matches_paper_setup():
     assert plant.config.t_init == 100.0 and plant.config.t_right == 150.0
 
 
+def test_config_rejects_unknown_optimize_option():
+    cfg = ExperimentConfig({"optimize": {"alpha": 1.0, "dtype": "float32"}})
+    with pytest.raises(ValueError, match="dtype"):
+        cfg.optimize_options()
+    assert ExperimentConfig({"optimize": {"alpha": 2.0}}).optimize_options(seed=4).seed == 4
+
+
 def test_config_rejects_unknown_q_mean_preset():
     cfg = ExperimentConfig({"plant": {"n_grid": 20}, "cost": {"q_mean": "nope"}})
     plant = cfg.plant()

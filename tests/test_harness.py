@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from seplqg.belief import GaussianBelief
+from seplqg.belief import GaussianBelief, psd_sqrt
+from seplqg.exceptions import IntegrationDivergedError
 from seplqg.harness import (
     check_theorem1,
     closed_loop_band,
@@ -50,13 +51,22 @@ def linear_setup(W=0.2, V=0.3, N=20, seed=3):
 
 def test_coefficients_match_quadratic_gradients():
     plant, b0, spec, nominal, ctrl = linear_setup()
-    C_mu, C_u, c_tr = cost_gradient_coefficients(nominal, spec, h=1e-5)
+    C_mu, C_u, c_tr = cost_gradient_coefficients(nominal, spec)
+    h = 1e-5
+
+    def central_difference(f, x):
+        return np.array([(f(x + h * e) - f(x - h * e)) / (2.0 * h) for e in np.eye(x.size)])
+
     for k in (0, 5, nominal.horizon):
         Q = spec.Q_terminal if k == nominal.horizon else spec.Q_mean
-        expected = 2.0 * Q @ (nominal.means[k] - spec.target)
-        assert np.allclose(C_mu[k], expected, atol=1e-6)
+
+        def stage(mu):
+            return (mu - spec.target) @ Q @ (mu - spec.target)
+
+        assert np.allclose(C_mu[k], central_difference(stage, nominal.means[k]), atol=1e-6)
     for k in (0, 7):
-        assert np.allclose(C_u[k], 2.0 * spec.R_u @ nominal.controls[k], atol=1e-8)
+        expected = central_difference(lambda u: u @ spec.R_u @ u, nominal.controls[k])
+        assert np.allclose(C_u[k], expected, atol=1e-8)
     assert c_tr == 0.0
 
 
@@ -65,7 +75,7 @@ def test_trace_coefficient_active_with_trace_weight():
     spec_tr = CostSpec(
         Q_mean=spec.Q_mean, q_trace=0.7, R_u=spec.R_u, Q_terminal=spec.Q_terminal, target=spec.target
     )
-    _, _, c_tr = cost_gradient_coefficients(nominal, spec_tr, h=1e-5)
+    _, _, c_tr = cost_gradient_coefficients(nominal, spec_tr)
     assert c_tr == pytest.approx(0.7, rel=1e-8)
 
 
@@ -123,6 +133,52 @@ def test_enkf_belief_runs_are_reproducible():
     r1 = run_monte_carlo(plant, nominal, ctrl, chunk=3, **kw)
     r2 = run_monte_carlo(plant, nominal, ctrl, chunk=8, **kw)
     assert np.array_equal(r1.delta_J_samples, r2.delta_J_samples)
+
+
+class DivergesOnRun3(HeatPlant):
+    """Heat slab whose step diverges for the rows driven by Monte Carlo
+    run 3's process noise at k = 10 (its closed- and open-loop steps)."""
+
+    def __init__(self, config, base_seed):
+        super().__init__(config)
+        w = stream(base_seed, 3, "w").standard_normal((config.horizon, self.n_u))
+        self.w_run3_k10 = (w @ psd_sqrt(self.spec.W).T)[10]
+
+    def step(self, state, control, process_noise, k=0):
+        w = np.asarray(process_noise)
+        if k == 10 and w.ndim and (w == self.w_run3_k10).all(axis=-1).any():
+            raise IntegrationDivergedError(f"forced divergence at step k={k}")
+        return super().step(state, control, process_noise, k)
+
+
+def test_diverged_runs_are_left_out_of_every_average():
+    cfg = HeatPlantConfig(n_grid=16, horizon=30)
+    plant = HeatPlant(cfg)
+    b0 = GaussianBelief(plant.initial_state(), 0.25 * np.eye(16))
+    spec = CostSpec.from_weights(16, 5, q_mean=1.0, r_u=1e-3, target=150.0)
+    opts = OptimizeOptions(alpha=20.0, max_iters=1, M=8, seed=1, h=1e-2)
+    nominal = optimize(np.zeros((30, 5)), b0, plant, spec, opts)
+    rom = tv_era(collect_impulse_responses(plant, nominal), n_r=6, p=4, q=4)
+    ctrl = design_lqg(rom, W=plant.spec.W, V=plant.spec.V)
+    kw = dict(n_runs=16, base_seed=5, cost=spec, belief_size=10, chunk=8)
+    healthy = run_monte_carlo(plant, nominal, ctrl, **kw)
+    report = run_monte_carlo(DivergesOnRun3(cfg, base_seed=5), nominal, ctrl, **kw)
+    assert (healthy.failures, healthy.n_effective) == (0, 16)
+    assert (report.failures, report.n_effective, report.n_runs) == (1, 15, 16)
+    assert len(report.delta_J_samples) == 15
+    assert np.array_equal(report.delta_J_samples, np.delete(healthy.delta_J_samples, 3))
+    assert np.array_equal(report.cost_samples, np.delete(healthy.cost_samples, 3))
+
+    def averages(r):
+        return np.concatenate([r.mean_traj.ravel(), r.mse_closed, r.mse_open])
+
+    def run_sums(n):
+        r = healthy if n == 16 else run_monte_carlo(plant, nominal, ctrl, **{**kw, "n_runs": n})
+        return n * averages(r)
+
+    # sums over runs 0..n-1 of healthy reports: S16 - (S4 - S3) leaves run 3 out
+    expected = run_sums(16) - (run_sums(4) - run_sums(3))
+    assert np.allclose(15 * averages(report), expected, rtol=1e-9, atol=0)
 
 
 def test_run_monte_carlo_validates_inputs():

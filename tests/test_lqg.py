@@ -190,7 +190,8 @@ def make_nominal_for(plant, N):
     return NominalTrajectory(
         controls=np.zeros((N, plant.n_u)),
         means=states,
-        covs=np.zeros((N + 1, plant.n_x, plant.n_x)),
+        prior_cov=np.zeros((plant.n_x, plant.n_x)),
+        cov_traces=np.zeros(N + 1),
         observations=obs,
         nominal_cost=0.0,
         iterations=0,
@@ -204,17 +205,18 @@ def test_closed_loop_tracks_nominal_exactly_without_deviation():
     nominal = NominalTrajectory(
         controls=stream(1, "u").standard_normal((20, 2)),
         means=np.zeros((21, 3)),
-        covs=np.zeros((21, 3, 3)),
+        prior_cov=np.zeros((3, 3)),
+        cov_traces=np.zeros(21),
         observations=stream(2, "y").standard_normal((21, 2)),
         nominal_cost=0.0,
         iterations=0,
         converged=True,
     )
-    ctrl.reset()
+    a_hat = np.zeros(3)
     for k in range(20):
-        u = closed_loop_step(ctrl, k, nominal.observations[k], nominal)
+        u, a_hat = closed_loop_step(ctrl, k, nominal.observations[k], nominal, a_hat)
         assert np.array_equal(u, nominal.controls[k])
-    assert np.allclose(ctrl.a_hat, 0.0)
+    assert np.allclose(a_hat, 0.0)
 
 
 def test_closed_loop_estimator_and_regulator_converge():
@@ -230,16 +232,16 @@ def test_closed_loop_estimator_and_regulator_converge():
     ctrl = design_lqg(rom, W=0.1 * np.eye(2), V=0.1 * np.eye(2), q_y=1.0, r=0.05)
     nominal = make_nominal_for(plant, N)
     x = np.array([1.0, -1.5, 0.8])  # deviation from the zero nominal
-    ctrl.reset()
+    a_hat = np.zeros(n)
     est_err = []
     track = []
     for k in range(N):
         y = plant.observe(x, 0.0, k)
         # estimate right after the measurement update, as the control sees it
-        a_post = ctrl.a_hat + ctrl.K_gains[k] @ (
-            (y - nominal.observations[k]) - rom.C_hat[k] @ ctrl.a_hat
+        a_post = a_hat + ctrl.K_gains[k] @ (
+            (y - nominal.observations[k]) - rom.C_hat[k] @ a_hat
         )
-        u = closed_loop_step(ctrl, k, y, nominal)
+        u, a_hat = closed_loop_step(ctrl, k, y, nominal, a_hat)
         est_err.append(np.linalg.norm(a_post - x))
         track.append(np.linalg.norm(x))
         x = plant.step(x, u, 0.0, k)
@@ -255,16 +257,17 @@ def test_closed_loop_step_index_guard():
     nominal = NominalTrajectory(
         controls=np.zeros((5, 1)),
         means=np.zeros((6, 2)),
-        covs=np.zeros((6, 2, 2)),
+        prior_cov=np.zeros((2, 2)),
+        cov_traces=np.zeros(6),
         observations=np.zeros((6, 1)),
         nominal_cost=0.0,
         iterations=0,
         converged=True,
     )
     with pytest.raises(IndexError):
-        closed_loop_step(ctrl, 5, np.zeros(1), nominal)
+        closed_loop_step(ctrl, 5, np.zeros(1), nominal, np.zeros(2))
     with pytest.raises(IndexError):
-        closed_loop_step(ctrl, -1, np.zeros(1), nominal)
+        closed_loop_step(ctrl, -1, np.zeros(1), nominal, np.zeros(2))
 
 
 def test_controller_json_roundtrip(tmp_path):
@@ -277,7 +280,6 @@ def test_controller_json_roundtrip(tmp_path):
     assert np.array_equal(back.K_gains, ctrl.K_gains)
     assert np.array_equal(back.P_filter, ctrl.P_filter)
     assert np.array_equal(back.rom.A_hat, ctrl.rom.A_hat)
-    assert np.allclose(back.a_hat, 0.0)
 
 
 def test_design_checks_weight_shapes():

@@ -24,7 +24,8 @@ def zero_nominal(plant, x0=None):
     return NominalTrajectory(
         controls=np.zeros((N, plant.n_u)),
         means=states,
-        covs=np.zeros((N + 1, plant.n_x, plant.n_x)),
+        prior_cov=np.zeros((plant.n_x, plant.n_x)),
+        cov_traces=np.zeros(N + 1),
         observations=obs,
         nominal_cost=0.0,
         iterations=0,
@@ -113,7 +114,8 @@ def test_impulse_divergence_advises_smaller_epsilon():
     nominal = NominalTrajectory(
         controls=np.zeros((500, 1)),
         means=np.zeros((501, 1)),
-        covs=np.zeros((501, 1, 1)),
+        prior_cov=np.zeros((1, 1)),
+        cov_traces=np.zeros(501),
         observations=np.zeros((501, 1)),
         nominal_cost=0.0,
         iterations=0,

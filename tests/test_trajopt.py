@@ -289,10 +289,12 @@ def test_optimize_nominal_cost_consistency():
     spec = CostSpec.from_weights(16, 5, q_mean=1.0, r_u=1e-3, q_terminal=1.0, target=150.0)
     opts = OptimizeOptions(alpha=20.0, max_iters=3, M=12, seed=2, h=1e-2)
     traj = optimize(np.zeros((10, 5)), b0, plant, spec, opts)
-    recomputed = nominal_cost(traj.beliefs(), traj.controls, spec)
+    beliefs = rollout_belief(traj.controls, b0, plant, M=12, seed=2)
+    recomputed = nominal_cost(beliefs, traj.controls, spec)
     assert traj.nominal_cost == pytest.approx(recomputed, rel=1e-9)
     assert traj.means.shape == (11, 16)
-    assert traj.covs.shape == (11, 16, 16)
+    assert np.array_equal(traj.prior_cov, b0.cov)
+    assert traj.cov_traces.shape == (11,)
     assert traj.observations.shape == (11, 5)
     assert traj.controls.shape == (10, 5)
 
@@ -314,7 +316,8 @@ def test_trajectory_json_roundtrip(tmp_path):
     back = NominalTrajectory.from_json(path)
     assert np.array_equal(back.controls, traj.controls)
     assert np.array_equal(back.means, traj.means)
-    assert np.array_equal(back.covs, traj.covs)
+    assert np.array_equal(back.prior_cov, traj.prior_cov)
+    assert np.array_equal(back.cov_traces, traj.cov_traces)
     assert back.nominal_cost == traj.nominal_cost
     assert back.iterations == traj.iterations
     assert back.converged == traj.converged
@@ -325,7 +328,8 @@ def test_trajectory_length_validation():
         NominalTrajectory(
             controls=np.zeros((5, 1)),
             means=np.zeros((5, 2)),
-            covs=np.zeros((6, 2, 2)),
+            prior_cov=np.zeros((2, 2)),
+            cov_traces=np.zeros(6),
             observations=np.zeros((6, 1)),
             nominal_cost=0.0,
             iterations=0,
