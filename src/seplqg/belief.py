@@ -129,7 +129,7 @@ def enkf_predict_members(members, control, w_draws, plant, k=0):
     return plant.step(members, control[..., None, :], w_draws, k)
 
 
-def enkf_update_members(members, y, v_draws, plant, V, k=0, inflation=1.0):
+def enkf_update_members(members, y, v_draws, plant, V, k=0):
     """Perturbed-observation EnKF update, batched over leading axes.
 
     Gain K = P_xy (P_yy + V)^-1 from ensemble cross-covariances; each
@@ -137,8 +137,6 @@ def enkf_update_members(members, y, v_draws, plant, V, k=0, inflation=1.0):
     """
     M = members.shape[-2]
     xm = members.mean(axis=-2, keepdims=True)
-    if inflation != 1.0:
-        members = xm + inflation * (members - xm)
     Yp = plant.observe(members, 0.0, k)
     ym = Yp.mean(axis=-2, keepdims=True)
     Xc = members - xm
@@ -163,12 +161,12 @@ def enkf_predict(ens, control, plant, rng_stream, k=0):
     return Ensemble(enkf_predict_members(ens.members, control, w, plant, k))
 
 
-def enkf_update(ens, measurement, plant, rng_stream, k=0, inflation=1.0):
+def enkf_update(ens, measurement, plant, rng_stream, k=0):
     """One perturbed-observation analysis with draws v_i ~ N(0, V)."""
     V = plant.spec.V
     V_sqrt = psd_sqrt(V)
     v = rng_stream.standard_normal((ens.size, plant.n_y)) @ V_sqrt.T
-    updated = enkf_update_members(ens.members, measurement, v, plant, V, k, inflation)
+    updated = enkf_update_members(ens.members, measurement, v, plant, V, k)
     return Ensemble(updated)
 
 

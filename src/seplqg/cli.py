@@ -123,7 +123,7 @@ def cmd_design(args):
             np.linalg.norm(ctrl.L_gains[k]) if k < rom.horizon else np.nan,
             np.linalg.norm(ctrl.K_gains[k]),
             ctrl.S_traces[k],
-            np.trace(ctrl.P_filter[k]),
+            ctrl.P_traces[k],
         ]
         for k in range(rom.horizon + 1)
     ]
@@ -172,6 +172,7 @@ def cmd_evaluate(args):
         cost=cost,
         belief_size=ev["belief_size"],
         chunk=ev["chunk"],
+        epsilon=cfg.sysid()["epsilon"],
     )
     with open(out / "report.json", "w") as fh:
         json.dump(_report_payload(report), fh)

@@ -3,10 +3,19 @@ linearization-error check, probe-position error bands, and complexity
 accounting.
 
 Every Monte Carlo run draws its noise from counter-based streams keyed
-(base_seed, run_index, channel), so reports are bit-reproducible and
-independent of chunking.  Open-loop comparison runs consume the same
-draws as their closed-loop partner (common random numbers), making the
-error comparison paired.
+(base_seed, run_index, channel), so reports are bit-reproducible under a
+fixed seed and chunk size.  Across chunk sizes, a BLAS matrix product
+may round a row differently depending on how many rows the batch has.
+On the heat slab the only such products left are those of `lqg_update`:
+they move delta_J_samples by roundoff and can move every output (as
+one-run chunks do on a 16-node slab).  On linear plants the products
+of `LinearPlant.step` and of the exact-KF belief do the same.
+
+Open-loop comparison runs consume the same draws as their closed-loop
+partner (common random numbers), making the error comparison paired.
+With a cost spec, one belief filter per run (EnKF, or the exact KF for
+linear plants) yields the realized cost and the first-order deviation
+delta_J = C_u du + C_mu dmu + c tr(dSigma), summed over the steps.
 """
 
 from dataclasses import dataclass, field
@@ -194,15 +203,18 @@ def _safe_step(plant, X, U, w, k):
         return out, bad
 
 
-def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, belief, coeffs, cost,
+def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, cost, belief,
                     probe_nodes, collect_first, mean_sum, summed=None):
     """Simulate one chunk of paired runs; returns per-run aggregates and
     the mask of diverged runs, which are frozen on the nominal so the
     batch stays healthy.
 
-    The closed-loop states of the runs in the mask `summed` (default:
-    all) are added to mean_sum (N+1, n_x) in strict run-index order, so
-    the report is bit-identical no matter how runs are chunked."""
+    With a cost spec, a belief filter runs alongside each closed-loop run
+    (`belief` is ("enkf", M) or ("kf", _kf_gain_table(...))), and every
+    step adds its control and belief terms to the realized cost and the
+    first-order deviation delta_J.  The closed-loop states of the runs in the mask `summed`
+    (default: all) are added to mean_sum (N+1, n_x) in strict run-index
+    order."""
     rom = controller.rom
     N = nominal.horizon
     R = len(run_ids)
@@ -210,7 +222,6 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, belief, coef
     x0 = nominal.means[0]
     W_s = psd_sqrt(plant.spec.W)
     V_s = psd_sqrt(plant.spec.V)
-    V = plant.spec.V
 
     # per-run streams; w/v predrawn, filter draws per step
     w_all = np.empty((R, N, n_u))
@@ -218,21 +229,6 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, belief, coef
     for i, r in enumerate(run_ids):
         w_all[i] = stream(base_seed, r, "w").standard_normal((N, n_u)) @ W_s.T
         v_all[i] = stream(base_seed, r, "v").standard_normal((N + 1, n_y)) @ V_s.T
-
-    belief_mode = belief[0] if belief else None
-    if belief_mode == "enkf":
-        M = belief[1]
-        gens_w = [stream(base_seed, r, "enkf-w") for r in run_ids]
-        gens_v = [stream(base_seed, r, "enkf-v") for r in run_ids]
-        members = np.empty((R, M, n_x))
-        S0 = psd_sqrt(nominal.prior_cov)
-        for i, r in enumerate(run_ids):
-            Z = stream(base_seed, r, "enkf-init").standard_normal((M, n_x))
-            members[i] = x0 + Z @ S0.T
-        mu_belief = np.broadcast_to(x0, (R, n_x)).copy()
-    elif belief_mode == "kf":
-        kf_gains = belief[1]
-        mu_belief = np.broadcast_to(x0, (R, n_x)).copy()
 
     x_cl = np.broadcast_to(x0, (R, n_x)).copy()
     x_ol = x_cl.copy()
@@ -256,24 +252,29 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, belief, coef
     delta_J = np.zeros(R)
     cost_acc = np.zeros(R)
     if cost is not None:
+        C_mu, C_u, _ = cost_gradient_coefficients(nominal, cost)
         d0 = x0 - cost.target
-        base_state_cost = float(d0 @ cost.Q_mean @ d0)
-        cost_acc += base_state_cost
+        cost_acc += float(d0 @ cost.Q_mean @ d0)
         if cost.q_trace:
             cost_acc += cost.q_trace * np.trace(nominal.prior_cov)
-    if coeffs is not None:
-        C_mu, C_u, c_trace = coeffs
+        mu_belief = np.broadcast_to(x0, (R, n_x)).copy()
+        if belief[0] == "enkf":
+            M = belief[1]
+            gens_w = [stream(base_seed, r, "enkf-w") for r in run_ids]
+            gens_v = [stream(base_seed, r, "enkf-v") for r in run_ids]
+            members = np.empty((R, M, n_x))
+            S0 = psd_sqrt(nominal.prior_cov)
+            for i, r in enumerate(run_ids):
+                Z = stream(base_seed, r, "enkf-init").standard_normal((M, n_x))
+                members[i] = x0 + Z @ S0.T
+        else:
+            A_s, B_s, C1_s, K_s, kf_traces = belief[1]
 
     for k in range(N):
         # measurement and controller update
         y = plant.observe(x_cl, v_all[:, k], k)
         du, a_hat = lqg_update(controller, k, y - nominal.observations[k], a_hat)
         u = nominal.controls[k] + du
-
-        if coeffs is not None:
-            delta_J += du @ C_u[k]
-        if cost is not None:
-            cost_acc += np.einsum("ri,ij,rj->r", u, cost.R_u, u)
 
         # paired plant steps (shared process noise draws)
         x_cl, bad_cl = _safe_step(plant, x_cl, u, w_all[:, k], k)
@@ -293,34 +294,36 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, belief, coef
             x_ol[failed] = nominal.means[k + 1]
             a_hat[failed] = 0.0
 
-        # belief run alongside, driven by the applied controls and the
-        # measurements the controller saw
-        if belief_mode == "enkf":
-            wb = np.empty((R, M, n_u))
-            vb = np.empty((R, M, n_y))
-            for i in range(R):
-                wb[i] = gens_w[i].standard_normal((M, n_u)) @ W_s.T
-                vb[i] = gens_v[i].standard_normal((M, n_y)) @ V_s.T
-            members = enkf_predict_members(members, u, wb, plant, k)
+        if cost is not None:
+            # row-wise reductions, not matrix-vector products: BLAS sums a
+            # row in an order that depends on the number of rows
+            delta_J += (du * C_u[k]).sum(axis=-1)
+            cost_acc += np.einsum("ri,ij,rj->r", u, cost.R_u, u)
+            # belief run alongside, driven by the applied controls and the
+            # measurements the controller saw
             y_next = plant.observe(x_cl, v_all[:, k + 1], k + 1)
-            members = enkf_update_members(members, y_next, vb, plant, V, k + 1)
-            mu_belief = members.mean(axis=1)
-        elif belief_mode == "kf":
-            A, B, C1, K = (seq[k] for seq in kf_gains)
-            y_next = plant.observe(x_cl, v_all[:, k + 1], k + 1)
-            mu_pred = mu_belief @ A.T + u @ B.T
-            mu_belief = mu_pred + (y_next - mu_pred @ C1.T) @ K.T
-
-        if coeffs is not None:
-            delta_J += (mu_belief - nominal.means[k + 1]) @ C_mu[k + 1]
-            if c_trace and belief_mode == "enkf":
-                tr = ((members - mu_belief[:, None, :]) ** 2).sum(axis=(1, 2)) / (M - 1)
-                delta_J += c_trace * (tr - nominal.cov_traces[k + 1])
-        if cost is not None and k + 1 <= N - 1:
+            if belief[0] == "enkf":
+                wb = np.empty((R, M, n_u))
+                vb = np.empty((R, M, n_y))
+                for i in range(R):
+                    wb[i] = gens_w[i].standard_normal((M, n_u)) @ W_s.T
+                    vb[i] = gens_v[i].standard_normal((M, n_y)) @ V_s.T
+                members = enkf_predict_members(members, u, wb, plant, k)
+                members = enkf_update_members(members, y_next, vb, plant, plant.spec.V, k + 1)
+                mu_belief = members.mean(axis=1)
+            else:
+                mu_pred = mu_belief @ A_s[k].T + u @ B_s[k].T
+                mu_belief = mu_pred + (y_next - mu_pred @ C1_s[k].T) @ K_s[k].T
+            delta_J += ((mu_belief - nominal.means[k + 1]) * C_mu[k + 1]).sum(axis=-1)
             d = mu_belief - cost.target
-            cost_acc += np.einsum("ri,ij,rj->r", d, cost.Q_mean, d)
-            if cost.q_trace and belief_mode == "enkf":
-                tr = ((members - mu_belief[:, None, :]) ** 2).sum(axis=(1, 2)) / (M - 1)
+            Q = cost.Q_terminal if k == N - 1 else cost.Q_mean
+            cost_acc += np.einsum("ri,ij,rj->r", d, Q, d)
+            if cost.q_trace:
+                if belief[0] == "enkf":
+                    tr = ((members - mu_belief[:, None, :]) ** 2).sum(axis=(1, 2)) / (M - 1)
+                else:
+                    tr = kf_traces[k + 1]
+                delta_J += cost.q_trace * (tr - nominal.cov_traces[k + 1])
                 cost_acc += cost.q_trace * tr
 
         for i in summed:
@@ -334,13 +337,6 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, belief, coef
                 run0["closed"][k + 1] = err_c[0]
                 run0["open"][k + 1] = err_o[0]
 
-    if cost is not None:
-        d = mu_belief - cost.target if belief_mode else x_cl - cost.target
-        cost_acc += np.einsum("ri,ij,rj->r", d, cost.Q_terminal, d)
-        if cost.q_trace and belief_mode == "enkf":
-            tr = ((members - mu_belief[:, None, :]) ** 2).sum(axis=(1, 2)) / (M - 1)
-            cost_acc += cost.q_trace * tr
-
     return {
         "sq_closed": sq_closed,
         "sq_open": sq_open,
@@ -352,8 +348,7 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, belief, coef
 
 
 def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positions=(0.4, 0.9),
-                    cost=None, belief="enkf", belief_size=100, chunk=100, probe_rows=None,
-                    epsilon=1e-2):
+                    cost=None, belief="enkf", belief_size=100, chunk=100, epsilon=1e-2):
     """Paired closed/open-loop Monte Carlo evaluation.
 
     Each run simulates the true plant under the LQG loop and, with the
@@ -363,14 +358,15 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
     belief="kf" for linear plants) to produce per-run realized costs and
     first-order cost deviations.  Runs whose plant step diverges are
     counted in `failures` and left out of every average and sample.
+    `epsilon` is the impulse size used to identify the probe output
+    rows of the two-sigma band.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     probe_nodes = probe_nodes_from_fractions(plant.n_x, probe_positions)
     two_sigma = np.zeros((nominal.horizon + 1, len(probe_nodes)))
     if probe_nodes:
-        if probe_rows is None:
-            probe_rows = probe_output_rows(plant, nominal, controller.rom, probe_nodes, epsilon)
+        probe_rows = probe_output_rows(plant, nominal, controller.rom, probe_nodes, epsilon)
         two_sigma = closed_loop_band(controller, probe_rows)
 
     belief_arg = None
@@ -381,7 +377,6 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
             belief_arg = ("kf", _kf_gain_table(plant, nominal))
         else:
             raise ValueError(f"unknown belief mode {belief!r}")
-    coeffs = cost_gradient_coefficients(nominal, cost) if cost is not None else None
 
     N = nominal.horizon
     mean_sum = np.zeros((N + 1, plant.n_x))
@@ -393,7 +388,7 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
     run0 = None
     for lo in range(0, n_runs, chunk):
         args = (plant, nominal, controller, list(range(lo, min(lo + chunk, n_runs))), base_seed,
-                belief_arg, coeffs, cost, probe_nodes, lo == 0)
+                cost, belief_arg, probe_nodes, lo == 0)
         mean_before = mean_sum.copy()
         out = _simulate_chunk(*args, mean_sum)
         ok = ~out["failed"]
@@ -436,13 +431,14 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
 
 
 def _kf_gain_table(plant, nominal):
-    """Plant sequences and exact-KF gains (A_k, B_k, C_{k+1}, K_{k+1})
-    for k = 0..N-1, from the nominal prior, for linear plants."""
+    """Plant sequences, exact-KF gains and covariance traces for linear
+    plants, from the nominal prior: (A_k, B_k, C_{k+1}, K_{k+1}) for
+    k = 0..N-1 and tr P_k for k = 0..N."""
     if not hasattr(plant, "sequences"):
         raise ValueError('belief="kf" needs a linear plant exposing sequences(N)')
     A, B, C = plant.sequences(nominal.horizon)
-    K, _ = kf_recursion(A, B, C[1:], plant.spec.W, plant.spec.V, nominal.prior_cov)
-    return A, B, C[1:], K
+    K, P = kf_recursion(A, B, C[1:], plant.spec.W, plant.spec.V, nominal.prior_cov)
+    return A, B, C[1:], K, np.einsum("kii->k", P)
 
 
 def check_theorem1(plant, nominal, controller, spec, n_runs, base_seed,

@@ -118,9 +118,9 @@ class LqgController:
     """Offline gains of the LQG law on a ROM.
 
     The controller holds no run state: the ROM deviation estimate a_hat
-    is passed to and returned by `lqg_update`.  P_filter holds the
-    post-update estimator covariances, S_traces the LQR cost-to-go
-    traces (diagnostics).
+    is passed to and returned by `lqg_update`.  P_traces holds the
+    traces of the post-update estimator covariances, S_traces those of
+    the LQR cost-to-go (diagnostics).
     """
 
     rom: LtvRom
@@ -128,7 +128,7 @@ class LqgController:
     K_gains: np.ndarray
     W: np.ndarray
     V: np.ndarray
-    P_filter: np.ndarray
+    P_traces: np.ndarray
     S_traces: np.ndarray
 
     @property
@@ -141,7 +141,7 @@ class LqgController:
             "K_gains": self.K_gains.tolist(),
             "W": np.asarray(self.W).tolist(),
             "V": np.asarray(self.V).tolist(),
-            "P_filter": self.P_filter.tolist(),
+            "P_traces": self.P_traces.tolist(),
             "S_traces": self.S_traces.tolist(),
             "rom": {
                 "A_hat": self.rom.A_hat.tolist(),
@@ -175,7 +175,7 @@ class LqgController:
             K_gains=np.asarray(payload["K_gains"]),
             W=np.asarray(payload["W"]),
             V=np.asarray(payload["V"]),
-            P_filter=np.asarray(payload["P_filter"]),
+            P_traces=np.asarray(payload["P_traces"]),
             S_traces=np.asarray(payload["S_traces"]),
         )
 
@@ -222,7 +222,7 @@ def design_lqg(rom, W=None, V=None, P0=None, Qk=None, QN=None, Rk=None,
         K_gains=K,
         W=W,
         V=V,
-        P_filter=P,
+        P_traces=np.trace(P, axis1=1, axis2=2),
         S_traces=np.einsum("kii->k", S),
     )
 

@@ -12,12 +12,15 @@ plants, exact Kalman filter for linear ones).  With a fixed seed the
 map U -> J(U) is deterministic, so central finite differences with
 common random numbers give a consistent gradient.
 
-The finite-difference evaluation is the hot path: 2*N*n_u rollouts per
-gradient.  Rollouts perturbed at time j share the baseline trajectory
-bit-exactly up to j, so the engine below snapshots the baseline once and
-spawns each perturbed rollout at its perturbation time, halving the
-work; noise draws are pre-generated per step and shared by every
-rollout (common random numbers).
+The finite-difference gradient is the hot path: 2*N*n_u perturbed
+rollouts per gradient.  A rollout perturbed at time j agrees bit for bit
+with the unperturbed one up to j, so the EnKF engine runs one forward
+pass, which records the noiseless plant states and the ensembles at
+every step, and forks each perturbed rollout from them at its
+perturbation time, halving the work.  Noise draws are pre-generated per
+step and shared by every rollout (common random numbers).  The exact-KF
+engine for linear plants propagates only the means, since its
+covariances do not depend on the controls.
 """
 
 from dataclasses import dataclass, field
@@ -205,8 +208,31 @@ def nominal_cost(beliefs, controls, spec):
 # Rollout engines
 # ---------------------------------------------------------------------------
 
+# perturbation times whose forked rollouts are batched together, bounding
+# the memory of one batch to 2*n_u*_FD_CHUNK ensembles
+_FD_CHUNK = 64
 
-class _EnkfEngine:
+
+def _check_finite(costs, n_u, j0=0):
+    """Raise on the first non-finite perturbed cost; entry 2*(n_u*(j-j0)+m)
+    is the +h and the next one the -h rollout of control entry (j, m)."""
+    if not np.all(np.isfinite(costs)):
+        bad = int(np.flatnonzero(~np.isfinite(costs))[0])
+        raise GradientEvaluationError(
+            f"non-finite cost perturbing control entry (k={j0 + bad // (2 * n_u)}, "
+            f"channel={(bad % (2 * n_u)) // 2}, {'+' if bad % 2 == 0 else '-'}h)"
+        )
+
+
+class _Engine:
+    """Cost of one rollout, shared by the EnKF and exact-KF engines."""
+
+    def cost(self, U, spec):
+        means, traces = self.rollout(U)[:2]
+        return _cost_from_arrays(means, traces, U, spec)
+
+
+class _EnkfEngine(_Engine):
     """Batched deterministic EnKF rollouts with shared noise draws.
 
     All rollouts of one engine instance consume identical per-step
@@ -214,12 +240,10 @@ class _EnkfEngine:
     sequences.
     """
 
-    def __init__(self, plant, b0, M, seed, inflation=1.0):
+    def __init__(self, plant, b0, M, seed):
         self.plant = plant
         self.b0 = b0
         self.M = int(M)
-        self.seed = seed
-        self.inflation = inflation
         N = plant.horizon
         W_s = psd_sqrt(plant.spec.W)
         V_s = psd_sqrt(plant.spec.V)
@@ -237,93 +261,64 @@ class _EnkfEngine:
         D_next = plant.step(D, controls, 0.0, k)
         y_next = plant.observe(D_next, 0.0, k + 1)
         E_pred = enkf_predict_members(E, controls, self.w_draws[k], plant, k)
-        E_next = enkf_update_members(
-            E_pred, y_next, self.v_draws[k], plant, plant.spec.V, k + 1, self.inflation
-        )
+        E_next = enkf_update_members(E_pred, y_next, self.v_draws[k], plant, plant.spec.V, k + 1)
         return D_next, E_next, y_next, E_next.mean(axis=-2)
 
-    def rollout(self, controls, want_beliefs=False):
-        """Single rollout; returns (means, traces, observations,
-        beliefs-or-None).  means[0] is the exact prior mean (the belief
-        at k=0 is the given prior, not a sample estimate)."""
-        plant, spec_b0 = self.plant, self.b0
-        controls = np.atleast_2d(np.asarray(controls, dtype=float))
+    def rollout(self, controls):
+        """Single rollout; returns (means, traces, observations, states,
+        ensembles) over k = 0..N, with states the noiseless plant states.
+        means[0] and traces[0] are the exact prior's (the belief at k=0 is
+        the given prior, not a sample estimate)."""
+        plant, b0 = self.plant, self.b0
         N = controls.shape[0]
-        D = spec_b0.mean[None]
-        E = self.members0[None]
         means = np.empty((N + 1, plant.n_x))
         traces = np.empty(N + 1)
         obs = np.empty((N + 1, plant.n_y))
-        means[0] = spec_b0.mean
-        traces[0] = np.trace(spec_b0.cov)
-        obs[0] = plant.observe(spec_b0.mean, 0.0, 0)
-        beliefs = [GaussianBelief(spec_b0.mean, spec_b0.cov)] if want_beliefs else None
+        states = np.empty((N + 1, plant.n_x))
+        ensembles = np.empty((N + 1, self.M, plant.n_x))
+        means[0] = states[0] = b0.mean
+        traces[0] = np.trace(b0.cov)
+        obs[0] = plant.observe(b0.mean, 0.0, 0)
+        ensembles[0] = self.members0
         for k in range(N):
-            D, E, y, post_mean = self._step_batch(D, E, controls[k][None], k)
-            means[k + 1] = post_mean[0]
-            obs[k + 1] = y[0]
+            D, E, y, post_mean = self._step_batch(
+                states[k][None], ensembles[k][None], controls[k][None], k
+            )
+            states[k + 1], ensembles[k + 1], obs[k + 1], means[k + 1] = D[0], E[0], y[0], post_mean[0]
             traces[k + 1] = float(((E[0] - post_mean[0]) ** 2).sum() / (self.M - 1))
-            if want_beliefs:
-                beliefs.append(belief_from_ensemble(E[0]))
-        return means, traces, obs, beliefs
+        return means, traces, obs, states, ensembles
 
-    def cost(self, controls, spec):
-        means, traces, _, _ = self.rollout(controls)
-        return _cost_from_arrays(means, traces, np.asarray(controls, dtype=float), spec)
+    def beliefs(self, controls):
+        ensembles = self.rollout(controls)[4]
+        return [GaussianBelief(self.b0.mean, self.b0.cov)] + [belief_from_ensemble(E) for E in ensembles[1:]]
 
-    def cost_and_gradient(self, controls, spec, h, chunk=64):
-        """Baseline cost and the central-difference gradient (N, n_u).
+    def gradient(self, U, spec, h):
+        """Central-difference gradient (N, n_u).
 
-        Perturbed rollouts are spawned from baseline snapshots at their
+        Each perturbed rollout is forked from the rollout's states at its
         perturbation time; perturbation times are processed in chunks of
-        `chunk` to bound memory.
+        _FD_CHUNK to bound memory.
         """
         plant = self.plant
-        U = np.asarray(controls, dtype=float)
         N, n_u = U.shape
-
-        # baseline pass, snapshotting states so jobs can fork mid-way
-        D_snap = np.empty((N, plant.n_x))
-        E_snap = np.empty((N, self.M, plant.n_x))
-        means = np.empty((N + 1, plant.n_x))
-        traces = np.zeros(N + 1)
-        D = self.b0.mean[None]
-        E = self.members0[None]
-        means[0] = self.b0.mean
-        traces[0] = np.trace(self.b0.cov)
-        for k in range(N):
-            D_snap[k] = D[0]
-            E_snap[k] = E[0]
-            D, E, _, post_mean = self._step_batch(D, E, U[k][None], k)
-            means[k + 1] = post_mean[0]
-            if spec.q_trace:
-                traces[k + 1] = float(((E[0] - post_mean[0]) ** 2).sum() / (self.M - 1))
-        d = means - spec.target
-        state_cost = np.einsum("ki,ij,kj->k", d, spec.Q_mean, d)
-        state_cost[-1] = d[-1] @ spec.Q_terminal @ d[-1]
-        if spec.q_trace:
-            state_cost += spec.q_trace * traces
-        ctrl_cost = np.einsum("ki,ij,kj->k", U, spec.R_u, U)
-        J0 = float(state_cost.sum() + ctrl_cost.sum())
-
+        _, _, _, states, ensembles = self.rollout(U)
         grad = np.zeros((N, n_u))
-        # suffix state costs for every perturbed rollout
         Qm = spec.Q_mean
         Qt = spec.Q_terminal
         tgt = spec.target
-        for j0 in range(0, N, chunk):
-            j1 = min(j0 + chunk, N)
+        for j0 in range(0, N, _FD_CHUNK):
+            j1 = min(j0 + _FD_CHUNK, N)
             n_jobs = 2 * n_u * (j1 - j0)
             Db = np.empty((n_jobs, plant.n_x))
             Eb = np.empty((n_jobs, self.M, plant.n_x))
+            # suffix state costs for every perturbed rollout
             suffix = np.zeros(n_jobs)
             active = 0
             for k in range(j0, N):
                 if k < j1:
                     lo = 2 * n_u * (k - j0)
-                    for m in range(n_u):
-                        Db[lo + 2 * m] = Db[lo + 2 * m + 1] = D_snap[k]
-                        Eb[lo + 2 * m] = Eb[lo + 2 * m + 1] = E_snap[k]
+                    Db[lo : lo + 2 * n_u] = states[k]
+                    Eb[lo : lo + 2 * n_u] = ensembles[k]
                     active = lo + 2 * n_u
                 ub = np.broadcast_to(U[k], (active, n_u)).copy()
                 if k < j1:
@@ -342,14 +337,7 @@ class _EnkfEngine:
                 if spec.q_trace:
                     ctr = ((Eb[:active] - post_mean[:, None, :]) ** 2).sum(axis=(1, 2)) / (self.M - 1)
                     suffix[:active] += spec.q_trace * ctr
-            if not np.all(np.isfinite(suffix)):
-                bad = int(np.flatnonzero(~np.isfinite(suffix))[0])
-                j = j0 + bad // (2 * n_u)
-                m = (bad % (2 * n_u)) // 2
-                sign = "+" if bad % 2 == 0 else "-"
-                raise GradientEvaluationError(
-                    f"non-finite cost perturbing control entry (k={j}, channel={m}, {sign}h)"
-                )
+            _check_finite(suffix, n_u, j0)
             # assemble central differences; shared prefixes cancel exactly,
             # and the control term of a quadratic is exact under central FD
             for j in range(j0, j1):
@@ -357,10 +345,10 @@ class _EnkfEngine:
                 plus = suffix[lo : lo + 2 * n_u : 2]
                 minus = suffix[lo + 1 : lo + 2 * n_u : 2]
                 grad[j] = (plus - minus) / (2.0 * h) + 2.0 * (spec.R_u @ U[j])
-        return J0, grad
+        return grad
 
 
-class _KalmanEngine:
+class _KalmanEngine(_Engine):
     """Exact-KF counterpart of _EnkfEngine for linear plants.
 
     The covariance recursion is control-independent, so gains and
@@ -395,28 +383,16 @@ class _KalmanEngine:
             out[:, k + 1] = mu
         return out
 
-    def rollout(self, controls, want_beliefs=False):
-        U = np.atleast_2d(np.asarray(controls, dtype=float))
-        means = self._roll_means(U[None])[0]
-        obs = np.empty((means.shape[0], self.plant.n_y))
-        xd = self.b0.mean.copy()
-        obs[0] = self.plant.observe(xd, 0.0, 0)
-        for k in range(U.shape[0]):
-            xd = self.plant.step(xd, U[k], 0.0, k)
-            obs[k + 1] = self.plant.observe(xd, 0.0, k + 1)
-        beliefs = None
-        if want_beliefs:
-            beliefs = [GaussianBelief(m, c) for m, c in zip(means, self.covs)]
-        return means, self.traces.copy(), obs, beliefs
+    def rollout(self, controls):
+        """Single rollout; returns (means, traces, observations)."""
+        _, obs = self.plant.simulate_nominal(self.b0.mean, controls)
+        return self._roll_means(controls[None])[0], self.traces.copy(), obs
 
-    def cost(self, controls, spec):
-        means, traces, _, _ = self.rollout(controls)
-        return _cost_from_arrays(means, traces, np.atleast_2d(np.asarray(controls, dtype=float)), spec)
+    def beliefs(self, controls):
+        return [GaussianBelief(m, c) for m, c in zip(self._roll_means(controls[None])[0], self.covs)]
 
-    def cost_and_gradient(self, controls, spec, h, chunk=None):
-        U = np.atleast_2d(np.asarray(controls, dtype=float))
+    def gradient(self, U, spec, h):
         N, n_u = U.shape
-        J0 = self.cost(U, spec)
         batch = np.repeat(U[None], 2 * N * n_u, axis=0)
         idx = 0
         for j in range(N):
@@ -432,37 +408,33 @@ class _KalmanEngine:
         tot = sc + cc
         if spec.q_trace:
             tot += spec.q_trace * self.traces.sum()
-        if not np.all(np.isfinite(tot)):
-            bad = int(np.flatnonzero(~np.isfinite(tot))[0])
-            raise GradientEvaluationError(
-                f"non-finite cost perturbing control entry (k={bad // (2 * n_u)}, "
-                f"channel={(bad % (2 * n_u)) // 2}, {'+' if bad % 2 == 0 else '-'}h)"
-            )
-        grad = ((tot[0::2] - tot[1::2]) / (2.0 * h)).reshape(N, n_u)
-        return J0, grad
+        _check_finite(tot, n_u)
+        return ((tot[0::2] - tot[1::2]) / (2.0 * h)).reshape(N, n_u)
 
 
-def _make_engine(plant, b0, M, seed, method, inflation=1.0):
+def _make_engine(plant, b0, M, seed, method):
     if method == "enkf":
-        return _EnkfEngine(plant, b0, M, seed, inflation)
+        return _EnkfEngine(plant, b0, M, seed)
     if method == "kf":
         return _KalmanEngine(plant, b0)
     raise ValueError(f"unknown rollout method {method!r}")
 
 
-def rollout_belief(u_seq, b0, plant, M=100, seed=0, method="enkf", inflation=1.0):
+def _as_controls(u_seq):
+    return np.atleast_2d(np.asarray(u_seq, dtype=float))
+
+
+def rollout_belief(u_seq, b0, plant, M=100, seed=0, method="enkf"):
     """Deterministic belief rollout under u_seq; returns N+1 beliefs.
 
     Nominal observations are generated by the noiseless plant rollout
     from the prior mean, and the filter tracks those observations.  The
     fixed seed makes the whole map u_seq -> beliefs a pure function.
     """
-    engine = _make_engine(plant, b0, M, seed, method, inflation)
-    _, _, _, beliefs = engine.rollout(np.asarray(u_seq, dtype=float), want_beliefs=True)
-    return beliefs
+    return _make_engine(plant, b0, M, seed, method).beliefs(_as_controls(u_seq))
 
 
-def gradient_fd(u_seq, b0, plant, spec, h=1e-4, seed=0, M=100, method="enkf", inflation=1.0):
+def gradient_fd(u_seq, b0, plant, spec, h=1e-4, seed=0, M=100, method="enkf"):
     """Central-difference gradient of the rollout cost, (N, n_u).
 
     The same seed drives the +h and -h rollouts (common random
@@ -470,9 +442,7 @@ def gradient_fd(u_seq, b0, plant, spec, h=1e-4, seed=0, M=100, method="enkf", in
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    engine = _make_engine(plant, b0, M, seed, method, inflation)
-    _, grad = engine.cost_and_gradient(np.asarray(u_seq, dtype=float), spec, h)
-    return grad
+    return _make_engine(plant, b0, M, seed, method).gradient(_as_controls(u_seq), spec, h)
 
 
 @dataclass
@@ -484,41 +454,36 @@ class OptimizeOptions:
     seed: int = 0
     h: float = 1e-4
     method: str = "enkf"
-    inflation: float = 1.0
-    normalize_alpha: bool = True
-    max_halvings: int = 30
-    chunk: int = 64
-    verbose: bool = False
+
+
+_MAX_HALVINGS = 30
 
 
 def optimize(u_init, b0, plant, spec, opts=None):
     """Gradient descent with backtracking on the rollout cost.
 
-    The step size alpha is restored at every iteration and halved
-    within an iteration until the cost decreases.  Stops when the cost
-    improvement falls below tol*(1+|J|), when the gradient norm falls
-    below tol, or at max_iters (returning the best iterate seen,
-    converged=False).
+    The step size alpha / (1 + max|grad|) is restored at every iteration
+    and halved, at most 30 times, within an iteration until the cost
+    decreases.  Stops when the cost improvement falls below
+    tol*(1+|J|), when the gradient norm falls below tol, or at max_iters
+    (returning the best iterate seen, converged=False).
     """
     opts = opts or OptimizeOptions()
-    U = np.atleast_2d(np.asarray(u_init, dtype=float)).copy()
-    N = U.shape[0]
-    engine = _make_engine(plant, b0, opts.M, opts.seed, opts.method, opts.inflation)
+    U = _as_controls(u_init).copy()
+    engine = _make_engine(plant, b0, opts.M, opts.seed, opts.method)
     J = engine.cost(U, spec)
     history = [J]
     iterations = 0
     converged = False
     for it in range(opts.max_iters):
-        J0, grad = engine.cost_and_gradient(U, spec, opts.h, chunk=opts.chunk)
+        grad = engine.gradient(U, spec, opts.h)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= opts.tol:
             converged = True
             break
-        alpha = opts.alpha
-        if opts.normalize_alpha:
-            alpha = alpha / (1.0 + np.abs(grad).max())
+        alpha = opts.alpha / (1.0 + np.abs(grad).max())
         accepted = False
-        for _ in range(opts.max_halvings):
+        for _ in range(_MAX_HALVINGS):
             U_try = U - alpha * grad
             J_try = engine.cost(U_try, spec)
             if J_try < J:
@@ -532,12 +497,10 @@ def optimize(u_init, b0, plant, spec, opts=None):
         U, J = U_try, J_try
         history.append(J)
         iterations = it + 1
-        if opts.verbose:
-            print(f"iter {iterations}: J={J:.6g} |grad|={gnorm:.3g} alpha={alpha:.3g}")
         if delta <= opts.tol * (1.0 + abs(J)):
             converged = True
             break
-    means, traces, obs, _ = engine.rollout(U)
+    means, traces, obs = engine.rollout(U)[:3]
     return NominalTrajectory(
         controls=U,
         means=means,

@@ -14,7 +14,10 @@ import pytest
 import seplqg
 from seplqg.cli import main
 from seplqg.config import ExperimentConfig, benchmark_config, spatial_weight
+from seplqg.harness import closed_loop_band, probe_nodes_from_fractions, probe_output_rows
+from seplqg.lqg import LqgController
 from seplqg.plant import HeatPlantConfig
+from seplqg.trajopt import NominalTrajectory
 
 
 PIPELINE_COMMANDS = {"optimize", "identify", "design", "evaluate", "theorem1", "pipeline"}
@@ -113,6 +116,29 @@ def test_failing_assertion_sets_exit_code(pipeline_dir, tmp_path):
     assert rc == 1
 
 
+def test_evaluate_identifies_probe_rows_with_sysid_epsilon(pipeline_dir, tmp_path):
+    raw = json.loads((pipeline_dir / "cfg.json").read_text())
+    raw["sysid"]["epsilon"] = 5e-2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    for name in ("nominal.json", "controller.json"):
+        shutil.copy(pipeline_dir / name, tmp_path / name)
+    rc = main(["evaluate", "--config", str(cfg), "--out", str(tmp_path), "--seed", "3", "--runs", "2"])
+    assert rc == 0
+    two_sigma = np.asarray(json.loads((tmp_path / "report.json").read_text())["two_sigma"])
+    experiment = ExperimentConfig(raw)
+    plant = experiment.plant()
+    nominal = NominalTrajectory.from_json(tmp_path / "nominal.json")
+    ctrl = LqgController.from_json(tmp_path / "controller.json")
+    nodes = probe_nodes_from_fractions(plant.n_x, experiment.evaluate()["probes"])
+
+    def band(epsilon):
+        return closed_loop_band(ctrl, probe_output_rows(plant, nominal, ctrl.rom, nodes, epsilon))
+
+    assert np.array_equal(two_sigma, band(5e-2))
+    assert not np.array_equal(two_sigma, band(1e-2))
+
+
 def test_cli_entry_point_help():
     # The console script declared in pyproject.toml must point at the same
     # main() the tests above drive in-process.  tomllib needs Python >= 3.11.
@@ -169,9 +195,16 @@ def test_benchmark_config_matches_paper_setup():
     assert plant.config.t_init == 100.0 and plant.config.t_right == 150.0
 
 
-def test_config_rejects_unknown_optimize_option():
-    cfg = ExperimentConfig({"optimize": {"alpha": 1.0, "dtype": "float32"}})
-    with pytest.raises(ValueError, match="dtype"):
+@pytest.mark.parametrize(
+    "key, value",
+    [pytest.param(key, value, id=key) for key, value in (
+        ("dtype", "float32"), ("inflation", 1.0), ("normalize_alpha", True), ("max_halvings", 30),
+        ("chunk", 64), ("verbose", False))],
+)
+def test_config_rejects_unknown_optimize_option(key, value):
+    # removed options are unknown keys, even at their former defaults
+    cfg = ExperimentConfig({"optimize": {"alpha": 1.0, key: value}})
+    with pytest.raises(ValueError, match=key):
         cfg.optimize_options()
     assert ExperimentConfig({"optimize": {"alpha": 2.0}}).optimize_options(seed=4).seed == 4
 

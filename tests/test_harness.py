@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,19 @@ def linear_setup(W=0.2, V=0.3, N=20, seed=3):
     return plant, b0, spec, nominal, ctrl
 
 
+def heat_setup():
+    """16-node heat slab, horizon 30, one optimizer iteration and an
+    order-6 ROM controller."""
+    plant = HeatPlant(HeatPlantConfig(n_grid=16, horizon=30))
+    b0 = GaussianBelief(plant.initial_state(), 0.25 * np.eye(16))
+    spec = CostSpec.from_weights(16, 5, q_mean=1.0, r_u=1e-3, target=150.0)
+    opts = OptimizeOptions(alpha=20.0, max_iters=1, M=8, seed=1, h=1e-2)
+    nominal = optimize(np.zeros((30, 5)), b0, plant, spec, opts)
+    rom = tv_era(collect_impulse_responses(plant, nominal), n_r=6, p=4, q=4)
+    ctrl = design_lqg(rom, W=plant.spec.W, V=plant.spec.V)
+    return plant, spec, nominal, ctrl
+
+
 # ---------------------------------------------------------------------------
 # cost gradient coefficients
 # ---------------------------------------------------------------------------
@@ -79,6 +94,19 @@ def test_trace_coefficient_active_with_trace_weight():
     assert c_tr == pytest.approx(0.7, rel=1e-8)
 
 
+def test_kf_realized_cost_includes_every_trace_term():
+    plant, b0, spec, nominal, ctrl = linear_setup()
+    kw = dict(n_runs=12, base_seed=8, probe_positions=(), belief="kf")
+    base = run_monte_carlo(plant, nominal, ctrl, cost=spec, **kw)
+    traced = run_monte_carlo(plant, nominal, ctrl, cost=replace(spec, q_trace=0.7), **kw)
+    # the exact-KF covariances do not depend on the run: every run pays
+    # q_trace * sum_k tr P_k, the nominal's own trace term, and delta_J
+    # carries no trace deviation
+    expected = 0.7 * nominal.cov_traces.sum()
+    assert np.allclose(traced.cost_samples - base.cost_samples, expected, rtol=1e-10, atol=0)
+    assert np.array_equal(traced.delta_J_samples, base.delta_J_samples)
+
+
 # ---------------------------------------------------------------------------
 # run_monte_carlo
 # ---------------------------------------------------------------------------
@@ -109,6 +137,18 @@ def test_report_bit_reproducible_and_chunk_independent():
     assert np.array_equal(r1.mean_traj, r2.mean_traj)
     r3 = run_monte_carlo(plant, nominal, ctrl, chunk=7, **kw)
     assert np.array_equal(r1.mean_traj, r3.mean_traj)
+
+    # EnKF belief on a heat slab.  lqg_update's BLAS products round
+    # differently for different numbers of rows, so the feedback gains are
+    # zeroed; every other step must then give the same bits for any chunk
+    plant, spec, nominal, ctrl = heat_setup()
+    spec = replace(spec, q_trace=0.5)
+    ctrl = replace(ctrl, L_gains=np.zeros_like(ctrl.L_gains))
+    kw = dict(n_runs=10, base_seed=5, probe_positions=(0.5,), cost=spec, belief_size=10)
+    reports = [run_monte_carlo(plant, nominal, ctrl, chunk=c, **kw) for c in (10, 1, 3)]
+    for r in reports[1:]:
+        for name in ("delta_J_samples", "cost_samples", "mean_traj", "mse_closed", "mse_open"):
+            assert np.array_equal(getattr(r, name), getattr(reports[0], name)), name
 
 
 def test_open_loop_equals_closed_loop_with_zero_gains():
@@ -152,17 +192,10 @@ class DivergesOnRun3(HeatPlant):
 
 
 def test_diverged_runs_are_left_out_of_every_average():
-    cfg = HeatPlantConfig(n_grid=16, horizon=30)
-    plant = HeatPlant(cfg)
-    b0 = GaussianBelief(plant.initial_state(), 0.25 * np.eye(16))
-    spec = CostSpec.from_weights(16, 5, q_mean=1.0, r_u=1e-3, target=150.0)
-    opts = OptimizeOptions(alpha=20.0, max_iters=1, M=8, seed=1, h=1e-2)
-    nominal = optimize(np.zeros((30, 5)), b0, plant, spec, opts)
-    rom = tv_era(collect_impulse_responses(plant, nominal), n_r=6, p=4, q=4)
-    ctrl = design_lqg(rom, W=plant.spec.W, V=plant.spec.V)
+    plant, spec, nominal, ctrl = heat_setup()
     kw = dict(n_runs=16, base_seed=5, cost=spec, belief_size=10, chunk=8)
     healthy = run_monte_carlo(plant, nominal, ctrl, **kw)
-    report = run_monte_carlo(DivergesOnRun3(cfg, base_seed=5), nominal, ctrl, **kw)
+    report = run_monte_carlo(DivergesOnRun3(plant.config, base_seed=5), nominal, ctrl, **kw)
     assert (healthy.failures, healthy.n_effective) == (0, 16)
     assert (report.failures, report.n_effective, report.n_runs) == (1, 15, 16)
     assert len(report.delta_J_samples) == 15

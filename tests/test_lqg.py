@@ -278,7 +278,8 @@ def test_controller_json_roundtrip(tmp_path):
     back = LqgController.from_json(path)
     assert np.array_equal(back.L_gains, ctrl.L_gains)
     assert np.array_equal(back.K_gains, ctrl.K_gains)
-    assert np.array_equal(back.P_filter, ctrl.P_filter)
+    assert np.array_equal(back.P_traces, ctrl.P_traces)
+    assert np.array_equal(back.S_traces, ctrl.S_traces)
     assert np.array_equal(back.rom.A_hat, ctrl.rom.A_hat)
 
 
@@ -287,5 +288,5 @@ def test_design_checks_weight_shapes():
     ctrl = design_lqg(rom)
     assert ctrl.L_gains.shape == (10, 1, 3)
     assert ctrl.K_gains.shape == (11, 3, 2)
-    assert ctrl.P_filter.shape == (11, 3, 3)
+    assert ctrl.P_traces.shape == (11,)
     assert ctrl.S_traces.shape == (11,)
