@@ -1,7 +1,8 @@
 """seplqg: separation-based output-feedback control for black-box plants.
 
-Pipeline: belief-space open-loop trajectory optimization (EnKF +
-finite-difference gradient descent), time-varying ERA identification of
+Pipeline: belief-space open-loop trajectory optimization (EnKF rollouts,
+gradient descent with a reverse-mode gradient, or finite differences for
+plants without an adjoint), time-varying ERA identification of
 the perturbation LTV system from impulse responses, and reduced-order
 time-varying LQG synthesis, evaluated by paired-noise Monte Carlo.
 """

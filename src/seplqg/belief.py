@@ -20,6 +20,7 @@ __all__ = [
     "sample_ensemble",
     "enkf_predict",
     "enkf_update",
+    "enkf_update_vjp",
     "kalman_predict",
     "kalman_update",
     "psd_sqrt",
@@ -129,12 +130,9 @@ def enkf_predict_members(members, control, w_draws, plant, k=0):
     return plant.step(members, control[..., None, :], w_draws, k)
 
 
-def enkf_update_members(members, y, v_draws, plant, V, k=0):
-    """Perturbed-observation EnKF update, batched over leading axes.
-
-    Gain K = P_xy (P_yy + V)^-1 from ensemble cross-covariances; each
-    member is shifted by K (y + v_i - h(x_i, 0)).
-    """
+def _enkf_gain(members, plant, V, k):
+    """Predicted observations Yp, anomalies Xc and Yc, S = P_yy + V and
+    the transposed gain K' of the perturbed-observation update."""
     M = members.shape[-2]
     xm = members.mean(axis=-2, keepdims=True)
     Yp = plant.observe(members, 0.0, k)
@@ -150,8 +148,39 @@ def enkf_update_members(members, y, v_draws, plant, V, k=0):
         Kt = np.linalg.solve(S, np.swapaxes(Pxy, -1, -2))
     except np.linalg.LinAlgError as e:
         raise FilterDegenerateError(f"innovation covariance singular at step k={k}") from e
+    return Yp, Xc, Yc, S, Kt
+
+
+def enkf_update_members(members, y, v_draws, plant, V, k=0):
+    """Perturbed-observation EnKF update, batched over leading axes.
+
+    Gain K = P_xy (P_yy + V)^-1 from ensemble cross-covariances; each
+    member is shifted by K (y + v_i - h(x_i, 0)).
+    """
+    Yp, _, _, _, Kt = _enkf_gain(members, plant, V, k)
     innov = np.asarray(y)[..., None, :] + v_draws - Yp
     return members + innov @ Kt
+
+
+def enkf_update_vjp(members, y, v_draws, plant, V, g, k=0):
+    """Adjoint of `enkf_update_members` at (members, y) for an output
+    adjoint g shaped like members; returns (g_members, g_y).
+
+    Reverse mode through out = X + (y + v - h(X)) K', K' = S^-1 P_xy',
+    S = P_yy + V; needs `plant.observe_vjp`.
+    """
+    Yp, Xc, Yc, S, Kt = _enkf_gain(members, plant, V, k)
+    fac = 1.0 / (members.shape[-2] - 1)
+    innov = np.asarray(y)[..., None, :] + v_draws - Yp
+    g_innov = g @ np.swapaxes(Kt, -1, -2)
+    # adjoints of P_xy' and S through the solve
+    g_Pxy_t = np.linalg.solve(np.swapaxes(S, -1, -2), np.swapaxes(innov, -1, -2) @ g)
+    g_S = -g_Pxy_t @ np.swapaxes(Kt, -1, -2)
+    # the anomalies sum to zero over the members, so the adjoint of the
+    # centering passes these terms through unchanged
+    g_Yc = fac * (Yc @ (g_S + np.swapaxes(g_S, -1, -2)) + Xc @ np.swapaxes(g_Pxy_t, -1, -2))
+    g_members = g + fac * (Yc @ g_Pxy_t) + plant.observe_vjp(g_Yc - g_innov, k)
+    return g_members, g_innov.sum(axis=-2)
 
 
 def enkf_predict(ens, control, plant, rng_stream, k=0):

@@ -18,7 +18,8 @@ class InsufficientEnsembleError(SepLqgError):
 
 
 class GradientEvaluationError(SepLqgError):
-    """A finite-difference cost probe returned a non-finite value."""
+    """A gradient evaluation (a finite-difference cost probe or the
+    reverse pass) returned a non-finite value."""
 
 
 class PerturbationDivergedError(SepLqgError):

@@ -15,6 +15,20 @@ is a one-line change in tests.
 over leading batch dimensions: a state array of shape (..., n_x) maps to
 (..., n_x).  The optional time index `k` matters only for time-varying
 plants (see `LinearPlant` with stacked matrices).
+
+A plant may also expose its adjoint, two optional methods that
+broadcast the same way:
+
+    step_vjp(state, control, g, k) -> (g @ d step/d state, g @ d step/d control)
+    observe_vjp(g, k)              -> g @ d observe/d state
+
+for an adjoint g shaped like the output.  The process noise enters with
+the control, so `step_vjp` at control u + w is the adjoint of the noisy
+step, and `observe_vjp` takes no state because the observation is
+linear in it.  Trajectory optimization differentiates its rollouts in
+reverse mode when a plant has them and falls back to finite
+differences, the black-box method, when it has not.  `HeatPlant` and
+`LinearPlant` have both.
 """
 
 import json
@@ -282,21 +296,43 @@ class HeatPlant(Plant):
             x0[-1] = self.config.t_right
         return x0
 
+    def _laplacian(self, T):
+        """Second difference of T (times dx^2) with the boundary rows."""
+        lap = np.empty_like(T)
+        np.subtract(T[..., 2:], T[..., 1:-1], out=lap[..., 1:-1])
+        lap[..., 1:-1] -= T[..., 1:-1]
+        lap[..., 1:-1] += T[..., :-2]
+        if self.config.insulated:
+            # conservation (zero-flux) form at both ends
+            lap[..., 0] = T[..., 1] - T[..., 0]
+            lap[..., -1] = T[..., -2] - T[..., -1]
+        else:
+            lap[..., 0] = 2.0 * (T[..., 1] - T[..., 0])
+            lap[..., -1] = 0.0
+        return lap
+
+    def _laplacian_t(self, g):
+        """Transpose of `_laplacian` applied to g."""
+        r = np.zeros_like(g)
+        inner = g[..., 1:-1]
+        r[..., 2:] += inner
+        r[..., :-2] += inner
+        r[..., 1:-1] -= 2.0 * inner
+        if self.config.insulated:
+            r[..., 1] += g[..., 0]
+            r[..., 0] -= g[..., 0]
+            r[..., -2] += g[..., -1]
+            r[..., -1] -= g[..., -1]
+        else:
+            r[..., 1] += 2.0 * g[..., 0]
+            r[..., 0] -= 2.0 * g[..., 0]
+        return r
+
     def step(self, state, control, process_noise, k=0):
         c = self.config
         T = np.asarray(state, dtype=float)
         with np.errstate(invalid="ignore", over="ignore"):
-            lap = np.empty_like(T)
-            np.subtract(T[..., 2:], T[..., 1:-1], out=lap[..., 1:-1])
-            lap[..., 1:-1] -= T[..., 1:-1]
-            lap[..., 1:-1] += T[..., :-2]
-            if c.insulated:
-                # conservation (zero-flux) form at both ends
-                lap[..., 0] = T[..., 1] - T[..., 0]
-                lap[..., -1] = T[..., -2] - T[..., -1]
-            else:
-                lap[..., 0] = 2.0 * (T[..., 1] - T[..., 0])
-                lap[..., -1] = 0.0
+            lap = self._laplacian(T)
             # K(x,T)/dx^2 * lap, reusing lap as scratch
             diff = T * (c.k1 * c.k0 * self._inv_dx2)
             diff += c.k0 * self._inv_dx2
@@ -310,9 +346,36 @@ class HeatPlant(Plant):
                 out[..., -1] = T[..., -1]
         return _as_finite(out, "heat plant step", k)
 
+    def step_vjp(self, state, control, g, k=0):
+        """Adjoint of `step`.  With a = k0*dt/dx^2 and L the second
+        difference, the step is (1 - eta*dt) T + a (1 + k1 T) * (L T) plus
+        the drive, so its transpose applied to g is (1 - eta*dt) g +
+        a k1 (L T) * g + L'(a (1 + k1 T) * g)."""
+        c = self.config
+        T = np.asarray(state, dtype=float)
+        g = np.array(g, dtype=float)
+        if not c.insulated:
+            # the Dirichlet entry is carried through unchanged
+            g_right = g[..., -1].copy()
+            g[..., -1] = 0.0
+        a = c.k0 * self._inv_dx2 * c.dt
+        g_state = g * (1.0 - c.eta * c.dt)
+        g_state += (a * c.k1) * self._laplacian(T) * g
+        g_state += self._laplacian_t(g * (a + (a * c.k1) * T))
+        if not c.insulated:
+            g_state[..., -1] += g_right
+        return g_state, g[..., self._act] * c.dt
+
     def observe(self, state, meas_noise, k=0):
         T = np.asarray(state)
         return T[..., self._sen] + meas_noise
+
+    def observe_vjp(self, g, k=0):
+        """Adjoint of the sensor row selection: a scatter."""
+        g = np.asarray(g, dtype=float)
+        out = np.zeros(g.shape[:-1] + (self.n_x,))
+        out[..., self._sen] = g
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +442,16 @@ class LinearPlant(Plant):
             out = x @ A.T + np.add(control, process_noise) @ B.T
         return _as_finite(out, "linear plant step", k)
 
+    def step_vjp(self, state, control, g, k=0):
+        A = self._A[k] if self._tv else self._A
+        B = self._B[k] if self._tv else self._B
+        g = np.asarray(g, dtype=float)
+        return g @ A, g @ B
+
     def observe(self, state, meas_noise, k=0):
         C = self.output_matrix(k)
         x = np.asarray(state, dtype=float)
         return x @ C.T + meas_noise
+
+    def observe_vjp(self, g, k=0):
+        return np.asarray(g, dtype=float) @ self.output_matrix(k)

@@ -9,18 +9,26 @@ where J(U) is evaluated through a deterministic belief rollout: the
 nominal observations come from the noiseless plant rollout under U, and
 the belief is filtered against those observations (EnKF for black-box
 plants, exact Kalman filter for linear ones).  With a fixed seed the
-map U -> J(U) is deterministic, so central finite differences with
-common random numbers give a consistent gradient.
+map U -> J(U) is deterministic: noise draws are pre-generated per step
+and shared by every rollout (common random numbers).
 
-The finite-difference gradient is the hot path: 2*N*n_u perturbed
-rollouts per gradient.  A rollout perturbed at time j agrees bit for bit
-with the unperturbed one up to j, so the EnKF engine runs one forward
-pass, which records the noiseless plant states and the ensembles at
-every step, and forks each perturbed rollout from them at its
-perturbation time, halving the work.  Noise draws are pre-generated per
-step and shared by every rollout (common random numbers).  The exact-KF
-engine for linear plants propagates only the means, since its
+The gradient is the hot path.  One EnKF rollout records its whole tape:
+the noiseless plant states, the observations and the ensembles at every
+step.  When the plant exposes its adjoint (`step_vjp`, `observe_vjp`,
+see `plant`), one reverse pass over that tape through the cost, the
+perturbed-observation update and the plant step gives the exact
+gradient for about the work of two more rollouts.  A black-box plant
+with only `step` and `observe` gets central finite differences, 2*N*n_u
+perturbed rollouts, each forked from the tape at its perturbation time
+(a rollout perturbed at time j agrees bit for bit with the unperturbed
+one up to j).  `gradient_fd` always takes this path, so it is also the
+oracle the adjoint is tested against.  The exact-KF engine for linear
+plants uses finite differences on the means alone, since its
 covariances do not depend on the controls.
+
+`optimize` keeps the tape of the accepted iterate: the line search's
+rollout of it serves the next gradient and the returned nominal, so no
+iterate is rolled out twice.
 """
 
 from dataclasses import dataclass, field
@@ -33,6 +41,7 @@ from .belief import (
     belief_from_ensemble,
     enkf_predict_members,
     enkf_update_members,
+    enkf_update_vjp,
     psd_sqrt,
 )
 from .exceptions import GradientEvaluationError
@@ -46,6 +55,7 @@ __all__ = [
     "nominal_cost",
     "rollout_belief",
     "gradient_fd",
+    "gradient_adjoint",
     "optimize",
 ]
 
@@ -224,15 +234,18 @@ def _check_finite(costs, n_u, j0=0):
         )
 
 
-class _Engine:
-    """Cost of one rollout, shared by the EnKF and exact-KF engines."""
+def _check_finite_gradient(grad):
+    """Raise on a non-finite adjoint gradient.  The reverse pass reaches
+    the latest step first and a non-finite adjoint spreads from there to
+    every earlier one, so the latest bad step is the one named."""
+    bad = np.flatnonzero(~np.isfinite(grad).all(axis=1))
+    if bad.size:
+        k = int(bad[-1])
+        channel = int(np.flatnonzero(~np.isfinite(grad[k]))[0])
+        raise GradientEvaluationError(f"non-finite adjoint gradient at control entry (k={k}, channel={channel})")
 
-    def cost(self, U, spec):
-        means, traces = self.rollout(U)[:2]
-        return _cost_from_arrays(means, traces, U, spec)
 
-
-class _EnkfEngine(_Engine):
+class _EnkfEngine:
     """Batched deterministic EnKF rollouts with shared noise draws.
 
     All rollouts of one engine instance consume identical per-step
@@ -292,16 +305,54 @@ class _EnkfEngine(_Engine):
         ensembles = self.rollout(controls)[4]
         return [GaussianBelief(self.b0.mean, self.b0.cov)] + [belief_from_ensemble(E) for E in ensembles[1:]]
 
-    def gradient(self, U, spec, h):
+    def gradient(self, U, spec, h, tape):
+        """Gradient (N, n_u) at U, whose rollout tape is given: reverse
+        mode when the plant has an adjoint, finite differences if not."""
+        if hasattr(self.plant, "step_vjp"):
+            return self.gradient_adjoint(U, spec, tape)
+        return self.gradient_fd(U, spec, h, tape)
+
+    def gradient_adjoint(self, U, spec, tape):
+        """Exact gradient (N, n_u) by one reverse pass over the tape.
+
+        Carries the adjoints of the noiseless state and of the M members
+        back from k = N: at each step it adds the cost's mean and trace
+        terms, goes back through the EnKF update (whose innovation also
+        reaches the noiseless state through y = h(x_det)) and then
+        through the plant step of both.  The forecast ensemble the
+        update saw is recomputed from the tape.
+        """
+        plant, M = self.plant, self.M
+        means, _, obs, states, ensembles = tape
+        N = U.shape[0]
+        Q_mean = spec.Q_mean + spec.Q_mean.T
+        Q_terminal = spec.Q_terminal + spec.Q_terminal.T
+        grad = U @ (spec.R_u + spec.R_u.T)
+        g_D = np.zeros(plant.n_x)
+        g_E = np.zeros((M, plant.n_x))
+        for k in range(N - 1, -1, -1):
+            q = Q_terminal if k == N - 1 else Q_mean
+            g_E += (means[k + 1] - spec.target) @ q / M
+            if spec.q_trace:
+                g_E += (2.0 * spec.q_trace / (M - 1)) * (ensembles[k + 1] - means[k + 1])
+            E_pred = enkf_predict_members(ensembles[k], U[k], self.w_draws[k], plant, k)
+            g_E, g_y = enkf_update_vjp(E_pred, obs[k + 1], self.v_draws[k], plant, plant.spec.V, g_E, k + 1)
+            g_D, g_u = plant.step_vjp(states[k], U[k], g_D + plant.observe_vjp(g_y, k + 1), k)
+            g_E, g_w = plant.step_vjp(ensembles[k], U[k] + self.w_draws[k], g_E, k)
+            grad[k] += g_u + g_w.sum(axis=0)
+        _check_finite_gradient(grad)
+        return grad
+
+    def gradient_fd(self, U, spec, h, tape):
         """Central-difference gradient (N, n_u).
 
-        Each perturbed rollout is forked from the rollout's states at its
+        Each perturbed rollout is forked from the tape's states at its
         perturbation time; perturbation times are processed in chunks of
         _FD_CHUNK to bound memory.
         """
         plant = self.plant
         N, n_u = U.shape
-        _, _, _, states, ensembles = self.rollout(U)
+        _, _, _, states, ensembles = tape
         grad = np.zeros((N, n_u))
         Qm = spec.Q_mean
         Qt = spec.Q_terminal
@@ -348,7 +399,7 @@ class _EnkfEngine(_Engine):
         return grad
 
 
-class _KalmanEngine(_Engine):
+class _KalmanEngine:
     """Exact-KF counterpart of _EnkfEngine for linear plants.
 
     The covariance recursion is control-independent, so gains and
@@ -391,7 +442,7 @@ class _KalmanEngine(_Engine):
     def beliefs(self, controls):
         return [GaussianBelief(m, c) for m, c in zip(self._roll_means(controls[None])[0], self.covs)]
 
-    def gradient(self, U, spec, h):
+    def gradient_fd(self, U, spec, h, tape=None):
         N, n_u = U.shape
         batch = np.repeat(U[None], 2 * N * n_u, axis=0)
         idx = 0
@@ -410,6 +461,8 @@ class _KalmanEngine(_Engine):
             tot += spec.q_trace * self.traces.sum()
         _check_finite(tot, n_u)
         return ((tot[0::2] - tot[1::2]) / (2.0 * h)).reshape(N, n_u)
+
+    gradient = gradient_fd
 
 
 def _make_engine(plant, b0, M, seed, method):
@@ -442,7 +495,19 @@ def gradient_fd(u_seq, b0, plant, spec, h=1e-4, seed=0, M=100, method="enkf"):
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    return _make_engine(plant, b0, M, seed, method).gradient(_as_controls(u_seq), spec, h)
+    engine = _make_engine(plant, b0, M, seed, method)
+    U = _as_controls(u_seq)
+    return engine.gradient_fd(U, spec, h, engine.rollout(U))
+
+
+def gradient_adjoint(u_seq, b0, plant, spec, seed=0, M=100):
+    """Exact gradient of the EnKF rollout cost, (N, n_u), by reverse
+    mode; the plant must have `step_vjp` and `observe_vjp`."""
+    if not hasattr(plant, "step_vjp"):
+        raise ValueError("the adjoint gradient needs a plant with step_vjp and observe_vjp")
+    engine = _EnkfEngine(plant, b0, M, seed)
+    U = _as_controls(u_seq)
+    return engine.gradient_adjoint(U, spec, engine.rollout(U))
 
 
 @dataclass
@@ -452,6 +517,8 @@ class OptimizeOptions:
     tol: float = 1e-4
     M: int = 100
     seed: int = 0
+    # finite-difference step, used only for plants without an adjoint
+    # and by the exact-KF engine
     h: float = 1e-4
     method: str = "enkf"
 
@@ -471,12 +538,13 @@ def optimize(u_init, b0, plant, spec, opts=None):
     opts = opts or OptimizeOptions()
     U = _as_controls(u_init).copy()
     engine = _make_engine(plant, b0, opts.M, opts.seed, opts.method)
-    J = engine.cost(U, spec)
+    tape = engine.rollout(U)
+    J = _cost_from_arrays(*tape[:2], U, spec)
     history = [J]
     iterations = 0
     converged = False
     for it in range(opts.max_iters):
-        grad = engine.gradient(U, spec, opts.h)
+        grad = engine.gradient(U, spec, opts.h, tape)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= opts.tol:
             converged = True
@@ -485,7 +553,8 @@ def optimize(u_init, b0, plant, spec, opts=None):
         accepted = False
         for _ in range(_MAX_HALVINGS):
             U_try = U - alpha * grad
-            J_try = engine.cost(U_try, spec)
+            tape_try = engine.rollout(U_try)
+            J_try = _cost_from_arrays(*tape_try[:2], U_try, spec)
             if J_try < J:
                 accepted = True
                 break
@@ -494,20 +563,20 @@ def optimize(u_init, b0, plant, spec, opts=None):
             # stuck at the sampling-noise floor; keep the best iterate
             break
         delta = J - J_try
-        U, J = U_try, J_try
+        U, J, tape = U_try, J_try, tape_try
         history.append(J)
         iterations = it + 1
         if delta <= opts.tol * (1.0 + abs(J)):
             converged = True
             break
-    means, traces, obs = engine.rollout(U)[:3]
+    means, traces, obs = tape[:3]
     return NominalTrajectory(
         controls=U,
         means=means,
         prior_cov=b0.cov,
         cov_traces=traces,
         observations=obs,
-        nominal_cost=_cost_from_arrays(means, traces, U, spec),
+        nominal_cost=J,
         iterations=iterations,
         converged=converged,
         cost_history=history,

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from seplqg.belief import Ensemble, GaussianBelief, belief_from_ensemble
+from seplqg.exceptions import GradientEvaluationError
 from seplqg.plant import HeatPlant, HeatPlantConfig, LinearPlant, Plant, PlantSpec
 from seplqg.rng import stream
 from seplqg.trajopt import (
     CostSpec,
     NominalTrajectory,
     OptimizeOptions,
+    gradient_adjoint,
     gradient_fd,
     nominal_cost,
     optimize,
@@ -240,6 +242,150 @@ def test_gradient_rejects_bad_h():
     plant, b0, spec = lq_toy()
     with pytest.raises(ValueError):
         gradient_fd(np.zeros((10, 1)), b0, plant, spec, h=0.0)
+
+
+# ---------------------------------------------------------------------------
+# gradient_adjoint
+# ---------------------------------------------------------------------------
+
+
+class BlackBox(Plant):
+    """A plant seen only through step/observe, as the paper's black box."""
+
+    def __init__(self, plant):
+        self.plant = plant
+        self.spec = plant.spec
+
+    def step(self, state, control, process_noise, k=0):
+        return self.plant.step(state, control, process_noise, k)
+
+    def observe(self, state, meas_noise, k=0):
+        return self.plant.observe(state, meas_noise, k)
+
+
+class CountingHeatPlant(HeatPlant):
+    """Heat slab that counts the state rows it steps."""
+
+    rows = 0
+
+    def step(self, state, control, process_noise, k=0):
+        self.rows += int(np.prod(np.shape(state)[:-1]))
+        return super().step(state, control, process_noise, k)
+
+
+def heat_case(insulated, q_trace, q_mean=None, q_terminal=3.0):
+    """16-node heat slab with (by default) Q_terminal != Q_mean and random
+    nonzero controls over 12 steps."""
+    n_grid, horizon = 16, 12
+    plant = HeatPlant(HeatPlantConfig(n_grid=n_grid, horizon=horizon, insulated=insulated))
+    b0 = GaussianBelief(plant.initial_state(), 0.25 * np.eye(n_grid))
+    q_mean = np.linspace(0.5, 2.0, n_grid) if q_mean is None else q_mean
+    spec = CostSpec.from_weights(n_grid, 5, q_mean=q_mean, r_u=1e-3, q_terminal=q_terminal,
+                                 q_trace=q_trace, target=150.0)
+    U = 2.0 * stream(1, "adjoint-u").standard_normal((horizon, 5))
+    return plant, b0, spec, U
+
+
+def linear_tv_case(q_trace):
+    """Time-varying linear plant whose C is dense, not a row selection."""
+    rng = stream(5, "adjoint-linear")
+    N, n, n_u, n_y = 10, 4, 2, 3
+    A = 0.45 * rng.standard_normal((N, n, n))
+    B = rng.standard_normal((N, n, n_u))
+    C = rng.standard_normal((N + 1, n_y, n))
+    plant = LinearPlant(A, B, C, W=0.3 * np.eye(n_u), V=0.5 * np.eye(n_y), horizon=N)
+    b0 = GaussianBelief(rng.standard_normal(n), 0.4 * np.eye(n))
+    spec = CostSpec.from_weights(n, n_u, q_mean=1.0, r_u=0.2, q_terminal=2.5, q_trace=q_trace, target=0.3)
+    return plant, b0, spec, rng.standard_normal((N, n_u))
+
+
+@pytest.mark.parametrize("case, q_trace", [
+    ("heat", 0.0), ("heat", 0.5), ("heat-insulated", 0.0), ("heat-insulated", 0.5),
+    ("linear-tv", 0.0), ("linear-tv", 0.5),
+    # the trace depends on U only through the weak k1 nonlinearity, so
+    # only a cost without mean terms shows its share (about 2 %)
+    ("heat-trace-only", 1.0),
+])
+def test_adjoint_gradient_matches_central_fd(case, q_trace):
+    if case == "linear-tv":
+        plant, b0, spec, U = linear_tv_case(q_trace)
+        h, M = 1e-4, 8
+    elif case == "heat-trace-only":
+        plant, b0, spec, U = heat_case(False, q_trace, q_mean=0.0, q_terminal=0.0)
+        h, M = 1e-2, 12
+    else:
+        plant, b0, spec, U = heat_case(case == "heat-insulated", q_trace)
+        h, M = 1e-3, 12
+    g_adj = gradient_adjoint(U, b0, plant, spec, seed=3, M=M)
+    g_fd = gradient_fd(U, b0, plant, spec, h=h, seed=3, M=M, method="enkf")
+    assert np.all(g_adj != 0.0)
+    assert np.linalg.norm(g_adj - g_fd) / np.linalg.norm(g_fd) <= 1e-6
+
+
+def test_adjoint_gradient_needs_step_vjp():
+    plant, b0, spec, U = heat_case(False, 0.0)
+    with pytest.raises(ValueError, match="step_vjp"):
+        gradient_adjoint(U, b0, BlackBox(plant), spec, M=8)
+
+
+def test_adjoint_gradient_names_first_non_finite_step():
+    class NanVjpPlant(HeatPlant):
+        def step_vjp(self, state, control, g, k=0):
+            g_state, g_control = super().step_vjp(state, control, g, k)
+            if k == 5:
+                g_control[..., 2] = np.nan
+            return g_state, g_control
+
+    plant, b0, spec, U = heat_case(False, 0.0)
+    plant = NanVjpPlant(plant.config)
+    with pytest.raises(GradientEvaluationError, match=r"k=5, channel=2"):
+        gradient_adjoint(U, b0, plant, spec, M=8)
+    opts = OptimizeOptions(alpha=20.0, max_iters=1, tol=0.0, M=8)
+    with pytest.raises(GradientEvaluationError, match=r"k=5, channel=2"):
+        optimize(U, b0, plant, spec, opts)
+
+
+def test_one_iteration_black_box_fd_matches_adjoint():
+    plant, b0, spec, U = heat_case(False, 0.5)
+    opts = OptimizeOptions(alpha=20.0, max_iters=1, tol=0.0, M=12, seed=3, h=1e-3)
+    counted = CountingHeatPlant(plant.config)
+    adj = optimize(U, b0, counted, spec, opts)
+    boxed = CountingHeatPlant(plant.config)
+    fd = optimize(U, b0, BlackBox(boxed), spec, opts)
+    assert adj.iterations == fd.iterations == 1
+    assert np.abs(adj.controls - fd.controls).max() <= 1e-6 * np.abs(fd.controls).max()
+    # the black box has no adjoint, so its gradient takes 2*N*n_u forked rollouts
+    assert boxed.rows > 10 * counted.rows
+
+
+def test_optimize_steps_each_iterate_once():
+    """A rollout per trial point and one reverse pass per gradient: the
+    accepted rollout's tape serves the next gradient and the result."""
+    N, M, iters = 10, 8, 2
+    plant = CountingHeatPlant(HeatPlantConfig(n_grid=16, horizon=N))
+    b0 = GaussianBelief(plant.initial_state(), 0.25 * np.eye(16))
+    spec = CostSpec.from_weights(16, 5, q_mean=1.0, r_u=1e-3, q_terminal=2.0, target=150.0)
+    opts = OptimizeOptions(alpha=3000.0, max_iters=iters, tol=0.0, M=M, seed=2)
+
+    def cost(U):
+        return nominal_cost(rollout_belief(U, b0, HeatPlant(plant.config), M=M, seed=2), U, spec)
+
+    # replay the line search to learn how many points each iteration tries
+    U, J, trials = np.zeros((N, 5)), cost(np.zeros((N, 5))), []
+    for _ in range(iters):
+        g = gradient_adjoint(U, b0, HeatPlant(plant.config), spec, seed=2, M=M)
+        alpha, n = opts.alpha / (1.0 + np.abs(g).max()), 1
+        while (J_try := cost(U - alpha * g)) >= J:
+            alpha, n = 0.5 * alpha, n + 1
+        U, J = U - alpha * g, J_try
+        trials.append(n)
+    assert min(trials) >= 2  # every iteration halves its step at least once
+
+    traj = optimize(np.zeros((N, 5)), b0, plant, spec, opts)
+    assert traj.iterations == iters
+    np.testing.assert_allclose(traj.controls, U, rtol=1e-9, atol=1e-9)
+    rollouts = 1 + sum(trials)
+    assert plant.rows == rollouts * N * (M + 1) + iters * N * M
 
 
 # ---------------------------------------------------------------------------
