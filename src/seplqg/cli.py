@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_json
 from .belief import GaussianBelief
 from .config import ExperimentConfig, benchmark_config
 from .harness import (
@@ -91,10 +92,10 @@ def cmd_identify(args):
     rows = [[k, *s] for k, s in sorted(rom.singular_values.items())]
     width = max(len(r) - 1 for r in rows)
     _write_csv(out / "sysid_singvals.csv", ["k", *[f"s{i+1}" for i in range(width)]], rows)
-    with open(out / "rom_validation.json", "w") as fh:
-        json.dump({"holdout_error": err, "n_r": sid["n_r"], "p": sid["p"], "q": sid["q"],
-                   "holdout_extra": sid["holdout_extra"], "time_range": list(rom.time_range),
-                   "gap_warning": rom.gap_warning}, fh)
+    write_json(out / "rom_validation.json",
+               {"holdout_error": err, "n_r": sid["n_r"], "p": sid["p"], "q": sid["q"],
+                "holdout_extra": sid["holdout_extra"], "time_range": list(rom.time_range),
+                "gap_warning": rom.gap_warning})
     print(f"ROM order {sid['n_r']} on k in {rom.time_range}; held-out Markov error {err:.4f} "
           f"-> {out / 'rom.json'}")
     return 0
@@ -138,16 +139,16 @@ def _report_payload(report):
         "n_runs": report.n_runs,
         "n_effective": report.n_effective,
         "base_seed": report.base_seed,
-        "mean_traj": report.mean_traj.tolist(),
+        "mean_traj": report.mean_traj,
         "probe_positions": list(report.probe_positions),
         "probe_nodes": list(report.probe_nodes),
-        "run0_closed_err": report.run0_closed_err.tolist(),
-        "run0_open_err": report.run0_open_err.tolist(),
-        "two_sigma": report.two_sigma.tolist(),
-        "mse_closed": report.mse_closed.tolist(),
-        "mse_open": report.mse_open.tolist(),
-        "delta_J_samples": report.delta_J_samples.tolist(),
-        "cost_samples": report.cost_samples.tolist(),
+        "run0_closed_err": report.run0_closed_err,
+        "run0_open_err": report.run0_open_err,
+        "two_sigma": report.two_sigma,
+        "mse_closed": report.mse_closed,
+        "mse_open": report.mse_open,
+        "delta_J_samples": report.delta_J_samples,
+        "cost_samples": report.cost_samples,
         "nominal_cost": report.nominal_cost,
         "failures": report.failures,
     }
@@ -174,8 +175,7 @@ def cmd_evaluate(args):
         chunk=ev["chunk"],
         epsilon=cfg.sysid()["epsilon"],
     )
-    with open(out / "report.json", "w") as fh:
-        json.dump(_report_payload(report), fh)
+    write_json(out / "report.json", _report_payload(report))
     rows = []
     for i, pos in enumerate(report.probe_positions):
         for k in range(report.mean_traj.shape[0]):
@@ -217,8 +217,7 @@ def cmd_theorem1(args):
         belief_size=ev["belief_size"],
         chunk=ev["chunk"],
     )
-    with open(out / "theorem1.json", "w") as fh:
-        json.dump({"mean_delta_J": mean_dj, "se": se, "nominal_cost": jbar, "runs": n_runs}, fh)
+    write_json(out / "theorem1.json", {"mean_delta_J": mean_dj, "se": se, "nominal_cost": jbar, "runs": n_runs})
     verdict = abs(mean_dj) <= max(3 * se, 0.02 * abs(jbar))
     print(f"mean dJ = {mean_dj:.5g}, se = {se:.5g}, J = {jbar:.6g} "
           f"-> |mean| {'<=' if verdict else '>'} max(3 se, 2% J)")

@@ -16,9 +16,21 @@ partner (common random numbers), making the error comparison paired.
 With a cost spec, one belief filter per run (EnKF, or the exact KF for
 linear plants) yields the realized cost and the first-order deviation
 delta_J = C_u du + C_mu dmu + c tr(dSigma), summed over the steps.
+
+A chunk of runs is simulated in two passes.  The loop pass steps the
+plant under the LQG law and, with the same draws, under the open-loop
+controls, and records each run's control deviations and measurements.
+The scoring pass then runs the belief filters from those records, one
+block of runs at a time over the whole horizon, sized so that a block's
+ensembles stay in cache, with blocks spread over a thread pool of one
+worker per CPU.  The split is exact because the filter never
+feeds back into the loop, and each run's cost and delta_J terms are
+summed in the same order as in one pass, so reports do not depend on the
+block size or on the number of workers.
 """
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,6 +162,12 @@ def closed_loop_band(controller, C_rows):
 # Monte Carlo engine
 # ---------------------------------------------------------------------------
 
+# ensemble storage of one scoring block, about a quarter of a 4 MB L2 (a
+# whole 100-run chunk of 100-member ensembles spends much of its time in
+# page faults on the temporaries of each plant step), and the most that
+# its slab of predrawn filter noise may take
+_SCORE_BLOCK_BYTES = 1 << 20
+
 
 @dataclass
 class MonteCarloReport:
@@ -203,18 +221,17 @@ def _safe_step(plant, X, U, w, k):
         return out, bad
 
 
-def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, cost, belief,
-                    probe_nodes, collect_first, mean_sum, summed=None):
-    """Simulate one chunk of paired runs; returns per-run aggregates and
-    the mask of diverged runs, which are frozen on the nominal so the
-    batch stays healthy.
+def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes, collect_first,
+                    mean_sum, summed=None):
+    """Loop pass: simulate one chunk of paired runs; returns per-run
+    aggregates, the mask of diverged runs, which are frozen on the
+    nominal so the batch stays healthy, and the records the scoring pass
+    reads: the control deviations du (N, R, n_u) and the measurements y
+    (N+1, R, n_y), step-major so that a block of runs is contiguous at
+    every step.
 
-    With a cost spec, a belief filter runs alongside each closed-loop run
-    (`belief` is ("enkf", M) or ("kf", _kf_gain_table(...))), and every
-    step adds its control and belief terms to the realized cost and the
-    first-order deviation delta_J.  The closed-loop states of the runs in the mask `summed`
-    (default: all) are added to mean_sum (N+1, n_x) in strict run-index
-    order."""
+    The closed-loop states of the runs in the mask `summed` (default:
+    all) are added to mean_sum (N+1, n_x) in strict run-index order."""
     rom = controller.rom
     N = nominal.horizon
     R = len(run_ids)
@@ -223,7 +240,7 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, cost, belief
     W_s = psd_sqrt(plant.spec.W)
     V_s = psd_sqrt(plant.spec.V)
 
-    # per-run streams; w/v predrawn, filter draws per step
+    # per-run streams, predrawn
     w_all = np.empty((R, N, n_u))
     v_all = np.empty((R, N + 1, n_y))
     for i, r in enumerate(run_ids):
@@ -234,6 +251,8 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, cost, belief
     x_ol = x_cl.copy()
     a_hat = np.zeros((R, rom.n_r))
     failed = np.zeros(R, dtype=bool)
+    du_all = np.empty((N, R, n_u))
+    y_all = np.empty((N + 1, R, n_y))
 
     summed = range(R) if summed is None else np.flatnonzero(summed)
     for _ in summed:
@@ -249,32 +268,13 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, cost, belief
             "closed": np.zeros((N + 1, n_p)),
             "open": np.zeros((N + 1, n_p)),
         }
-    delta_J = np.zeros(R)
-    cost_acc = np.zeros(R)
-    if cost is not None:
-        C_mu, C_u, _ = cost_gradient_coefficients(nominal, cost)
-        d0 = x0 - cost.target
-        cost_acc += float(d0 @ cost.Q_mean @ d0)
-        if cost.q_trace:
-            cost_acc += cost.q_trace * np.trace(nominal.prior_cov)
-        mu_belief = np.broadcast_to(x0, (R, n_x)).copy()
-        if belief[0] == "enkf":
-            M = belief[1]
-            gens_w = [stream(base_seed, r, "enkf-w") for r in run_ids]
-            gens_v = [stream(base_seed, r, "enkf-v") for r in run_ids]
-            members = np.empty((R, M, n_x))
-            S0 = psd_sqrt(nominal.prior_cov)
-            for i, r in enumerate(run_ids):
-                Z = stream(base_seed, r, "enkf-init").standard_normal((M, n_x))
-                members[i] = x0 + Z @ S0.T
-        else:
-            A_s, B_s, C1_s, K_s, kf_traces = belief[1]
 
     for k in range(N):
         # measurement and controller update
-        y = plant.observe(x_cl, v_all[:, k], k)
+        y = y_all[k] = plant.observe(x_cl, v_all[:, k], k)
         du, a_hat = lqg_update(controller, k, y - nominal.observations[k], a_hat)
         u = nominal.controls[k] + du
+        du_all[k] = du
 
         # paired plant steps (shared process noise draws)
         x_cl, bad_cl = _safe_step(plant, x_cl, u, w_all[:, k], k)
@@ -294,38 +294,6 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, cost, belief
             x_ol[failed] = nominal.means[k + 1]
             a_hat[failed] = 0.0
 
-        if cost is not None:
-            # row-wise reductions, not matrix-vector products: BLAS sums a
-            # row in an order that depends on the number of rows
-            delta_J += (du * C_u[k]).sum(axis=-1)
-            cost_acc += np.einsum("ri,ij,rj->r", u, cost.R_u, u)
-            # belief run alongside, driven by the applied controls and the
-            # measurements the controller saw
-            y_next = plant.observe(x_cl, v_all[:, k + 1], k + 1)
-            if belief[0] == "enkf":
-                wb = np.empty((R, M, n_u))
-                vb = np.empty((R, M, n_y))
-                for i in range(R):
-                    wb[i] = gens_w[i].standard_normal((M, n_u)) @ W_s.T
-                    vb[i] = gens_v[i].standard_normal((M, n_y)) @ V_s.T
-                members = enkf_predict_members(members, u, wb, plant, k)
-                members = enkf_update_members(members, y_next, vb, plant, plant.spec.V, k + 1)
-                mu_belief = members.mean(axis=1)
-            else:
-                mu_pred = mu_belief @ A_s[k].T + u @ B_s[k].T
-                mu_belief = mu_pred + (y_next - mu_pred @ C1_s[k].T) @ K_s[k].T
-            delta_J += ((mu_belief - nominal.means[k + 1]) * C_mu[k + 1]).sum(axis=-1)
-            d = mu_belief - cost.target
-            Q = cost.Q_terminal if k == N - 1 else cost.Q_mean
-            cost_acc += np.einsum("ri,ij,rj->r", d, Q, d)
-            if cost.q_trace:
-                if belief[0] == "enkf":
-                    tr = ((members - mu_belief[:, None, :]) ** 2).sum(axis=(1, 2)) / (M - 1)
-                else:
-                    tr = kf_traces[k + 1]
-                delta_J += cost.q_trace * (tr - nominal.cov_traces[k + 1])
-                cost_acc += cost.q_trace * tr
-
         for i in summed:
             mean_sum[k + 1] += x_cl[i]
         if n_p:
@@ -336,15 +304,136 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, cost, belief
             if collect_first:
                 run0["closed"][k + 1] = err_c[0]
                 run0["open"][k + 1] = err_o[0]
+    y_all[N] = plant.observe(x_cl, v_all[:, N], N)
 
     return {
         "sq_closed": sq_closed,
         "sq_open": sq_open,
         "run0": run0,
-        "delta_J": delta_J,
-        "cost": cost_acc,
         "failed": failed,
+        "du": du_all,
+        "y": y_all,
     }
+
+
+def _score_block(plant, nominal, cost, coefs, belief, run_ids, base_seed, du_all, y_all):
+    """Scoring pass over one block of runs: the belief filter (`belief`
+    is ("enkf", M) or ("kf", _kf_gain_table(...))) driven by the applied
+    controls, nominal plus du_all, and the measurements y_all the
+    controller saw, and the
+    realized cost and first-order deviation delta_J (coefs = (C_mu, C_u))
+    that every step adds its control terms and then its belief terms to.
+    Returns (delta_J, cost) per run."""
+    N = nominal.horizon
+    R = len(run_ids)
+    n_x, n_u, n_y = plant.n_x, plant.n_u, plant.n_y
+    x0 = nominal.means[0]
+    C_mu, C_u = coefs
+    delta_J = np.zeros(R)
+    cost_acc = np.zeros(R)
+    d0 = x0 - cost.target
+    cost_acc += float(d0 @ cost.Q_mean @ d0)
+    if cost.q_trace:
+        cost_acc += cost.q_trace * np.trace(nominal.prior_cov)
+    mu_belief = np.broadcast_to(x0, (R, n_x)).copy()
+    if belief[0] == "enkf":
+        M = belief[1]
+        W_s = psd_sqrt(plant.spec.W)
+        V_s = psd_sqrt(plant.spec.V)
+        gens_w = [stream(base_seed, r, "enkf-w") for r in run_ids]
+        gens_v = [stream(base_seed, r, "enkf-v") for r in run_ids]
+        # steps of filter noise drawn per generator call: as many as fit
+        # the block's byte budget
+        slab = max(1, _SCORE_BLOCK_BYTES // (8 * R * M * (n_u + n_y)))
+        members = np.empty((R, M, n_x))
+        S0 = psd_sqrt(nominal.prior_cov)
+        for i, r in enumerate(run_ids):
+            Z = stream(base_seed, r, "enkf-init").standard_normal((M, n_x))
+            members[i] = x0 + Z @ S0.T
+    else:
+        A_s, B_s, C1_s, K_s, kf_traces = belief[1]
+
+    for k in range(N):
+        u = nominal.controls[k] + du_all[k]
+        y_next = y_all[k + 1]
+        # row-wise reductions, not matrix-vector products: BLAS sums a
+        # row in an order that depends on the number of rows
+        delta_J += (du_all[k] * C_u[k]).sum(axis=-1)
+        cost_acc += np.einsum("ri,ij,rj->r", u, cost.R_u, u)
+        if belief[0] == "enkf":
+            s = k % slab
+            if s == 0:
+                # one draw per run and slab of steps: the same stream order
+                # as a draw per step, and far fewer generator calls
+                S = min(slab, N - k)
+                wb_slab = np.empty((S, R, M, n_u))
+                vb_slab = np.empty((S, R, M, n_y))
+                for i in range(R):
+                    wb_slab[:, i] = gens_w[i].standard_normal((S, M, n_u)) @ W_s.T
+                    vb_slab[:, i] = gens_v[i].standard_normal((S, M, n_y)) @ V_s.T
+            members = enkf_predict_members(members, u, wb_slab[s], plant, k)
+            members = enkf_update_members(members, y_next, vb_slab[s], plant, plant.spec.V, k + 1)
+            mu_belief = members.mean(axis=1)
+        else:
+            mu_pred = mu_belief @ A_s[k].T + u @ B_s[k].T
+            mu_belief = mu_pred + (y_next - mu_pred @ C1_s[k].T) @ K_s[k].T
+        delta_J += ((mu_belief - nominal.means[k + 1]) * C_mu[k + 1]).sum(axis=-1)
+        d = mu_belief - cost.target
+        Q = cost.Q_terminal if k == N - 1 else cost.Q_mean
+        cost_acc += np.einsum("ri,ij,rj->r", d, Q, d)
+        if cost.q_trace:
+            if belief[0] == "enkf":
+                tr = ((members - mu_belief[:, None, :]) ** 2).sum(axis=(1, 2)) / (M - 1)
+            else:
+                tr = kf_traces[k + 1]
+            delta_J += cost.q_trace * (tr - nominal.cov_traces[k + 1])
+            cost_acc += cost.q_trace * tr
+    return delta_J, cost_acc
+
+
+def _workers():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _score_chunk(plant, nominal, cost, coefs, belief, run_ids, base_seed, loop):
+    """Scoring pass over a chunk: `_score_block` on blocks of runs whose
+    ensembles fit _SCORE_BLOCK_BYTES, on a thread pool with one worker
+    per CPU (numpy releases the GIL).  Each EnKF operation acts on one
+    run's ensemble at a time, so the result does not depend on the block
+    size or the number of workers.  The exact-KF belief, one row per
+    run, is scored as one block: its matrix products go through BLAS,
+    which rounds a one-row product differently.  An error raised in a
+    block reaches the caller."""
+    R = len(run_ids)
+    block = R
+    if belief[0] == "enkf":
+        block = max(1, _SCORE_BLOCK_BYTES // (8 * plant.n_x * belief[1]))
+    delta_J = np.empty(R)
+    cost_acc = np.empty(R)
+
+    def score(lo):
+        hi = min(lo + block, R)
+        delta_J[lo:hi], cost_acc[lo:hi] = _score_block(
+            plant, nominal, cost, coefs, belief, run_ids[lo:hi], base_seed,
+            loop["du"][:, lo:hi], loop["y"][:, lo:hi])
+
+    starts = range(0, R, block)
+    workers = min(_workers(), len(starts))
+    if workers == 1:
+        for lo in starts:
+            score(lo)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            # consuming map re-raises the first failed block's error and
+            # cancels the blocks not yet started
+            for _ in pool.map(score, starts):
+                pass
+    return delta_J, cost_acc
 
 
 def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positions=(0.4, 0.9),
@@ -353,9 +442,9 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
 
     Each run simulates the true plant under the LQG loop and, with the
     same noise draws, under the open-loop nominal controls.  When a cost
-    spec is given, a belief filter runs alongside each closed-loop
-    simulation (EnKF of size belief_size, or the exact KF via
-    belief="kf" for linear plants) to produce per-run realized costs and
+    spec is given, a belief filter follows each closed-loop run on its
+    controls and measurements (EnKF of size belief_size, or the exact KF
+    via belief="kf" for linear plants) to produce per-run realized costs and
     first-order cost deviations.  Runs whose plant step diverges are
     counted in `failures` and left out of every average and sample.
     `epsilon` is the impulse size used to identify the probe output
@@ -371,6 +460,7 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
 
     belief_arg = None
     if cost is not None:
+        coefs = cost_gradient_coefficients(nominal, cost)[:2]
         if belief == "enkf":
             belief_arg = ("enkf", belief_size)
         elif belief == "kf":
@@ -387,19 +477,22 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
     failures = 0
     run0 = None
     for lo in range(0, n_runs, chunk):
-        args = (plant, nominal, controller, list(range(lo, min(lo + chunk, n_runs))), base_seed,
-                cost, belief_arg, probe_nodes, lo == 0)
+        run_ids = list(range(lo, min(lo + chunk, n_runs)))
+        args = (plant, nominal, controller, run_ids, base_seed, probe_nodes, lo == 0)
         mean_before = mean_sum.copy()
         out = _simulate_chunk(*args, mean_sum)
         ok = ~out["failed"]
         if not ok.all():
-            # replay the same batch, so that every run repeats bit for bit,
-            # and sum only the runs that did not diverge into mean_sum
+            # replay the loop pass of the same batch, so that every run
+            # repeats bit for bit, and sum only the runs that did not
+            # diverge into mean_sum
             mean_sum[:] = mean_before
             _simulate_chunk(*args, mean_sum, summed=ok)
         failures += int((~ok).sum())
-        delta_J.append(out["delta_J"][ok])
-        cost_samples.append(out["cost"][ok])
+        if cost is not None:
+            dj, cj = _score_chunk(plant, nominal, cost, coefs, belief_arg, run_ids, base_seed, out)
+            delta_J.append(dj[ok])
+            cost_samples.append(cj[ok])
         # strict run-order folds keep aggregates independent of chunking
         for i in np.flatnonzero(ok):
             sq_closed += out["sq_closed"][i]

@@ -18,6 +18,7 @@ import json
 
 import numpy as np
 
+from .artifacts import write_json
 from .exceptions import DegenerateMeasurementError, IllPosedCostError
 from .sysid import LtvRom
 
@@ -136,25 +137,23 @@ class LqgController:
         return self.rom.horizon
 
     def to_json(self, path):
-        payload = {
-            "L_gains": self.L_gains.tolist(),
-            "K_gains": self.K_gains.tolist(),
-            "W": np.asarray(self.W).tolist(),
-            "V": np.asarray(self.V).tolist(),
-            "P_traces": self.P_traces.tolist(),
-            "S_traces": self.S_traces.tolist(),
+        write_json(path, {
+            "L_gains": self.L_gains,
+            "K_gains": self.K_gains,
+            "W": np.asarray(self.W),
+            "V": np.asarray(self.V),
+            "P_traces": self.P_traces,
+            "S_traces": self.S_traces,
             "rom": {
-                "A_hat": self.rom.A_hat.tolist(),
-                "B_hat": self.rom.B_hat.tolist(),
-                "C_hat": self.rom.C_hat.tolist(),
+                "A_hat": self.rom.A_hat,
+                "B_hat": self.rom.B_hat,
+                "C_hat": self.rom.C_hat,
                 "n_r": int(self.rom.n_r),
                 "time_range": list(self.rom.time_range),
                 "singular_values": {},
                 "gap_warning": bool(self.rom.gap_warning),
             },
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
+        })
 
     @classmethod
     def from_json(cls, path):

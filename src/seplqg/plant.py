@@ -13,7 +13,8 @@ is a one-line change in tests.
 
 `step` and `observe` are pure functions of their arguments and broadcast
 over leading batch dimensions: a state array of shape (..., n_x) maps to
-(..., n_x).  The optional time index `k` matters only for time-varying
+(..., n_x).  The Monte Carlo harness calls them from several threads at
+once.  The optional time index `k` matters only for time-varying
 plants (see `LinearPlant` with stacked matrices).
 
 A plant may also expose its adjoint, two optional methods that
@@ -297,11 +298,18 @@ class HeatPlant(Plant):
         return x0
 
     def _laplacian(self, T):
-        """Second difference of T (times dx^2) with the boundary rows."""
+        """Second difference of T (times dx^2) with the boundary rows.
+
+        The interior runs on the flat buffer, where contiguous 1-D
+        operations are 2-3x faster than strided (..., n) views; the first
+        and last entry of each row, which that mixes with the next row,
+        are set below."""
+        T = np.ascontiguousarray(T)
         lap = np.empty_like(T)
-        np.subtract(T[..., 2:], T[..., 1:-1], out=lap[..., 1:-1])
-        lap[..., 1:-1] -= T[..., 1:-1]
-        lap[..., 1:-1] += T[..., :-2]
+        t, out = T.reshape(-1), lap.reshape(-1)[1:-1]
+        np.subtract(t[2:], t[1:-1], out=out)
+        out -= t[1:-1]
+        out += t[:-2]
         if self.config.insulated:
             # conservation (zero-flux) form at both ends
             lap[..., 0] = T[..., 1] - T[..., 0]

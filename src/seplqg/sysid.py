@@ -32,6 +32,7 @@ import json
 
 import numpy as np
 
+from .artifacts import write_json
 from .exceptions import IntegrationDivergedError, PerturbationDivergedError
 
 __all__ = [
@@ -126,17 +127,15 @@ class LtvRom:
         return self.C_hat.shape[1]
 
     def to_json(self, path):
-        payload = {
-            "A_hat": self.A_hat.tolist(),
-            "B_hat": self.B_hat.tolist(),
-            "C_hat": self.C_hat.tolist(),
+        write_json(path, {
+            "A_hat": self.A_hat,
+            "B_hat": self.B_hat,
+            "C_hat": self.C_hat,
             "n_r": int(self.n_r),
             "time_range": list(self.time_range),
-            "singular_values": {str(k): v.tolist() for k, v in self.singular_values.items()},
+            "singular_values": {str(k): v for k, v in self.singular_values.items()},
             "gap_warning": bool(self.gap_warning),
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
+        })
 
     @classmethod
     def from_json(cls, path):

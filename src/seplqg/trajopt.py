@@ -36,6 +36,7 @@ import json
 
 import numpy as np
 
+from .artifacts import write_json
 from .belief import (
     GaussianBelief,
     belief_from_ensemble,
@@ -160,18 +161,16 @@ class NominalTrajectory:
         return self.controls.shape[0]
 
     def to_json(self, path):
-        payload = {
-            "controls": self.controls.tolist(),
-            "means": self.means.tolist(),
-            "prior_cov": self.prior_cov.tolist(),
-            "cov_traces": self.cov_traces.tolist(),
-            "observations": self.observations.tolist(),
+        write_json(path, {
+            "controls": self.controls,
+            "means": self.means,
+            "prior_cov": self.prior_cov,
+            "cov_traces": self.cov_traces,
+            "observations": self.observations,
             "nominal_cost": float(self.nominal_cost),
             "iterations": int(self.iterations),
             "converged": bool(self.converged),
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
+        })
 
     @classmethod
     def from_json(cls, path):

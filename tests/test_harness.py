@@ -1,8 +1,12 @@
+import os
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from seplqg import harness
 from seplqg.belief import GaussianBelief, psd_sqrt
 from seplqg.exceptions import IntegrationDivergedError
 from seplqg.harness import (
@@ -175,7 +179,22 @@ def test_enkf_belief_runs_are_reproducible():
     assert np.array_equal(r1.delta_J_samples, r2.delta_J_samples)
 
 
-class DivergesOnRun3(HeatPlant):
+class CountingHeatPlant(HeatPlant):
+    """Heat slab that counts the rows it steps, by the number of axes of
+    the state: 3 for belief members (runs, M, n_x), 2 and 1 for the
+    closed and open loops (and the impulse experiments)."""
+
+    def __init__(self, config, W=None, V=None):
+        super().__init__(config, W, V)
+        self.rows = Counter()
+
+    def step(self, state, control, process_noise, k=0):
+        out = super().step(state, control, process_noise, k)
+        self.rows[np.ndim(state)] += int(np.prod(np.shape(state)[:-1]))
+        return out
+
+
+class DivergesOnRun3(CountingHeatPlant):
     """Heat slab whose step diverges for the rows driven by Monte Carlo
     run 3's process noise at k = 10 (its closed- and open-loop steps)."""
 
@@ -194,13 +213,27 @@ class DivergesOnRun3(HeatPlant):
 def test_diverged_runs_are_left_out_of_every_average():
     plant, spec, nominal, ctrl = heat_setup()
     kw = dict(n_runs=16, base_seed=5, cost=spec, belief_size=10, chunk=8)
-    healthy = run_monte_carlo(plant, nominal, ctrl, **kw)
-    report = run_monte_carlo(DivergesOnRun3(plant.config, base_seed=5), nominal, ctrl, **kw)
+    counting = CountingHeatPlant(plant.config)
+    healthy = run_monte_carlo(counting, nominal, ctrl, **kw)
+    failing = DivergesOnRun3(plant.config, base_seed=5)
+    report = run_monte_carlo(failing, nominal, ctrl, **kw)
     assert (healthy.failures, healthy.n_effective) == (0, 16)
     assert (report.failures, report.n_effective, report.n_runs) == (1, 15, 16)
     assert len(report.delta_J_samples) == 15
     assert np.array_equal(report.delta_J_samples, np.delete(healthy.delta_J_samples, 3))
     assert np.array_equal(report.cost_samples, np.delete(healthy.cost_samples, 3))
+
+    # every run's belief members are stepped once, failure or not, while
+    # the loop pass of the failing chunk runs twice; in each of its passes
+    # run 3's closed- and open-loop steps at k = 10 never complete
+    N, M, chunk = nominal.horizon, 10, 8
+    assert counting.rows[3] == failing.rows[3] == 16 * N * M
+
+    def loop_rows(p):
+        return p.rows[2] + p.rows[1]
+
+    loop_pass = 2 * chunk * N
+    assert loop_rows(failing) - loop_rows(counting) == 2 * (loop_pass - 2) - loop_pass
 
     def averages(r):
         return np.concatenate([r.mean_traj.ravel(), r.mse_closed, r.mse_open])
@@ -212,6 +245,104 @@ def test_diverged_runs_are_left_out_of_every_average():
     # sums over runs 0..n-1 of healthy reports: S16 - (S4 - S3) leaves run 3 out
     expected = run_sums(16) - (run_sums(4) - run_sums(3))
     assert np.allclose(15 * averages(report), expected, rtol=1e-9, atol=0)
+
+
+REPORT_FIELDS = ("delta_J_samples", "cost_samples", "mean_traj", "mse_closed", "mse_open",
+                 "run0_closed_err", "run0_open_err", "two_sigma")
+
+
+def scored_reports(monkeypatch, run, block_bytes):
+    """run() once as one scoring block per chunk on one worker, then with
+    blocks of block_bytes on one worker and on more workers than this
+    machine may have CPUs, switching threads as often as the interpreter
+    allows."""
+    monkeypatch.setattr(harness, "_SCORE_BLOCK_BYTES", 1 << 40)
+    monkeypatch.setattr(harness, "_workers", lambda: 1)
+    reports = [run()]
+    monkeypatch.setattr(harness, "_SCORE_BLOCK_BYTES", block_bytes)
+    reports.append(run())
+    monkeypatch.setattr(harness, "_workers", lambda: 2 * os.cpu_count() + 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reports.append(run())
+    finally:
+        sys.setswitchinterval(interval)
+    return reports
+
+
+def assert_same_reports(reports):
+    for r in reports[1:]:
+        for name in REPORT_FIELDS:
+            assert np.array_equal(getattr(r, name), getattr(reports[0], name)), name
+
+
+def correlated(n, scale, seed):
+    A = stream(seed, n, "cov").standard_normal((n, n))
+    return scale * (A @ A.T / n + np.eye(n))
+
+
+def test_blocked_threaded_scoring_equals_one_block(monkeypatch):
+    # EnKF on a heat slab with correlated W and V, so that each noise slab
+    # goes through a non-trivial square root, and a 30-step horizon that
+    # ends in a partial slab
+    plant, spec, nominal, ctrl = heat_setup()
+    plant = HeatPlant(plant.config, W=correlated(5, 0.5, 1), V=correlated(5, 0.3, 2))
+    assert not np.allclose(psd_sqrt(plant.spec.W), np.diag(np.diag(psd_sqrt(plant.spec.W))))
+    spec = replace(spec, q_trace=0.5)
+    M = 10
+    kw = dict(n_runs=12, base_seed=5, probe_positions=(0.5,), cost=spec, belief_size=M, chunk=8)
+    # chunks of 8 and 4 runs in blocks of 3: 3 + 3 + 2 and 3 + 1
+    reports = scored_reports(monkeypatch, lambda: run_monte_carlo(plant, nominal, ctrl, **kw),
+                             3 * 8 * plant.n_x * M)
+    assert_same_reports(reports)
+    assert np.all(reports[0].delta_J_samples != 0.0)
+
+    # the linear plant, whose steps are matrix products: EnKF in blocks of
+    # 2 runs, and the exact KF, which is never split
+    plant, b0, spec, nominal, ctrl = linear_setup()
+    for belief in ("enkf", "kf"):
+        kw = dict(n_runs=17, base_seed=9, probe_positions=(0.5,), cost=replace(spec, q_trace=0.7),
+                  belief=belief, belief_size=M, chunk=7)
+        reports = scored_reports(monkeypatch, lambda: run_monte_carlo(plant, nominal, ctrl, **kw),
+                                 2 * 8 * plant.n_x * M)
+        assert_same_reports(reports)
+
+
+def test_noise_slabs_repeat_the_per_step_draws(monkeypatch):
+    # one block of 4 runs of 6 members on a 16-node slab; the byte budget
+    # sets the slab of filter noise drawn per generator call to 1 step,
+    # 7 steps (the last slab is partial) and the whole 30-step horizon
+    plant, spec, nominal, ctrl = heat_setup()
+    plant = HeatPlant(plant.config, W=correlated(5, 0.5, 3), V=correlated(5, 0.3, 4))
+    kw = dict(n_runs=4, base_seed=2, probe_positions=(), cost=replace(spec, q_trace=0.5), belief_size=6)
+    reports = []
+    for budget in (4 * 8 * 6 * 16, 7 * 8 * 4 * 6 * 10, 1 << 40):
+        monkeypatch.setattr(harness, "_SCORE_BLOCK_BYTES", budget)
+        reports.append(run_monte_carlo(plant, nominal, ctrl, **kw))
+    assert_same_reports(reports)
+
+
+class BeliefDivergesInLastBlock(HeatPlant):
+    """Heat slab on which the belief members of the two-run scoring block
+    turn non-finite at k = 7."""
+
+    def step(self, state, control, process_noise, k=0):
+        if k == 7 and np.ndim(state) == 3 and np.shape(state)[0] == 2:
+            state = np.array(state)
+            state[1, 0, 3] = np.nan
+        return super().step(state, control, process_noise, k)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_belief_divergence_in_a_block_reaches_the_caller(monkeypatch, workers):
+    plant, spec, nominal, ctrl = heat_setup()
+    plant = BeliefDivergesInLastBlock(plant.config)
+    monkeypatch.setattr(harness, "_SCORE_BLOCK_BYTES", 3 * 8 * plant.n_x * 10)
+    monkeypatch.setattr(harness, "_workers", lambda: workers)
+    with pytest.raises(IntegrationDivergedError, match="k=7"):
+        run_monte_carlo(plant, nominal, ctrl, n_runs=8, base_seed=5, probe_positions=(), cost=spec,
+                        belief_size=10)
 
 
 def test_run_monte_carlo_validates_inputs():

@@ -129,6 +129,40 @@ def test_divergence_raises_named_step():
         hp.step(x * np.inf, np.zeros(5), np.zeros(5), k=3)
 
 
+def strided_laplacian(T, insulated):
+    """The second difference on (..., n) views, in the operation order of
+    `HeatPlant._laplacian`."""
+    lap = np.empty(T.shape)
+    np.subtract(T[..., 2:], T[..., 1:-1], out=lap[..., 1:-1])
+    lap[..., 1:-1] -= T[..., 1:-1]
+    lap[..., 1:-1] += T[..., :-2]
+    if insulated:
+        lap[..., 0] = T[..., 1] - T[..., 0]
+        lap[..., -1] = T[..., -2] - T[..., -1]
+    else:
+        lap[..., 0] = 2.0 * (T[..., 1] - T[..., 0])
+        lap[..., -1] = 0.0
+    return lap
+
+
+@pytest.mark.parametrize("insulated", [False, True])
+@pytest.mark.parametrize("n", [3, 4, 17])
+def test_laplacian_matches_strided_reference_bit_for_bit(insulated, n):
+    hp = HeatPlant(HeatPlantConfig(n_grid=n, insulated=insulated, actuators=(0.0,), sensors=(1.0,)))
+    rng = stream(4, n, "lap")
+    base = 100.0 + 30.0 * rng.standard_normal((5, 6, 2 * n))
+    inputs = [
+        base[0, 0, :n],  # (n,)
+        base[0, :, :n].copy(),  # (R, n)
+        base[..., :n].copy(),  # (R, M, n)
+        base[..., :n],  # rows not adjacent in memory
+        base[..., ::2],  # strided entries
+        base[:, ::2, :n].transpose(1, 0, 2),  # permuted axes
+    ]
+    for T in inputs:
+        assert np.array_equal(hp._laplacian(T), strided_laplacian(T, insulated)), T.shape
+
+
 # ---------------------------------------------------------------------------
 # Stability guard and config validation
 # ---------------------------------------------------------------------------
