@@ -7,9 +7,9 @@ the perturbation LTV system from impulse responses, and reduced-order
 time-varying LQG synthesis, evaluated by paired-noise Monte Carlo.
 """
 
-from .belief import Ensemble, GaussianBelief, belief_from_ensemble, enkf_predict, enkf_update
-from .harness import MonteCarloReport, check_theorem1, complexity_report, run_monte_carlo
-from .lqg import LqgController, closed_loop_step, design_lqg, kf_forward, lqr_backward
+from .belief import GaussianBelief, belief_from_ensemble, enkf_predict_members, enkf_update_members
+from .harness import MonteCarloReport, complexity_report, run_monte_carlo
+from .lqg import LqgController, design_lqg, kf_forward, lqg_update, lqr_backward
 from .plant import HeatPlant, HeatPlantConfig, LinearPlant, PlantSpec
 from .sysid import LtvRom, MarkovParams, collect_impulse_responses, tv_era, validate_rom
 from .trajopt import CostSpec, NominalTrajectory, OptimizeOptions, gradient_fd, nominal_cost, optimize, rollout_belief

@@ -2,9 +2,11 @@
 
 The belief over the plant state is kept as a Gaussian (mean, covariance)
 pair.  For black-box plants it is propagated with a stochastic
-(perturbed-observation) Ensemble Kalman Filter; for linear plants the
-exact Kalman recursions are available and double as the reference the
-EnKF is tested against.
+(perturbed-observation) Ensemble Kalman Filter.  Its kernels take
+pre-drawn noise and broadcast over leading batch axes, which is how the
+trajectory optimizer's rollouts and the Monte Carlo scoring both call
+them; `enkf_update_vjp` is the adjoint of the update.  Linear plants
+use the exact Kalman covariance recursion, `lqg.kf_recursion`.
 """
 
 from dataclasses import dataclass
@@ -15,14 +17,10 @@ from .exceptions import FilterDegenerateError, InsufficientEnsembleError
 
 __all__ = [
     "GaussianBelief",
-    "Ensemble",
     "belief_from_ensemble",
-    "sample_ensemble",
-    "enkf_predict",
-    "enkf_update",
+    "enkf_predict_members",
+    "enkf_update_members",
     "enkf_update_vjp",
-    "kalman_predict",
-    "kalman_update",
     "psd_sqrt",
 ]
 
@@ -71,31 +69,10 @@ class GaussianBelief:
         return self.mean.size
 
 
-@dataclass
-class Ensemble:
-    """Particle representation of a belief: members has shape (M, n_x)."""
-
-    members: np.ndarray
-
-    def __post_init__(self):
-        self.members = np.atleast_2d(np.asarray(self.members))
-        if self.members.shape[0] < 2:
-            raise InsufficientEnsembleError("ensemble needs at least 2 members")
-        if not np.isfinite(np.sum(self.members)):
-            raise ValueError("ensemble members must be finite")
-
-    @property
-    def size(self):
-        return self.members.shape[0]
-
-    @property
-    def dim(self):
-        return self.members.shape[1]
-
-
-def belief_from_ensemble(ens):
-    """Sample mean and unbiased (M-1 denominator) sample covariance."""
-    members = ens.members if isinstance(ens, Ensemble) else np.atleast_2d(ens)
+def belief_from_ensemble(members):
+    """Sample mean and unbiased (M-1 denominator) sample covariance of
+    members (M, n_x)."""
+    members = np.atleast_2d(members)
     M = members.shape[0]
     if M < 2:
         raise InsufficientEnsembleError("need at least 2 members for a covariance")
@@ -105,23 +82,9 @@ def belief_from_ensemble(ens):
     return GaussianBelief(mean, cov)
 
 
-def sample_ensemble(belief, M, rng):
-    """Draw an M-member ensemble from a GaussianBelief."""
-    S = psd_sqrt(belief.cov)
-    Z = rng.standard_normal((M, belief.dim))
-    return Ensemble(belief.mean + Z @ S.T)
-
-
 # ---------------------------------------------------------------------------
 # Stochastic EnKF
 # ---------------------------------------------------------------------------
-#
-# The public enkf_predict / enkf_update operate on Ensemble objects and
-# draw their own noise.  The *_members kernels below them are the shared
-# vectorized core: they take pre-drawn noise and broadcast over leading
-# batch axes, which is what the trajectory optimizer's batched rollouts
-# and the Monte Carlo engine use.  Both paths perform identical floating
-# point operations.
 
 
 def enkf_predict_members(members, control, w_draws, plant, k=0):
@@ -181,45 +144,3 @@ def enkf_update_vjp(members, y, v_draws, plant, V, g, k=0):
     g_Yc = fac * (Yc @ (g_S + np.swapaxes(g_S, -1, -2)) + Xc @ np.swapaxes(g_Pxy_t, -1, -2))
     g_members = g + fac * (Yc @ g_Pxy_t) + plant.observe_vjp(g_Yc - g_innov, k)
     return g_members, g_innov.sum(axis=-2)
-
-
-def enkf_predict(ens, control, plant, rng_stream, k=0):
-    """One EnKF forecast: each member stepped with its own w ~ N(0, W)."""
-    W_sqrt = psd_sqrt(plant.spec.W)
-    w = rng_stream.standard_normal((ens.size, plant.n_u)) @ W_sqrt.T
-    return Ensemble(enkf_predict_members(ens.members, control, w, plant, k))
-
-
-def enkf_update(ens, measurement, plant, rng_stream, k=0):
-    """One perturbed-observation analysis with draws v_i ~ N(0, V)."""
-    V = plant.spec.V
-    V_sqrt = psd_sqrt(V)
-    v = rng_stream.standard_normal((ens.size, plant.n_y)) @ V_sqrt.T
-    updated = enkf_update_members(ens.members, measurement, v, plant, V, k)
-    return Ensemble(updated)
-
-
-# ---------------------------------------------------------------------------
-# Exact Kalman recursions (linear plants)
-# ---------------------------------------------------------------------------
-
-
-def kalman_predict(belief, control, A, B, W):
-    """mu' = A mu + B u,  P' = A P A' + B W B'."""
-    mean = A @ belief.mean + B @ np.asarray(control, dtype=float)
-    cov = A @ belief.cov @ A.T + B @ W @ B.T
-    return GaussianBelief(mean, cov)
-
-
-def kalman_update(belief, measurement, C, V):
-    """Standard measurement update with the Joseph-form covariance."""
-    P = belief.cov
-    S = C @ P @ C.T + V
-    try:
-        K = np.linalg.solve(S, C @ P).T
-    except np.linalg.LinAlgError as e:
-        raise FilterDegenerateError("innovation covariance singular") from e
-    mean = belief.mean + K @ (np.asarray(measurement, dtype=float) - C @ belief.mean)
-    IKC = np.eye(P.shape[0]) - K @ C
-    cov = IKC @ P @ IKC.T + K @ V @ K.T
-    return GaussianBelief(mean, cov)

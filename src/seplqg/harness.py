@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import enkf_predict_members, enkf_update_members, psd_sqrt
-from .exceptions import IntegrationDivergedError
+from .exceptions import InsufficientEnsembleError, IntegrationDivergedError
 from .lqg import kf_recursion, lqg_update
 from .rng import stream
 from .sysid import collect_impulse_responses
@@ -44,7 +44,6 @@ __all__ = [
     "MonteCarloReport",
     "ComplexityReport",
     "run_monte_carlo",
-    "check_theorem1",
     "complexity_report",
     "cost_gradient_coefficients",
     "probe_output_rows",
@@ -54,6 +53,11 @@ __all__ = [
 
 
 def probe_nodes_from_fractions(n_x, fractions):
+    """State indices of probes at fractions of the slab, 0 and 1 being
+    its ends."""
+    for f in fractions:
+        if not 0.0 <= f <= 1.0:
+            raise ValueError(f"probe position {f} outside [0, 1]")
     return tuple(int(round(f * (n_x - 1))) for f in fractions)
 
 
@@ -175,7 +179,9 @@ class MonteCarloReport:
 
     n_runs counts the runs requested; the averages, delta_J_samples and
     cost_samples cover only the n_effective runs that did not diverge
-    (failures = n_runs - n_effective).
+    (failures = n_runs - n_effective).  `run_monte_carlo` raises a
+    RuntimeError instead of returning a report when every run, or more
+    than max(1, n_runs // 100) of them, diverged.
     """
 
     n_runs: int
@@ -446,12 +452,18 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
     controls and measurements (EnKF of size belief_size, or the exact KF
     via belief="kf" for linear plants) to produce per-run realized costs and
     first-order cost deviations.  Runs whose plant step diverges are
-    counted in `failures` and left out of every average and sample.
-    `epsilon` is the impulse size used to identify the probe output
-    rows of the two-sigma band.
+    counted in `failures` and left out of every average and sample; if
+    every run, or more than max(1, n_runs // 100) of them, diverged, a
+    RuntimeError is raised instead.  `epsilon` is the impulse size used
+    to identify the probe output rows of the two-sigma band.  Probe
+    positions outside [0, 1] and an EnKF of fewer than 2 members are
+    rejected before any run starts.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    if cost is not None and belief == "enkf" and belief_size < 2:
+        raise InsufficientEnsembleError(
+            f"the belief EnKF needs at least 2 members, got belief_size={belief_size}")
     probe_nodes = probe_nodes_from_fractions(plant.n_x, probe_positions)
     two_sigma = np.zeros((nominal.horizon + 1, len(probe_nodes)))
     if probe_nodes:
@@ -532,27 +544,6 @@ def _kf_gain_table(plant, nominal):
     A, B, C = plant.sequences(nominal.horizon)
     K, P = kf_recursion(A, B, C[1:], plant.spec.W, plant.spec.V, nominal.prior_cov)
     return A, B, C[1:], K, np.einsum("kii->k", P)
-
-
-def check_theorem1(plant, nominal, controller, spec, n_runs, base_seed,
-                   belief="enkf", belief_size=100, chunk=100):
-    """Monte Carlo check that the expected first-order cost deviation
-    vanishes: returns (mean delta_J, standard error, nominal cost)."""
-    if n_runs < 100:
-        raise ValueError("n_runs must be >= 100 for a meaningful check")
-    report = run_monte_carlo(
-        plant,
-        nominal,
-        controller,
-        n_runs,
-        base_seed,
-        probe_positions=(),
-        cost=spec,
-        belief=belief,
-        belief_size=belief_size,
-        chunk=chunk,
-    )
-    return report.delta_J_mean, report.delta_J_se, float(nominal.nominal_cost)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@
 Backward LQR Riccati recursion for the feedback gains, forward Kalman
 Riccati recursion for the estimator gains (`kf_recursion`, the one
 covariance recursion the exact-KF belief paths share), and the online
-control law that tracks the nominal trajectory (`lqg_update`, shared by
-single runs and the batched Monte Carlo engine):
+control law that tracks the nominal trajectory (`lqg_update`, batched
+over runs; the Monte Carlo engine steps all runs of a chunk with it):
 
     du_k = -L_k da_hat_k,     u_k = u_bar_k + du_k
 
-with da_hat the estimate of the ROM deviation state.  Process noise
+with da_hat the estimate of the ROM deviation state, updated on the
+output deviation dy_k = y_k - y_bar_k from the nominal observations.  Process noise
 enters the ROM through the input matrix (B W B'), matching the plant
 contract where disturbances share the control channels.
 """
@@ -29,7 +30,6 @@ __all__ = [
     "kf_forward",
     "design_lqg",
     "lqg_update",
-    "closed_loop_step",
 ]
 
 
@@ -239,16 +239,3 @@ def lqg_update(ctrl, k, dy, a_hat):
     du = -(a @ ctrl.L_gains[k].T)
     return du, a @ rom.A_hat[k].T + du @ rom.B_hat[k].T
 
-
-def closed_loop_step(ctrl, k, y, nominal, a_hat):
-    """Apply measurement y at step k = 0..N-1 to the estimate a_hat.
-
-    The innovation is taken against the nominal observation.  Returns
-    (u_bar_k + du_k, a_hat for step k+1); start a run from
-    a_hat = zeros(n_r).
-    """
-    rom = ctrl.rom
-    if not 0 <= k < rom.horizon:
-        raise IndexError(f"step index {k} outside horizon [0, {rom.horizon})")
-    du, a_next = lqg_update(ctrl, k, np.asarray(y, dtype=float) - nominal.observations[k], a_hat)
-    return nominal.controls[k] + du, a_next

@@ -41,9 +41,7 @@ __all__ = [
     "collect_impulse_responses",
     "tv_era",
     "validate_rom",
-    "reconstruct_markov",
     "holdout_pairs",
-    "select_order",
     "default_block_counts",
 ]
 
@@ -284,16 +282,6 @@ def tv_era(markov, n_r, p=None, q=None):
     )
 
 
-def reconstruct_markov(rom, k, j):
-    """ROM-predicted Markov parameter C_hat_k Phi_hat(k, j+1) B_hat_j."""
-    if not 0 <= j < k <= rom.horizon:
-        raise IndexError(f"need 0 <= j < k <= {rom.horizon}")
-    M = rom.B_hat[j]
-    for i in range(j + 1, k):
-        M = rom.A_hat[i] @ M
-    return rom.C_hat[k] @ M
-
-
 def holdout_pairs(N, p, q, extra=None, time_range=None):
     """(k, j) pairs at lags beyond what the Hankel blocks ever see.
 
@@ -348,19 +336,3 @@ def validate_rom(rom, markov, holdout):
         return 0.0 if err2 == 0.0 else float("inf")
     return float(np.sqrt(err2 / ref2))
 
-
-def select_order(markov, p, q, tol=1e-3, n_max=None):
-    """Smallest n_r whose discarded/leading singular-value ratio is below
-    tol at every valid time."""
-    n_y, n_u, N = markov.n_y, markov.n_u, markov.horizon
-    k_min, k_max = q, N - p
-    worst = None
-    for k in range(k_min, k_max + 2):
-        s = np.linalg.svd(_hankel(markov, k, p, q), compute_uv=False)
-        r = s / s[0] if s[0] > 0 else s
-        worst = r if worst is None else np.maximum(worst, r)
-    limit = worst.size if n_max is None else min(n_max, worst.size)
-    for n_r in range(1, limit):
-        if worst[n_r] <= tol:
-            return n_r
-    return limit

@@ -45,7 +45,7 @@ from .belief import (
     enkf_update_vjp,
     psd_sqrt,
 )
-from .exceptions import GradientEvaluationError
+from .exceptions import GradientEvaluationError, InsufficientEnsembleError
 from .lqg import kf_recursion
 from .rng import stream
 
@@ -253,6 +253,8 @@ class _EnkfEngine:
     """
 
     def __init__(self, plant, b0, M, seed):
+        if M < 2:
+            raise InsufficientEnsembleError(f"the EnKF needs at least 2 members, got M={M}")
         self.plant = plant
         self.b0 = b0
         self.M = int(M)

@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
+from kalman_reference import kalman_predict, kalman_update
 from seplqg.belief import (
-    Ensemble,
     GaussianBelief,
     belief_from_ensemble,
-    enkf_predict,
-    enkf_update,
-    kalman_predict,
-    kalman_update,
+    enkf_predict_members,
+    enkf_update_members,
     psd_sqrt,
-    sample_ensemble,
 )
 from seplqg.exceptions import InsufficientEnsembleError
 from seplqg.plant import LinearPlant
@@ -24,8 +21,29 @@ def scalar_plant(a=1.0, b=1.0, c=1.0, W=0.0, V=0.5):
     )
 
 
+def draw(rng, M, cov):
+    """M rows of N(0, cov) noise: M standard normal rows from rng times
+    psd_sqrt(cov)', as the Monte Carlo engine draws filter noise."""
+    return rng.standard_normal((M, cov.shape[0])) @ psd_sqrt(cov).T
+
+
+def sample(belief, M, rng):
+    """An M-member ensemble drawn from a GaussianBelief."""
+    return belief.mean + draw(rng, M, belief.cov)
+
+
+def predict(members, control, plant, rng, k=0):
+    """One forecast, each member stepped with its own w ~ N(0, W)."""
+    return enkf_predict_members(members, control, draw(rng, len(members), plant.spec.W), plant, k)
+
+
+def update(members, y, plant, rng, k=0):
+    """One perturbed-observation analysis with draws v_i ~ N(0, V)."""
+    return enkf_update_members(members, y, draw(rng, len(members), plant.spec.V), plant, plant.spec.V, k)
+
+
 # ---------------------------------------------------------------------------
-# GaussianBelief / Ensemble
+# GaussianBelief / belief_from_ensemble
 # ---------------------------------------------------------------------------
 
 
@@ -46,19 +64,19 @@ def test_belief_rejects_shape_mismatch():
 
 def test_ensemble_needs_two_members():
     with pytest.raises(InsufficientEnsembleError):
-        Ensemble(np.ones((1, 4)))
+        belief_from_ensemble(np.ones((1, 4)))
 
 
 def test_belief_from_ensemble_degenerate_pair():
     a = np.array([1.0, -2.0, 3.0])
-    b = belief_from_ensemble(Ensemble(np.stack([a, a])))
+    b = belief_from_ensemble(np.stack([a, a]))
     assert np.allclose(b.mean, a)
     assert np.allclose(b.cov, 0.0)
 
 
 def test_belief_from_ensemble_hand_variance():
     # members {-1, +1}: unbiased variance (M-1 denominator) is 2
-    b = belief_from_ensemble(Ensemble(np.array([[-1.0], [1.0]])))
+    b = belief_from_ensemble(np.array([[-1.0], [1.0]]))
     assert b.mean[0] == pytest.approx(0.0)
     assert b.cov[0, 0] == pytest.approx(2.0)
 
@@ -67,7 +85,7 @@ def test_belief_from_ensemble_recovers_moments():
     rng = stream(5, "moments")
     mu0 = np.array([1.0, -2.0, 0.5])
     S = np.array([[2.0, 0.4, 0.0], [0.4, 1.0, -0.2], [0.0, -0.2, 0.7]])
-    ens = sample_ensemble(GaussianBelief(mu0, S), 10000, rng)
+    ens = sample(GaussianBelief(mu0, S), 10000, rng)
     b = belief_from_ensemble(ens)
     assert np.linalg.norm(b.mean - mu0) / np.linalg.norm(mu0) < 0.1
     assert np.linalg.norm(b.cov - S) / np.linalg.norm(S) < 0.1
@@ -77,7 +95,7 @@ def test_ensemble_covariance_psd_by_construction():
     rng = stream(6, "psd")
     for trial in range(5):
         members = rng.standard_normal((3, 8))  # fewer members than dims
-        cov = belief_from_ensemble(Ensemble(members)).cov
+        cov = belief_from_ensemble(members).cov
         assert np.array_equal(cov, cov.T)
         assert np.linalg.eigvalsh(cov).min() >= -1e-8
 
@@ -90,17 +108,17 @@ def test_psd_sqrt_handles_singular():
 
 
 # ---------------------------------------------------------------------------
-# enkf_predict
+# enkf_predict_members
 # ---------------------------------------------------------------------------
 
 
 def test_predict_degenerate_without_noise():
     lp = scalar_plant(a=0.8, b=2.0, W=0.0)
-    ens = Ensemble(np.full((6, 1), 1.5))
-    out = enkf_predict(ens, np.array([0.25]), lp, stream(0, "p"))
-    assert out.size == 6
+    ens = np.full((6, 1), 1.5)
+    out = predict(ens, np.array([0.25]), lp, stream(0, "p"))
+    assert out.shape == (6, 1)
     expected = lp.step(np.array([1.5]), np.array([0.25]), np.array([0.0]))
-    assert np.allclose(out.members, expected)
+    assert np.allclose(out, expected)
 
 
 def test_predict_mean_matches_kalman():
@@ -112,9 +130,9 @@ def test_predict_mean_matches_kalman():
     mu0 = np.array([1.0, -1.0])
     P0 = 0.5 * np.eye(2)
     M = 5000
-    ens = sample_ensemble(GaussianBelief(mu0, P0), M, stream(2, "init"))
+    ens = sample(GaussianBelief(mu0, P0), M, stream(2, "init"))
     u = np.array([0.5, -0.2])
-    out = enkf_predict(ens, u, lp, stream(2, "w"))
+    out = predict(ens, u, lp, stream(2, "w"))
     exact = kalman_predict(GaussianBelief(mu0, P0), u, A, B, W)
     se = np.sqrt(np.diag(exact.cov) / M)
     b = belief_from_ensemble(out)
@@ -123,15 +141,15 @@ def test_predict_mean_matches_kalman():
 
 def test_predict_deterministic_under_seed():
     lp = scalar_plant(W=0.4)
-    ens = Ensemble(np.linspace(-1, 1, 50)[:, None])
-    out1 = enkf_predict(ens, np.zeros(1), lp, stream(9, "fixed"))
-    out2 = enkf_predict(ens, np.zeros(1), lp, stream(9, "fixed"))
-    assert np.array_equal(out1.members, out2.members)
-    assert out1.size == ens.size
+    ens = np.linspace(-1, 1, 50)[:, None]
+    out1 = predict(ens, np.zeros(1), lp, stream(9, "fixed"))
+    out2 = predict(ens, np.zeros(1), lp, stream(9, "fixed"))
+    assert np.array_equal(out1, out2)
+    assert out1.shape == ens.shape
 
 
 # ---------------------------------------------------------------------------
-# enkf_update
+# enkf_update_members
 # ---------------------------------------------------------------------------
 
 
@@ -141,8 +159,8 @@ def test_update_uninformative_measurement():
     lp = scalar_plant(V=1e12)
     rng = stream(4, "uninf")
     members = 0.5 * rng.standard_normal((200, 1))
-    out = enkf_update(Ensemble(members), np.array([5.0]), lp, rng)
-    rel = np.linalg.norm(out.members - members) / np.linalg.norm(members)
+    out = update(members, np.array([5.0]), lp, rng)
+    rel = np.linalg.norm(out - members) / np.linalg.norm(members)
     assert rel <= 1e-6
 
 
@@ -152,8 +170,8 @@ def test_update_matches_exact_kalman_scalar():
     mu0, P0 = 2.0, 1.5
     y = 3.2
     M = 20000
-    ens = sample_ensemble(GaussianBelief([mu0], [[P0]]), M, stream(8, "init"))
-    out = enkf_update(ens, np.array([y]), lp, stream(8, "v"))
+    ens = sample(GaussianBelief([mu0], [[P0]]), M, stream(8, "init"))
+    out = update(ens, np.array([y]), lp, stream(8, "v"))
     post = kalman_update(GaussianBelief([mu0], [[P0]]), [y], np.array([[1.0]]), np.array([[V]]))
     b = belief_from_ensemble(out)
     se_mean = np.sqrt(post.cov[0, 0] / M) * (1 + P0 / V)  # prior sampling inflates the estimator
@@ -165,16 +183,16 @@ def test_update_matches_exact_kalman_scalar():
 def test_update_identical_members_zero_gain():
     lp = scalar_plant(V=0.3)
     members = np.full((30, 1), 0.7)
-    out = enkf_update(Ensemble(members), np.array([9.0]), lp, stream(1, "zg"))
-    assert np.allclose(out.members, members)
+    out = update(members, np.array([9.0]), lp, stream(1, "zg"))
+    assert np.allclose(out, members)
 
 
 def test_update_preserves_member_count():
     lp = scalar_plant(V=0.3, W=0.1)
     rng = stream(3, "count")
-    ens = Ensemble(rng.standard_normal((37, 1)))
-    assert enkf_update(ens, np.array([0.1]), lp, rng).size == 37
-    assert enkf_predict(ens, np.zeros(1), lp, rng).size == 37
+    ens = rng.standard_normal((37, 1))
+    assert update(ens, np.array([0.1]), lp, rng).shape == (37, 1)
+    assert predict(ens, np.zeros(1), lp, rng).shape == (37, 1)
 
 
 def test_enkf_converges_to_kalman_with_ensemble_size():
@@ -184,8 +202,8 @@ def test_enkf_converges_to_kalman_with_ensemble_size():
     post = kalman_update(GaussianBelief([mu0], [[P0]]), [y], np.array([[1.0]]), np.array([[V]]))
 
     def posterior_error(M, seed):
-        ens = sample_ensemble(GaussianBelief([mu0], [[P0]]), M, stream(seed, "init"))
-        out = belief_from_ensemble(enkf_update(ens, np.array([y]), lp, stream(seed, "v")))
+        ens = sample(GaussianBelief([mu0], [[P0]]), M, stream(seed, "init"))
+        out = belief_from_ensemble(update(ens, np.array([y]), lp, stream(seed, "v")))
         return abs(out.mean[0] - post.mean[0]) + abs(out.cov[0, 0] - post.cov[0, 0])
 
     wins = sum(posterior_error(20000, s) < posterior_error(200, s) for s in range(12))

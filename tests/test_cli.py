@@ -107,6 +107,12 @@ def test_theorem1_subcommand(pipeline_dir):
     assert abs(payload["mean_delta_J"]) <= max(3 * payload["se"], 0.02 * payload["nominal_cost"])
 
 
+def test_theorem1_rejects_too_few_runs_before_loading_artifacts(tmp_path):
+    # tmp_path holds no artifacts: loading them would raise FileNotFoundError
+    with pytest.raises(ValueError, match="at least 100 runs"):
+        main(["theorem1", "--out", str(tmp_path), "--runs", "50"])
+
+
 def test_failing_assertion_sets_exit_code(pipeline_dir, tmp_path):
     raw = json.loads((pipeline_dir / "cfg.json").read_text())
     raw["assertions"] = {"mean_within": 1e-12}  # impossible under noise

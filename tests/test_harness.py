@@ -8,9 +8,8 @@ import pytest
 
 from seplqg import harness
 from seplqg.belief import GaussianBelief, psd_sqrt
-from seplqg.exceptions import IntegrationDivergedError
+from seplqg.exceptions import InsufficientEnsembleError, IntegrationDivergedError
 from seplqg.harness import (
-    check_theorem1,
     closed_loop_band,
     complexity_report,
     cost_gradient_coefficients,
@@ -351,6 +350,14 @@ def test_run_monte_carlo_validates_inputs():
         run_monte_carlo(plant, nominal, ctrl, n_runs=0, base_seed=0)
 
 
+def test_one_member_belief_filter_is_rejected_before_any_step():
+    plant, spec, nominal, ctrl = heat_setup()
+    plant = CountingHeatPlant(plant.config)
+    with pytest.raises(InsufficientEnsembleError, match="belief_size=1"):
+        run_monte_carlo(plant, nominal, ctrl, n_runs=4, base_seed=0, cost=spec, belief_size=1)
+    assert not plant.rows
+
+
 # ---------------------------------------------------------------------------
 # theorem-1 style checks
 # ---------------------------------------------------------------------------
@@ -358,11 +365,11 @@ def test_run_monte_carlo_validates_inputs():
 
 def test_linear_exact_kf_mean_delta_j_statistically_zero():
     plant, b0, spec, nominal, ctrl = linear_setup()
-    mean_dj, se, jbar = check_theorem1(
-        plant, nominal, ctrl, spec, n_runs=1000, base_seed=19, belief="kf"
+    report = run_monte_carlo(
+        plant, nominal, ctrl, n_runs=1000, base_seed=19, probe_positions=(), cost=spec, belief="kf"
     )
-    assert abs(mean_dj) <= 3.0 * se
-    assert jbar == pytest.approx(nominal.nominal_cost)
+    assert abs(report.delta_J_mean) <= 3.0 * report.delta_J_se
+    assert report.nominal_cost == pytest.approx(nominal.nominal_cost)
 
 
 def test_zero_noise_delta_j_identically_zero():
@@ -377,16 +384,13 @@ def test_zero_noise_delta_j_identically_zero():
 
 def test_delta_j_standard_error_scales_inverse_sqrt():
     plant, b0, spec, nominal, ctrl = linear_setup()
-    _, se1, _ = check_theorem1(plant, nominal, ctrl, spec, n_runs=200, base_seed=23, belief="kf")
-    _, se4, _ = check_theorem1(plant, nominal, ctrl, spec, n_runs=800, base_seed=23, belief="kf")
+    se1, se4 = (
+        run_monte_carlo(plant, nominal, ctrl, n_runs=n, base_seed=23, probe_positions=(), cost=spec,
+                        belief="kf").delta_J_se
+        for n in (200, 800)
+    )
     ratio = se1 / se4
     assert 2.0 / 1.3 <= ratio <= 2.0 * 1.3
-
-
-def test_check_theorem1_requires_enough_runs():
-    plant, b0, spec, nominal, ctrl = linear_setup()
-    with pytest.raises(ValueError):
-        check_theorem1(plant, nominal, ctrl, spec, n_runs=50, base_seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +418,13 @@ def test_closed_loop_band_zero_noise():
 def test_probe_nodes_from_fractions():
     assert probe_nodes_from_fractions(100, (0.4, 0.9)) == (40, 89)
     assert probe_nodes_from_fractions(100, ()) == ()
+    assert probe_nodes_from_fractions(16, (0.0, 1.0)) == (0, 15)
+
+
+@pytest.mark.parametrize("bad", [-0.5, 1.5])
+def test_probe_positions_outside_the_slab_are_rejected(bad):
+    with pytest.raises(ValueError, match=f"probe position {bad} outside"):
+        probe_nodes_from_fractions(16, (bad, 0.9))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from seplqg.exceptions import DegenerateMeasurementError
-from seplqg.lqg import LqgController, closed_loop_step, design_lqg, kf_forward, lqr_backward
+from seplqg.lqg import LqgController, design_lqg, kf_forward, lqg_update, lqr_backward
 from seplqg.plant import LinearPlant
 from seplqg.rng import stream
 from seplqg.sysid import LtvRom
@@ -181,7 +181,7 @@ def test_kf_gains_independent_of_cost():
 
 
 # ---------------------------------------------------------------------------
-# closed_loop_step
+# lqg_update in closed loop
 # ---------------------------------------------------------------------------
 
 
@@ -214,8 +214,9 @@ def test_closed_loop_tracks_nominal_exactly_without_deviation():
     )
     a_hat = np.zeros(3)
     for k in range(20):
-        u, a_hat = closed_loop_step(ctrl, k, nominal.observations[k], nominal, a_hat)
-        assert np.array_equal(u, nominal.controls[k])
+        y = nominal.observations[k]  # the measurement the nominal predicts
+        du, a_hat = lqg_update(ctrl, k, y - nominal.observations[k], a_hat)
+        assert np.array_equal(nominal.controls[k] + du, nominal.controls[k])
     assert np.allclose(a_hat, 0.0)
 
 
@@ -241,7 +242,8 @@ def test_closed_loop_estimator_and_regulator_converge():
         a_post = a_hat + ctrl.K_gains[k] @ (
             (y - nominal.observations[k]) - rom.C_hat[k] @ a_hat
         )
-        u, a_hat = closed_loop_step(ctrl, k, y, nominal, a_hat)
+        du, a_hat = lqg_update(ctrl, k, y - nominal.observations[k], a_hat)
+        u = nominal.controls[k] + du
         est_err.append(np.linalg.norm(a_post - x))
         track.append(np.linalg.norm(x))
         x = plant.step(x, u, 0.0, k)
@@ -249,25 +251,6 @@ def test_closed_loop_estimator_and_regulator_converge():
     track = np.array(track)
     assert est_err[40:].max() < 0.05 * est_err[:10].max()
     assert track[40:].max() < 0.15 * track[:10].max()
-
-
-def test_closed_loop_step_index_guard():
-    rom = random_stable_ltv(2, 1, 1, 5, seed=25)
-    ctrl = design_lqg(rom)
-    nominal = NominalTrajectory(
-        controls=np.zeros((5, 1)),
-        means=np.zeros((6, 2)),
-        prior_cov=np.zeros((2, 2)),
-        cov_traces=np.zeros(6),
-        observations=np.zeros((6, 1)),
-        nominal_cost=0.0,
-        iterations=0,
-        converged=True,
-    )
-    with pytest.raises(IndexError):
-        closed_loop_step(ctrl, 5, np.zeros(1), nominal, np.zeros(2))
-    with pytest.raises(IndexError):
-        closed_loop_step(ctrl, -1, np.zeros(1), nominal, np.zeros(2))
 
 
 def test_controller_json_roundtrip(tmp_path):

@@ -4,7 +4,8 @@ and of the adjoints the reverse-mode gradient is built from."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from seplqg.belief import GaussianBelief, enkf_update_members, enkf_update_vjp, kalman_predict, kalman_update
+from kalman_reference import kalman_predict, kalman_update
+from seplqg.belief import GaussianBelief, enkf_update_members, enkf_update_vjp
 from seplqg.lqg import kf_recursion, lqr_backward
 from seplqg.plant import HeatPlant, HeatPlantConfig, LinearPlant
 from seplqg.rng import stream

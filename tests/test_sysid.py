@@ -9,8 +9,6 @@ from seplqg.sysid import (
     collect_impulse_responses,
     default_block_counts,
     holdout_pairs,
-    reconstruct_markov,
-    select_order,
     tv_era,
     validate_rom,
 )
@@ -49,6 +47,14 @@ def exact_markov_lti(A, B, C, N):
             data[k, j] = C @ M
             M = A @ M
     return MarkovParams(data)
+
+
+def rom_markov(rom, k, j):
+    """The ROM's Markov parameter C_hat_k A_hat_{k-1} ... A_hat_{j+1} B_hat_j."""
+    M = rom.B_hat[j]
+    for i in range(j + 1, k):
+        M = rom.A_hat[i] @ M
+    return rom.C_hat[k] @ M
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +143,7 @@ def test_era_roundtrip_exact_order3():
     k_min, k_max = rom.time_range
     for k in range(k_min + 1, k_max + 1):
         for j in range(max(k_min - 1, k - 8), k):
-            assert np.abs(reconstruct_markov(rom, k, j) - mk.get(k, j)).max() < 1e-8
+            assert np.abs(rom_markov(rom, k, j) - mk.get(k, j)).max() < 1e-8
     assert not rom.gap_warning
 
 
@@ -147,6 +153,7 @@ def test_era_rank_gap_for_exact_system():
     rom = tv_era(mk, n_r=3, p=4, q=4)
     for k, s in rom.singular_values.items():
         assert s[3] / s[0] <= 1e-10
+        assert s[2] / s[0] > 1e-8  # and no smaller order would do
 
 
 def test_era_respects_dimension_preconditions():
@@ -184,7 +191,7 @@ def test_era_markov_reconstruction_is_coordinate_invariant():
     for k in range(10, 30):
         for j in range(k - 6, k):
             assert np.allclose(
-                reconstruct_markov(rom1, k, j), reconstruct_markov(rom2, k, j), atol=1e-8
+                rom_markov(rom1, k, j), rom_markov(rom2, k, j), atol=1e-8
             )
     assert not np.allclose(rom1.A_hat[15], rom2.A_hat[15])  # coordinates differ
 
@@ -243,12 +250,6 @@ def test_heat_rom_fidelity_monotone_in_order():
         pairs = holdout_pairs(80, 8, 8, extra=8, time_range=rom.time_range)
         errs.append(validate_rom(rom, mk, pairs))
     assert all(errs[i + 1] <= errs[i] + 1e-12 for i in range(len(errs) - 1))
-
-
-def test_select_order_finds_true_rank():
-    plant, A, B, C = order3_lti()
-    mk = exact_markov_lti(A, B, C, 40)
-    assert select_order(mk, p=4, q=4, tol=1e-8) == 3
 
 
 def test_markov_params_validation():

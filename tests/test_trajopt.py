@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from seplqg.belief import Ensemble, GaussianBelief, belief_from_ensemble
-from seplqg.exceptions import GradientEvaluationError
+from seplqg.belief import GaussianBelief, belief_from_ensemble
+from seplqg.exceptions import GradientEvaluationError, InsufficientEnsembleError
 from seplqg.plant import HeatPlant, HeatPlantConfig, LinearPlant, Plant, PlantSpec
 from seplqg.rng import stream
 from seplqg.trajopt import (
@@ -115,8 +115,8 @@ def test_cost_invariant_under_member_permutation():
     members = rng.standard_normal((40, 3))
     spec = CostSpec.from_weights(3, 1, target=0.25)
     perm = rng.permutation(40)
-    b1 = belief_from_ensemble(Ensemble(members))
-    b2 = belief_from_ensemble(Ensemble(members[perm]))
+    b1 = belief_from_ensemble(members)
+    b2 = belief_from_ensemble(members[perm])
     beliefs1 = [b1, b1]
     beliefs2 = [b2, b2]
     u = [[0.3]]
@@ -391,6 +391,15 @@ def test_optimize_steps_each_iterate_once():
 # ---------------------------------------------------------------------------
 # optimize
 # ---------------------------------------------------------------------------
+
+
+def test_optimize_rejects_a_one_member_ensemble_before_any_step():
+    plant = CountingHeatPlant(HeatPlantConfig(n_grid=16, horizon=10))
+    b0 = GaussianBelief(plant.initial_state(), 0.25 * np.eye(16))
+    spec = CostSpec.from_weights(16, 5, target=150.0)
+    with pytest.raises(InsufficientEnsembleError, match="M=1"):
+        optimize(np.zeros((10, 5)), b0, plant, spec, OptimizeOptions(M=1))
+    assert plant.rows == 0
 
 
 def test_optimize_reaches_lq_optimum():
