@@ -94,24 +94,25 @@ def enkf_predict_members(members, control, w_draws, plant, k=0):
 
 
 def _enkf_gain(members, plant, V, k):
-    """Predicted observations Yp, anomalies Xc and Yc, S = P_yy + V and
-    the transposed gain K' of the perturbed-observation update."""
+    """Predicted observations Yp, their anomalies Yc, the inverse of
+    S = P_yy + V and the transposed gain K' = S^-1 P_xy' of the
+    perturbed-observation update."""
     M = members.shape[-2]
-    xm = members.mean(axis=-2, keepdims=True)
     Yp = plant.observe(members, 0.0, k)
-    ym = Yp.mean(axis=-2, keepdims=True)
-    Xc = members - xm
-    Yc = Yp - ym
+    Yc = Yp - Yp.mean(axis=-2, keepdims=True)
     fac = 1.0 / (M - 1)
-    Pxy = np.swapaxes(Xc, -1, -2) @ Yc * fac
-    Pyy = np.swapaxes(Yc, -1, -2) @ Yc * fac
-    S = Pyy + V
+    Yc_t = np.swapaxes(Yc, -1, -2)
+    # Yc sums to zero over the members, so Yc' X = Yc' (X - mean X): the
+    # state anomalies are never formed
+    Pxy_t = Yc_t @ members * fac
+    Pyy = Yc_t @ Yc * fac
     try:
-        # K = Pxy S^-1, computed as solve(S, Pxy^T)^T with S symmetric
-        Kt = np.linalg.solve(S, np.swapaxes(Pxy, -1, -2))
+        # S is n_y x n_y: one small inverse and a product beat a solve
+        # against the n_x columns of P_xy'
+        S_inv = np.linalg.inv(Pyy + V)
     except np.linalg.LinAlgError as e:
         raise FilterDegenerateError(f"innovation covariance singular at step k={k}") from e
-    return Yp, Xc, Yc, S, Kt
+    return Yp, Yc, S_inv, S_inv @ Pxy_t
 
 
 def enkf_update_members(members, y, v_draws, plant, V, k=0):
@@ -120,7 +121,7 @@ def enkf_update_members(members, y, v_draws, plant, V, k=0):
     Gain K = P_xy (P_yy + V)^-1 from ensemble cross-covariances; each
     member is shifted by K (y + v_i - h(x_i, 0)).
     """
-    Yp, _, _, _, Kt = _enkf_gain(members, plant, V, k)
+    Yp, _, _, Kt = _enkf_gain(members, plant, V, k)
     innov = np.asarray(y)[..., None, :] + v_draws - Yp
     return members + innov @ Kt
 
@@ -132,12 +133,13 @@ def enkf_update_vjp(members, y, v_draws, plant, V, g, k=0):
     Reverse mode through out = X + (y + v - h(X)) K', K' = S^-1 P_xy',
     S = P_yy + V; needs `plant.observe_vjp`.
     """
-    Yp, Xc, Yc, S, Kt = _enkf_gain(members, plant, V, k)
+    Yp, Yc, S_inv, Kt = _enkf_gain(members, plant, V, k)
+    Xc = members - members.mean(axis=-2, keepdims=True)
     fac = 1.0 / (members.shape[-2] - 1)
     innov = np.asarray(y)[..., None, :] + v_draws - Yp
     g_innov = g @ np.swapaxes(Kt, -1, -2)
-    # adjoints of P_xy' and S through the solve
-    g_Pxy_t = np.linalg.solve(np.swapaxes(S, -1, -2), np.swapaxes(innov, -1, -2) @ g)
+    # adjoints of P_xy' and S through K' = S^-1 P_xy'
+    g_Pxy_t = np.swapaxes(S_inv, -1, -2) @ (np.swapaxes(innov, -1, -2) @ g)
     g_S = -g_Pxy_t @ np.swapaxes(Kt, -1, -2)
     # the anomalies sum to zero over the members, so the adjoint of the
     # centering passes these terms through unchanged

@@ -269,6 +269,8 @@ def _run_assertions(cfg, plant, nominal, report, out):
 
 
 def cmd_pipeline(args):
+    # a bad evaluate section fails here, not after three stages' artifacts
+    _load_config(args).evaluate()
     rc = cmd_optimize(args)
     rc = rc or cmd_identify(args)
     rc = rc or cmd_design(args)

@@ -106,13 +106,22 @@ class ExperimentConfig:
         }
 
     def evaluate(self):
+        """The evaluate section, checked: at least one run, chunk and
+        belief filter sizes of at least 1 and 2, probes inside [0, 1]."""
         e = self.raw.get("evaluate", {})
-        return {
+        ev = {
             "runs": e.get("runs", 1000),
             "probes": tuple(e.get("probes", (0.4, 0.9))),
             "belief_size": e.get("belief_size", 100),
             "chunk": e.get("chunk", 100),
         }
+        for key, least in (("runs", 1), ("chunk", 1), ("belief_size", 2)):
+            if ev[key] < least:
+                raise ValueError(f"evaluate {key} must be >= {least}, got {ev[key]}")
+        for f in ev["probes"]:
+            if not 0.0 <= f <= 1.0:
+                raise ValueError(f"probe position {f} outside [0, 1]")
+        return ev
 
     def assertions(self):
         return self.raw.get("assertions", {})

@@ -4,12 +4,13 @@ accounting.
 
 Every Monte Carlo run draws its noise from counter-based streams keyed
 (base_seed, run_index, channel), so reports are bit-reproducible under a
-fixed seed and chunk size.  Across chunk sizes, a BLAS matrix product
-may round a row differently depending on how many rows the batch has.
-On the heat slab the only such products left are those of `lqg_update`:
-they move delta_J_samples by roundoff and can move every output (as
-one-run chunks do on a 16-node slab).  On linear plants the products
-of `LinearPlant.step` and of the exact-KF belief do the same.
+fixed seed.  On the heat slab they are also chunk-exact: the same bits
+for any chunk size, because every product that mixes a run's entries
+(the LQG law of `lqg_update`, the cost and delta_J sums) is a row-wise
+reduction, whose rounding does not depend on how many runs a batch has,
+and each EnKF operation acts on one run's ensemble at a time.  On
+linear plants the BLAS products of `LinearPlant.step` and of the
+exact-KF belief still round a row differently for different batch sizes.
 
 Open-loop comparison runs consume the same draws as their closed-loop
 partner (common random numbers), making the error comparison paired.
@@ -22,8 +23,9 @@ plant under the LQG law and, with the same draws, under the open-loop
 controls, and records each run's control deviations and measurements.
 The scoring pass then runs the belief filters from those records, one
 block of runs at a time over the whole horizon, sized so that a block's
-ensembles stay in cache, with blocks spread over a thread pool of one
-worker per CPU.  The split is exact because the filter never
+ensembles stay in cache, with blocks spread over worker processes, one
+per CPU, forked from this one so that they inherit the records instead
+of receiving them pickled.  The split is exact because the filter never
 feeds back into the loop, and each run's cost and delta_J terms are
 summed in the same order as in one pass, so reports do not depend on the
 block size or on the number of workers.
@@ -166,10 +168,11 @@ def closed_loop_band(controller, C_rows):
 # Monte Carlo engine
 # ---------------------------------------------------------------------------
 
-# ensemble storage of one scoring block, about a quarter of a 4 MB L2 (a
+# ensemble storage of one scoring block, half of a 2 MB per-core L2 (a
 # whole 100-run chunk of 100-member ensembles spends much of its time in
 # page faults on the temporaries of each plant step), and the most that
-# its slab of predrawn filter noise may take
+# its slab of predrawn filter noise may take.  A serial sweep from 256 KB
+# to 2 MB on a 2-vCPU Xeon found no budget clearly faster than this one.
 _SCORE_BLOCK_BYTES = 1 << 20
 
 
@@ -335,10 +338,12 @@ def _score_block(plant, nominal, cost, coefs, belief, run_ids, base_seed, du_all
     n_x, n_u, n_y = plant.n_x, plant.n_u, plant.n_y
     x0 = nominal.means[0]
     C_mu, C_u = coefs
+    # CostSpec weights are diagonal: each quadratic form is a row-wise sum
+    q_mean, q_terminal, r_u = (np.diag(w) for w in (cost.Q_mean, cost.Q_terminal, cost.R_u))
     delta_J = np.zeros(R)
     cost_acc = np.zeros(R)
     d0 = x0 - cost.target
-    cost_acc += float(d0 @ cost.Q_mean @ d0)
+    cost_acc += float((d0 * d0 * q_mean).sum())
     if cost.q_trace:
         cost_acc += cost.q_trace * np.trace(nominal.prior_cov)
     mu_belief = np.broadcast_to(x0, (R, n_x)).copy()
@@ -365,7 +370,7 @@ def _score_block(plant, nominal, cost, coefs, belief, run_ids, base_seed, du_all
         # row-wise reductions, not matrix-vector products: BLAS sums a
         # row in an order that depends on the number of rows
         delta_J += (du_all[k] * C_u[k]).sum(axis=-1)
-        cost_acc += np.einsum("ri,ij,rj->r", u, cost.R_u, u)
+        cost_acc += (u * u * r_u).sum(axis=-1)
         if belief[0] == "enkf":
             s = k % slab
             if s == 0:
@@ -385,8 +390,7 @@ def _score_block(plant, nominal, cost, coefs, belief, run_ids, base_seed, du_all
             mu_belief = mu_pred + (y_next - mu_pred @ C1_s[k].T) @ K_s[k].T
         delta_J += ((mu_belief - nominal.means[k + 1]) * C_mu[k + 1]).sum(axis=-1)
         d = mu_belief - cost.target
-        Q = cost.Q_terminal if k == N - 1 else cost.Q_mean
-        cost_acc += np.einsum("ri,ij,rj->r", d, Q, d)
+        cost_acc += (d * d * (q_terminal if k == N - 1 else q_mean)).sum(axis=-1)
         if cost.q_trace:
             if belief[0] == "enkf":
                 tr = ((members - mu_belief[:, None, :]) ** 2).sum(axis=(1, 2)) / (M - 1)
@@ -404,42 +408,69 @@ def _workers():
     return os.cpu_count() or 1
 
 
+def _score_slice(chunk, bounds):
+    """`_score_block` on runs lo..hi of a chunk, given as the arguments
+    of `_score_chunk`."""
+    plant, nominal, cost, coefs, belief, run_ids, base_seed, loop = chunk
+    lo, hi = bounds
+    return _score_block(plant, nominal, cost, coefs, belief, run_ids[lo:hi], base_seed,
+                        loop["du"][:, lo:hi], loop["y"][:, lo:hi])
+
+
+# the chunk a forked scoring worker scores blocks of; set only in the
+# worker, by `_inherit_chunk` at its start
+_worker_chunk = None
+
+
+def _inherit_chunk(chunk):
+    global _worker_chunk
+    _worker_chunk = chunk
+
+
+def _score_in_worker(bounds):
+    return _score_slice(_worker_chunk, bounds)
+
+
 def _score_chunk(plant, nominal, cost, coefs, belief, run_ids, base_seed, loop):
-    """Scoring pass over a chunk: `_score_block` on blocks of runs whose
-    ensembles fit _SCORE_BLOCK_BYTES, on a thread pool with one worker
-    per CPU (numpy releases the GIL).  Each EnKF operation acts on one
-    run's ensemble at a time, so the result does not depend on the block
-    size or the number of workers.  The exact-KF belief, one row per
-    run, is scored as one block: its matrix products go through BLAS,
-    which rounds a one-row product differently.  An error raised in a
-    block reaches the caller."""
+    """Scoring pass over a chunk: `_score_block` on as few blocks of runs
+    as keep each block's ensembles within _SCORE_BLOCK_BYTES, of sizes
+    that differ by at most one run, on worker processes, one per CPU.
+
+    The workers are forked, so they inherit the chunk's records and
+    inputs without pickling them, and only each block's (delta_J, cost)
+    is pickled back; a spawned worker would first re-import numpy and
+    seplqg, about as long as a whole CLI set-up (0.27 s).  Each EnKF
+    operation and each sum acts on one run at a time, so the result does
+    not depend on the block size or the number of workers.  The exact-KF
+    belief, one row per run, is scored as one block: its matrix products
+    go through BLAS, which rounds a one-row product differently.  Blocks
+    run in this process on one CPU and where the platform cannot fork.
+    An error raised in a block reaches the caller."""
     R = len(run_ids)
-    block = R
+    cap = R
     if belief[0] == "enkf":
-        block = max(1, _SCORE_BLOCK_BYTES // (8 * plant.n_x * belief[1]))
-    delta_J = np.empty(R)
-    cost_acc = np.empty(R)
-
-    def score(lo):
-        hi = min(lo + block, R)
-        delta_J[lo:hi], cost_acc[lo:hi] = _score_block(
-            plant, nominal, cost, coefs, belief, run_ids[lo:hi], base_seed,
-            loop["du"][:, lo:hi], loop["y"][:, lo:hi])
-
-    starts = range(0, R, block)
-    workers = min(_workers(), len(starts))
-    if workers == 1:
-        for lo in starts:
-            score(lo)
+        cap = max(1, _SCORE_BLOCK_BYTES // (8 * plant.n_x * belief[1]))
+    n_blocks = -(-R // cap)
+    size, extra = divmod(R, n_blocks)
+    edges = [b * size + min(b, extra) for b in range(n_blocks + 1)]
+    blocks = list(zip(edges[:-1], edges[1:]))
+    chunk = (plant, nominal, cost, coefs, belief, run_ids, base_seed, loop)
+    workers = min(_workers(), n_blocks)
+    if workers == 1 or not hasattr(os, "fork"):
+        scored = [_score_slice(chunk, b) for b in blocks]
     else:
-        from concurrent.futures import ThreadPoolExecutor
+        # imported only here, so that neither a serial run nor the CLI's
+        # start-up pays for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-        with ThreadPoolExecutor(workers) as pool:
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                 initializer=_inherit_chunk, initargs=(chunk,)) as pool:
             # consuming map re-raises the first failed block's error and
             # cancels the blocks not yet started
-            for _ in pool.map(score, starts):
-                pass
-    return delta_J, cost_acc
+            scored = list(pool.map(_score_in_worker, blocks))
+    delta_J, cost_acc = zip(*scored)
+    return np.concatenate(delta_J), np.concatenate(cost_acc)
 
 
 def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positions=(0.4, 0.9),

@@ -232,10 +232,19 @@ def lqg_update(ctrl, k, dy, a_hat):
 
     Order: measurement update of a_hat with K_k on the output deviation
     dy, control du = -L_k a_hat, then the time update with (A_k, B_k).
+    Each row's result is the same bits for any number of rows.
     Returns (du_k, a_hat for step k+1).
     """
     rom = ctrl.rom
-    a = a_hat + (dy - a_hat @ rom.C_hat[k].T) @ ctrl.K_gains[k].T
-    du = -(a @ ctrl.L_gains[k].T)
-    return du, a @ rom.A_hat[k].T + du @ rom.B_hat[k].T
+    a = a_hat + _times_t(dy - _times_t(a_hat, rom.C_hat[k]), ctrl.K_gains[k])
+    du = -_times_t(a, ctrl.L_gains[k])
+    return du, _times_t(a, rom.A_hat[k]) + _times_t(du, rom.B_hat[k])
+
+
+def _times_t(x, M):
+    """x @ M.T by einsum, which sums each row in the same order whatever
+    the number of rows: a BLAS product rounds a row differently depending
+    on how many rows it has, which would make the Monte Carlo depend on
+    its chunk size."""
+    return np.einsum("...j,ij->...i", x, M)
 

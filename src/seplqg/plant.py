@@ -13,9 +13,9 @@ is a one-line change in tests.
 
 `step` and `observe` are pure functions of their arguments and broadcast
 over leading batch dimensions: a state array of shape (..., n_x) maps to
-(..., n_x).  The Monte Carlo harness calls them from several threads at
-once.  The optional time index `k` matters only for time-varying
-plants (see `LinearPlant` with stacked matrices).
+(..., n_x).  The Monte Carlo harness calls them from several forked
+worker processes at once.  The optional time index `k` matters only for
+time-varying plants (see `LinearPlant` with stacked matrices).
 
 A plant may also expose its adjoint, two optional methods that
 broadcast the same way:
@@ -289,6 +289,9 @@ class HeatPlant(Plant):
         self._act = np.asarray(c.actuator_nodes)
         self._sen = np.asarray(c.sensor_nodes)
         self._inv_dx2 = 1.0 / c.dx**2
+        # step coefficients with dt folded in
+        self._a = c.k0 * self._inv_dx2 * c.dt
+        self._a_k1 = self._a * c.k1
 
     def initial_state(self):
         """Uniform t_init profile with the Dirichlet entry at t_right."""
@@ -340,16 +343,19 @@ class HeatPlant(Plant):
         c = self.config
         T = np.asarray(state, dtype=float)
         with np.errstate(invalid="ignore", over="ignore"):
+            # dt K(x,T)/dx^2 * lap = (a + a k1 T) * lap, formed in lap's buffer
             lap = self._laplacian(T)
-            # K(x,T)/dx^2 * lap, reusing lap as scratch
-            diff = T * (c.k1 * c.k0 * self._inv_dx2)
-            diff += c.k0 * self._inv_dx2
-            diff *= lap
-            out = T * (1.0 - c.eta * c.dt)
-            diff *= c.dt
-            out += diff
-            drive = np.add(control, process_noise, dtype=float) * c.dt
-            out[..., self._act] += drive
+            out = T * self._a_k1
+            out += self._a
+            lap *= out
+            np.multiply(T, 1.0 - c.eta * c.dt, out=out)
+            out += lap
+            drive = np.add(control, process_noise, dtype=float)
+            drive *= c.dt
+            # one actuator column at a time: a fancy-indexed += gathers and
+            # scatters a copy of the columns
+            for j, node in enumerate(self._act):
+                out[..., node] += drive[..., j]
             if not c.insulated:
                 out[..., -1] = T[..., -1]
         return _as_finite(out, "heat plant step", k)
@@ -366,10 +372,9 @@ class HeatPlant(Plant):
             # the Dirichlet entry is carried through unchanged
             g_right = g[..., -1].copy()
             g[..., -1] = 0.0
-        a = c.k0 * self._inv_dx2 * c.dt
         g_state = g * (1.0 - c.eta * c.dt)
-        g_state += (a * c.k1) * self._laplacian(T) * g
-        g_state += self._laplacian_t(g * (a + (a * c.k1) * T))
+        g_state += self._a_k1 * self._laplacian(T) * g
+        g_state += self._laplacian_t(g * (self._a + self._a_k1 * T))
         if not c.insulated:
             g_state[..., -1] += g_right
         return g_state, g[..., self._act] * c.dt

@@ -208,14 +208,10 @@ def default_block_counts(n_r, n_y, n_u):
 
 
 def _hankel(markov, k, p, q, shift=0):
-    """Generalized Hankel at time k: block (i, l) = Y[k + shift + i][k-1-l]."""
-    d = markov.data
-    n_y, n_u = markov.n_y, markov.n_u
-    H = np.empty((p * n_y, q * n_u))
-    for i in range(p):
-        for l in range(q):
-            H[i * n_y : (i + 1) * n_y, l * n_u : (l + 1) * n_u] = d[k + shift + i, k - 1 - l]
-    return H
+    """Generalized Hankel at time k: block (i, l) = Y[k + shift + i][k-1-l],
+    gathered in one fancy index."""
+    blocks = markov.data[k + shift + np.arange(p)[:, None], k - 1 - np.arange(q)]
+    return blocks.transpose(0, 2, 1, 3).reshape(p * markov.n_y, q * markov.n_u)
 
 
 def tv_era(markov, n_r, p=None, q=None):

@@ -4,13 +4,14 @@ import pytest
 from kalman_reference import kalman_predict, kalman_update
 from seplqg.belief import (
     GaussianBelief,
+    _enkf_gain,
     belief_from_ensemble,
     enkf_predict_members,
     enkf_update_members,
     psd_sqrt,
 )
-from seplqg.exceptions import InsufficientEnsembleError
-from seplqg.plant import LinearPlant
+from seplqg.exceptions import FilterDegenerateError, InsufficientEnsembleError
+from seplqg.plant import HeatPlant, HeatPlantConfig, LinearPlant
 from seplqg.rng import stream
 
 
@@ -185,6 +186,31 @@ def test_update_identical_members_zero_gain():
     members = np.full((30, 1), 0.7)
     out = update(members, np.array([9.0]), lp, stream(1, "zg"))
     assert np.allclose(out, members)
+
+
+def test_gain_from_inverse_matches_solve():
+    # a batch of 3 runs of 12 members on a 16-node slab with correlated V
+    plant = HeatPlant(HeatPlantConfig(n_grid=16, horizon=5))
+    rng = stream(6, "gain")
+    members = 100.0 + 5.0 * rng.standard_normal((3, 12, 16))
+    A = rng.standard_normal((5, 5))
+    V = A @ A.T / 5 + 0.1 * np.eye(5)
+    Kt = _enkf_gain(members, plant, V, 2)[-1]
+    Xc = members - members.mean(axis=1, keepdims=True)
+    Y = plant.observe(members, 0.0, 2)
+    Yc = Y - Y.mean(axis=1, keepdims=True)
+    Pxy = np.swapaxes(Xc, 1, 2) @ Yc / 11
+    S = np.swapaxes(Yc, 1, 2) @ Yc / 11 + V
+    expected = np.linalg.solve(S, np.swapaxes(Pxy, 1, 2))
+    assert np.allclose(Kt, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def test_update_with_singular_innovation_covariance_raises():
+    # identical members and no measurement noise: S = P_yy + V = 0
+    lp = scalar_plant(V=0.0)
+    members = np.full((2, 30, 1), 0.5)
+    with pytest.raises(FilterDegenerateError, match="k=4"):
+        enkf_update_members(members, np.ones((2, 1)), np.zeros((2, 30, 1)), lp, lp.spec.V, 4)
 
 
 def test_update_preserves_member_count():

@@ -107,6 +107,19 @@ def test_theorem1_subcommand(pipeline_dir):
     assert abs(payload["mean_delta_J"]) <= max(3 * payload["se"], 0.02 * payload["nominal_cost"])
 
 
+@pytest.mark.parametrize("evaluate, message", [({"belief_size": 1}, "belief_size must be >= 2"),
+                                               ({"probes": [-0.5, 0.9]}, "-0.5 outside"),
+                                               ({"chunk": 0}, "chunk must be >= 1"),
+                                               ({"runs": 0}, "runs must be >= 1")])
+def test_pipeline_rejects_bad_evaluate_section_before_any_stage(tmp_path, evaluate, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY, "evaluate": {**TINY["evaluate"], **evaluate}}))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=message):
+        main(["pipeline", "--config", str(cfg), "--out", str(out)])
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_theorem1_rejects_too_few_runs_before_loading_artifacts(tmp_path):
     # tmp_path holds no artifacts: loading them would raise FileNotFoundError
     with pytest.raises(ValueError, match="at least 100 runs"):

@@ -1,5 +1,4 @@
 import os
-import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -141,17 +140,45 @@ def test_report_bit_reproducible_and_chunk_independent():
     r3 = run_monte_carlo(plant, nominal, ctrl, chunk=7, **kw)
     assert np.array_equal(r1.mean_traj, r3.mean_traj)
 
-    # EnKF belief on a heat slab.  lqg_update's BLAS products round
-    # differently for different numbers of rows, so the feedback gains are
-    # zeroed; every other step must then give the same bits for any chunk
+    # EnKF belief on a heat slab under the identified controller: every
+    # step gives the same bits for any chunk, one-run chunks included
     plant, spec, nominal, ctrl = heat_setup()
     spec = replace(spec, q_trace=0.5)
-    ctrl = replace(ctrl, L_gains=np.zeros_like(ctrl.L_gains))
+    assert np.abs(ctrl.L_gains).max() > 0.1
     kw = dict(n_runs=10, base_seed=5, probe_positions=(0.5,), cost=spec, belief_size=10)
     reports = [run_monte_carlo(plant, nominal, ctrl, chunk=c, **kw) for c in (10, 1, 3)]
     for r in reports[1:]:
         for name in ("delta_J_samples", "cost_samples", "mean_traj", "mse_closed", "mse_open"):
             assert np.array_equal(getattr(r, name), getattr(reports[0], name)), name
+
+
+def test_realized_cost_equals_dense_quadratic_forms(monkeypatch):
+    # the scoring pass sums the diagonal weights row by row; rebuild each
+    # run's realized cost from the belief filter's controls and members
+    # with the dense quadratic forms
+    plant, spec, nominal, ctrl = heat_setup()
+    spec = CostSpec.from_weights(16, 5, q_mean=np.linspace(0.5, 2.0, 16), r_u=np.linspace(1e-3, 5e-3, 5),
+                                 q_terminal=3.0, q_trace=0.5, target=150.0)
+    controls, members = [], []
+    predict, update = harness.enkf_predict_members, harness.enkf_update_members
+    monkeypatch.setattr(harness, "_workers", lambda: 1)
+    monkeypatch.setattr(harness, "enkf_predict_members",
+                        lambda X, u, *rest: controls.append(u) or predict(X, u, *rest))
+    monkeypatch.setattr(harness, "enkf_update_members",
+                        lambda *args: members.append(update(*args)) or members[-1])
+    report = run_monte_carlo(plant, nominal, ctrl, n_runs=4, base_seed=3, probe_positions=(),
+                             cost=spec, belief_size=10)
+
+    d0 = nominal.means[0] - spec.target
+    expected = d0 @ spec.Q_mean @ d0 + 0.5 * np.trace(nominal.prior_cov)
+    for k, (u, X) in enumerate(zip(controls, members)):
+        Q = spec.Q_terminal if k == nominal.horizon - 1 else spec.Q_mean
+        d = X.mean(axis=1) - spec.target
+        Xc = X - X.mean(axis=1, keepdims=True)
+        expected = expected + np.einsum("ri,ij,rj->r", u, spec.R_u, u) + np.einsum("ri,ij,rj->r", d, Q, d)
+        expected = expected + 0.5 * np.einsum("rmi,rmi->r", Xc, Xc) / 9
+    assert len(members) == nominal.horizon
+    assert np.allclose(report.cost_samples, expected, rtol=1e-12, atol=0)
 
 
 def test_open_loop_equals_closed_loop_with_zero_gains():
@@ -251,22 +278,16 @@ REPORT_FIELDS = ("delta_J_samples", "cost_samples", "mean_traj", "mse_closed", "
 
 
 def scored_reports(monkeypatch, run, block_bytes):
-    """run() once as one scoring block per chunk on one worker, then with
-    blocks of block_bytes on one worker and on more workers than this
-    machine may have CPUs, switching threads as often as the interpreter
-    allows."""
+    """run() once as one scoring block per chunk in this process, then
+    with blocks of block_bytes in this process and on more worker
+    processes than this machine may have CPUs."""
     monkeypatch.setattr(harness, "_SCORE_BLOCK_BYTES", 1 << 40)
     monkeypatch.setattr(harness, "_workers", lambda: 1)
     reports = [run()]
     monkeypatch.setattr(harness, "_SCORE_BLOCK_BYTES", block_bytes)
     reports.append(run())
     monkeypatch.setattr(harness, "_workers", lambda: 2 * os.cpu_count() + 1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        reports.append(run())
-    finally:
-        sys.setswitchinterval(interval)
+    reports.append(run())
     return reports
 
 
@@ -281,7 +302,7 @@ def correlated(n, scale, seed):
     return scale * (A @ A.T / n + np.eye(n))
 
 
-def test_blocked_threaded_scoring_equals_one_block(monkeypatch):
+def test_blocked_parallel_scoring_equals_one_block(monkeypatch):
     # EnKF on a heat slab with correlated W and V, so that each noise slab
     # goes through a non-trivial square root, and a 30-step horizon that
     # ends in a partial slab
@@ -291,7 +312,7 @@ def test_blocked_threaded_scoring_equals_one_block(monkeypatch):
     spec = replace(spec, q_trace=0.5)
     M = 10
     kw = dict(n_runs=12, base_seed=5, probe_positions=(0.5,), cost=spec, belief_size=M, chunk=8)
-    # chunks of 8 and 4 runs in blocks of 3: 3 + 3 + 2 and 3 + 1
+    # chunks of 8 and 4 runs in blocks of at most 3: 3 + 3 + 2 and 2 + 2
     reports = scored_reports(monkeypatch, lambda: run_monte_carlo(plant, nominal, ctrl, **kw),
                              3 * 8 * plant.n_x * M)
     assert_same_reports(reports)
@@ -335,6 +356,8 @@ class BeliefDivergesInLastBlock(HeatPlant):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_belief_divergence_in_a_block_reaches_the_caller(monkeypatch, workers):
+    # blocks of 3 + 3 + 2 runs, scored in this process with one worker
+    # and in forked worker processes with two, which pickle the error back
     plant, spec, nominal, ctrl = heat_setup()
     plant = BeliefDivergesInLastBlock(plant.config)
     monkeypatch.setattr(harness, "_SCORE_BLOCK_BYTES", 3 * 8 * plant.n_x * 10)

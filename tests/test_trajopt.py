@@ -128,6 +128,12 @@ def test_cost_spec_validation():
         CostSpec.from_weights(2, 1, r_u=0.0)
     with pytest.raises(ValueError):
         CostSpec.from_weights(2, 1, q_trace=-1.0)
+    # the weights must be diagonal, even when symmetric and definite
+    spec = CostSpec.from_weights(2, 2)
+    coupled = np.array([[1.0, 0.1], [0.1, 1.0]])
+    for name in ("Q_mean", "Q_terminal", "R_u"):
+        with pytest.raises(ValueError, match=f"{name} must be diagonal"):
+            CostSpec(**{**vars(spec), name: coupled})
 
 
 # ---------------------------------------------------------------------------
