@@ -45,6 +45,14 @@ def _prior(cfg, plant):
     return GaussianBelief(x0, cfg.prior_std() ** 2 * np.eye(plant.n_x))
 
 
+def _run_count(text):
+    """--runs: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -164,7 +172,7 @@ def cmd_evaluate(args):
     out = Path(args.out)
     nominal = NominalTrajectory.from_json(out / "nominal.json")
     ctrl = LqgController.from_json(out / "controller.json")
-    n_runs = args.runs or ev["runs"]
+    n_runs = ev["runs"] if args.runs is None else args.runs
     report = run_monte_carlo(
         plant,
         nominal,
@@ -203,7 +211,7 @@ def cmd_evaluate(args):
 def cmd_theorem1(args):
     cfg = _load_config(args)
     ev = cfg.evaluate()
-    n_runs = args.runs or ev["runs"]
+    n_runs = ev["runs"] if args.runs is None else args.runs
     if n_runs < 100:
         raise ValueError(f"theorem1 needs at least 100 runs for a meaningful check, got {n_runs}")
     plant = cfg.plant()
@@ -293,7 +301,7 @@ def main(argv=None):
         p.add_argument("--config", help="experiment JSON (default: built-in heat benchmark)")
         p.add_argument("--out", required=True, help="artifact directory")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--runs", type=int, default=None, help="Monte Carlo runs override")
+        p.add_argument("--runs", type=_run_count, default=None, help="Monte Carlo runs override (>= 1)")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -30,16 +30,50 @@ def spatial_weight(config, gain=6.0, reach=10.0):
     return w
 
 
+# defaults of the optional sections, which also name each section's
+# keys; q_terminal defaults to q_mean
+_DEFAULTS = {
+    "prior": {"std": 0.5},
+    "cost": {"q_mean": "spatial", "spatial_gain": 6.0, "spatial_reach": 10.0, "r_u": 1e-3,
+             "q_terminal": None, "q_trace": 0.0, "target": 150.0},
+    "sysid": {"n_r": 20, "p": 16, "q": 16, "epsilon": 1e-2, "holdout_extra": 8},
+    "lqg": {"q_y": 1.0, "r": 0.1, "terminal_scale": 10.0, "ridge": 1e-8, "p0": 1.0},
+    "evaluate": {"runs": 1000, "probes": (0.4, 0.9), "belief_size": 100, "chunk": 100},
+}
+
+_KEYS = {
+    **{name: set(keys) for name, keys in _DEFAULTS.items()},
+    "plant": set(HeatPlantConfig.__dataclass_fields__) | {"w_scale", "v_scale"},
+    "optimize": set(OptimizeOptions.__dataclass_fields__),
+    "assertions": {"nominal_band", "rom_error_max", "closed_beats_open", "mean_within", "theorem1"},
+}
+
+
 class ExperimentConfig:
-    """Parsed experiment file with constructors for the pipeline pieces."""
+    """Parsed experiment file with constructors for the pipeline pieces.
+
+    An unknown section, key of a section or assertion name raises a
+    ValueError here, before any stage runs."""
 
     def __init__(self, raw):
         self.raw = dict(raw)
+        unknown = sorted(set(self.raw) - set(_KEYS))
+        if unknown:
+            raise ValueError(f"unknown config section(s): {', '.join(unknown)}")
+        for name, section in self.raw.items():
+            if not isinstance(section, dict):
+                raise ValueError(f"config section {name!r} must be an object")
+            unknown = sorted(set(section) - _KEYS[name])
+            if unknown:
+                raise ValueError(f"unknown {name} key(s): {', '.join(unknown)}")
 
     @classmethod
     def load(cls, path):
         with open(path) as fh:
             return cls(json.load(fh))
+
+    def _section(self, name):
+        return {**_DEFAULTS[name], **self.raw.get(name, {})}
 
     def plant(self):
         section = dict(self.raw.get("plant", {}))
@@ -51,70 +85,42 @@ class ExperimentConfig:
         return HeatPlant(cfg, W=w_scale * np.eye(n_act), V=v_scale * np.eye(n_sen))
 
     def prior_std(self):
-        return float(self.raw.get("prior", {}).get("std", 0.5))
+        return float(self._section("prior")["std"])
 
     def cost(self, plant):
-        c = self.raw.get("cost", {})
-        n_x, n_u = plant.n_x, plant.n_u
-        q_mean = c.get("q_mean", "spatial")
+        c = self._section("cost")
+        q_mean = c["q_mean"]
         if isinstance(q_mean, str):
             if q_mean != "spatial":
                 raise ValueError(f"unknown q_mean preset {q_mean!r}")
-            q_mean = spatial_weight(
-                plant.config,
-                gain=c.get("spatial_gain", 6.0),
-                reach=c.get("spatial_reach", 10.0),
-            )
-        q_terminal = c.get("q_terminal", q_mean)
+            q_mean = spatial_weight(plant.config, gain=c["spatial_gain"], reach=c["spatial_reach"])
         return CostSpec.from_weights(
-            n_x,
-            n_u,
+            plant.n_x,
+            plant.n_u,
             q_mean=q_mean,
-            r_u=c.get("r_u", 1e-3),
-            q_terminal=q_terminal,
-            q_trace=c.get("q_trace", 0.0),
-            target=c.get("target", 150.0),
+            r_u=c["r_u"],
+            q_terminal=q_mean if c["q_terminal"] is None else c["q_terminal"],
+            q_trace=c["q_trace"],
+            target=c["target"],
         )
 
     def optimize_options(self, seed=None):
         o = dict(self.raw.get("optimize", {}))
         if seed is not None:
             o["seed"] = seed
-        unknown = sorted(set(o) - set(OptimizeOptions.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown optimize option(s): {', '.join(unknown)}")
         return OptimizeOptions(**o)
 
     def sysid(self):
-        s = self.raw.get("sysid", {})
-        return {
-            "n_r": s.get("n_r", 20),
-            "p": s.get("p", 16),
-            "q": s.get("q", 16),
-            "epsilon": s.get("epsilon", 1e-2),
-            "holdout_extra": s.get("holdout_extra", 8),
-        }
+        return self._section("sysid")
 
     def lqg(self):
-        l = self.raw.get("lqg", {})
-        return {
-            "q_y": l.get("q_y", 1.0),
-            "r": l.get("r", 0.1),
-            "terminal_scale": l.get("terminal_scale", 10.0),
-            "ridge": l.get("ridge", 1e-8),
-            "p0": l.get("p0", 1.0),
-        }
+        return self._section("lqg")
 
     def evaluate(self):
         """The evaluate section, checked: at least one run, chunk and
         belief filter sizes of at least 1 and 2, probes inside [0, 1]."""
-        e = self.raw.get("evaluate", {})
-        ev = {
-            "runs": e.get("runs", 1000),
-            "probes": tuple(e.get("probes", (0.4, 0.9))),
-            "belief_size": e.get("belief_size", 100),
-            "chunk": e.get("chunk", 100),
-        }
+        ev = self._section("evaluate")
+        ev["probes"] = tuple(ev["probes"])
         for key, least in (("runs", 1), ("chunk", 1), ("belief_size", 2)):
             if ev[key] < least:
                 raise ValueError(f"evaluate {key} must be >= {least}, got {ev[key]}")

@@ -222,9 +222,8 @@ def test_benchmark_config_matches_paper_setup():
 )
 def test_config_rejects_unknown_optimize_option(key, value):
     # removed options are unknown keys, even at their former defaults
-    cfg = ExperimentConfig({"optimize": {"alpha": 1.0, key: value}})
     with pytest.raises(ValueError, match=key):
-        cfg.optimize_options()
+        ExperimentConfig({"optimize": {"alpha": 1.0, key: value}})
     assert ExperimentConfig({"optimize": {"alpha": 2.0}}).optimize_options(seed=4).seed == 4
 
 
@@ -233,3 +232,63 @@ def test_config_rejects_unknown_q_mean_preset():
     plant = cfg.plant()
     with pytest.raises(ValueError):
         cfg.cost(plant)
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"evaluate": {"belief_sise": 5, "run": 3}}, "unknown evaluate key.*: belief_sise, run"),
+    ({"sysid": {"nr": 4}}, "unknown sysid key.*: nr"),
+    ({"lqg": {"qy": 1.0}}, "unknown lqg key.*: qy"),
+    ({"prior": {"sd": 0.5}}, "unknown prior key.*: sd"),
+    ({"cost": {"r": 1e-3}}, "unknown cost key.*: r$"),
+    ({"plant": {"n_grid": 20, "noise": 1.0}}, "unknown plant key.*: noise"),
+    ({"assertions": {"theorem_1": {}}}, "unknown assertions key.*: theorem_1"),
+    ({"evalute": {"runs": 3}}, "unknown config section.*: evalute"),
+    ({"sysid": 20}, "section 'sysid' must be an object"),
+])
+def test_config_rejects_unknown_keys(raw, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(raw)
+
+
+def test_every_known_key_is_accepted():
+    ExperimentConfig(TINY)
+    ExperimentConfig(benchmark_config().raw)
+    ExperimentConfig({
+        "plant": {"w_scale": 2.0, "v_scale": 0.5, "insulated": True},
+        "cost": {"spatial_gain": 3.0, "spatial_reach": 5.0, "q_terminal": 2.0, "q_trace": 0.1},
+        "optimize": {"method": "kf"},
+        "sysid": {"holdout_extra": 4},
+        "lqg": {"ridge": 0.0},
+        "evaluate": {"chunk": 5},
+        "assertions": {"nominal_band": {}, "rom_error_max": 1.0, "closed_beats_open": True,
+                       "mean_within": 1.0, "theorem1": {}},
+    })
+
+
+@pytest.mark.parametrize("command", sorted(PIPELINE_COMMANDS))
+def test_every_stage_rejects_an_unknown_key_before_writing(tmp_path, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY, "sysid": {**TINY["sysid"], "nr": 4}}))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="unknown sysid key"):
+        main([command, "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("runs", ["0", "-5"])
+@pytest.mark.parametrize("command", ["evaluate", "theorem1", "pipeline"])
+def test_runs_below_one_is_rejected_when_parsing(tmp_path, capsys, command, runs):
+    # tmp_path holds no artifacts: a stage that started would fail on them
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(tmp_path), "--runs", runs])
+    assert exc.value.code == 2
+    assert f"--runs: must be >= 1, got {runs}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_runs_override_is_used_as_given(pipeline_dir, tmp_path):
+    for name in ("nominal.json", "controller.json"):
+        shutil.copy(pipeline_dir / name, tmp_path / name)
+    rc = main(["evaluate", "--config", str(pipeline_dir / "cfg.json"), "--out", str(tmp_path), "--runs", "3"])
+    assert rc == 0
+    assert json.loads((tmp_path / "report.json").read_text())["n_runs"] == 3

@@ -181,6 +181,34 @@ def test_realized_cost_equals_dense_quadratic_forms(monkeypatch):
     assert np.allclose(report.cost_samples, expected, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("correlated_prior", [False, True])
+def test_initial_members_are_the_prior_draws(monkeypatch, correlated_prior):
+    # each run's members start at x0 + Z S0^T, Z its "enkf-init" draw:
+    # bit for bit with the CLI's diagonal prior, to rounding otherwise
+    plant, spec, nominal, ctrl = heat_setup()
+    if correlated_prior:
+        nominal = replace(nominal, prior_cov=correlated(16, 0.25, 6))
+    S0 = psd_sqrt(nominal.prior_cov)
+    assert np.allclose(S0, np.diag(np.diag(S0))) != correlated_prior
+    first = []
+    predict = harness.enkf_predict_members
+    monkeypatch.setattr(harness, "_workers", lambda: 1)
+    monkeypatch.setattr(harness, "enkf_predict_members",
+                        lambda X, *rest: predict(X, *rest) if first else first.append(X.copy()) or predict(X, *rest))
+    run_monte_carlo(plant, nominal, ctrl, n_runs=5, base_seed=4, probe_positions=(), cost=spec,
+                    belief_size=10)
+    x0 = nominal.means[0]
+    expected = np.stack([x0 + stream(4, r, "enkf-init").standard_normal((10, 16)) @ S0.T
+                         for r in range(5)])
+    if correlated_prior:
+        assert np.allclose(first[0], expected, rtol=1e-12, atol=0)
+        # the deviations from x0, about 200 times smaller, agree as well
+        dev = expected - x0
+        assert np.allclose(first[0] - x0, dev, rtol=0, atol=1e-12 * np.abs(dev).max())
+    else:
+        assert np.array_equal(first[0], expected)
+
+
 def test_open_loop_equals_closed_loop_with_zero_gains():
     # paired noise: with L = 0 the applied controls are the nominal ones,
     # so matched draws make both trajectories identical
