@@ -41,19 +41,30 @@ _DEFAULTS = {
     "evaluate": {"runs": 1000, "probes": (0.4, 0.9), "belief_size": 100, "chunk": 100},
 }
 
+# the keys of the object-valued assertion entries, with their defaults
+# (_REQUIRED: none); the other assertions take one scalar
+_REQUIRED = object()
+_ASSERTION_DEFAULTS = {
+    "nominal_band": {"t_start": _REQUIRED, "t_end": _REQUIRED, "lo": _REQUIRED, "hi": _REQUIRED},
+    "theorem1": {"se_mult": 3.0, "frac_cost": 0.02},
+}
+
+# `optimize.method` is left out: its "kf" rollouts need a linear plant,
+# and the CLI's plant is always a HeatPlant
 _KEYS = {
     **{name: set(keys) for name, keys in _DEFAULTS.items()},
     "plant": set(HeatPlantConfig.__dataclass_fields__) | {"w_scale", "v_scale"},
-    "optimize": set(OptimizeOptions.__dataclass_fields__),
-    "assertions": {"nominal_band", "rom_error_max", "closed_beats_open", "mean_within", "theorem1"},
+    "optimize": set(OptimizeOptions.__dataclass_fields__) - {"method"},
+    "assertions": {"rom_error_max", "closed_beats_open", "mean_within", *_ASSERTION_DEFAULTS},
 }
 
 
 class ExperimentConfig:
     """Parsed experiment file with constructors for the pipeline pieces.
 
-    An unknown section, key of a section or assertion name raises a
-    ValueError here, before any stage runs."""
+    An unknown section, key of a section, assertion name or key of an
+    assertion entry, and a missing required key of an assertion entry,
+    raise a ValueError here, before any stage runs."""
 
     def __init__(self, raw):
         self.raw = dict(raw)
@@ -66,6 +77,18 @@ class ExperimentConfig:
             unknown = sorted(set(section) - _KEYS[name])
             if unknown:
                 raise ValueError(f"unknown {name} key(s): {', '.join(unknown)}")
+        for name, entry in self.raw.get("assertions", {}).items():
+            if name not in _ASSERTION_DEFAULTS:
+                continue
+            if not isinstance(entry, dict):
+                raise ValueError(f"assertion {name!r} must be an object")
+            keys = _ASSERTION_DEFAULTS[name]
+            unknown = sorted(set(entry) - set(keys))
+            if unknown:
+                raise ValueError(f"unknown {name} assertion key(s): {', '.join(unknown)}")
+            missing = sorted(k for k, v in keys.items() if v is _REQUIRED and k not in entry)
+            if missing:
+                raise ValueError(f"{name} assertion needs key(s): {', '.join(missing)}")
 
     @classmethod
     def load(cls, path):
@@ -130,7 +153,12 @@ class ExperimentConfig:
         return ev
 
     def assertions(self):
-        return self.raw.get("assertions", {})
+        """The assertions section, object entries filled with their
+        defaults."""
+        return {
+            name: {**_ASSERTION_DEFAULTS[name], **entry} if name in _ASSERTION_DEFAULTS else entry
+            for name, entry in self.raw.get("assertions", {}).items()
+        }
 
 
 def benchmark_config():

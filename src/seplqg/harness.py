@@ -97,12 +97,12 @@ def probe_output_rows(plant, nominal, rom, nodes, epsilon=1e-2, lag=None):
     ROM's own Hankel depth, time_range start).  Returns (N+1, n_probe,
     n_r).
     """
-    probe_markov = collect_impulse_responses(plant, nominal, epsilon, nodes=nodes)
+    if lag is None:
+        lag = max(2 * rom.time_range[0], 8)
+    probe_markov = collect_impulse_responses(plant, nominal, epsilon, nodes=nodes, max_lag=lag)
     N = rom.horizon
     n_r, n_u = rom.n_r, rom.n_u
     n_p = len(nodes)
-    if lag is None:
-        lag = max(2 * rom.time_range[0], 8)
     C_probe = np.zeros((N + 1, n_p, n_r))
     # impulse-driven ROM states a^{(j,m)}_k = Phi_hat(k, j+1) B_hat_j e_m,
     # propagated lazily: states[j] holds the (n_r, n_u) block for impulse time j
@@ -209,7 +209,11 @@ class MonteCarloReport:
 
     @property
     def delta_J_se(self):
+        """Standard error of the mean delta J; NaN with fewer than 2
+        kept runs, where it is undefined."""
         n = len(self.delta_J_samples)
+        if n < 2:
+            return float("nan")
         return float(self.delta_J_samples.std(ddof=1) / np.sqrt(n))
 
 

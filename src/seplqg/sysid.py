@@ -25,6 +25,14 @@ SVD H_k = U_k S_k V_k'.  Then
 Near the horizon ends full Hankel matrices cannot be formed; the nearest
 valid matrices are held constant there, and `time_range` records the
 fully valid span.
+
+The Hankel blocks read lags k - j up to p + q only, so an impulse
+campaign may be lag-limited: with `max_lag` L each perturbed rollout
+stops L steps after its impulse, and the work and memory of the
+campaign scale with L rather than the horizon.  A lag past the
+campaign's `max_lag` was never measured and cannot be read: `get` and
+`tv_era` raise IndexError for it rather than return the zero stored
+there.
 """
 
 from dataclasses import dataclass
@@ -50,9 +58,11 @@ __all__ = [
 class MarkovParams:
     """Impulse-response matrices: data[k, j] is the n_y x n_u response of
     dy_k to a unit impulse du_j, defined for j < k (zero at j = k: the
-    system has a one-step delay and no feedthrough)."""
+    system has a one-step delay and no feedthrough).  With `max_lag` set
+    only lags k - j <= max_lag were measured; data is zero beyond."""
 
     data: np.ndarray  # (N+1, N, n_y, n_u)
+    max_lag: int | None = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -73,9 +83,15 @@ class MarkovParams:
     def n_u(self):
         return self.data.shape[3]
 
+    def check_lag(self, lag):
+        """Raise IndexError unless lags up to `lag` were measured."""
+        if self.max_lag is not None and lag > self.max_lag:
+            raise IndexError(f"lag {lag} past the campaign's max_lag {self.max_lag}")
+
     def get(self, k, j):
         if not 0 <= j <= k <= self.horizon:
             raise IndexError(f"Markov parameter ({k}, {j}) out of range")
+        self.check_lag(k - j)
         if j == k:
             return np.zeros((self.n_y, self.n_u))
         return self.data[k, j]
@@ -150,7 +166,7 @@ class LtvRom:
         )
 
 
-def collect_impulse_responses(plant, nominal, epsilon=1e-2, nodes=None):
+def collect_impulse_responses(plant, nominal, epsilon=1e-2, nodes=None, max_lag=None):
     """Estimate Markov parameters by one-shot input perturbations.
 
     For every input channel m and time j, one noiseless rollout applies
@@ -158,13 +174,18 @@ def collect_impulse_responses(plant, nominal, epsilon=1e-2, nodes=None):
     column m of data[k, j] is (y_k_pert - y_k_nominal) / epsilon.  All
     rollouts share the nominal prefix up to j, so they are spawned from
     the baseline trajectory there (N * n_u rollouts, ~N^2 n_u / 2 plant
-    steps total).  The outputs y are the plant's sensors
-    (`plant.observe`) by default, or the state entries `nodes`.
+    steps total).  With `max_lag` L each rollout stops at k = j + L, so
+    only the lags 1 <= k - j <= L are measured (~N L n_u plant steps).
+    The outputs y are the plant's sensors (`plant.observe`) by default,
+    or the state entries `nodes`.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if max_lag is not None and max_lag < 1:
+        raise ValueError(f"max_lag must be >= 1, got {max_lag}")
     U = np.asarray(nominal.controls, dtype=float)
     N, n_u = U.shape
+    lag = N if max_lag is None else max_lag
     x0 = np.asarray(nominal.means[0], dtype=float)
     try:
         states_base, obs_base = plant.simulate_nominal(x0, U)
@@ -177,28 +198,28 @@ def collect_impulse_responses(plant, nominal, epsilon=1e-2, nodes=None):
 
     data = np.zeros((N + 1, N, n_out, n_u))
     X = np.empty((N * n_u, plant.n_x))
-    active = 0
     try:
         for k in range(N):
-            # spawn the n_u jobs perturbed at time j = k
-            lo = n_u * k
-            X[lo : lo + n_u] = states_base[k]
-            active = lo + n_u
-            ub = np.broadcast_to(U[k], (active, n_u)).copy()
-            ub[lo : lo + n_u] += epsilon * np.eye(n_u)
-            X[:active] = plant.step(X[:active], ub, 0.0, k)
-            Y = plant.observe(X[:active], 0.0, k + 1) if nodes is None else X[:active, nodes]
-            dy = (Y - obs_base[k + 1]) / epsilon  # (active, n_out)
-            # job index lo + m probes channel m at time j = job_index // n_u
-            block = dy.reshape(k + 1, n_u, n_out)
-            data[k + 1, : k + 1] = np.swapaxes(block, 1, 2)
+            # spawn the n_u jobs perturbed at time j = k; job index
+            # n_u j + m probes channel m at time j, and the window holds
+            # the jobs still within `lag` steps of their impulse
+            j0 = max(0, k + 1 - lag)
+            lo, hi = n_u * j0, n_u * (k + 1)
+            X[hi - n_u : hi] = states_base[k]
+            ub = np.broadcast_to(U[k], (hi - lo, n_u)).copy()
+            ub[-n_u:] += epsilon * np.eye(n_u)
+            X[lo:hi] = plant.step(X[lo:hi], ub, 0.0, k)
+            Y = plant.observe(X[lo:hi], 0.0, k + 1) if nodes is None else X[lo:hi, nodes]
+            dy = (Y - obs_base[k + 1]) / epsilon  # (hi - lo, n_out)
+            if not np.isfinite(dy).all():
+                raise PerturbationDivergedError("non-finite impulse response; retry with a smaller epsilon")
+            block = dy.reshape(k + 1 - j0, n_u, n_out)
+            data[k + 1, j0 : k + 1] = np.swapaxes(block, 1, 2)
     except IntegrationDivergedError as e:
         raise PerturbationDivergedError(
             f"impulse rollout diverged ({e}); retry with a smaller epsilon"
         ) from e
-    if not np.isfinite(data).all():
-        raise PerturbationDivergedError("non-finite impulse response; retry with a smaller epsilon")
-    return MarkovParams(data)
+    return MarkovParams(data, max_lag)
 
 
 def default_block_counts(n_r, n_y, n_u):
@@ -210,6 +231,7 @@ def default_block_counts(n_r, n_y, n_u):
 def _hankel(markov, k, p, q, shift=0):
     """Generalized Hankel at time k: block (i, l) = Y[k + shift + i][k-1-l],
     gathered in one fancy index."""
+    markov.check_lag(shift + p + q - 1)
     blocks = markov.data[k + shift + np.arange(p)[:, None], k - 1 - np.arange(q)]
     return blocks.transpose(0, 2, 1, 3).reshape(p * markov.n_y, q * markov.n_u)
 
@@ -218,7 +240,8 @@ def tv_era(markov, n_r, p=None, q=None):
     """Realize a reduced-order LTV model from Markov parameters.
 
     Returns an LtvRom whose A/B/C sequences cover the full horizon, with
-    the nearest valid matrices held constant outside time_range.
+    the nearest valid matrices held constant outside time_range.  One
+    pass over k keeps the truncated SVD factors of H_k and H_{k+1} only.
     """
     n_y, n_u, N = markov.n_y, markov.n_u, markov.horizon
     if p is None or q is None:
@@ -230,34 +253,33 @@ def tv_era(markov, n_r, p=None, q=None):
     k_min, k_max = q, N - p  # A_hat_k valid on [k_min, k_max]
     if k_max < k_min:
         raise IndexError(f"horizon {N} too short for Hankel blocks p={p}, q={q}")
-
-    # truncated SVD factors at each k where H_k exists: k in [q, N-p+1]
-    Us, Ss, Vs = {}, {}, {}
     singvals = {}
-    gap_warning = False
-    for k in range(k_min, k_max + 2):
-        H = _hankel(markov, k, p, q)
-        U, s, Vt = np.linalg.svd(H, full_matrices=False)
+
+    def factors(k):
+        """Copies of the n_r leading SVD factors of H_k, with the
+        singular values floored away from zero."""
+        U, s, Vt = np.linalg.svd(_hankel(markov, k, p, q), full_matrices=False)
         singvals[k] = s
-        if n_r < s.size and s[0] > 0 and s[n_r] / s[0] > 0.5:
-            gap_warning = True
-        s_r = s[:n_r].copy()
         floor = max(s[0], 1.0) * 1e-14
-        s_r = np.maximum(s_r, floor)
-        Us[k], Ss[k], Vs[k] = U[:, :n_r], s_r, Vt[:n_r]
+        return U[:, :n_r].copy(), np.maximum(s[:n_r], floor), Vt[:n_r].copy()
 
     A_hat = np.empty((N, n_r, n_r))
     B_hat = np.empty((N, n_r, n_u))
     C_hat = np.empty((N + 1, n_y, n_r))
+    # H_k exists for k in [q, N-p+1]
+    U, S, Vt = factors(k_min)
     for k in range(k_min, k_max + 1):
+        U1, S1, Vt1 = factors(k + 1)
         Hs = _hankel(markov, k, p, q, shift=1)
-        inv_o = (Us[k + 1] / Ss[k + 1] ** 0.5).T  # S^-1/2 U'
-        inv_r = Vs[k].T / Ss[k] ** 0.5  # V S^-1/2
+        inv_o = (U1 / S1**0.5).T  # S^-1/2 U'
+        inv_r = Vt.T / S**0.5  # V S^-1/2
         A_hat[k] = inv_o @ Hs @ inv_r
         # R_{k+1} = S^(1/2) V'; its first n_u columns
-        B_hat[k] = (Ss[k + 1] ** 0.5)[:, None] * Vs[k + 1][:, :n_u]
-        C_hat[k] = Us[k][:n_y] * Ss[k] ** 0.5
-    C_hat[k_max + 1] = Us[k_max + 1][:n_y] * Ss[k_max + 1] ** 0.5
+        B_hat[k] = (S1**0.5)[:, None] * Vt1[:, :n_u]
+        C_hat[k] = U[:n_y] * S**0.5
+        U, S, Vt = U1, S1, Vt1
+    C_hat[k_max + 1] = U[:n_y] * S**0.5
+    gap_warning = any(n_r < s.size and s[0] > 0 and s[n_r] / s[0] > 0.5 for s in singvals.values())
 
     # hold nearest valid matrices at the horizon ends
     A_hat[:k_min] = A_hat[k_min]

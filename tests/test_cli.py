@@ -256,13 +256,58 @@ def test_every_known_key_is_accepted():
     ExperimentConfig({
         "plant": {"w_scale": 2.0, "v_scale": 0.5, "insulated": True},
         "cost": {"spatial_gain": 3.0, "spatial_reach": 5.0, "q_terminal": 2.0, "q_trace": 0.1},
-        "optimize": {"method": "kf"},
         "sysid": {"holdout_extra": 4},
         "lqg": {"ridge": 0.0},
         "evaluate": {"chunk": 5},
-        "assertions": {"nominal_band": {}, "rom_error_max": 1.0, "closed_beats_open": True,
-                       "mean_within": 1.0, "theorem1": {}},
+        "assertions": {"nominal_band": {"t_start": 0.0, "t_end": 1.0, "lo": 0.0, "hi": 1.0},
+                       "rom_error_max": 1.0, "closed_beats_open": True, "mean_within": 1.0,
+                       "theorem1": {"se_mult": 3.0, "frac_cost": 0.02}},
     })
+
+
+def test_optimize_method_is_rejected():
+    # "kf" rollouts need a linear plant, and the CLI's plant is a HeatPlant
+    with pytest.raises(ValueError, match="unknown optimize key.*: method"):
+        ExperimentConfig({"optimize": {"method": "enkf"}})
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"theorem1": {"se_mul": 0.0, "frac_cost": 0.0}}, "unknown theorem1 assertion key.*: se_mul"),
+    ({"theorem1": True}, "assertion 'theorem1' must be an object"),
+    ({"nominal_band": {"t_start": 0.0, "t_end": 1.0, "hi": 200.0}}, "nominal_band assertion needs key.*: lo"),
+])
+def test_config_checks_assertion_entry_keys(entry, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig({"assertions": entry})
+
+
+def test_assertion_entries_get_their_defaults():
+    cfg = ExperimentConfig({"assertions": {"theorem1": {"se_mult": 2.0}, "mean_within": 1.0}})
+    assert cfg.assertions() == {"theorem1": {"se_mult": 2.0, "frac_cost": 0.02}, "mean_within": 1.0}
+
+
+def test_nominal_band_without_lo_fails_before_any_artifact(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    band = {"t_start": 0.0, "t_end": 1.0, "hi": 200.0}
+    cfg.write_text(json.dumps({**TINY, "assertions": {"nominal_band": band}}))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="needs key.*: lo"):
+        main(["pipeline", "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_one_run_has_no_standard_error(pipeline_dir, tmp_path, capsys):
+    for name in ("nominal.json", "controller.json"):
+        shutil.copy(pipeline_dir / name, tmp_path / name)
+    raw = json.loads((pipeline_dir / "cfg.json").read_text())
+    raw["assertions"] = {"theorem1": {}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    rc = main(["evaluate", "--config", str(cfg), "--out", str(tmp_path), "--seed", "3", "--runs", "1"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "(se n/a)" in out
+    assert "[FAIL] theorem1: needs at least 2 kept runs, got 1" in out
 
 
 @pytest.mark.parametrize("command", sorted(PIPELINE_COMMANDS))

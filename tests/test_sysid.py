@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -131,9 +133,77 @@ def test_impulse_divergence_advises_smaller_epsilon():
         collect_impulse_responses(plant, nominal, epsilon=1e300)
 
 
+class RowCountingHeatPlant(HeatPlant):
+    """Counts the rows of the batched steps: the impulse rollouts (the
+    nominal rollout steps one 1-D state at a time)."""
+
+    impulse_rows = 0
+
+    def step(self, state, control, process_noise, k=0):
+        if np.ndim(state) == 2:
+            self.impulse_rows += len(state)
+        return super().step(state, control, process_noise, k)
+
+
+@pytest.mark.parametrize("L", [1, 7, 60])
+def test_lag_limited_campaign_steps_only_the_band(L):
+    N = 40
+    plant = RowCountingHeatPlant(HeatPlantConfig(n_grid=20, horizon=N))
+    nominal = zero_nominal(plant)
+    full = collect_impulse_responses(plant, nominal)
+    plant.impulse_rows = 0
+    mk = collect_impulse_responses(plant, nominal, max_lag=L)
+    assert plant.impulse_rows == sum(min(k + 1, L) * plant.n_u for k in range(N))
+    assert mk.max_lag == L and full.max_lag is None
+    lag = np.arange(N + 1)[:, None] - np.arange(N)[None, :]
+    band = (lag >= 1) & (lag <= L)
+    assert np.array_equal(mk.data[band], full.data[band])
+    assert not np.any(mk.data[~band])
+    assert np.any(mk.data[band])
+
+
+def test_lag_past_max_lag_cannot_be_read():
+    plant = HeatPlant(HeatPlantConfig(n_grid=20, horizon=40))
+    mk = collect_impulse_responses(plant, zero_nominal(plant), max_lag=8)
+    assert np.array_equal(mk.get(20, 12), mk.data[20, 12])
+    with pytest.raises(IndexError, match="max_lag 8"):
+        mk.get(20, 11)
+    # the shifted Hankel blocks read lags up to p + q = 9
+    with pytest.raises(IndexError, match="max_lag 8"):
+        tv_era(mk, n_r=4, p=4, q=5)
+    with pytest.raises(ValueError, match="max_lag"):
+        collect_impulse_responses(plant, zero_nominal(plant), max_lag=0)
+
+
+def test_lag_limited_campaign_gives_the_same_rom():
+    plant = HeatPlant(HeatPlantConfig(n_grid=30, horizon=60))
+    nominal = zero_nominal(plant)
+    full = collect_impulse_responses(plant, nominal)
+    mk = collect_impulse_responses(plant, nominal, max_lag=6 + 6 - 1 + 4)
+    rom_full, rom = tv_era(full, n_r=6, p=6, q=6), tv_era(mk, n_r=6, p=6, q=6)
+    for name in ("A_hat", "B_hat", "C_hat"):
+        assert np.array_equal(getattr(rom, name), getattr(rom_full, name))
+    pairs = holdout_pairs(60, 6, 6, extra=4, time_range=rom.time_range)
+    assert validate_rom(rom, mk, pairs) == validate_rom(rom_full, full, pairs)
+
+
 # ---------------------------------------------------------------------------
 # tv_era
 # ---------------------------------------------------------------------------
+
+
+def test_era_keeps_only_the_factors_it_reads():
+    # p n_y = 40 rows per Hankel matrix against n_r = 4 kept columns: the
+    # full SVD factors of every k would take about 2.7 MB
+    rng = stream(5, "era-memory")
+    mk = MarkovParams(rng.standard_normal((121, 120, 5, 5)))
+    tracemalloc.start()
+    try:
+        tv_era(mk, n_r=4, p=8, q=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_era_roundtrip_exact_order3():
