@@ -1,38 +1,75 @@
-"""JSON artifact files of the pipeline stages."""
+"""JSON artifact files of the pipeline stages.
+
+`write_json` encodes with orjson and `read_json` decodes with the stdlib
+`json`.  A written file reads back to the values `json.dump` would have
+written for the payload with its arrays as nested lists: every float
+bit-equal, including the sign of zero, and ints and floats kept apart.
+The text differs from `json.dump`'s: no spaces after separators, and
+floats in their shortest round-trip form (`2.5e17`, not `2.5e+17`)."""
 
 import json
+import math
 
 import numpy as np
 
-__all__ = ["write_json"]
+__all__ = ["read_json", "write_json"]
 
 
-def _write_value(fh, value):
+def read_json(path):
+    """The value of the JSON file at `path`."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _check_finite(value, name):
     if isinstance(value, dict):
-        fh.write("{")
+        for key, item in value.items():
+            _check_finite(item, f"{name}.{key}" if name else key)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _check_finite(item, name)
+    elif isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and not np.isfinite(value).all():
+            raise ValueError(f"{name} holds a NaN or infinite value, which JSON cannot store")
+    elif isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        raise ValueError(f"{name} is {value}, which JSON cannot store")
+
+
+def _write_value(fh, value, dumps):
+    if isinstance(value, dict):
+        fh.write(b"{")
         for i, (key, item) in enumerate(value.items()):
-            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-            _write_value(fh, item)
-        fh.write("}")
+            if i:
+                fh.write(b",")
+            fh.write(dumps(key) + b":")
+            _write_value(fh, item, dumps)
+        fh.write(b"}")
     elif isinstance(value, np.ndarray) and value.ndim > 1:
-        fh.write("[")
+        fh.write(b"[")
         for i, row in enumerate(value):
             if i:
-                fh.write(", ")
-            _write_value(fh, row)
-        fh.write("]")
+                fh.write(b",")
+            fh.write(dumps(np.ascontiguousarray(row)))
+        fh.write(b"]")
     else:
-        fh.write(json.dumps(value.tolist() if isinstance(value, np.ndarray) else value))
+        fh.write(dumps(np.ascontiguousarray(value) if isinstance(value, np.ndarray) else value))
 
 
 def write_json(path, fields):
     """Write the str-keyed dict `fields`, whose values may be numpy arrays
-    and nested dicts, as the text `json.dump` writes for it with the
-    arrays as nested lists.
+    and nested dicts, as JSON with the arrays as nested lists.
 
-    Arrays are converted and encoded one innermost row at a time by
-    `json.dumps`, which takes the C encoder where `json.dump` takes the
-    pure-Python one, so the whole payload is never held as lists or as
-    text."""
-    with open(path, "w") as fh:
-        _write_value(fh, fields)
+    Raises ValueError naming the field, before the file is opened, if a
+    float anywhere in `fields` is NaN or infinite: JSON has no such
+    numbers, and orjson would write them as null.
+
+    Arrays are encoded one outer-axis slice at a time by
+    `orjson.dumps`, so the whole payload is never held as lists or as
+    text.  orjson takes only C-contiguous arrays, so each slice is made
+    one.  Float arrays must be float64: orjson writes float32 in its own
+    shortest form, which reads back as a different double."""
+    import orjson  # here, so that importing seplqg does not pay for it
+
+    _check_finite(fields, "")
+    with open(path, "wb") as fh:
+        _write_value(fh, fields, lambda value: orjson.dumps(value, option=orjson.OPT_SERIALIZE_NUMPY))

@@ -5,7 +5,10 @@ Each stage reads the experiment JSON (defaults to the built-in heat
 benchmark when --config is omitted) and exchanges artifacts through the
 output directory: nominal.json -> rom.json -> controller.json ->
 report.json plus the plotting CSVs.  The process exits non-zero if any
-acceptance assertion listed in the config fails.
+acceptance assertion listed in the config fails.  report.json records
+the mean first-order cost deviation delta_J_mean, its standard error
+delta_J_se and delta_J_z = mean / se; the last two are null with fewer
+than 2 kept runs, and delta_J_z also when se is 0.
 
 `theorem1` checks the paper's Theorem 1 on its own: from nominal.json
 and controller.json it runs at least 100 Monte Carlo runs (no probes)
@@ -19,13 +22,12 @@ Run it as `seplqg <command>` once installed, or as
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_json
+from .artifacts import read_json, write_json
 from .belief import GaussianBelief
 from .config import ExperimentConfig, benchmark_config
 from .harness import complexity_report, run_monte_carlo
@@ -149,6 +151,8 @@ def cmd_design(args):
 
 
 def _report_payload(report):
+    se = report.delta_J_se
+    se = None if np.isnan(se) else se  # fewer than 2 kept runs
     return {
         "n_runs": report.n_runs,
         "n_effective": report.n_effective,
@@ -165,6 +169,9 @@ def _report_payload(report):
         "cost_samples": report.cost_samples,
         "nominal_cost": report.nominal_cost,
         "failures": report.failures,
+        "delta_J_mean": report.delta_J_mean,
+        "delta_J_se": se,
+        "delta_J_z": report.delta_J_mean / se if se else None,
     }
 
 
@@ -261,7 +268,7 @@ def _run_assertions(cfg, plant, nominal, report, out):
         ok = bool((window.min() >= c["lo"]) and (window.max() <= c["hi"]))
         emit("nominal_band", ok, f"min {window.min():.2f} max {window.max():.2f} in [{c['lo']}, {c['hi']}]")
     if "rom_error_max" in checks:
-        val = json.loads((out / "rom_validation.json").read_text())["holdout_error"]
+        val = read_json(out / "rom_validation.json")["holdout_error"]
         emit("rom_error_max", val <= checks["rom_error_max"], f"{val:.4f} <= {checks['rom_error_max']}")
     if checks.get("closed_beats_open"):
         ok = bool(np.all(report.mse_closed < report.mse_open))

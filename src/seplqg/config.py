@@ -8,10 +8,9 @@ fixed-temperature boundary) get up-weighted so the optimizer does not
 park them outside the target band.
 """
 
-import json
-
 import numpy as np
 
+from .artifacts import read_json
 from .plant import HeatPlant, HeatPlantConfig
 from .trajopt import CostSpec, OptimizeOptions
 
@@ -92,8 +91,7 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls(json.load(fh))
+        return cls(read_json(path))
 
     def _section(self, name):
         return {**_DEFAULTS[name], **self.raw.get(name, {})}

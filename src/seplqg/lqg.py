@@ -15,11 +15,10 @@ contract where disturbances share the control channels.
 """
 
 from dataclasses import dataclass
-import json
 
 import numpy as np
 
-from .artifacts import write_json
+from .artifacts import read_json, write_json
 from .exceptions import DegenerateMeasurementError, IllPosedCostError
 from .sysid import LtvRom
 
@@ -157,8 +156,7 @@ class LqgController:
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = read_json(path)
         rom = LtvRom(
             A_hat=np.asarray(payload["rom"]["A_hat"]),
             B_hat=np.asarray(payload["rom"]["B_hat"]),

@@ -32,11 +32,11 @@ differences, the black-box method, when it has not.  `HeatPlant` and
 `LinearPlant` have both.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import read_json
 from .exceptions import IntegrationDivergedError
 
 __all__ = [
@@ -233,9 +233,7 @@ class HeatPlantConfig:
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            raw = json.load(fh)
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json(path))
 
     @classmethod
     def from_dict(cls, raw):

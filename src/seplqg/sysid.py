@@ -36,11 +36,10 @@ there.
 """
 
 from dataclasses import dataclass
-import json
 
 import numpy as np
 
-from .artifacts import write_json
+from .artifacts import read_json, write_json
 from .exceptions import IntegrationDivergedError, PerturbationDivergedError
 
 __all__ = [
@@ -153,8 +152,7 @@ class LtvRom:
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = read_json(path)
         return cls(
             A_hat=np.asarray(payload["A_hat"], dtype=float),
             B_hat=np.asarray(payload["B_hat"], dtype=float),
@@ -326,7 +324,11 @@ def holdout_pairs(N, p, q, extra=None, time_range=None):
 
 def validate_rom(rom, markov, holdout):
     """Relative Frobenius error of ROM-reconstructed Markov parameters
-    over the held-out (k, j) pairs."""
+    over the held-out (k, j) pairs.
+
+    It is inf when every held-out Markov parameter is zero and the ROM
+    predicts a nonzero one; `seplqg identify` then stops with the
+    ValueError of `write_json`, which stores no non-finite number."""
     holdout = list(holdout)
     if not holdout:
         raise ValueError("holdout set is empty")

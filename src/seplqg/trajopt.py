@@ -32,11 +32,10 @@ iterate is rolled out twice.
 """
 
 from dataclasses import dataclass, field
-import json
 
 import numpy as np
 
-from .artifacts import write_json
+from .artifacts import read_json, write_json
 from .belief import (
     GaussianBelief,
     belief_from_ensemble,
@@ -177,8 +176,7 @@ class NominalTrajectory:
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = read_json(path)
         return cls(
             controls=np.asarray(payload["controls"], dtype=float),
             means=np.asarray(payload["means"], dtype=float),

@@ -1,11 +1,35 @@
-import json
+import struct
 
 import numpy as np
+import pytest
 
-from seplqg.artifacts import write_json
+from seplqg.artifacts import read_json, write_json
 
 
-def test_write_json_matches_json_dump_byte_for_byte(tmp_path):
+def as_lists(value):
+    if isinstance(value, dict):
+        return {k: as_lists(v) for k, v in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def assert_same_values(got, want, where="payload"):
+    """Equal values of equal types, floats bit for bit (sign of zero too)."""
+    assert type(got) is type(want), f"{where}: {type(got).__name__} != {type(want).__name__}"
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            assert_same_values(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_values(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert struct.pack("<d", got) == struct.pack("<d", want), f"{where}: {got!r} != {want!r}"
+    else:
+        assert got == want, where
+
+
+def test_write_json_reads_back_the_same_values(tmp_path):
     rng = np.random.default_rng(3)
     fields = {
         "matrix": rng.standard_normal((4, 3, 2)) * 10.0 ** rng.integers(-300, 300, (4, 3, 2)),
@@ -19,17 +43,41 @@ def test_write_json_matches_json_dump_byte_for_byte(tmp_path):
         "nested": {"inner": np.eye(2), "none": None, "deeper": {"x": np.arange(3.0)}},
         "empty_dict": {},
     }
-
-    def as_lists(value):
-        if isinstance(value, dict):
-            return {k: as_lists(v) for k, v in value.items()}
-        return value.tolist() if isinstance(value, np.ndarray) else value
-
-    expected = tmp_path / "dump.json"
-    with open(expected, "w") as fh:
-        json.dump(as_lists(fields), fh)
     written = tmp_path / "written.json"
     write_json(written, fields)
-    assert written.read_bytes() == expected.read_bytes()
+    assert_same_values(read_json(written), as_lists(fields))
     write_json(written, {})
     assert written.read_text() == "{}"
+
+
+def test_write_json_takes_arrays_that_are_not_c_contiguous(tmp_path):
+    grid = np.arange(24.0).reshape(2, 3, 4) / 7.0
+    fields = {
+        "transposed": grid[0].T,
+        "strided": grid[:, ::2, 1::2],
+        "axes_moved": grid.transpose(2, 0, 1),
+        "vector": grid[1, 2, ::3],
+    }
+    assert not any(a.flags.c_contiguous for a in fields.values())
+    write_json(tmp_path / "out.json", fields)
+    assert_same_values(read_json(tmp_path / "out.json"), as_lists(fields))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["array", "scalar", "list"])
+def test_write_json_rejects_non_finite_floats_before_writing(tmp_path, bad, where):
+    arr = np.ones((3, 2))
+    inner = {"ok": 1.0, "bad": 2.0, "items": [0.5, 1.5]}
+    if where == "array":
+        arr[2, 1] = bad
+        name = "A"
+    elif where == "scalar":
+        inner["bad"] = bad
+        name = "rom.bad"
+    else:
+        inner["items"][1] = bad
+        name = "rom.items"
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        write_json(path, {"A": arr, "rom": inner})
+    assert not path.exists()

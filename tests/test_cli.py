@@ -82,6 +82,15 @@ def test_report_json_contents(pipeline_dir):
     assert report["failures"] == 0
 
 
+def test_report_json_records_delta_J_statistics(pipeline_dir):
+    report = json.loads((pipeline_dir / "report.json").read_text())
+    samples = np.array(report["delta_J_samples"])
+    se = samples.std(ddof=1) / np.sqrt(len(samples))
+    assert report["delta_J_mean"] == pytest.approx(samples.mean(), rel=1e-12)
+    assert report["delta_J_se"] == pytest.approx(se, rel=1e-12)
+    assert report["delta_J_z"] == pytest.approx(samples.mean() / se, rel=1e-12)
+
+
 def test_complexity_txt(pipeline_dir):
     text = (pipeline_dir / "complexity.txt").read_text()
     assert "vs 6 x 6 Riccati" in text
@@ -308,6 +317,19 @@ def test_one_run_has_no_standard_error(pipeline_dir, tmp_path, capsys):
     assert rc == 1
     assert "(se n/a)" in out
     assert "[FAIL] theorem1: needs at least 2 kept runs, got 1" in out
+
+
+def test_one_run_report_has_null_standard_error(pipeline_dir, tmp_path):
+    for name in ("nominal.json", "controller.json"):
+        shutil.copy(pipeline_dir / name, tmp_path / name)
+    rc = main(["evaluate", "--config", str(pipeline_dir / "cfg.json"), "--out", str(tmp_path),
+               "--seed", "3", "--runs", "1"])
+    assert rc == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["n_effective"] == 1
+    assert report["delta_J_mean"] == report["delta_J_samples"][0]
+    assert report["delta_J_se"] is None
+    assert report["delta_J_z"] is None
 
 
 @pytest.mark.parametrize("command", sorted(PIPELINE_COMMANDS))

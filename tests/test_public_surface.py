@@ -1,10 +1,14 @@
 """The package's public surface: every name a module lists in `__all__`
-exists, so `from seplqg.<module> import *` cannot fail, and every name
-`seplqg/__init__.py` re-exports is the module attribute it names."""
+exists, so `from seplqg.<module> import *` cannot fail, every name
+`seplqg/__init__.py` re-exports is the module attribute it names, and
+the third-party packages the modules import are the ones `pyproject.toml`
+declares."""
 
 import ast
 import importlib
 import pkgutil
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +34,18 @@ def test_package_reexports_resolve():
         for alias in node.names:
             assert hasattr(module, alias.name), f"seplqg.{node.module} has no {alias.name}"
             assert getattr(seplqg, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+def test_imported_packages_are_the_declared_dependencies():
+    imported = set()
+    for path in Path(seplqg.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names)
+    pyproject = Path(seplqg.__file__).parents[2] / "pyproject.toml"
+    block = re.search(r"^dependencies = \[(.*?)\]", pyproject.read_text(), re.M | re.S).group(1)
+    declared = {re.match(r"[\w.-]+", dep).group() for dep in re.findall(r'"([^"]+)"', block)}
+    assert third_party == declared
