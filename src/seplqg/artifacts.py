@@ -1,5 +1,15 @@
 """JSON artifact files of the pipeline stages.
 
+`save` and `load` are the one save/load of the stage artifacts: the
+nominal (`trajopt.NominalTrajectory`), the ROM (`sysid.LtvRom`) and the
+controller (`lqg.LqgController`), each of which binds them as its own
+`to_json` and `from_json`.  `save` writes every field of the dataclass
+except those declared `memory_only`, a nested dataclass (the
+controller's ROM) as an object of its stored fields.  `load` rebuilds
+each stored field from its declared type: `np.ndarray` as a float
+array, `tuple` as a tuple, a dataclass from its object; a memory-only
+field gets its default.
+
 `write_json` encodes with orjson and `read_json` decodes with the stdlib
 `json`.  A written file reads back to the values `json.dump` would have
 written for the payload with its arrays as nested lists: every float
@@ -7,12 +17,59 @@ bit-equal, including the sign of zero, and ints and floats kept apart.
 The text differs from `json.dump`'s: no spaces after separators, and
 floats in their shortest round-trip form (`2.5e17`, not `2.5e+17`)."""
 
+import dataclasses
 import json
 import math
+import typing
 
 import numpy as np
 
-__all__ = ["read_json", "write_json"]
+__all__ = ["load", "memory_only", "read_json", "save", "stored_fields", "write_json"]
+
+
+def memory_only(default_factory):
+    """A dataclass field that `save` does not write and `load` leaves at
+    `default_factory()`."""
+    return dataclasses.field(default_factory=default_factory, repr=False, compare=False,
+                             metadata={"memory_only": True})
+
+
+def _stored(cls):
+    return [f for f in dataclasses.fields(cls) if not f.metadata.get("memory_only")]
+
+
+def stored_fields(obj):
+    """{name: value} of the stored fields of dataclass `obj`, in field
+    order, with a nested dataclass as the dict of its stored fields."""
+    fields = {f.name: getattr(obj, f.name) for f in _stored(obj)}
+    return {name: stored_fields(value) if dataclasses.is_dataclass(value) else value
+            for name, value in fields.items()}
+
+
+def save(obj, path):
+    """Write the stored fields of dataclass `obj` to the JSON file `path`."""
+    write_json(path, stored_fields(obj))
+
+
+def _build(cls, payload):
+    types = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in _stored(cls):
+        value, kind = payload[f.name], types[f.name]
+        if kind is np.ndarray:
+            value = np.asarray(value, dtype=float)
+        elif kind is tuple:
+            value = tuple(value)
+        elif dataclasses.is_dataclass(kind):
+            value = _build(kind, value)
+        kwargs[f.name] = value
+    return cls(**kwargs)
+
+
+def load(cls, path):
+    """The dataclass `cls` rebuilt from the JSON file `path` that `save`
+    wrote."""
+    return _build(cls, read_json(path))
 
 
 def read_json(path):

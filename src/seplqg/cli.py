@@ -5,10 +5,18 @@ Each stage reads the experiment JSON (defaults to the built-in heat
 benchmark when --config is omitted) and exchanges artifacts through the
 output directory: nominal.json -> rom.json -> controller.json ->
 report.json plus the plotting CSVs.  The process exits non-zero if any
-acceptance assertion listed in the config fails.  report.json records
-the mean first-order cost deviation delta_J_mean, its standard error
-delta_J_se and delta_J_z = mean / se; the last two are null with fewer
-than 2 kept runs, and delta_J_z also when se is 0.
+acceptance assertion listed in the config fails.
+
+The first three are written and read by `artifacts.save` and `load`
+and hold the stored fields of `NominalTrajectory`, `LtvRom` and
+`LqgController` (with a copy of the ROM).  Neither ROM file holds the
+Hankel spectra: identify writes them to sysid_singvals.csv, one row per
+valid k.  rom_validation.json records the held-out Markov error and the
+identification settings, holdout_extra resolved (null means p + q).
+report.json holds the fields of `MonteCarloReport`, the mean first-order
+cost deviation delta_J_mean, its standard error delta_J_se and
+delta_J_z = mean / se; the last two are null with fewer than 2 kept
+runs, and delta_J_z also when se is 0.
 
 `theorem1` checks the paper's Theorem 1 on its own: from nominal.json
 and controller.json it runs at least 100 Monte Carlo runs (no probes)
@@ -27,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_json, write_json
+from .artifacts import read_json, stored_fields, write_json
 from .belief import GaussianBelief
 from .config import ExperimentConfig, benchmark_config
 from .harness import complexity_report, run_monte_carlo
@@ -96,10 +104,11 @@ def cmd_identify(args):
     sid = cfg.sysid()
     out = Path(args.out)
     nominal = NominalTrajectory.from_json(out / "nominal.json")
-    p, q, extra = sid["p"], sid["q"], sid["holdout_extra"]
+    p, q = sid["p"], sid["q"]
+    extra = p + q if sid["holdout_extra"] is None else sid["holdout_extra"]
     # the deepest lags read: p + q by the shifted Hankel blocks and
     # p + q - 1 + extra by the held-out pairs
-    max_lag = max(p + q, p + q - 1 + (p + q if extra is None else extra))
+    max_lag = max(p + q, p + q - 1 + extra)
     markov = collect_impulse_responses(plant, nominal, sid["epsilon"], max_lag=max_lag)
     rom = tv_era(markov, n_r=sid["n_r"], p=p, q=q)
     holdout = holdout_pairs(nominal.horizon, p, q, extra, rom.time_range)
@@ -109,8 +118,8 @@ def cmd_identify(args):
     width = max(len(r) - 1 for r in rows)
     _write_csv(out / "sysid_singvals.csv", ["k", *[f"s{i+1}" for i in range(width)]], rows)
     write_json(out / "rom_validation.json",
-               {"holdout_error": err, "n_r": sid["n_r"], "p": sid["p"], "q": sid["q"],
-                "holdout_extra": sid["holdout_extra"], "time_range": list(rom.time_range),
+               {"holdout_error": err, "n_r": sid["n_r"], "p": p, "q": q,
+                "holdout_extra": extra, "time_range": list(rom.time_range),
                 "gap_warning": rom.gap_warning})
     print(f"ROM order {sid['n_r']} on k in {rom.time_range}; held-out Markov error {err:.4f} "
           f"-> {out / 'rom.json'}")
@@ -154,21 +163,7 @@ def _report_payload(report):
     se = report.delta_J_se
     se = None if np.isnan(se) else se  # fewer than 2 kept runs
     return {
-        "n_runs": report.n_runs,
-        "n_effective": report.n_effective,
-        "base_seed": report.base_seed,
-        "mean_traj": report.mean_traj,
-        "probe_positions": list(report.probe_positions),
-        "probe_nodes": list(report.probe_nodes),
-        "run0_closed_err": report.run0_closed_err,
-        "run0_open_err": report.run0_open_err,
-        "two_sigma": report.two_sigma,
-        "mse_closed": report.mse_closed,
-        "mse_open": report.mse_open,
-        "delta_J_samples": report.delta_J_samples,
-        "cost_samples": report.cost_samples,
-        "nominal_cost": report.nominal_cost,
-        "failures": report.failures,
+        **stored_fields(report),
         "delta_J_mean": report.delta_J_mean,
         "delta_J_se": se,
         "delta_J_z": report.delta_J_mean / se if se else None,

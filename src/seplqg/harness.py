@@ -500,12 +500,15 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
     counted in `failures` and left out of every average and sample; if
     every run, or more than max(1, n_runs // 100) of them, diverged, a
     RuntimeError is raised instead.  `epsilon` is the impulse size used
-    to identify the probe output rows of the two-sigma band.  Probe
-    positions outside [0, 1] and an EnKF of fewer than 2 members are
-    rejected before any run starts.
+    to identify the probe output rows of the two-sigma band.  Fewer
+    than 1 run or a chunk of fewer than 1 run, probe positions outside
+    [0, 1] and an EnKF of fewer than 2 members are rejected before any
+    run starts.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     if cost is not None and belief == "enkf" and belief_size < 2:
         raise InsufficientEnsembleError(
             f"the belief EnKF needs at least 2 members, got belief_size={belief_size}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_json, write_json
+from .artifacts import load, save
 from .exceptions import DegenerateMeasurementError, IllPosedCostError
 from .sysid import LtvRom
 
@@ -120,7 +120,8 @@ class LqgController:
     The controller holds no run state: the ROM deviation estimate a_hat
     is passed to and returned by `lqg_update`.  P_traces holds the
     traces of the post-update estimator covariances, S_traces those of
-    the LQR cost-to-go (diagnostics).
+    the LQR cost-to-go (diagnostics).  controller.json stores every
+    field, the ROM as the same object rom.json holds.
     """
 
     rom: LtvRom
@@ -135,46 +136,8 @@ class LqgController:
     def horizon(self):
         return self.rom.horizon
 
-    def to_json(self, path):
-        write_json(path, {
-            "L_gains": self.L_gains,
-            "K_gains": self.K_gains,
-            "W": np.asarray(self.W),
-            "V": np.asarray(self.V),
-            "P_traces": self.P_traces,
-            "S_traces": self.S_traces,
-            "rom": {
-                "A_hat": self.rom.A_hat,
-                "B_hat": self.rom.B_hat,
-                "C_hat": self.rom.C_hat,
-                "n_r": int(self.rom.n_r),
-                "time_range": list(self.rom.time_range),
-                "singular_values": {},
-                "gap_warning": bool(self.rom.gap_warning),
-            },
-        })
-
-    @classmethod
-    def from_json(cls, path):
-        payload = read_json(path)
-        rom = LtvRom(
-            A_hat=np.asarray(payload["rom"]["A_hat"]),
-            B_hat=np.asarray(payload["rom"]["B_hat"]),
-            C_hat=np.asarray(payload["rom"]["C_hat"]),
-            n_r=payload["rom"]["n_r"],
-            time_range=tuple(payload["rom"]["time_range"]),
-            singular_values={},
-            gap_warning=payload["rom"].get("gap_warning", False),
-        )
-        return cls(
-            rom=rom,
-            L_gains=np.asarray(payload["L_gains"]),
-            K_gains=np.asarray(payload["K_gains"]),
-            W=np.asarray(payload["W"]),
-            V=np.asarray(payload["V"]),
-            P_traces=np.asarray(payload["P_traces"]),
-            S_traces=np.asarray(payload["S_traces"]),
-        )
+    to_json = save
+    from_json = classmethod(load)
 
 
 def default_rom_weights(rom, q_y=1.0, r=0.1, terminal_scale=10.0, ridge=1e-8):

@@ -32,11 +32,10 @@ differences, the black-box method, when it has not.  `HeatPlant` and
 `LinearPlant` have both.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_json
 from .exceptions import IntegrationDivergedError
 
 __all__ = [
@@ -232,31 +231,12 @@ class HeatPlantConfig:
         return tuple(int(round(f * (self.n_grid - 1))) for f in self.sensors)
 
     @classmethod
-    def from_json(cls, path):
-        return cls.from_dict(read_json(path))
-
-    @classmethod
     def from_dict(cls, raw):
         raw = dict(raw)
         for key in ("actuators", "sensors", "temp_range"):
             if key in raw and raw[key] is not None:
                 raw[key] = tuple(raw[key])
         return cls(**raw)
-
-    def to_dict(self):
-        return {
-            "n_grid": self.n_grid,
-            "L": self.L,
-            "eta": self.eta,
-            "k0": self.k0,
-            "k1": self.k1,
-            "actuators": list(self.actuators),
-            "sensors": list(self.sensors),
-            "t_init": self.t_init,
-            "t_right": self.t_right,
-            "dt": self.dt,
-            "horizon": self.horizon,
-        }
 
 
 class HeatPlant(Plant):

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_json, write_json
+from .artifacts import load, memory_only, save
 from .exceptions import IntegrationDivergedError, PerturbationDivergedError
 
 __all__ = [
@@ -102,9 +102,13 @@ class LtvRom:
 
     A_hat: (N, n_r, n_r), B_hat: (N, n_r, n_u), C_hat: (N+1, n_y, n_r);
     entries outside time_range = (k_min, k_max) hold the nearest valid
-    matrices.  singular_values[k] stores the Hankel spectrum at each
+    matrices.  singular_values[k] holds the Hankel spectrum at each
     valid k for diagnostics; gap_warning is set when the retained/
     discarded singular value gap is weak (s_(nr+1)/s_1 > 0.5 somewhere).
+    rom.json and the controller's copy store every field but
+    singular_values, which no later stage reads: `tv_era` fills it in
+    memory, and the identify stage writes the spectra to
+    sysid_singvals.csv.  A loaded ROM has none.
     """
 
     A_hat: np.ndarray
@@ -112,7 +116,7 @@ class LtvRom:
     C_hat: np.ndarray
     n_r: int
     time_range: tuple
-    singular_values: dict
+    singular_values: dict = memory_only(dict)
     gap_warning: bool = False
 
     def __post_init__(self):
@@ -139,29 +143,8 @@ class LtvRom:
     def n_y(self):
         return self.C_hat.shape[1]
 
-    def to_json(self, path):
-        write_json(path, {
-            "A_hat": self.A_hat,
-            "B_hat": self.B_hat,
-            "C_hat": self.C_hat,
-            "n_r": int(self.n_r),
-            "time_range": list(self.time_range),
-            "singular_values": {str(k): v for k, v in self.singular_values.items()},
-            "gap_warning": bool(self.gap_warning),
-        })
-
-    @classmethod
-    def from_json(cls, path):
-        payload = read_json(path)
-        return cls(
-            A_hat=np.asarray(payload["A_hat"], dtype=float),
-            B_hat=np.asarray(payload["B_hat"], dtype=float),
-            C_hat=np.asarray(payload["C_hat"], dtype=float),
-            n_r=payload["n_r"],
-            time_range=tuple(payload["time_range"]),
-            singular_values={int(k): np.asarray(v) for k, v in payload["singular_values"].items()},
-            gap_warning=payload.get("gap_warning", False),
-        )
+    to_json = save
+    from_json = classmethod(load)
 
 
 def collect_impulse_responses(plant, nominal, epsilon=1e-2, nodes=None, max_lag=None):
@@ -298,7 +281,7 @@ def tv_era(markov, n_r, p=None, q=None):
     )
 
 
-def holdout_pairs(N, p, q, extra=None, time_range=None):
+def holdout_pairs(N, p, q, extra, time_range=None):
     """(k, j) pairs at lags beyond what the Hankel blocks ever see.
 
     ERA consumes lags k - j <= p + q - 1; holding out the lag window
@@ -309,7 +292,6 @@ def holdout_pairs(N, p, q, extra=None, time_range=None):
     identification).
     """
     lag_lo = p + q - 1
-    extra = p + q if extra is None else extra
     k_lo, k_hi = 1, N
     j_min = 0
     if time_range is not None:

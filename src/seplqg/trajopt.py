@@ -31,11 +31,11 @@ rollout of it serves the next gradient and the returned nominal, so no
 iterate is rolled out twice.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_json, write_json
+from .artifacts import load, memory_only, save
 from .belief import (
     GaussianBelief,
     belief_from_ensemble,
@@ -129,7 +129,9 @@ class NominalTrajectory:
     observations over k = 0..N, the prior covariance (n_x, n_x), the
     belief covariance traces over k = 0..N, the nominal cost, and
     optimizer bookkeeping.  Later stages read no other covariance, so
-    the per-step covariances are not kept."""
+    the per-step covariances are not kept.  nominal.json stores every
+    field but cost_history, the accepted-iterate costs, which are an
+    in-memory diagnostic."""
 
     controls: np.ndarray
     means: np.ndarray
@@ -139,8 +141,7 @@ class NominalTrajectory:
     nominal_cost: float
     iterations: int
     converged: bool
-    # accepted-iterate costs, in-memory diagnostic only (not serialized)
-    cost_history: list = field(default_factory=list, repr=False, compare=False)
+    cost_history: list = memory_only(list)
 
     def __post_init__(self):
         self.controls = np.atleast_2d(np.asarray(self.controls, dtype=float))
@@ -162,31 +163,8 @@ class NominalTrajectory:
     def horizon(self):
         return self.controls.shape[0]
 
-    def to_json(self, path):
-        write_json(path, {
-            "controls": self.controls,
-            "means": self.means,
-            "prior_cov": self.prior_cov,
-            "cov_traces": self.cov_traces,
-            "observations": self.observations,
-            "nominal_cost": float(self.nominal_cost),
-            "iterations": int(self.iterations),
-            "converged": bool(self.converged),
-        })
-
-    @classmethod
-    def from_json(cls, path):
-        payload = read_json(path)
-        return cls(
-            controls=np.asarray(payload["controls"], dtype=float),
-            means=np.asarray(payload["means"], dtype=float),
-            prior_cov=np.asarray(payload["prior_cov"], dtype=float),
-            cov_traces=np.asarray(payload["cov_traces"], dtype=float),
-            observations=np.asarray(payload["observations"], dtype=float),
-            nominal_cost=payload["nominal_cost"],
-            iterations=payload["iterations"],
-            converged=payload["converged"],
-        )
+    to_json = save
+    from_json = classmethod(load)
 
 
 def _cost_from_arrays(means, covs_trace, controls, spec):

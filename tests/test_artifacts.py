@@ -1,9 +1,13 @@
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from seplqg.artifacts import read_json, write_json
+from seplqg.artifacts import load, memory_only, read_json, save, write_json
+from seplqg.lqg import LqgController
+from seplqg.sysid import LtvRom
+from seplqg.trajopt import NominalTrajectory
 
 
 def as_lists(value):
@@ -81,3 +85,42 @@ def test_write_json_rejects_non_finite_floats_before_writing(tmp_path, bad, wher
     with pytest.raises(ValueError, match=rf"^{name} "):
         write_json(path, {"A": arr, "rom": inner})
     assert not path.exists()
+
+
+@dataclass
+class Inner:
+    matrix: np.ndarray
+    span: tuple
+    notes: dict = memory_only(dict)
+
+
+@dataclass
+class Outer:
+    inner: Inner
+    vector: np.ndarray
+    count: int
+    flag: bool
+    history: list = memory_only(list)
+
+
+def test_save_and_load_round_trip_nested_dataclasses(tmp_path):
+    matrix = np.arange(6.0).reshape(2, 3) / 7.0
+    obj = Outer(Inner(matrix, (1, 4), {"k": np.ones(2)}), np.arange(3), 5, True, [1.0, 0.5])
+    path = tmp_path / "outer.json"
+    save(obj, path)
+    assert_same_values(read_json(path), {"inner": {"matrix": matrix.tolist(), "span": [1, 4]},
+                                         "vector": [0, 1, 2], "count": 5, "flag": True})
+    back = load(Outer, path)
+    assert type(back.inner) is Inner and back.inner.span == (1, 4)
+    assert back.inner.matrix.tobytes() == matrix.tobytes()
+    assert back.vector.dtype == np.float64 and np.array_equal(back.vector, [0.0, 1.0, 2.0])
+    assert (back.count, back.flag) == (5, True)
+    assert back.inner.notes == {} and back.history == []
+
+
+@pytest.mark.parametrize("cls", [NominalTrajectory, LtvRom, LqgController], ids=lambda cls: cls.__name__)
+def test_artifact_classes_bind_to_json_and_from_json_in_their_own_body(cls):
+    # perfbench/tracer.py times each class's I/O by patching
+    # cls.__dict__["to_json"] and cls.__dict__["from_json"].__func__
+    assert "to_json" in cls.__dict__
+    assert isinstance(cls.__dict__["from_json"], classmethod)

@@ -17,6 +17,7 @@ from seplqg.config import ExperimentConfig, benchmark_config, spatial_weight
 from seplqg.harness import closed_loop_band, probe_nodes_from_fractions, probe_output_rows
 from seplqg.lqg import LqgController
 from seplqg.plant import HeatPlantConfig
+from seplqg.sysid import collect_impulse_responses, tv_era
 from seplqg.trajopt import NominalTrajectory
 
 
@@ -359,3 +360,55 @@ def test_runs_override_is_used_as_given(pipeline_dir, tmp_path):
     rc = main(["evaluate", "--config", str(pipeline_dir / "cfg.json"), "--out", str(tmp_path), "--runs", "3"])
     assert rc == 0
     assert json.loads((tmp_path / "report.json").read_text())["n_runs"] == 3
+
+
+NOMINAL_KEYS = {"controls", "means", "prior_cov", "cov_traces", "observations", "nominal_cost",
+                "iterations", "converged"}
+ROM_KEYS = {"A_hat", "B_hat", "C_hat", "n_r", "time_range", "gap_warning"}
+CONTROLLER_KEYS = {"rom", "L_gains", "K_gains", "W", "V", "P_traces", "S_traces"}
+REPORT_KEYS = {"n_runs", "n_effective", "base_seed", "mean_traj", "probe_positions", "probe_nodes",
+               "run0_closed_err", "run0_open_err", "two_sigma", "mse_closed", "mse_open",
+               "delta_J_samples", "cost_samples", "nominal_cost", "failures", "delta_J_mean",
+               "delta_J_se", "delta_J_z"}
+
+
+def test_artifact_files_hold_exactly_the_stored_fields(pipeline_dir):
+    art = {name: json.loads((pipeline_dir / f"{name}.json").read_text())
+           for name in ("nominal", "rom", "controller", "report")}
+    assert set(art["nominal"]) == NOMINAL_KEYS
+    assert set(art["rom"]) == ROM_KEYS  # no singular_values: they are in sysid_singvals.csv
+    assert set(art["controller"]) == CONTROLLER_KEYS
+    assert set(art["controller"]["rom"]) == ROM_KEYS
+    assert set(art["report"]) == REPORT_KEYS
+    # the controller's ROM is the identified one, bit for bit
+    for key in ("A_hat", "B_hat", "C_hat"):
+        assert np.array(art["controller"]["rom"][key]).tobytes() == np.array(art["rom"][key]).tobytes()
+    for key in ("n_r", "time_range", "gap_warning"):
+        assert art["controller"]["rom"][key] == art["rom"][key]
+
+
+def test_singvals_csv_holds_the_hankel_spectra_bit_for_bit(pipeline_dir):
+    experiment = ExperimentConfig(json.loads((pipeline_dir / "cfg.json").read_text()))
+    sid = experiment.sysid()
+    nominal = NominalTrajectory.from_json(pipeline_dir / "nominal.json")
+    markov = collect_impulse_responses(experiment.plant(), nominal, sid["epsilon"])
+    spectra = tv_era(markov, n_r=sid["n_r"], p=sid["p"], q=sid["q"]).singular_values
+    with open(pipeline_dir / "sysid_singvals.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [int(row[0]) for row in rows] == sorted(spectra)
+    for row in rows:
+        assert np.array([float(s) for s in row[1:]]).tobytes() == spectra[int(row[0])].tobytes()
+
+
+def test_null_holdout_extra_is_resolved_to_p_plus_q(pipeline_dir, tmp_path):
+    validations = []
+    for extra in (None, 7):
+        out = tmp_path / f"extra-{extra}"
+        out.mkdir()
+        shutil.copy(pipeline_dir / "nominal.json", out / "nominal.json")
+        cfg = out / "cfg.json"
+        cfg.write_text(json.dumps({**TINY, "sysid": {**TINY["sysid"], "q": 3, "holdout_extra": extra}}))
+        assert main(["identify", "--config", str(cfg), "--out", str(out)]) == 0
+        validations.append(json.loads((out / "rom_validation.json").read_text()))
+    assert validations[0]["holdout_extra"] == 4 + 3
+    assert validations[0] == validations[1]

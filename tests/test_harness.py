@@ -409,6 +409,18 @@ def test_one_member_belief_filter_is_rejected_before_any_step():
     assert not plant.rows
 
 
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_chunk_below_one_is_rejected_before_any_step(chunk):
+    # unchecked, chunk -1 without a cost gave a report of 5 runs that
+    # simulated none, and with a cost the chunk loop raised a raw error
+    plant, spec, nominal, ctrl = heat_setup()
+    plant = CountingHeatPlant(plant.config)
+    for cost in (None, spec):
+        with pytest.raises(ValueError, match=f"chunk must be >= 1, got {chunk}"):
+            run_monte_carlo(plant, nominal, ctrl, n_runs=5, base_seed=0, cost=cost, chunk=chunk)
+    assert not plant.rows
+
+
 # ---------------------------------------------------------------------------
 # theorem-1 style checks
 # ---------------------------------------------------------------------------

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -194,9 +192,8 @@ def test_default_positions_evenly_spaced():
     assert cfg.actuators == cfg.sensors
 
 
-def test_config_json_roundtrip(tmp_path):
-    path = tmp_path / "plant.json"
-    keys = {
+def test_config_from_dict_defaults_k0_and_maps_sensor_nodes():
+    raw = {
         "n_grid": 50,
         "L": 2.0,
         "eta": 1e-3,
@@ -208,14 +205,13 @@ def test_config_json_roundtrip(tmp_path):
         "t_right": 140.0,
         "dt": 0.5,
         "horizon": 100,
+        "temp_range": [0.0, 250.0],
     }
-    path.write_text(json.dumps(keys))
-    cfg = HeatPlantConfig.from_json(path)
+    cfg = HeatPlantConfig.from_dict(raw)
     assert cfg.n_grid == 50 and cfg.horizon == 100
-    assert len(cfg.sensor_nodes) == 3
     assert cfg.k0 == pytest.approx(0.38 * cfg.dx**2 / cfg.dt)
-    cfg2 = HeatPlantConfig.from_dict(cfg.to_dict())
-    assert cfg2 == cfg
+    assert cfg.sensors == (0.2, 0.5, 0.8) and cfg.temp_range == (0.0, 250.0)
+    assert cfg.sensor_nodes == (10, 24, 39)
 
 
 # ---------------------------------------------------------------------------
