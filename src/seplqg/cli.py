@@ -16,7 +16,13 @@ identification settings, holdout_extra resolved (null means p + q).
 report.json holds the fields of `MonteCarloReport`, the mean first-order
 cost deviation delta_J_mean, its standard error delta_J_se and
 delta_J_z = mean / se; the last two are null with fewer than 2 kept
-runs, and delta_J_z also when se is 0.
+runs, and delta_J_z also when se is 0.  For the paired verdict that the
+closed loop beats the open loop it holds, per probe, mse_diff_mean, the
+mean over runs of each run's time-averaged open-loop minus closed-loop
+squared error, its standard error mse_diff_se (null with fewer than 2
+kept runs) and mse_diff_z (null where the se is 0 or undefined).  The
+`closed_beats_open` assertion requires a lower closed-loop MSE and a
+paired z above 3 at every probe.
 
 `theorem1` checks the paper's Theorem 1 on its own: from nominal.json
 and controller.json it runs at least 100 Monte Carlo runs (no probes)
@@ -159,14 +165,25 @@ def cmd_design(args):
     return 0
 
 
+def _paired_z(report):
+    """Per probe, the z of the mean paired open-minus-closed squared
+    error, or None where its se is 0 or undefined (fewer than 2 kept
+    runs)."""
+    return [float(m / s) if s > 0 else None for m, s in zip(report.mse_diff_mean, report.mse_diff_se)]
+
+
 def _report_payload(report):
     se = report.delta_J_se
     se = None if np.isnan(se) else se  # fewer than 2 kept runs
+    diff_se = report.mse_diff_se
     return {
         **stored_fields(report),
         "delta_J_mean": report.delta_J_mean,
         "delta_J_se": se,
         "delta_J_z": report.delta_J_mean / se if se else None,
+        "mse_diff_mean": report.mse_diff_mean,
+        "mse_diff_se": None if np.isnan(diff_se).any() else diff_se,
+        "mse_diff_z": _paired_z(report),
     }
 
 
@@ -187,7 +204,6 @@ def cmd_evaluate(args):
         base_seed=args.seed if args.seed is not None else 0,
         probe_positions=ev["probes"],
         cost=cost,
-        belief_size=ev["belief_size"],
         chunk=ev["chunk"],
         epsilon=cfg.sysid()["epsilon"],
     )
@@ -234,7 +250,6 @@ def cmd_theorem1(args):
         base_seed=args.seed if args.seed is not None else 0,
         probe_positions=(),
         cost=cost,
-        belief_size=ev["belief_size"],
         chunk=ev["chunk"],
     )
     mean_dj, se, jbar = report.delta_J_mean, report.delta_J_se, report.nominal_cost
@@ -266,8 +281,10 @@ def _run_assertions(cfg, plant, nominal, report, out):
         val = read_json(out / "rom_validation.json")["holdout_error"]
         emit("rom_error_max", val <= checks["rom_error_max"], f"{val:.4f} <= {checks['rom_error_max']}")
     if checks.get("closed_beats_open"):
-        ok = bool(np.all(report.mse_closed < report.mse_open))
-        emit("closed_beats_open", ok, f"closed {report.mse_closed} < open {report.mse_open}")
+        z = _paired_z(report)
+        ok = bool(np.all(report.mse_closed < report.mse_open)) and all(v is not None and v > 3 for v in z)
+        shown = ", ".join("n/a" if v is None else f"{v:.3g}" for v in z)
+        emit("closed_beats_open", ok, f"closed {report.mse_closed} < open {report.mse_open}, paired z [{shown}] > 3")
     if "mean_within" in checks:
         tol = checks["mean_within"]
         dev = np.abs(report.mean_traj - nominal.means).max()
@@ -284,8 +301,14 @@ def _run_assertions(cfg, plant, nominal, report, out):
 
 
 def cmd_pipeline(args):
-    # a bad evaluate section fails here, not after three stages' artifacts
-    _load_config(args).evaluate()
+    # a bad value in any section fails here, not after a stage's artifacts
+    cfg = _load_config(args)
+    cfg.prior_std()
+    cfg.cost(cfg.plant())
+    cfg.optimize_options(seed=args.seed)
+    cfg.sysid()
+    cfg.lqg()
+    cfg.evaluate()
     rc = cmd_optimize(args)
     rc = rc or cmd_identify(args)
     rc = rc or cmd_design(args)

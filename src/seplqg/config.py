@@ -58,6 +58,15 @@ _KEYS = {
 }
 
 
+def _is_number(value, kind=(int, float)):
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _require(ok, section, key, rule, value):
+    if not ok:
+        raise ValueError(f"{section} {key} must be {rule}, got {value!r}")
+
+
 class ExperimentConfig:
     """Parsed experiment file with constructors for the pipeline pieces.
 
@@ -132,19 +141,42 @@ class ExperimentConfig:
         return OptimizeOptions(**o)
 
     def sysid(self):
-        return self._section("sysid")
+        """The sysid section, checked: n_r, p and q integers of at least
+        1, Hankel blocks with at least n_r rows and columns (p n_y and
+        q n_u >= n_r for the plant's n_y sensors and n_u actuators),
+        epsilon > 0, and holdout_extra null or an integer of at least 1."""
+        sid = self._section("sysid")
+        for key in ("n_r", "p", "q"):
+            _require(_is_number(sid[key], int) and sid[key] >= 1, "sysid", key, "an integer >= 1", sid[key])
+        plant = self.plant()
+        for key, channels, name in (("p", plant.n_y, "n_y"), ("q", plant.n_u, "n_u")):
+            _require(sid[key] * channels >= sid["n_r"], "sysid", key,
+                     f"at least n_r / {name} = {sid['n_r']}/{channels}", sid[key])
+        _require(_is_number(sid["epsilon"]) and sid["epsilon"] > 0, "sysid", "epsilon", "> 0", sid["epsilon"])
+        extra = sid["holdout_extra"]
+        _require(extra is None or (_is_number(extra, int) and extra >= 1), "sysid", "holdout_extra",
+                 "null or an integer >= 1", extra)
+        return sid
 
     def lqg(self):
-        return self._section("lqg")
+        """The lqg section, checked: q_y, r, terminal_scale and p0 > 0,
+        ridge >= 0."""
+        lq = self._section("lqg")
+        for key in ("q_y", "r", "terminal_scale", "p0"):
+            _require(_is_number(lq[key]) and lq[key] > 0, "lqg", key, "> 0", lq[key])
+        _require(_is_number(lq["ridge"]) and lq["ridge"] >= 0, "lqg", "ridge", ">= 0", lq["ridge"])
+        return lq
 
     def evaluate(self):
         """The evaluate section, checked: at least one run, chunk and
-        belief filter sizes of at least 1 and 2, probes inside [0, 1]."""
+        belief filter sizes of at least 1 and 2, probes inside [0, 1].
+        Nothing reads belief_size since the Monte Carlo scores with the
+        linearized Kalman filter; the key stays accepted and checked
+        because `perfbench/workloads.py` still sets it."""
         ev = self._section("evaluate")
         ev["probes"] = tuple(ev["probes"])
         for key, least in (("runs", 1), ("chunk", 1), ("belief_size", 2)):
-            if ev[key] < least:
-                raise ValueError(f"evaluate {key} must be >= {least}, got {ev[key]}")
+            _require(ev[key] >= least, "evaluate", key, f">= {least}", ev[key])
         for f in ev["probes"]:
             if not 0.0 <= f <= 1.0:
                 raise ValueError(f"probe position {f} outside [0, 1]")
@@ -179,6 +211,6 @@ def benchmark_config():
             },
             "sysid": {"n_r": 20, "p": 16, "q": 16, "epsilon": 1e-2, "holdout_extra": 8},
             "lqg": {"q_y": 1.0, "r": 0.1, "terminal_scale": 10.0, "p0": 1.0},
-            "evaluate": {"runs": 1000, "probes": [0.4, 0.9], "belief_size": 100},
+            "evaluate": {"runs": 1000, "probes": [0.4, 0.9]},
         }
     )

@@ -6,39 +6,45 @@ Every Monte Carlo run draws its noise from counter-based streams keyed
 (base_seed, run_index, channel), so reports are bit-reproducible under a
 fixed seed.  On the heat slab they are also chunk-exact: the same bits
 for any chunk size, because every product that mixes a run's entries
-(the LQG law of `lqg_update`, the cost and delta_J sums) is a row-wise
-reduction, whose rounding does not depend on how many runs a batch has,
-and each EnKF operation acts on one run's ensemble at a time.  On
-linear plants the BLAS products of `LinearPlant.step` and of the
-exact-KF belief still round a row differently for different batch sizes.
+(the LQG law of `lqg_update`, the filter update, the cost and delta_J
+sums) is a row-wise reduction, whose rounding does not depend on how
+many runs a batch has.  On linear plants the BLAS products of
+`LinearPlant.step` still round a row differently for different batch
+sizes.
 
 Open-loop comparison runs consume the same draws as their closed-loop
 partner (common random numbers), making the error comparison paired.
-With a cost spec, one belief filter per run (EnKF, or the exact KF for
-linear plants) yields the realized cost and the first-order deviation
-delta_J = C_u du + C_mu dmu + c tr(dSigma), summed over the steps.
 
-A chunk of runs is simulated in two passes.  The loop pass steps the
-plant under the LQG law and, with the same draws, under the open-loop
-controls, and records each run's control deviations and measurements.
-The scoring pass then runs the belief filters from those records, one
-block of runs at a time over the whole horizon, sized so that a block's
-ensembles stay in cache, with blocks spread over worker processes, one
-per CPU, forked from this one so that they inherit the records instead
-of receiving them pickled.  The split is exact because the filter never
-feeds back into the loop, and each run's cost and delta_J terms are
-summed in the same order as in one pass, so reports do not depend on the
-block size or on the number of workers.
+A chunk of runs is simulated in one pass, in this process.  Each step
+observes the plant, applies the LQG law and steps the plant under it
+and, with the same draws, under the open-loop controls.  With a cost
+spec the same step advances each run's linearized Kalman filter (LKF)
+along the noiseless nominal x_det, the rollout of the nominal controls
+from the nominal's initial state.  Its mean mu, the belief to first
+order in the noise, gives the realized cost (taken at mu) and the
+first-order cost deviation
+
+    delta_J = sum_k C_u,k du_k + C_mu,k (mu_k - x_det,k),
+
+with C_mu taken at x_det, so that Theorem 1's zero mean is tested about
+the trajectory the loop regulates to.  The filter never feeds back into
+the loop, so it changes no other output.  The probe errors, `mean_traj`
+and the frozen states of diverged runs are still taken against the
+stored belief means `nominal.means`, because the benchmark's run-0
+check (`perfbench/checks.py`) replays the probe errors against them.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import enkf_predict_members, enkf_update_members, psd_sqrt
-from .exceptions import InsufficientEnsembleError, IntegrationDivergedError
-from .lqg import kf_recursion, lqg_update
+from .artifacts import memory_only
+# enkf_update_members is not called here: `perfbench/tracer.py` patches
+# it in this module's namespace, until the benchmark reads the program's
+# own metrics
+from .belief import enkf_update_members, psd_sqrt  # noqa: F401
+from .exceptions import IntegrationDivergedError
+from .lqg import _times_t, kf_steps, lqg_update
 from .rng import stream
 from .sysid import collect_impulse_responses
 
@@ -68,15 +74,16 @@ def probe_nodes_from_fractions(n_x, fractions):
 # ---------------------------------------------------------------------------
 
 
-def cost_gradient_coefficients(nominal, spec):
+def cost_gradient_coefficients(nominal, spec, states=None):
     """Gradients of the quadratic stage costs at the nominal trajectory.
 
     C_mu[k] = 2 Q (mu_k - target) with Q = Q_terminal at k = N and
-    Q_mean before, C_u[k] = 2 R_u u_k, and the trace weight q_trace,
+    Q_mean before, mu_k the nominal's belief means or, when given, the
+    states (N+1, n_x), C_u[k] = 2 R_u u_k, and the trace weight q_trace,
     the derivative of the cost in every covariance diagonal entry.
     Returns (C_mu (N+1, n_x), C_u (N, n_u), c_trace).
     """
-    d = nominal.means - spec.target
+    d = (nominal.means if states is None else states) - spec.target
     C_mu = 2.0 * (d @ spec.Q_mean)
     C_mu[-1] = 2.0 * (d[-1] @ spec.Q_terminal)
     C_u = 2.0 * (nominal.controls @ spec.R_u)
@@ -168,23 +175,19 @@ def closed_loop_band(controller, C_rows):
 # Monte Carlo engine
 # ---------------------------------------------------------------------------
 
-# ensemble storage of one scoring block, half of a 2 MB per-core L2 (a
-# whole 100-run chunk of 100-member ensembles spends much of its time in
-# page faults on the temporaries of each plant step), and the most that
-# its slab of predrawn filter noise may take.  A serial sweep from 256 KB
-# to 2 MB on a 2-vCPU Xeon found no budget clearly faster than this one.
-_SCORE_BLOCK_BYTES = 1 << 20
-
 
 @dataclass
 class MonteCarloReport:
     """Aggregated paired closed/open-loop Monte Carlo results.
 
-    n_runs counts the runs requested; the averages, delta_J_samples and
-    cost_samples cover only the n_effective runs that did not diverge
-    (failures = n_runs - n_effective).  `run_monte_carlo` raises a
-    RuntimeError instead of returning a report when every run, or more
-    than max(1, n_runs // 100) of them, diverged.
+    n_runs counts the runs requested; the averages, delta_J_samples,
+    cost_samples and mse_diff_samples cover only the n_effective runs
+    that did not diverge (failures = n_runs - n_effective).
+    `run_monte_carlo` raises a RuntimeError instead of returning a report
+    when every run, or more than max(1, n_runs // 100) of them, diverged.
+    mse_diff_samples (n_effective, n_probe), each run's time-averaged
+    squared probe error of the open loop minus that of the closed loop,
+    is kept in memory only; report.json holds its mean, se and z.
     """
 
     n_runs: int
@@ -202,6 +205,7 @@ class MonteCarloReport:
     cost_samples: np.ndarray
     nominal_cost: float
     failures: int
+    mse_diff_samples: np.ndarray = memory_only(lambda: np.zeros((0, 0)))
 
     @property
     def delta_J_mean(self):
@@ -211,10 +215,26 @@ class MonteCarloReport:
     def delta_J_se(self):
         """Standard error of the mean delta J; NaN with fewer than 2
         kept runs, where it is undefined."""
-        n = len(self.delta_J_samples)
-        if n < 2:
-            return float("nan")
-        return float(self.delta_J_samples.std(ddof=1) / np.sqrt(n))
+        return float(_se(self.delta_J_samples))
+
+    @property
+    def mse_diff_mean(self):
+        """Mean paired open-minus-closed squared probe error, per probe."""
+        return self.mse_diff_samples.mean(axis=0)
+
+    @property
+    def mse_diff_se(self):
+        """Its standard error per probe; NaN with fewer than 2 kept runs."""
+        return _se(self.mse_diff_samples)
+
+
+def _se(samples):
+    """Standard error of the mean over the first axis; NaN with fewer
+    than 2 samples."""
+    n = len(samples)
+    if n < 2:
+        return np.full(np.shape(samples)[1:], np.nan)
+    return samples.std(axis=0, ddof=1) / np.sqrt(n)
 
 
 def _safe_step(plant, X, U, w, k):
@@ -234,14 +254,72 @@ def _safe_step(plant, X, U, w, k):
         return out, bad
 
 
+def _step_jacobians(plant, x, u, k, h):
+    """(A, B): the Jacobians of the noiseless step at (x, u) in the state
+    and in the control.  From `step_vjp` on an identity batch; for a
+    plant without an adjoint, from central differences of `step` with
+    step h, in one batch of 2 (n_x + n_u) rows."""
+    if hasattr(plant, "step_vjp"):
+        return plant.step_vjp(x, u, np.eye(plant.n_x), k)
+    n_x, m = plant.n_x, plant.n_x + plant.n_u
+    E = h * np.eye(m)
+    Z = np.concatenate([x, u]) + np.concatenate([E, -E])
+    out = plant.step(Z[:, :n_x], Z[:, n_x:], 0.0, k)
+    J = (out[:m] - out[m:]).T / (2.0 * h)
+    return J[:, :n_x], J[:, n_x:]
+
+
+def _output_jacobian(plant, x, k, h):
+    """C: the Jacobian of the noiseless observation at x, from
+    `observe_vjp` or from central differences of `observe`."""
+    if hasattr(plant, "observe_vjp"):
+        return plant.observe_vjp(np.eye(plant.n_y), k)
+    E = h * np.eye(plant.n_x)
+    return (plant.observe(x + E, 0.0, k) - plant.observe(x - E, 0.0, k)).T / (2.0 * h)
+
+
+class _Lkf:
+    """The linearized Kalman filter along the noiseless nominal x_det,
+    and the cost terms it scores.
+
+    The Jacobians (A_k, B_k, C_{k+1}) are taken at (x_det,k, u_k); the
+    gains K_{k+1} come from one `kf_steps` sweep from the nominal prior
+    covariance, which keeps only the gains and the covariance traces, so
+    no (N, n_x, n_x) array is held.  Each chunk's loop pass recomputes
+    the Jacobians step by step through `models()`.  `h` is the
+    difference step for a plant without an adjoint."""
+
+    def __init__(self, plant, nominal, cost, h):
+        self.plant, self.cost, self.h = plant, cost, h
+        self.controls = nominal.controls
+        self.states, self.observations = plant.simulate_nominal(nominal.means[0], nominal.controls)
+        self.C_mu, self.C_u, _ = cost_gradient_coefficients(nominal, cost, self.states)
+        N = nominal.horizon
+        self.gains = np.empty((N, plant.n_x, plant.n_y))
+        self.traces = np.empty(N + 1)
+        self.traces[0] = np.trace(nominal.prior_cov)
+        steps = kf_steps(self.models(), plant.spec.W, plant.spec.V, nominal.prior_cov)
+        for k, (K, P) in enumerate(steps):
+            self.gains[k] = K
+            self.traces[k + 1] = np.trace(P)
+        # the realized cost of step 0, the same for every run
+        d0 = self.states[0] - cost.target
+        self.cost0 = float((d0 * d0 * np.diag(cost.Q_mean)).sum()) + cost.q_trace * self.traces[0]
+
+    def models(self):
+        """(A_k, B_k, C_{k+1}) for k = 0..N-1."""
+        plant, h = self.plant, self.h
+        for k, u in enumerate(self.controls):
+            A, B = _step_jacobians(plant, self.states[k], u, k, h)
+            yield A, B, _output_jacobian(plant, self.states[k + 1], k + 1, h)
+
+
 def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes, collect_first,
-                    mean_sum, summed=None):
-    """Loop pass: simulate one chunk of paired runs; returns per-run
-    aggregates, the mask of diverged runs, which are frozen on the
-    nominal so the batch stays healthy, and the records the scoring pass
-    reads: the control deviations du (N, R, n_u) and the measurements y
-    (N+1, R, n_y), step-major so that a block of runs is contiguous at
-    every step.
+                    mean_sum, summed=None, lkf=None):
+    """Simulate one chunk of paired runs; returns per-run aggregates, the
+    mask of diverged runs, which are frozen on the nominal so the batch
+    stays healthy, and, given the filter `lkf`, each run's delta_J and
+    realized cost.
 
     The closed-loop states of the runs in the mask `summed` (default:
     all) are added to mean_sum (N+1, n_x) in strict run-index order."""
@@ -264,8 +342,6 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes,
     x_ol = x_cl.copy()
     a_hat = np.zeros((R, rom.n_r))
     failed = np.zeros(R, dtype=bool)
-    du_all = np.empty((N, R, n_u))
-    y_all = np.empty((N + 1, R, n_y))
 
     summed = range(R) if summed is None else np.flatnonzero(summed)
     for _ in summed:
@@ -282,12 +358,20 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes,
             "open": np.zeros((N + 1, n_p)),
         }
 
+    if lkf is not None:
+        cost = lkf.cost
+        # CostSpec weights are diagonal: each quadratic form is a row-wise sum
+        q_mean, q_terminal, r_u = (np.diag(w) for w in (cost.Q_mean, cost.Q_terminal, cost.R_u))
+        models = lkf.models()
+        dmu = np.zeros((R, n_x))  # LKF mean minus x_det
+        delta_J = np.zeros(R)
+        cost_acc = np.full(R, lkf.cost0)
+
+    y = plant.observe(x_cl, v_all[:, 0], 0)
     for k in range(N):
-        # measurement and controller update
-        y = y_all[k] = plant.observe(x_cl, v_all[:, k], k)
+        # controller update
         du, a_hat = lqg_update(controller, k, y - nominal.observations[k], a_hat)
         u = nominal.controls[k] + du
-        du_all[k] = du
 
         # paired plant steps (shared process noise draws)
         x_cl, bad_cl = _safe_step(plant, x_cl, u, w_all[:, k], k)
@@ -317,216 +401,65 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes,
             if collect_first:
                 run0["closed"][k + 1] = err_c[0]
                 run0["open"][k + 1] = err_o[0]
-    y_all[N] = plant.observe(x_cl, v_all[:, N], N)
+        y = plant.observe(x_cl, v_all[:, k + 1], k + 1)
 
-    return {
-        "sq_closed": sq_closed,
-        "sq_open": sq_open,
-        "run0": run0,
-        "failed": failed,
-        "du": du_all,
-        "y": y_all,
-    }
+        if lkf is not None:
+            # LKF predict and update on the deviations from x_det, as
+            # row-wise products: BLAS sums a row in an order that depends
+            # on the number of rows
+            A, B, C = next(models)
+            dmu = _times_t(dmu, A) + _times_t(du, B)
+            dmu += _times_t(y - lkf.observations[k + 1] - _times_t(dmu, C), lkf.gains[k])
+            delta_J += (du * lkf.C_u[k]).sum(axis=-1)
+            cost_acc += (u * u * r_u).sum(axis=-1)
+            delta_J += (dmu * lkf.C_mu[k + 1]).sum(axis=-1)
+            d = lkf.states[k + 1] + dmu - cost.target
+            cost_acc += (d * d * (q_terminal if k == N - 1 else q_mean)).sum(axis=-1)
+            # the trace terms, 0 unless q_trace > 0
+            delta_J += cost.q_trace * (lkf.traces[k + 1] - nominal.cov_traces[k + 1])
+            cost_acc += cost.q_trace * lkf.traces[k + 1]
 
-
-def _score_block(plant, nominal, cost, coefs, belief, run_ids, base_seed, du_all, y_all):
-    """Scoring pass over one block of runs: the belief filter (`belief`
-    is ("enkf", M) or ("kf", _kf_gain_table(...))) driven by the applied
-    controls, nominal plus du_all, and the measurements y_all the
-    controller saw, and the
-    realized cost and first-order deviation delta_J (coefs = (C_mu, C_u))
-    that every step adds its control terms and then its belief terms to.
-    Returns (delta_J, cost) per run."""
-    N = nominal.horizon
-    R = len(run_ids)
-    n_x, n_u, n_y = plant.n_x, plant.n_u, plant.n_y
-    x0 = nominal.means[0]
-    C_mu, C_u = coefs
-    # CostSpec weights are diagonal: each quadratic form is a row-wise sum
-    q_mean, q_terminal, r_u = (np.diag(w) for w in (cost.Q_mean, cost.Q_terminal, cost.R_u))
-    delta_J = np.zeros(R)
-    cost_acc = np.zeros(R)
-    d0 = x0 - cost.target
-    cost_acc += float((d0 * d0 * q_mean).sum())
-    if cost.q_trace:
-        cost_acc += cost.q_trace * np.trace(nominal.prior_cov)
-    mu_belief = np.broadcast_to(x0, (R, n_x)).copy()
-    if belief[0] == "enkf":
-        M = belief[1]
-        W_s = psd_sqrt(plant.spec.W)
-        V_s = psd_sqrt(plant.spec.V)
-        gens_w = [stream(base_seed, r, "enkf-w") for r in run_ids]
-        gens_v = [stream(base_seed, r, "enkf-v") for r in run_ids]
-        # steps of filter noise drawn per generator call: as many as fit
-        # the block's byte budget
-        slab = max(1, _SCORE_BLOCK_BYTES // (8 * R * M * (n_u + n_y)))
-        members = np.empty((R, M, n_x))
-        S0 = psd_sqrt(nominal.prior_cov)
-        for i, r in enumerate(run_ids):
-            Z = stream(base_seed, r, "enkf-init").standard_normal((M, n_x))
-            # Z @ S0.T without BLAS: at M = n_x = 100 OpenBLAS runs that
-            # GEMM on a second thread, which takes the CPU of the other
-            # scoring worker (one 100-run chunk on a 2-vCPU Xeon: 2.92 s,
-            # against 2.19 s with one BLAS thread per worker).  The
-            # einsum costs 0.48 ms a run against 0.07 ms, and with the
-            # CLI's diagonal prior it gives the same bits.
-            members[i] = x0 + np.einsum("mj,ij->mi", Z, S0)
-    else:
-        A_s, B_s, C1_s, K_s, kf_traces = belief[1]
-
-    for k in range(N):
-        u = nominal.controls[k] + du_all[k]
-        y_next = y_all[k + 1]
-        # row-wise reductions, not matrix-vector products: BLAS sums a
-        # row in an order that depends on the number of rows
-        delta_J += (du_all[k] * C_u[k]).sum(axis=-1)
-        cost_acc += (u * u * r_u).sum(axis=-1)
-        if belief[0] == "enkf":
-            s = k % slab
-            if s == 0:
-                # one draw per run and slab of steps: the same stream order
-                # as a draw per step, and far fewer generator calls
-                S = min(slab, N - k)
-                wb_slab = np.empty((S, R, M, n_u))
-                vb_slab = np.empty((S, R, M, n_y))
-                for i in range(R):
-                    wb_slab[:, i] = gens_w[i].standard_normal((S, M, n_u)) @ W_s.T
-                    vb_slab[:, i] = gens_v[i].standard_normal((S, M, n_y)) @ V_s.T
-            members = enkf_predict_members(members, u, wb_slab[s], plant, k)
-            members = enkf_update_members(members, y_next, vb_slab[s], plant, plant.spec.V, k + 1)
-            mu_belief = members.mean(axis=1)
-        else:
-            mu_pred = mu_belief @ A_s[k].T + u @ B_s[k].T
-            mu_belief = mu_pred + (y_next - mu_pred @ C1_s[k].T) @ K_s[k].T
-        delta_J += ((mu_belief - nominal.means[k + 1]) * C_mu[k + 1]).sum(axis=-1)
-        d = mu_belief - cost.target
-        cost_acc += (d * d * (q_terminal if k == N - 1 else q_mean)).sum(axis=-1)
-        if cost.q_trace:
-            if belief[0] == "enkf":
-                tr = ((members - mu_belief[:, None, :]) ** 2).sum(axis=(1, 2)) / (M - 1)
-            else:
-                tr = kf_traces[k + 1]
-            delta_J += cost.q_trace * (tr - nominal.cov_traces[k + 1])
-            cost_acc += cost.q_trace * tr
-    return delta_J, cost_acc
-
-
-def _workers():
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _score_slice(chunk, bounds):
-    """`_score_block` on runs lo..hi of a chunk, given as the arguments
-    of `_score_chunk`."""
-    plant, nominal, cost, coefs, belief, run_ids, base_seed, loop = chunk
-    lo, hi = bounds
-    return _score_block(plant, nominal, cost, coefs, belief, run_ids[lo:hi], base_seed,
-                        loop["du"][:, lo:hi], loop["y"][:, lo:hi])
-
-
-# the chunk a forked scoring worker scores blocks of; set only in the
-# worker, by `_inherit_chunk` at its start
-_worker_chunk = None
-
-
-def _inherit_chunk(chunk):
-    global _worker_chunk
-    _worker_chunk = chunk
-
-
-def _score_in_worker(bounds):
-    return _score_slice(_worker_chunk, bounds)
-
-
-def _score_chunk(plant, nominal, cost, coefs, belief, run_ids, base_seed, loop):
-    """Scoring pass over a chunk: `_score_block` on as few blocks of runs
-    as keep each block's ensembles within _SCORE_BLOCK_BYTES, of sizes
-    that differ by at most one run, on worker processes, one per CPU.
-
-    The workers are forked, so they inherit the chunk's records and
-    inputs without pickling them, and only each block's (delta_J, cost)
-    is pickled back; a spawned worker would first re-import numpy and
-    seplqg, about as long as a whole CLI set-up (0.27 s).  Each EnKF
-    operation and each sum acts on one run at a time, so the result does
-    not depend on the block size or the number of workers.  The exact-KF
-    belief, one row per run, is scored as one block: its matrix products
-    go through BLAS, which rounds a one-row product differently.  Blocks
-    run in this process on one CPU and where the platform cannot fork.
-    An error raised in a block reaches the caller.
-
-    A worker owns one CPU, so a block must make no BLAS call large
-    enough for the BLAS library to start a helper thread: that thread
-    would run on another worker's CPU."""
-    R = len(run_ids)
-    cap = R
-    if belief[0] == "enkf":
-        cap = max(1, _SCORE_BLOCK_BYTES // (8 * plant.n_x * belief[1]))
-    n_blocks = -(-R // cap)
-    size, extra = divmod(R, n_blocks)
-    edges = [b * size + min(b, extra) for b in range(n_blocks + 1)]
-    blocks = list(zip(edges[:-1], edges[1:]))
-    chunk = (plant, nominal, cost, coefs, belief, run_ids, base_seed, loop)
-    workers = min(_workers(), n_blocks)
-    if workers == 1 or not hasattr(os, "fork"):
-        scored = [_score_slice(chunk, b) for b in blocks]
-    else:
-        # imported only here, so that neither a serial run nor the CLI's
-        # start-up pays for them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                 initializer=_inherit_chunk, initargs=(chunk,)) as pool:
-            # consuming map re-raises the first failed block's error and
-            # cancels the blocks not yet started
-            scored = list(pool.map(_score_in_worker, blocks))
-    delta_J, cost_acc = zip(*scored)
-    return np.concatenate(delta_J), np.concatenate(cost_acc)
+    out = {"sq_closed": sq_closed, "sq_open": sq_open, "run0": run0, "failed": failed}
+    if lkf is not None:
+        out.update(delta_J=delta_J, cost=cost_acc)
+    return out
 
 
 def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positions=(0.4, 0.9),
-                    cost=None, belief="enkf", belief_size=100, chunk=100, epsilon=1e-2):
-    """Paired closed/open-loop Monte Carlo evaluation.
+                    cost=None, chunk=100, epsilon=1e-2):
+    """Paired closed/open-loop Monte Carlo evaluation, in one pass per
+    chunk of runs and in this process.
 
     Each run simulates the true plant under the LQG loop and, with the
     same noise draws, under the open-loop nominal controls.  When a cost
-    spec is given, a belief filter follows each closed-loop run on its
-    controls and measurements (EnKF of size belief_size, or the exact KF
-    via belief="kf" for linear plants) to produce per-run realized costs and
-    first-order cost deviations.  Runs whose plant step diverges are
-    counted in `failures` and left out of every average and sample; if
-    every run, or more than max(1, n_runs // 100) of them, diverged, a
-    RuntimeError is raised instead.  `epsilon` is the impulse size used
-    to identify the probe output rows of the two-sigma band.  Fewer
-    than 1 run or a chunk of fewer than 1 run, probe positions outside
-    [0, 1] and an EnKF of fewer than 2 members are rejected before any
-    run starts.
+    spec is given, the linearized Kalman filter along the noiseless
+    nominal x_det follows each closed-loop run on its controls and
+    measurements, and yields the per-run realized cost, at the filter
+    mean mu, and the first-order cost deviation delta_J = sum C_u du +
+    C_mu (mu - x_det), C_mu taken at x_det.  With q_trace > 0 both add
+    the trace term of the filter's covariance, which is the same for
+    every run.  The probe errors and `mean_traj` stay measured against
+    `nominal.means`, which the benchmark's run-0 check replays.
+
+    Runs whose plant step diverges are counted in `failures` and left
+    out of every average and sample; if every run, or more than
+    max(1, n_runs // 100) of them, diverged, a RuntimeError is raised
+    instead.  `epsilon` is the impulse size used to identify the probe
+    output rows of the two-sigma band, and the difference step of the
+    filter's Jacobians for a plant without an adjoint.  Fewer than 1 run
+    or a chunk of fewer than 1 run and probe positions outside [0, 1]
+    are rejected before any run starts.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-    if cost is not None and belief == "enkf" and belief_size < 2:
-        raise InsufficientEnsembleError(
-            f"the belief EnKF needs at least 2 members, got belief_size={belief_size}")
     probe_nodes = probe_nodes_from_fractions(plant.n_x, probe_positions)
     two_sigma = np.zeros((nominal.horizon + 1, len(probe_nodes)))
     if probe_nodes:
         probe_rows = probe_output_rows(plant, nominal, controller.rom, probe_nodes, epsilon)
         two_sigma = closed_loop_band(controller, probe_rows)
-
-    belief_arg = None
-    if cost is not None:
-        coefs = cost_gradient_coefficients(nominal, cost)[:2]
-        if belief == "enkf":
-            belief_arg = ("enkf", belief_size)
-        elif belief == "kf":
-            belief_arg = ("kf", _kf_gain_table(plant, nominal))
-        else:
-            raise ValueError(f"unknown belief mode {belief!r}")
+    lkf = None if cost is None else _Lkf(plant, nominal, cost, epsilon)
 
     N = nominal.horizon
     mean_sum = np.zeros((N + 1, plant.n_x))
@@ -534,13 +467,14 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
     sq_open = np.zeros(len(probe_nodes))
     delta_J = []
     cost_samples = []
+    mse_diff = []
     failures = 0
     run0 = None
     for lo in range(0, n_runs, chunk):
         run_ids = list(range(lo, min(lo + chunk, n_runs)))
         args = (plant, nominal, controller, run_ids, base_seed, probe_nodes, lo == 0)
         mean_before = mean_sum.copy()
-        out = _simulate_chunk(*args, mean_sum)
+        out = _simulate_chunk(*args, mean_sum, lkf=lkf)
         ok = ~out["failed"]
         if not ok.all():
             # replay the loop pass of the same batch, so that every run
@@ -549,14 +483,14 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
             mean_sum[:] = mean_before
             _simulate_chunk(*args, mean_sum, summed=ok)
         failures += int((~ok).sum())
-        if cost is not None:
-            dj, cj = _score_chunk(plant, nominal, cost, coefs, belief_arg, run_ids, base_seed, out)
-            delta_J.append(dj[ok])
-            cost_samples.append(cj[ok])
+        if lkf is not None:
+            delta_J.append(out["delta_J"][ok])
+            cost_samples.append(out["cost"][ok])
         # strict run-order folds keep aggregates independent of chunking
         for i in np.flatnonzero(ok):
             sq_closed += out["sq_closed"][i]
             sq_open += out["sq_open"][i]
+        mse_diff.append((out["sq_open"][ok] - out["sq_closed"][ok]) / (N + 1))
         if lo == 0:
             run0 = out["run0"]
     if failures == n_runs or failures > max(1, n_runs // 100):
@@ -576,22 +510,12 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
         two_sigma=two_sigma,
         mse_closed=sq_closed / denom,
         mse_open=sq_open / denom,
-        delta_J_samples=np.concatenate(delta_J) if cost is not None else np.zeros(0),
-        cost_samples=np.concatenate(cost_samples) if cost is not None else np.zeros(0),
+        delta_J_samples=np.concatenate(delta_J) if lkf is not None else np.zeros(0),
+        cost_samples=np.concatenate(cost_samples) if lkf is not None else np.zeros(0),
         nominal_cost=float(nominal.nominal_cost),
         failures=failures,
+        mse_diff_samples=np.concatenate(mse_diff),
     )
-
-
-def _kf_gain_table(plant, nominal):
-    """Plant sequences, exact-KF gains and covariance traces for linear
-    plants, from the nominal prior: (A_k, B_k, C_{k+1}, K_{k+1}) for
-    k = 0..N-1 and tr P_k for k = 0..N."""
-    if not hasattr(plant, "sequences"):
-        raise ValueError('belief="kf" needs a linear plant exposing sequences(N)')
-    A, B, C = plant.sequences(nominal.horizon)
-    K, P = kf_recursion(A, B, C[1:], plant.spec.W, plant.spec.V, nominal.prior_cov)
-    return A, B, C[1:], K, np.einsum("kii->k", P)
 
 
 # ---------------------------------------------------------------------------

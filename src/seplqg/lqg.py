@@ -1,10 +1,11 @@
 """Time-varying LQG synthesis on the identified reduced-order model.
 
 Backward LQR Riccati recursion for the feedback gains, forward Kalman
-Riccati recursion for the estimator gains (`kf_recursion`, the one
-covariance recursion the exact-KF belief paths share), and the online
-control law that tracks the nominal trajectory (`lqg_update`, batched
-over runs; the Monte Carlo engine steps all runs of a chunk with it):
+Riccati recursion for the estimator gains (`kf_steps`, the one
+covariance recursion, which the design, the exact-KF optimizer and the
+Monte Carlo's linearized filter share), and the online control law that
+tracks the nominal trajectory (`lqg_update`, batched over runs; the
+Monte Carlo engine steps all runs of a chunk with it):
 
     du_k = -L_k da_hat_k,     u_k = u_bar_k + du_k
 
@@ -25,6 +26,7 @@ from .sysid import LtvRom
 __all__ = [
     "LqgController",
     "lqr_backward",
+    "kf_steps",
     "kf_recursion",
     "kf_forward",
     "design_lqg",
@@ -77,25 +79,37 @@ def _kf_update(P_pred, C, V, k):
     return K, 0.5 * (P + P.T)
 
 
-def kf_recursion(A, B, C, W, V, P):
-    """Kalman covariance recursion from the post-update covariance P at
-    step 0:
+def kf_steps(models, W, V, P):
+    """Kalman covariance recursion, one step at a time, from the
+    post-update covariance P at step 0:
 
     P_pred = A_k P_k A_k' + B_k W B_k'
     K_{k+1} = P_pred C_{k+1}' (C_{k+1} P_pred C_{k+1}' + V)^-1
     P_{k+1} = Joseph(P_pred, K_{k+1}), symmetrized
 
-    A, B are stacked over k = 0..N-1 and C over k = 1..N.  Returns
-    (K (N, n, n_y) with K[k] = K_{k+1}, P (N+1, n, n) with P[0] = P).
+    `models` yields (A_k, B_k, C_{k+1}) for k = 0, 1, ...; the generator
+    yields (K_{k+1}, P_{k+1}), so a caller that keeps no covariance
+    holds one at a time.
+    """
+    for k, (A, B, C) in enumerate(models):
+        P_pred = A @ P @ A.T + B @ W @ B.T
+        K, P = _kf_update(P_pred, C, V, k + 1)
+        yield K, P
+
+
+def kf_recursion(A, B, C, W, V, P):
+    """`kf_steps` over A, B stacked over k = 0..N-1 and C over k = 1..N,
+    each step written into the stacks as it comes, so that no list of
+    step results is held beside them.  Returns (K (N, n, n_y) with
+    K[k] = K_{k+1}, P (N+1, n, n) with P[0] = P).
     """
     N = len(A)
     n = P.shape[0]
     K = np.empty((N, n, C[0].shape[0]))
     Ps = np.empty((N + 1, n, n))
     Ps[0] = P
-    for k in range(N):
-        P_pred = A[k] @ Ps[k] @ A[k].T + B[k] @ W @ B[k].T
-        K[k], Ps[k + 1] = _kf_update(P_pred, C[k], V, k + 1)
+    for k, (K_k, P_k) in enumerate(kf_steps(zip(A, B, C), W, V, P)):
+        K[k], Ps[k + 1] = K_k, P_k
     return K, Ps
 
 

@@ -13,9 +13,8 @@ is a one-line change in tests.
 
 `step` and `observe` are pure functions of their arguments and broadcast
 over leading batch dimensions: a state array of shape (..., n_x) maps to
-(..., n_x).  The Monte Carlo harness calls them from several forked
-worker processes at once.  The optional time index `k` matters only for
-time-varying plants (see `LinearPlant` with stacked matrices).
+(..., n_x).  The optional time index `k` matters only for time-varying
+plants (see `LinearPlant` with stacked matrices).
 
 A plant may also expose its adjoint, two optional methods that
 broadcast the same way:
@@ -27,9 +26,10 @@ for an adjoint g shaped like the output.  The process noise enters with
 the control, so `step_vjp` at control u + w is the adjoint of the noisy
 step, and `observe_vjp` takes no state because the observation is
 linear in it.  Trajectory optimization differentiates its rollouts in
-reverse mode when a plant has them and falls back to finite
-differences, the black-box method, when it has not.  `HeatPlant` and
-`LinearPlant` have both.
+reverse mode when a plant has them, and the Monte Carlo's linearized
+filter takes its Jacobians from them; both fall back to finite
+differences, the black-box method, when a plant has not.  `HeatPlant`
+and `LinearPlant` have both.
 """
 
 from dataclasses import dataclass

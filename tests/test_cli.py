@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import seplqg
-from seplqg.cli import main
+from seplqg.cli import _run_assertions, main
 from seplqg.config import ExperimentConfig, benchmark_config, spatial_weight
-from seplqg.harness import closed_loop_band, probe_nodes_from_fractions, probe_output_rows
+from seplqg.harness import MonteCarloReport, closed_loop_band, probe_nodes_from_fractions, probe_output_rows
 from seplqg.lqg import LqgController
 from seplqg.plant import HeatPlantConfig
 from seplqg.sysid import collect_impulse_responses, tv_era
@@ -92,6 +92,37 @@ def test_report_json_records_delta_J_statistics(pipeline_dir):
     assert report["delta_J_z"] == pytest.approx(samples.mean() / se, rel=1e-12)
 
 
+def test_report_json_records_the_paired_closed_open_verdict(pipeline_dir):
+    report = json.loads((pipeline_dir / "report.json").read_text())
+    mean, se, z = (np.array(report[f"mse_diff_{name}"]) for name in ("mean", "se", "z"))
+    assert mean.shape == se.shape == z.shape == (2,)
+    assert np.allclose(mean, np.subtract(report["mse_open"], report["mse_closed"]), rtol=1e-12, atol=0)
+    assert np.array_equal(z, mean / se)
+
+
+def _one_probe_report(diffs):
+    samples = np.asarray(diffs, dtype=float)[:, None]
+    n = len(samples)
+    return MonteCarloReport(
+        n_runs=n, n_effective=n, base_seed=0, mean_traj=np.zeros((2, 1)), probe_positions=(0.5,),
+        probe_nodes=(0,), run0_closed_err=np.zeros((2, 1)), run0_open_err=np.zeros((2, 1)),
+        two_sigma=np.zeros((2, 1)), mse_closed=np.array([1.0]), mse_open=1.0 + samples.mean(axis=0),
+        delta_J_samples=np.zeros(n), cost_samples=np.zeros(n), nominal_cost=1.0, failures=0,
+        mse_diff_samples=samples)
+
+
+@pytest.mark.parametrize("diffs, z, passed", [
+    ([1.0, 1.1, 0.9, 1.0], "24.5", True),
+    ([1.0, -0.5, 2.0, 0.1], "1.19", False),  # closed MSE below open, on weak evidence
+    ([0.3], "n/a", False),  # one run has no se
+])
+def test_closed_beats_open_needs_a_paired_z_above_3(capsys, diffs, z, passed):
+    cfg = ExperimentConfig({"assertions": {"closed_beats_open": True}})
+    failures = _run_assertions(cfg, None, None, _one_probe_report(diffs), None)
+    assert failures == ([] if passed else ["closed_beats_open"])
+    assert f"paired z [{z}] > 3" in capsys.readouterr().out
+
+
 def test_complexity_txt(pipeline_dir):
     text = (pipeline_dir / "complexity.txt").read_text()
     assert "vs 6 x 6 Riccati" in text
@@ -128,6 +159,32 @@ def test_pipeline_rejects_bad_evaluate_section_before_any_stage(tmp_path, evalua
     with pytest.raises(ValueError, match=message):
         main(["pipeline", "--config", str(cfg), "--out", str(out)])
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("section, entry, message", [
+    ("sysid", {"n_r": 0}, "sysid n_r must be an integer >= 1, got 0"),
+    ("sysid", {"p": 0}, "sysid p must be an integer >= 1, got 0"),
+    ("sysid", {"q": 2.5}, "sysid q must be an integer >= 1, got 2.5"),
+    ("sysid", {"n_r": 21}, "sysid p must be at least n_r / n_y = 21/5, got 4"),
+    ("sysid", {"n_r": 21, "p": 5}, "sysid q must be at least n_r / n_u = 21/5, got 4"),
+    ("sysid", {"epsilon": 0.0}, "sysid epsilon must be > 0, got 0.0"),
+    ("sysid", {"holdout_extra": 0}, "sysid holdout_extra must be null or an integer >= 1, got 0"),
+    ("lqg", {"q_y": 0.0}, "lqg q_y must be > 0, got 0.0"),
+    ("lqg", {"r": -0.1}, "lqg r must be > 0, got -0.1"),
+    ("lqg", {"terminal_scale": 0}, "lqg terminal_scale must be > 0, got 0"),
+    ("lqg", {"p0": "1"}, "lqg p0 must be > 0, got '1'"),
+    ("lqg", {"ridge": -1e-8}, "lqg ridge must be >= 0, got -1e-08"),
+])
+def test_pipeline_rejects_bad_sysid_and_lqg_values_before_any_stage(tmp_path, section, entry, message):
+    raw = {**TINY, section: {**TINY.get(section, {}), **entry}}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        getattr(ExperimentConfig(raw), section)()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        main(["pipeline", "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
 
 
 def test_theorem1_rejects_too_few_runs_before_loading_artifacts(tmp_path):
@@ -369,7 +426,7 @@ CONTROLLER_KEYS = {"rom", "L_gains", "K_gains", "W", "V", "P_traces", "S_traces"
 REPORT_KEYS = {"n_runs", "n_effective", "base_seed", "mean_traj", "probe_positions", "probe_nodes",
                "run0_closed_err", "run0_open_err", "two_sigma", "mse_closed", "mse_open",
                "delta_J_samples", "cost_samples", "nominal_cost", "failures", "delta_J_mean",
-               "delta_J_se", "delta_J_z"}
+               "delta_J_se", "delta_J_z", "mse_diff_mean", "mse_diff_se", "mse_diff_z"}
 
 
 def test_artifact_files_hold_exactly_the_stored_fields(pipeline_dir):

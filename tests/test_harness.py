@@ -1,13 +1,14 @@
-import os
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from kalman_reference import kalman_predict, kalman_update
+from test_trajopt import BlackBox
 
 from seplqg import harness
 from seplqg.belief import GaussianBelief, psd_sqrt
-from seplqg.exceptions import InsufficientEnsembleError, IntegrationDivergedError
+from seplqg.exceptions import IntegrationDivergedError
 from seplqg.harness import (
     closed_loop_band,
     complexity_report,
@@ -20,7 +21,7 @@ from seplqg.lqg import design_lqg
 from seplqg.plant import HeatPlant, HeatPlantConfig, LinearPlant
 from seplqg.rng import stream
 from seplqg.sysid import LtvRom, collect_impulse_responses, tv_era
-from seplqg.trajopt import CostSpec, NominalTrajectory, OptimizeOptions, optimize
+from seplqg.trajopt import CostSpec, OptimizeOptions, optimize
 
 
 def constant_rom(A, B, C, N):
@@ -61,6 +62,15 @@ def heat_setup():
     return plant, spec, nominal, ctrl
 
 
+def noiseless_nominal(plant, nominal):
+    return plant.simulate_nominal(nominal.means[0], nominal.controls)[0]
+
+
+def assert_close(a, b, rel):
+    """|a - b| within rel times the largest |b|."""
+    assert np.abs(a - b).max() <= rel * np.abs(b).max()
+
+
 # ---------------------------------------------------------------------------
 # cost gradient coefficients
 # ---------------------------------------------------------------------------
@@ -98,10 +108,10 @@ def test_trace_coefficient_active_with_trace_weight():
 
 def test_kf_realized_cost_includes_every_trace_term():
     plant, b0, spec, nominal, ctrl = linear_setup()
-    kw = dict(n_runs=12, base_seed=8, probe_positions=(), belief="kf")
+    kw = dict(n_runs=12, base_seed=8, probe_positions=())
     base = run_monte_carlo(plant, nominal, ctrl, cost=spec, **kw)
     traced = run_monte_carlo(plant, nominal, ctrl, cost=replace(spec, q_trace=0.7), **kw)
-    # the exact-KF covariances do not depend on the run: every run pays
+    # the filter's covariances do not depend on the run: every run pays
     # q_trace * sum_k tr P_k, the nominal's own trace term, and delta_J
     # carries no trace deviation
     expected = 0.7 * nominal.cov_traces.sum()
@@ -119,8 +129,7 @@ def test_noiseless_runs_reproduce_nominal_exactly():
     rom = constant_rom(*plant.matrices(0), plant.horizon)
     ctrl = design_lqg(rom, W=np.zeros((1, 1)), V=np.eye(1), P0=np.zeros((2, 2)))
     report = run_monte_carlo(
-        plant, nominal, ctrl, n_runs=3, base_seed=0, probe_positions=(0.0, 1.0),
-        cost=spec, belief="kf",
+        plant, nominal, ctrl, n_runs=3, base_seed=0, probe_positions=(0.0, 1.0), cost=spec,
     )
     assert np.allclose(report.mean_traj, nominal.means, atol=1e-9)
     assert np.allclose(report.run0_closed_err, 0.0, atol=1e-9)
@@ -129,9 +138,13 @@ def test_noiseless_runs_reproduce_nominal_exactly():
     assert report.failures == 0
 
 
+REPORT_FIELDS = ("delta_J_samples", "cost_samples", "mean_traj", "mse_closed", "mse_open",
+                 "run0_closed_err", "run0_open_err", "two_sigma", "mse_diff_samples")
+
+
 def test_report_bit_reproducible_and_chunk_independent():
     plant, b0, spec, nominal, ctrl = linear_setup()
-    kw = dict(n_runs=30, base_seed=42, probe_positions=(0.5,), cost=spec, belief="kf")
+    kw = dict(n_runs=30, base_seed=42, probe_positions=(0.5,), cost=spec)
     r1 = run_monte_carlo(plant, nominal, ctrl, chunk=7, **kw)
     r2 = run_monte_carlo(plant, nominal, ctrl, chunk=30, **kw)
     assert np.array_equal(r1.delta_J_samples, r2.delta_J_samples)
@@ -140,73 +153,128 @@ def test_report_bit_reproducible_and_chunk_independent():
     r3 = run_monte_carlo(plant, nominal, ctrl, chunk=7, **kw)
     assert np.array_equal(r1.mean_traj, r3.mean_traj)
 
-    # EnKF belief on a heat slab under the identified controller: every
-    # step gives the same bits for any chunk, one-run chunks included
+    # a heat slab under the identified controller: every step gives the
+    # same bits for any chunk, one-run chunks included
     plant, spec, nominal, ctrl = heat_setup()
     spec = replace(spec, q_trace=0.5)
     assert np.abs(ctrl.L_gains).max() > 0.1
-    kw = dict(n_runs=10, base_seed=5, probe_positions=(0.5,), cost=spec, belief_size=10)
-    reports = [run_monte_carlo(plant, nominal, ctrl, chunk=c, **kw) for c in (10, 1, 3)]
+    kw = dict(n_runs=16, base_seed=5, probe_positions=(0.5,), cost=spec)
+    reports = [run_monte_carlo(plant, nominal, ctrl, chunk=c, **kw) for c in (16, 1, 7)]
+    assert np.all(reports[0].delta_J_samples != 0.0)
     for r in reports[1:]:
-        for name in ("delta_J_samples", "cost_samples", "mean_traj", "mse_closed", "mse_open"):
+        for name in REPORT_FIELDS:
             assert np.array_equal(getattr(r, name), getattr(reports[0], name)), name
 
 
+def recorded_run(monkeypatch, plant, run):
+    """run() with the loop pass's measurements y_k (N+1, runs, n_y) and
+    control deviations du_k (N, runs, n_u) recorded; run() must simulate
+    one chunk and no probes."""
+    ys, dus = [], []
+    observe, update = plant.observe, harness.lqg_update
+
+    def observe_recorded(x, v, k=0):
+        y = observe(x, v, k)
+        if np.ndim(x) == 2:  # the loop pass: the nominal rollout observes one state
+            ys.append(y)
+        return y
+
+    def update_recorded(*args):
+        du, a_hat = update(*args)
+        dus.append(du)
+        return du, a_hat
+
+    monkeypatch.setattr(plant, "observe", observe_recorded)
+    monkeypatch.setattr(harness, "lqg_update", update_recorded)
+    return run(), np.stack(ys), np.stack(dus)
+
+
+def reference_scores(plant, nominal, spec, ys, dus, model):
+    """Per run: delta_J about the noiseless nominal x_det, delta_J about
+    the belief means nominal.means (the reference of the exact-KF scoring
+    before the linearized filter) and the realized cost, from one exact
+    Kalman filter per run on the deviations from x_det and dense
+    quadratic forms.  model(k) gives (A_k, B_k, C_{k+1}) at x_det."""
+    x_det, y_det = plant.simulate_nominal(nominal.means[0], nominal.controls)
+    C_mu, C_u, q_tr = cost_gradient_coefficients(nominal, spec, x_det)
+    C_mu_means = cost_gradient_coefficients(nominal, spec)[0]
+    N = nominal.horizon
+    out = np.zeros((3, ys.shape[1]))
+    for r in range(ys.shape[1]):
+        b = GaussianBelief(np.zeros(plant.n_x), nominal.prior_cov)
+        d = x_det[0] - spec.target
+        out[2, r] = d @ spec.Q_mean @ d + q_tr * np.trace(b.cov)
+        for k in range(N):
+            A, B, C = model(k)
+            b = kalman_update(kalman_predict(b, dus[k, r], A, B, plant.spec.W),
+                              ys[k + 1, r] - y_det[k + 1], C, plant.spec.V)
+            mu, u = x_det[k + 1] + b.mean, nominal.controls[k] + dus[k, r]
+            trace_term = q_tr * (np.trace(b.cov) - nominal.cov_traces[k + 1])
+            out[0, r] += C_u[k] @ dus[k, r] + C_mu[k + 1] @ b.mean + trace_term
+            out[1, r] += C_u[k] @ dus[k, r] + C_mu_means[k + 1] @ (mu - nominal.means[k + 1]) + trace_term
+            Q = spec.Q_terminal if k == N - 1 else spec.Q_mean
+            d = mu - spec.target
+            out[2, r] += u @ spec.R_u @ u + d @ Q @ d + q_tr * np.trace(b.cov)
+    return out
+
+
+def test_linearized_filter_matches_a_per_run_kalman_filter_on_a_linear_plant(monkeypatch):
+    plant, b0, spec, nominal, ctrl = linear_setup()
+    spec = replace(spec, q_trace=0.7)
+    report, ys, dus = recorded_run(monkeypatch, plant, lambda: run_monte_carlo(
+        plant, nominal, ctrl, n_runs=20, base_seed=6, probe_positions=(), cost=spec))
+    ref = reference_scores(plant, nominal, spec, ys, dus,
+                           lambda k: (*plant.matrices(k)[:2], plant.matrices(k + 1)[2]))
+    assert_close(report.delta_J_samples, ref[0], 1e-12)
+    assert_close(report.cost_samples, ref[2], 1e-12)
+    # on a linear plant the exact-KF nominal's means are x_det to
+    # roundoff, so the values scored about those means stay
+    assert np.abs(nominal.means - noiseless_nominal(plant, nominal)).max() < 1e-12
+    assert_close(report.delta_J_samples, ref[1], 1e-10)
+
+
 def test_realized_cost_equals_dense_quadratic_forms(monkeypatch):
-    # the scoring pass sums the diagonal weights row by row; rebuild each
-    # run's realized cost from the belief filter's controls and members
-    # with the dense quadratic forms
+    # the loop pass sums the diagonal weights row by row; rebuild each
+    # run's realized cost and delta_J on a heat slab from a per-run Kalman
+    # filter on the plant's Jacobians along x_det, with the dense forms
     plant, spec, nominal, ctrl = heat_setup()
     spec = CostSpec.from_weights(16, 5, q_mean=np.linspace(0.5, 2.0, 16), r_u=np.linspace(1e-3, 5e-3, 5),
                                  q_terminal=3.0, q_trace=0.5, target=150.0)
-    controls, members = [], []
-    predict, update = harness.enkf_predict_members, harness.enkf_update_members
-    monkeypatch.setattr(harness, "_workers", lambda: 1)
-    monkeypatch.setattr(harness, "enkf_predict_members",
-                        lambda X, u, *rest: controls.append(u) or predict(X, u, *rest))
-    monkeypatch.setattr(harness, "enkf_update_members",
-                        lambda *args: members.append(update(*args)) or members[-1])
-    report = run_monte_carlo(plant, nominal, ctrl, n_runs=4, base_seed=3, probe_positions=(),
-                             cost=spec, belief_size=10)
+    report, ys, dus = recorded_run(monkeypatch, plant, lambda: run_monte_carlo(
+        plant, nominal, ctrl, n_runs=4, base_seed=3, probe_positions=(), cost=spec))
+    assert (len(ys), len(dus)) == (nominal.horizon + 1, nominal.horizon)
+    x_det = noiseless_nominal(plant, nominal)
 
-    d0 = nominal.means[0] - spec.target
-    expected = d0 @ spec.Q_mean @ d0 + 0.5 * np.trace(nominal.prior_cov)
-    for k, (u, X) in enumerate(zip(controls, members)):
-        Q = spec.Q_terminal if k == nominal.horizon - 1 else spec.Q_mean
-        d = X.mean(axis=1) - spec.target
-        Xc = X - X.mean(axis=1, keepdims=True)
-        expected = expected + np.einsum("ri,ij,rj->r", u, spec.R_u, u) + np.einsum("ri,ij,rj->r", d, Q, d)
-        expected = expected + 0.5 * np.einsum("rmi,rmi->r", Xc, Xc) / 9
-    assert len(members) == nominal.horizon
-    assert np.allclose(report.cost_samples, expected, rtol=1e-12, atol=0)
+    def model(k):
+        A, B = plant.step_vjp(x_det[k], nominal.controls[k], np.eye(16), k)
+        return A, B, plant.observe_vjp(np.eye(5), k + 1)
+
+    ref = reference_scores(plant, nominal, spec, ys, dus, model)
+    assert_close(report.cost_samples, ref[2], 1e-12)
+    assert_close(report.delta_J_samples, ref[0], 1e-10)
 
 
-@pytest.mark.parametrize("correlated_prior", [False, True])
-def test_initial_members_are_the_prior_draws(monkeypatch, correlated_prior):
-    # each run's members start at x0 + Z S0^T, Z its "enkf-init" draw:
-    # bit for bit with the CLI's diagonal prior, to rounding otherwise
+def test_heat_jacobians_match_central_differences_and_a_black_box_scores_alike():
     plant, spec, nominal, ctrl = heat_setup()
-    if correlated_prior:
-        nominal = replace(nominal, prior_cov=correlated(16, 0.25, 6))
-    S0 = psd_sqrt(nominal.prior_cov)
-    assert np.allclose(S0, np.diag(np.diag(S0))) != correlated_prior
-    first = []
-    predict = harness.enkf_predict_members
-    monkeypatch.setattr(harness, "_workers", lambda: 1)
-    monkeypatch.setattr(harness, "enkf_predict_members",
-                        lambda X, *rest: predict(X, *rest) if first else first.append(X.copy()) or predict(X, *rest))
-    run_monte_carlo(plant, nominal, ctrl, n_runs=5, base_seed=4, probe_positions=(), cost=spec,
-                    belief_size=10)
-    x0 = nominal.means[0]
-    expected = np.stack([x0 + stream(4, r, "enkf-init").standard_normal((10, 16)) @ S0.T
-                         for r in range(5)])
-    if correlated_prior:
-        assert np.allclose(first[0], expected, rtol=1e-12, atol=0)
-        # the deviations from x0, about 200 times smaller, agree as well
-        dev = expected - x0
-        assert np.allclose(first[0] - x0, dev, rtol=0, atol=1e-12 * np.abs(dev).max())
-    else:
-        assert np.array_equal(first[0], expected)
+    x_det = noiseless_nominal(plant, nominal)
+    h = 1e-3
+    for k in (0, 11, 29):
+        x, u = x_det[k], nominal.controls[k]
+        A, B = harness._step_jacobians(plant, x, u, k, h)
+        A_fd = np.stack([plant.step(x + h * e, u, 0.0, k) - plant.step(x - h * e, u, 0.0, k)
+                         for e in np.eye(16)], axis=1) / (2 * h)
+        B_fd = np.stack([plant.step(x, u + h * e, 0.0, k) - plant.step(x, u - h * e, 0.0, k)
+                         for e in np.eye(5)], axis=1) / (2 * h)
+        assert_close(A, A_fd, 1e-8)
+        assert_close(B, B_fd, 1e-8)
+    # the black box is linearized by central differences of step and
+    # observe, the heat slab by its adjoint
+    kw = dict(n_runs=6, base_seed=2, probe_positions=(), cost=replace(spec, q_trace=0.5))
+    adjoint = run_monte_carlo(plant, nominal, ctrl, **kw)
+    boxed = run_monte_carlo(BlackBox(plant), nominal, ctrl, **kw)
+    assert np.array_equal(adjoint.mse_diff_samples, boxed.mse_diff_samples)
+    assert_close(boxed.delta_J_samples, adjoint.delta_J_samples, 1e-6)
+    assert_close(boxed.cost_samples, adjoint.cost_samples, 1e-6)
 
 
 def test_open_loop_equals_closed_loop_with_zero_gains():
@@ -219,24 +287,31 @@ def test_open_loop_equals_closed_loop_with_zero_gains():
     assert np.abs(zero_ctrl.L_gains).max() < 1e-9
     report = run_monte_carlo(
         plant, nominal, zero_ctrl, n_runs=10, base_seed=7, probe_positions=(0.5,), cost=spec,
-        belief="kf",
     )
     assert np.allclose(report.run0_closed_err, report.run0_open_err, atol=1e-7)
     assert np.allclose(report.mse_closed, report.mse_open, rtol=1e-6)
 
 
-def test_enkf_belief_runs_are_reproducible():
-    plant, b0, spec, nominal, ctrl = linear_setup()
-    kw = dict(n_runs=8, base_seed=11, probe_positions=(), cost=spec, belief="enkf", belief_size=30)
-    r1 = run_monte_carlo(plant, nominal, ctrl, chunk=3, **kw)
-    r2 = run_monte_carlo(plant, nominal, ctrl, chunk=8, **kw)
-    assert np.array_equal(r1.delta_J_samples, r2.delta_J_samples)
+def test_paired_differences_are_the_runs_open_minus_closed_errors():
+    plant, spec, nominal, ctrl = heat_setup()
+    kw = dict(base_seed=4, probe_positions=(0.4, 0.9), chunk=5)
+    report = run_monte_carlo(plant, nominal, ctrl, n_runs=12, **kw)
+    N = nominal.horizon
+    assert report.mse_diff_samples.shape == (12, 2)
+    assert np.allclose(report.mse_diff_mean, report.mse_open - report.mse_closed, rtol=1e-12, atol=0)
+    se = report.mse_diff_samples.std(axis=0, ddof=1) / np.sqrt(12)
+    assert np.array_equal(report.mse_diff_se, se)
+    # run 0's sample is its own time-averaged squared errors
+    run0 = (report.run0_open_err**2 - report.run0_closed_err**2).sum(axis=0) / (N + 1)
+    assert np.allclose(report.mse_diff_samples[0], run0, rtol=1e-12, atol=0)
+    one = run_monte_carlo(plant, nominal, ctrl, n_runs=1, **kw)
+    assert np.isnan(one.mse_diff_se).all()
 
 
 class CountingHeatPlant(HeatPlant):
     """Heat slab that counts the rows it steps, by the number of axes of
-    the state: 3 for belief members (runs, M, n_x), 2 and 1 for the
-    closed and open loops (and the impulse experiments)."""
+    the state: 2 for the closed and open loops, 1 for their row-by-row
+    retries, the nominal rollout and the impulse experiments."""
 
     def __init__(self, config, W=None, V=None):
         super().__init__(config, W, V)
@@ -266,7 +341,7 @@ class DivergesOnRun3(CountingHeatPlant):
 
 def test_diverged_runs_are_left_out_of_every_average():
     plant, spec, nominal, ctrl = heat_setup()
-    kw = dict(n_runs=16, base_seed=5, cost=spec, belief_size=10, chunk=8)
+    kw = dict(n_runs=16, base_seed=5, cost=spec, chunk=8)
     counting = CountingHeatPlant(plant.config)
     healthy = run_monte_carlo(counting, nominal, ctrl, **kw)
     failing = DivergesOnRun3(plant.config, base_seed=5)
@@ -276,12 +351,11 @@ def test_diverged_runs_are_left_out_of_every_average():
     assert len(report.delta_J_samples) == 15
     assert np.array_equal(report.delta_J_samples, np.delete(healthy.delta_J_samples, 3))
     assert np.array_equal(report.cost_samples, np.delete(healthy.cost_samples, 3))
+    assert np.array_equal(report.mse_diff_samples, np.delete(healthy.mse_diff_samples, 3, axis=0))
 
-    # every run's belief members are stepped once, failure or not, while
     # the loop pass of the failing chunk runs twice; in each of its passes
     # run 3's closed- and open-loop steps at k = 10 never complete
-    N, M, chunk = nominal.horizon, 10, 8
-    assert counting.rows[3] == failing.rows[3] == 16 * N * M
+    N, chunk = nominal.horizon, 8
 
     def loop_rows(p):
         return p.rows[2] + p.rows[1]
@@ -301,112 +375,10 @@ def test_diverged_runs_are_left_out_of_every_average():
     assert np.allclose(15 * averages(report), expected, rtol=1e-9, atol=0)
 
 
-REPORT_FIELDS = ("delta_J_samples", "cost_samples", "mean_traj", "mse_closed", "mse_open",
-                 "run0_closed_err", "run0_open_err", "two_sigma")
-
-
-def scored_reports(monkeypatch, run, block_bytes):
-    """run() once as one scoring block per chunk in this process, then
-    with blocks of block_bytes in this process and on more worker
-    processes than this machine may have CPUs."""
-    monkeypatch.setattr(harness, "_SCORE_BLOCK_BYTES", 1 << 40)
-    monkeypatch.setattr(harness, "_workers", lambda: 1)
-    reports = [run()]
-    monkeypatch.setattr(harness, "_SCORE_BLOCK_BYTES", block_bytes)
-    reports.append(run())
-    monkeypatch.setattr(harness, "_workers", lambda: 2 * os.cpu_count() + 1)
-    reports.append(run())
-    return reports
-
-
-def assert_same_reports(reports):
-    for r in reports[1:]:
-        for name in REPORT_FIELDS:
-            assert np.array_equal(getattr(r, name), getattr(reports[0], name)), name
-
-
-def correlated(n, scale, seed):
-    A = stream(seed, n, "cov").standard_normal((n, n))
-    return scale * (A @ A.T / n + np.eye(n))
-
-
-def test_blocked_parallel_scoring_equals_one_block(monkeypatch):
-    # EnKF on a heat slab with correlated W and V, so that each noise slab
-    # goes through a non-trivial square root, and a 30-step horizon that
-    # ends in a partial slab
-    plant, spec, nominal, ctrl = heat_setup()
-    plant = HeatPlant(plant.config, W=correlated(5, 0.5, 1), V=correlated(5, 0.3, 2))
-    assert not np.allclose(psd_sqrt(plant.spec.W), np.diag(np.diag(psd_sqrt(plant.spec.W))))
-    spec = replace(spec, q_trace=0.5)
-    M = 10
-    kw = dict(n_runs=12, base_seed=5, probe_positions=(0.5,), cost=spec, belief_size=M, chunk=8)
-    # chunks of 8 and 4 runs in blocks of at most 3: 3 + 3 + 2 and 2 + 2
-    reports = scored_reports(monkeypatch, lambda: run_monte_carlo(plant, nominal, ctrl, **kw),
-                             3 * 8 * plant.n_x * M)
-    assert_same_reports(reports)
-    assert np.all(reports[0].delta_J_samples != 0.0)
-
-    # the linear plant, whose steps are matrix products: EnKF in blocks of
-    # 2 runs, and the exact KF, which is never split
-    plant, b0, spec, nominal, ctrl = linear_setup()
-    for belief in ("enkf", "kf"):
-        kw = dict(n_runs=17, base_seed=9, probe_positions=(0.5,), cost=replace(spec, q_trace=0.7),
-                  belief=belief, belief_size=M, chunk=7)
-        reports = scored_reports(monkeypatch, lambda: run_monte_carlo(plant, nominal, ctrl, **kw),
-                                 2 * 8 * plant.n_x * M)
-        assert_same_reports(reports)
-
-
-def test_noise_slabs_repeat_the_per_step_draws(monkeypatch):
-    # one block of 4 runs of 6 members on a 16-node slab; the byte budget
-    # sets the slab of filter noise drawn per generator call to 1 step,
-    # 7 steps (the last slab is partial) and the whole 30-step horizon
-    plant, spec, nominal, ctrl = heat_setup()
-    plant = HeatPlant(plant.config, W=correlated(5, 0.5, 3), V=correlated(5, 0.3, 4))
-    kw = dict(n_runs=4, base_seed=2, probe_positions=(), cost=replace(spec, q_trace=0.5), belief_size=6)
-    reports = []
-    for budget in (4 * 8 * 6 * 16, 7 * 8 * 4 * 6 * 10, 1 << 40):
-        monkeypatch.setattr(harness, "_SCORE_BLOCK_BYTES", budget)
-        reports.append(run_monte_carlo(plant, nominal, ctrl, **kw))
-    assert_same_reports(reports)
-
-
-class BeliefDivergesInLastBlock(HeatPlant):
-    """Heat slab on which the belief members of the two-run scoring block
-    turn non-finite at k = 7."""
-
-    def step(self, state, control, process_noise, k=0):
-        if k == 7 and np.ndim(state) == 3 and np.shape(state)[0] == 2:
-            state = np.array(state)
-            state[1, 0, 3] = np.nan
-        return super().step(state, control, process_noise, k)
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_belief_divergence_in_a_block_reaches_the_caller(monkeypatch, workers):
-    # blocks of 3 + 3 + 2 runs, scored in this process with one worker
-    # and in forked worker processes with two, which pickle the error back
-    plant, spec, nominal, ctrl = heat_setup()
-    plant = BeliefDivergesInLastBlock(plant.config)
-    monkeypatch.setattr(harness, "_SCORE_BLOCK_BYTES", 3 * 8 * plant.n_x * 10)
-    monkeypatch.setattr(harness, "_workers", lambda: workers)
-    with pytest.raises(IntegrationDivergedError, match="k=7"):
-        run_monte_carlo(plant, nominal, ctrl, n_runs=8, base_seed=5, probe_positions=(), cost=spec,
-                        belief_size=10)
-
-
 def test_run_monte_carlo_validates_inputs():
     plant, b0, spec, nominal, ctrl = linear_setup()
     with pytest.raises(ValueError):
         run_monte_carlo(plant, nominal, ctrl, n_runs=0, base_seed=0)
-
-
-def test_one_member_belief_filter_is_rejected_before_any_step():
-    plant, spec, nominal, ctrl = heat_setup()
-    plant = CountingHeatPlant(plant.config)
-    with pytest.raises(InsufficientEnsembleError, match="belief_size=1"):
-        run_monte_carlo(plant, nominal, ctrl, n_runs=4, base_seed=0, cost=spec, belief_size=1)
-    assert not plant.rows
 
 
 @pytest.mark.parametrize("chunk", [0, -1])
@@ -429,7 +401,7 @@ def test_chunk_below_one_is_rejected_before_any_step(chunk):
 def test_linear_exact_kf_mean_delta_j_statistically_zero():
     plant, b0, spec, nominal, ctrl = linear_setup()
     report = run_monte_carlo(
-        plant, nominal, ctrl, n_runs=1000, base_seed=19, probe_positions=(), cost=spec, belief="kf"
+        plant, nominal, ctrl, n_runs=1000, base_seed=19, probe_positions=(), cost=spec
     )
     assert abs(report.delta_J_mean) <= 3.0 * report.delta_J_se
     assert report.nominal_cost == pytest.approx(nominal.nominal_cost)
@@ -440,16 +412,35 @@ def test_zero_noise_delta_j_identically_zero():
     rom = constant_rom(*plant.matrices(0), plant.horizon)
     ctrl = design_lqg(rom, W=np.zeros((1, 1)), V=np.eye(1), P0=np.zeros((2, 2)))
     report = run_monte_carlo(
-        plant, nominal, ctrl, n_runs=120, base_seed=3, probe_positions=(), cost=spec, belief="kf"
+        plant, nominal, ctrl, n_runs=120, base_seed=3, probe_positions=(), cost=spec
     )
     assert np.abs(report.delta_J_samples).max() <= 1e-7
+
+
+def test_zero_noise_heat_slab_delta_j_is_exactly_zero():
+    # without noise every run is x_det bit for bit, so delta_J about x_det
+    # is 0; about the optimizer's EnKF means it would not be
+    plant, spec, nominal, ctrl = heat_setup()
+    quiet = HeatPlant(plant.config, W=np.zeros((5, 5)), V=np.zeros((5, 5)))
+    report = run_monte_carlo(quiet, nominal, ctrl, n_runs=5, base_seed=1, probe_positions=(), cost=spec)
+    assert np.all(report.delta_J_samples == 0.0)
+    assert np.abs(nominal.means - noiseless_nominal(plant, nominal)).max() > 1e-3
+
+
+def test_heat_slab_mean_delta_j_statistically_zero():
+    # Theorem 1 about the trajectory the loop regulates to; scored about
+    # the optimizer's 8-member EnKF means, the offset
+    # sum_k C_mu,k (x_det,k - mean_k) fails this test
+    plant, spec, nominal, ctrl = heat_setup()
+    report = run_monte_carlo(plant, nominal, ctrl, n_runs=400, base_seed=11, probe_positions=(), cost=spec)
+    assert abs(report.delta_J_mean) <= 3.0 * report.delta_J_se
 
 
 def test_delta_j_standard_error_scales_inverse_sqrt():
     plant, b0, spec, nominal, ctrl = linear_setup()
     se1, se4 = (
-        run_monte_carlo(plant, nominal, ctrl, n_runs=n, base_seed=23, probe_positions=(), cost=spec,
-                        belief="kf").delta_J_se
+        run_monte_carlo(plant, nominal, ctrl, n_runs=n, base_seed=23, probe_positions=(),
+                        cost=spec).delta_J_se
         for n in (200, 800)
     )
     ratio = se1 / se4
