@@ -8,9 +8,9 @@ fixed seed.  On the heat slab they are also chunk-exact: the same bits
 for any chunk size, because every product that mixes a run's entries
 (the LQG law of `lqg_update`, the filter update, the cost and delta_J
 sums) is a row-wise reduction, whose rounding does not depend on how
-many runs a batch has.  On linear plants the BLAS products of
-`LinearPlant.step` still round a row differently for different batch
-sizes.
+many runs a batch has, and the heat slab's `step_jvp` is a stencil.
+On linear plants the BLAS products of `LinearPlant.step` and
+`step_jvp` still round a row differently for different batch sizes.
 
 Open-loop comparison runs consume the same draws as their closed-loop
 partner (common random numbers), making the error comparison paired.
@@ -20,9 +20,11 @@ observes the plant, applies the LQG law and steps the plant under it
 and, with the same draws, under the open-loop controls.  With a cost
 spec the same step advances each run's linearized Kalman filter (LKF)
 along the noiseless nominal x_det, the rollout of the nominal controls
-from the nominal's initial state.  Its mean mu, the belief to first
-order in the noise, gives the realized cost (taken at mu) and the
-first-order cost deviation
+from the nominal's initial state: its predict is the plant step's
+tangent at x_det along the run's deviation, and its gains come from
+one sweep per `run_monte_carlo`, so no chunk forms an n_x x n_x
+Jacobian.  Its mean mu, the belief to first order in the noise, gives
+the realized cost (taken at mu) and the first-order cost deviation
 
     delta_J = sum_k C_u,k du_k + C_mu,k (mu_k - x_det,k),
 
@@ -254,19 +256,17 @@ def _safe_step(plant, X, U, w, k):
         return out, bad
 
 
-def _step_jacobians(plant, x, u, k, h):
-    """(A, B): the Jacobians of the noiseless step at (x, u) in the state
-    and in the control.  From `step_vjp` on an identity batch; for a
-    plant without an adjoint, from central differences of `step` with
-    step h, in one batch of 2 (n_x + n_u) rows."""
-    if hasattr(plant, "step_vjp"):
-        return plant.step_vjp(x, u, np.eye(plant.n_x), k)
-    n_x, m = plant.n_x, plant.n_x + plant.n_u
-    E = h * np.eye(m)
-    Z = np.concatenate([x, u]) + np.concatenate([E, -E])
-    out = plant.step(Z[:, :n_x], Z[:, n_x:], 0.0, k)
-    J = (out[:m] - out[m:]).T / (2.0 * h)
-    return J[:, :n_x], J[:, n_x:]
+def _tangent(plant, x, u, dX, dU, k, h):
+    """The noiseless step's tangent at (x, u) along each row of (dX, dU).
+    From `step_jvp` when the plant has one; for a black box, from central
+    differences of `step` along each row scaled to length h, in one
+    batch of 2 rows."""
+    if hasattr(plant, "step_jvp"):
+        return plant.step_jvp(x, u, dX, dU, k)
+    norm = np.sqrt((dX * dX).sum(-1) + (dU * dU).sum(-1))[:, None]
+    s = h / np.where(norm > 0.0, norm, 1.0)
+    out = plant.step(x + np.concatenate([s * dX, -s * dX]), u + np.concatenate([s * dU, -s * dU]), 0.0, k)
+    return (out[:len(s)] - out[len(s):]) / (2.0 * s)
 
 
 def _output_jacobian(plant, x, k, h):
@@ -282,36 +282,35 @@ class _Lkf:
     """The linearized Kalman filter along the noiseless nominal x_det,
     and the cost terms it scores.
 
-    The Jacobians (A_k, B_k, C_{k+1}) are taken at (x_det,k, u_k); the
-    gains K_{k+1} come from one `kf_steps` sweep from the nominal prior
-    covariance, which keeps only the gains and the covariance traces, so
-    no (N, n_x, n_x) array is held.  Each chunk's loop pass recomputes
-    the Jacobians step by step through `models()`.  `h` is the
-    difference step for a plant without an adjoint."""
+    One `kf_steps` sweep from the nominal prior covariance, over the
+    Jacobians (A_k, B_k, C_{k+1}) at (x_det,k, u_k), A_k and B_k from the
+    step's tangent on an identity batch, gives the gains K_{k+1}, once
+    per `run_monte_carlo`.  It keeps only the gains and the covariance
+    traces, no (N, n_x, n_x) array.  The loop pass advances each run by
+    the step's tangent along its deviation.  `h` is the difference step
+    for a plant without `step_jvp` or `observe_vjp`."""
 
     def __init__(self, plant, nominal, cost, h):
-        self.plant, self.cost, self.h = plant, cost, h
-        self.controls = nominal.controls
+        self.cost, self.h = cost, h
         self.states, self.observations = plant.simulate_nominal(nominal.means[0], nominal.controls)
         self.C_mu, self.C_u, _ = cost_gradient_coefficients(nominal, cost, self.states)
-        N = nominal.horizon
-        self.gains = np.empty((N, plant.n_x, plant.n_y))
+        N, n_x, n_y = nominal.horizon, plant.n_x, plant.n_y
+        self.gains = np.empty((N, n_x, n_y))
         self.traces = np.empty(N + 1)
         self.traces[0] = np.trace(nominal.prior_cov)
-        steps = kf_steps(self.models(), plant.spec.W, plant.spec.V, nominal.prior_cov)
-        for k, (K, P) in enumerate(steps):
+        E = np.eye(n_x + plant.n_u)
+
+        def models():
+            for k, u in enumerate(nominal.controls):
+                J = _tangent(plant, self.states[k], u, E[:, :n_x], E[:, n_x:], k, h).T
+                yield J[:, :n_x], J[:, n_x:], _output_jacobian(plant, self.states[k + 1], k + 1, h)
+
+        for k, (K, P) in enumerate(kf_steps(models(), plant.spec.W, plant.spec.V, nominal.prior_cov)):
             self.gains[k] = K
             self.traces[k + 1] = np.trace(P)
         # the realized cost of step 0, the same for every run
         d0 = self.states[0] - cost.target
         self.cost0 = float((d0 * d0 * np.diag(cost.Q_mean)).sum()) + cost.q_trace * self.traces[0]
-
-    def models(self):
-        """(A_k, B_k, C_{k+1}) for k = 0..N-1."""
-        plant, h = self.plant, self.h
-        for k, u in enumerate(self.controls):
-            A, B = _step_jacobians(plant, self.states[k], u, k, h)
-            yield A, B, _output_jacobian(plant, self.states[k + 1], k + 1, h)
 
 
 def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes, collect_first,
@@ -362,7 +361,6 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes,
         cost = lkf.cost
         # CostSpec weights are diagonal: each quadratic form is a row-wise sum
         q_mean, q_terminal, r_u = (np.diag(w) for w in (cost.Q_mean, cost.Q_terminal, cost.R_u))
-        models = lkf.models()
         dmu = np.zeros((R, n_x))  # LKF mean minus x_det
         delta_J = np.zeros(R)
         cost_acc = np.full(R, lkf.cost0)
@@ -404,11 +402,11 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes,
         y = plant.observe(x_cl, v_all[:, k + 1], k + 1)
 
         if lkf is not None:
-            # LKF predict and update on the deviations from x_det, as
-            # row-wise products: BLAS sums a row in an order that depends
-            # on the number of rows
-            A, B, C = next(models)
-            dmu = _times_t(dmu, A) + _times_t(du, B)
+            # LKF predict with the step's tangent along the deviations
+            # from x_det, and update with row-wise products: BLAS sums a
+            # row in an order that depends on the number of rows
+            dmu = _tangent(plant, lkf.states[k], nominal.controls[k], dmu, du, k, lkf.h)
+            C = _output_jacobian(plant, lkf.states[k + 1], k + 1, lkf.h)
             dmu += _times_t(y - lkf.observations[k + 1] - _times_t(dmu, C), lkf.gains[k])
             delta_J += (du * lkf.C_u[k]).sum(axis=-1)
             cost_acc += (u * u * r_u).sum(axis=-1)
@@ -446,9 +444,9 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
     max(1, n_runs // 100) of them, diverged, a RuntimeError is raised
     instead.  `epsilon` is the impulse size used to identify the probe
     output rows of the two-sigma band, and the difference step of the
-    filter's Jacobians for a plant without an adjoint.  Fewer than 1 run
-    or a chunk of fewer than 1 run and probe positions outside [0, 1]
-    are rejected before any run starts.
+    filter's linearization for a plant without `step_jvp` or
+    `observe_vjp`.  Fewer than 1 run or a chunk of fewer than 1 run and
+    probe positions outside [0, 1] are rejected before any run starts.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")

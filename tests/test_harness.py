@@ -166,6 +166,36 @@ def test_report_bit_reproducible_and_chunk_independent():
             assert np.array_equal(getattr(r, name), getattr(reports[0], name)), name
 
 
+class TangentLog(HeatPlant):
+    """Heat slab that logs each tangent it is asked for, as (rows, whether
+    the directions are the identity batch), and each adjoint call."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.tangents, self.adjoints = [], 0
+
+    def step_jvp(self, state, control, d_state, d_control, k=0):
+        D = np.concatenate([d_state, d_control], axis=-1)
+        self.tangents.append((len(D), np.array_equal(D, np.eye(len(D)))))
+        return super().step_jvp(state, control, d_state, d_control, k)
+
+    def step_vjp(self, state, control, g, k=0):
+        self.adjoints += 1
+        return super().step_vjp(state, control, g, k)
+
+
+def test_filter_linearizes_once_and_advances_each_chunk_by_tangents():
+    # one identity-batch linearization per step for the gains, then one
+    # tangent per step and chunk on that chunk's rows: no chunk rebuilds
+    # a Jacobian
+    plant, spec, nominal, ctrl = heat_setup()
+    log = TangentLog(plant.config)
+    run_monte_carlo(log, nominal, ctrl, n_runs=20, base_seed=5, probe_positions=(), cost=spec, chunk=7)
+    N = nominal.horizon
+    assert log.tangents == [(21, True)] * N + [(7, False)] * (2 * N) + [(6, False)] * N
+    assert log.adjoints == 0
+
+
 def recorded_run(monkeypatch, plant, run):
     """run() with the loop pass's measurements y_k (N+1, runs, n_y) and
     control deviations du_k (N, runs, n_u) recorded; run() must simulate
@@ -255,18 +285,26 @@ def test_realized_cost_equals_dense_quadratic_forms(monkeypatch):
 
 
 def test_heat_jacobians_match_central_differences_and_a_black_box_scores_alike():
+    # a black box's tangent is the central difference of step along each
+    # direction, the heat slab's is its stencil step_jvp: they agree on
+    # the identity batch of the gain sweep, on runs' deviations of any
+    # length and on a zero direction
     plant, spec, nominal, ctrl = heat_setup()
     x_det = noiseless_nominal(plant, nominal)
-    h = 1e-3
+    rng = stream(9, "tangent-directions")
+    E = np.eye(21)
+    scale = np.array([[50.0], [1e-6]])
+    dX = np.concatenate([E[:, :16], scale * rng.standard_normal((2, 16)), np.zeros((1, 16))])
+    dU = np.concatenate([E[:, 16:], scale * rng.standard_normal((2, 5)), np.zeros((1, 5))])
     for k in (0, 11, 29):
         x, u = x_det[k], nominal.controls[k]
-        A, B = harness._step_jacobians(plant, x, u, k, h)
-        A_fd = np.stack([plant.step(x + h * e, u, 0.0, k) - plant.step(x - h * e, u, 0.0, k)
-                         for e in np.eye(16)], axis=1) / (2 * h)
-        B_fd = np.stack([plant.step(x, u + h * e, 0.0, k) - plant.step(x, u - h * e, 0.0, k)
-                         for e in np.eye(5)], axis=1) / (2 * h)
-        assert_close(A, A_fd, 1e-8)
-        assert_close(B, B_fd, 1e-8)
+        exact = plant.step_jvp(x, u, dX, dU, k)
+        assert np.array_equal(harness._tangent(plant, x, u, dX, dU, k, 1e-3), exact)
+        for h in (1e-3, 1e-2):
+            fd = harness._tangent(BlackBox(plant), x, u, dX, dU, k, h)
+            for row, ref in zip(fd[:-1], exact[:-1]):
+                assert_close(row, ref, 1e-8)
+            assert np.all(fd[-1] == 0.0)
     # the black box is linearized by central differences of step and
     # observe, the heat slab by its adjoint
     kw = dict(n_runs=6, base_seed=2, probe_positions=(), cost=replace(spec, q_trace=0.5))
