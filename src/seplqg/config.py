@@ -8,9 +8,10 @@ fixed-temperature boundary) get up-weighted so the optimizer does not
 park them outside the target band.
 """
 
+import json
+
 import numpy as np
 
-from .artifacts import read_json
 from .plant import HeatPlant, HeatPlantConfig
 from .trajopt import CostSpec, OptimizeOptions
 
@@ -100,7 +101,12 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path):
-        return cls(read_json(path))
+        """The config in the JSON file `path`, read with the stdlib `json`
+        where the stage artifacts are read with orjson
+        (`artifacts.read_json`): this few-KB file is read in the set-up
+        of every `seplqg` process, which so does not pay orjson's import."""
+        with open(path, encoding="utf-8") as fh:
+            return cls(json.load(fh))
 
     def _section(self, name):
         return {**_DEFAULTS[name], **self.raw.get(name, {})}

@@ -102,9 +102,9 @@ def probe_output_rows(plant, nominal, rom, nodes, epsilon=1e-2, lag=None):
 
     Collects impulse responses of the probed entries and fits, at each
     time k, the map from the ROM deviation state to the probe deviation
-    by least squares over the impulses within `lag` steps (default: the
-    ROM's own Hankel depth, time_range start).  Returns (N+1, n_probe,
-    n_r).
+    by least squares over the impulses within `lag` steps (default: twice
+    the ROM's Hankel depth, time_range start, and at least 8).  Returns
+    (N+1, n_probe, n_r).
     """
     if lag is None:
         lag = max(2 * rom.time_range[0], 8)
@@ -313,6 +313,13 @@ class _Lkf:
         self.cost0 = float((d0 * d0 * np.diag(cost.Q_mean)).sum()) + cost.q_trace * self.traces[0]
 
 
+def _fold(total, rows):
+    """`total` plus each of `rows` in turn: np.add.accumulate adds
+    strictly in row order, as a loop of += does, where np.add.reduce
+    sums one-column rows pairwise and rounds differently."""
+    return np.add.accumulate(np.concatenate([total[None], rows]))[-1]
+
+
 def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes, collect_first,
                     mean_sum, summed=None, lkf=None):
     """Simulate one chunk of paired runs; returns per-run aggregates, the
@@ -342,9 +349,8 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes,
     a_hat = np.zeros((R, rom.n_r))
     failed = np.zeros(R, dtype=bool)
 
-    summed = range(R) if summed is None else np.flatnonzero(summed)
-    for _ in summed:
-        mean_sum[0] += x0
+    summed = np.arange(R) if summed is None else np.flatnonzero(summed)
+    mean_sum[0] = _fold(mean_sum[0], np.broadcast_to(x0, (len(summed), n_x)))
 
     probe_nodes = np.asarray(probe_nodes, dtype=int)
     n_p = len(probe_nodes)
@@ -389,8 +395,7 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes,
             x_ol[failed] = nominal.means[k + 1]
             a_hat[failed] = 0.0
 
-        for i in summed:
-            mean_sum[k + 1] += x_cl[i]
+        mean_sum[k + 1] = _fold(mean_sum[k + 1], x_cl[summed])
         if n_p:
             err_c = x_cl[:, probe_nodes] - nominal.means[k + 1][probe_nodes]
             err_o = x_ol[:, probe_nodes] - nominal.means[k + 1][probe_nodes]
@@ -485,9 +490,8 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
             delta_J.append(out["delta_J"][ok])
             cost_samples.append(out["cost"][ok])
         # strict run-order folds keep aggregates independent of chunking
-        for i in np.flatnonzero(ok):
-            sq_closed += out["sq_closed"][i]
-            sq_open += out["sq_open"][i]
+        sq_closed = _fold(sq_closed, out["sq_closed"][ok])
+        sq_open = _fold(sq_open, out["sq_open"][ok])
         mse_diff.append((out["sq_open"][ok] - out["sq_closed"][ok]) / (N + 1))
         if lo == 0:
             run0 = out["run0"]

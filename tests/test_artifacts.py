@@ -87,6 +87,17 @@ def test_write_json_rejects_non_finite_floats_before_writing(tmp_path, bad, wher
     assert not path.exists()
 
 
+@pytest.mark.parametrize("text", ['{"x": NaN}', '{"x": [1.0, Infinity]}', '{"x": -Infinity}',
+                                  '{"x": 1e999}', '{"x": [1.0, 2.'])
+def test_read_json_rejects_non_finite_floats_and_truncated_text(tmp_path, text):
+    # The stdlib json reads all but the truncated text, as NaN or an
+    # infinity; an artifact holds only what write_json writes: strict JSON.
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        read_json(path)
+
+
 @dataclass
 class Inner:
     matrix: np.ndarray

@@ -225,6 +225,16 @@ def test_evaluate_identifies_probe_rows_with_sysid_epsilon(pipeline_dir, tmp_pat
     assert not np.array_equal(two_sigma, band(1e-2))
 
 
+def _fresh_env():
+    """The environment of a fresh interpreter that imports the seplqg
+    under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(seplqg.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    return env
+
+
 def test_cli_entry_point_help():
     # The console script declared in pyproject.toml must point at the same
     # main() the tests above drive in-process.  tomllib needs Python >= 3.11.
@@ -239,10 +249,7 @@ def test_cli_entry_point_help():
     # Start the entry point in a fresh interpreter that finds the imported
     # package whatever the working directory; the installed script is only
     # present after `pip install`, so it is run as well when it is on PATH.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(seplqg.__file__).parents[1]), env.get("PYTHONPATH")])
-    )
+    env = _fresh_env()
     commands = [[sys.executable, "-m", "seplqg.cli", "--help"]]
     script = shutil.which("seplqg")
     if script:
@@ -255,6 +262,24 @@ def test_cli_entry_point_help():
         # own choice list from the usage line.
         choices = re.search(r"\{(.*?)\}", out.stdout)
         assert choices and set(choices.group(1).split(",")) == PIPELINE_COMMANDS, cmd
+
+
+def test_setup_reads_the_config_without_importing_orjson(tmp_path):
+    # A process's set-up (import the CLI, read the config, build the plant
+    # and cost) reads the config with the stdlib json: orjson reads only
+    # the stage artifacts, so only the stages pay for its import.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY))
+    code = ("import sys\n"
+            "from seplqg.cli import main\n"
+            "from seplqg.config import ExperimentConfig\n"
+            "cfg = ExperimentConfig.load(sys.argv[1])\n"
+            "cfg.cost(cfg.plant())\n"
+            "print('orjson' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code, str(cfg)], capture_output=True, text=True,
+                         env=_fresh_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_spatial_weight_shape():
