@@ -1,12 +1,12 @@
 """Gaussian beliefs and their propagation.
 
 The belief over the plant state is kept as a Gaussian (mean, covariance)
-pair.  For black-box plants it is propagated with a stochastic
-(perturbed-observation) Ensemble Kalman Filter.  Its kernels take
-pre-drawn noise and broadcast over leading batch axes, which is how the
-trajectory optimizer's rollouts and the Monte Carlo scoring both call
-them; `enkf_update_vjp` is the adjoint of the update.  Linear plants
-use the exact Kalman covariance recursion, `lqg.kf_recursion`.
+pair.  The trajectory optimizer propagates it with a stochastic
+(perturbed-observation) Ensemble Kalman Filter, whose kernels take
+pre-drawn noise and broadcast over leading batch axes, so one call
+advances a batch of rollouts; `enkf_update_vjp` is the adjoint of the
+update.  The Monte Carlo scores its runs with a linearized Kalman filter
+instead (`harness`).
 """
 
 from dataclasses import dataclass

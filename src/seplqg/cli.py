@@ -187,26 +187,27 @@ def _report_payload(report):
     }
 
 
-def cmd_evaluate(args):
-    cfg = _load_config(args)
+def _run_monte_carlo(cfg, args, n_runs, probe_positions):
+    """The Monte Carlo of `evaluate` and `theorem1` on nominal.json and
+    controller.json in --out, with --seed (default 0) as its base seed;
+    returns (plant, nominal, controller, report)."""
     plant = cfg.plant()
     cost = cfg.cost(plant)
-    ev = cfg.evaluate()
+    chunk, epsilon = cfg.evaluate()["chunk"], cfg.sysid()["epsilon"]
     out = Path(args.out)
     nominal = NominalTrajectory.from_json(out / "nominal.json")
     ctrl = LqgController.from_json(out / "controller.json")
+    report = run_monte_carlo(plant, nominal, ctrl, n_runs=n_runs, base_seed=0 if args.seed is None else args.seed,
+                             probe_positions=probe_positions, cost=cost, chunk=chunk, epsilon=epsilon)
+    return plant, nominal, ctrl, report
+
+
+def cmd_evaluate(args):
+    cfg = _load_config(args)
+    ev = cfg.evaluate()
     n_runs = ev["runs"] if args.runs is None else args.runs
-    report = run_monte_carlo(
-        plant,
-        nominal,
-        ctrl,
-        n_runs=n_runs,
-        base_seed=args.seed if args.seed is not None else 0,
-        probe_positions=ev["probes"],
-        cost=cost,
-        chunk=ev["chunk"],
-        epsilon=cfg.sysid()["epsilon"],
-    )
+    plant, nominal, ctrl, report = _run_monte_carlo(cfg, args, n_runs, ev["probes"])
+    out = Path(args.out)
     write_json(out / "report.json", _report_payload(report))
     rows = []
     for i, pos in enumerate(report.probe_positions):
@@ -237,21 +238,8 @@ def cmd_theorem1(args):
     n_runs = ev["runs"] if args.runs is None else args.runs
     if n_runs < 100:
         raise ValueError(f"theorem1 needs at least 100 runs for a meaningful check, got {n_runs}")
-    plant = cfg.plant()
-    cost = cfg.cost(plant)
+    report = _run_monte_carlo(cfg, args, n_runs, ())[3]
     out = Path(args.out)
-    nominal = NominalTrajectory.from_json(out / "nominal.json")
-    ctrl = LqgController.from_json(out / "controller.json")
-    report = run_monte_carlo(
-        plant,
-        nominal,
-        ctrl,
-        n_runs=n_runs,
-        base_seed=args.seed if args.seed is not None else 0,
-        probe_positions=(),
-        cost=cost,
-        chunk=ev["chunk"],
-    )
     mean_dj, se, jbar = report.delta_J_mean, report.delta_J_se, report.nominal_cost
     write_json(out / "theorem1.json", {"mean_delta_J": mean_dj, "se": se, "nominal_cost": jbar, "runs": n_runs})
     verdict = abs(mean_dj) <= max(3 * se, 0.02 * abs(jbar))

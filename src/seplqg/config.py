@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 
+from .harness import probe_nodes_from_fractions
 from .plant import HeatPlant, HeatPlantConfig
 from .trajopt import CostSpec, OptimizeOptions
 
@@ -49,12 +50,10 @@ _ASSERTION_DEFAULTS = {
     "theorem1": {"se_mult": 3.0, "frac_cost": 0.02},
 }
 
-# `optimize.method` is left out: its "kf" rollouts need a linear plant,
-# and the CLI's plant is always a HeatPlant
 _KEYS = {
     **{name: set(keys) for name, keys in _DEFAULTS.items()},
     "plant": set(HeatPlantConfig.__dataclass_fields__) | {"w_scale", "v_scale"},
-    "optimize": set(OptimizeOptions.__dataclass_fields__) - {"method"},
+    "optimize": set(OptimizeOptions.__dataclass_fields__),
     "assertions": {"rom_error_max", "closed_beats_open", "mean_within", *_ASSERTION_DEFAULTS},
 }
 
@@ -183,9 +182,7 @@ class ExperimentConfig:
         ev["probes"] = tuple(ev["probes"])
         for key, least in (("runs", 1), ("chunk", 1), ("belief_size", 2)):
             _require(ev[key] >= least, "evaluate", key, f">= {least}", ev[key])
-        for f in ev["probes"]:
-            if not 0.0 <= f <= 1.0:
-                raise ValueError(f"probe position {f} outside [0, 1]")
+        probe_nodes_from_fractions(self.plant().n_x, ev["probes"])
         return ev
 
     def assertions(self):

@@ -17,8 +17,8 @@ partner (common random numbers), making the error comparison paired.
 
 A chunk of runs is simulated in one pass, in this process.  Each step
 observes the plant, applies the LQG law and steps the plant under it
-and, with the same draws, under the open-loop controls.  With a cost
-spec the same step advances each run's linearized Kalman filter (LKF)
+and, with the same draws, under the open-loop controls.  The same
+step advances each run's linearized Kalman filter (LKF)
 along the noiseless nominal x_det, the rollout of the nominal controls
 from the nominal's initial state: its predict is the plant step's
 tangent at x_det along the run's deviation, and its gains come from
@@ -47,6 +47,7 @@ from .artifacts import memory_only
 from .belief import enkf_update_members, psd_sqrt  # noqa: F401
 from .exceptions import IntegrationDivergedError
 from .lqg import _times_t, kf_steps, lqg_update
+from .plant import _grid_nodes
 from .rng import stream
 from .sysid import collect_impulse_responses
 
@@ -68,7 +69,7 @@ def probe_nodes_from_fractions(n_x, fractions):
     for f in fractions:
         if not 0.0 <= f <= 1.0:
             raise ValueError(f"probe position {f} outside [0, 1]")
-    return tuple(int(round(f * (n_x - 1))) for f in fractions)
+    return _grid_nodes(n_x, fractions)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +188,8 @@ class MonteCarloReport:
     that did not diverge (failures = n_runs - n_effective).
     `run_monte_carlo` raises a RuntimeError instead of returning a report
     when every run, or more than max(1, n_runs // 100) of them, diverged.
+    delta_J_samples and cost_samples (n_effective,) hold each kept run's
+    first-order cost deviation and realized cost under the cost spec.
     mse_diff_samples (n_effective, n_probe), each run's time-averaged
     squared probe error of the open loop minus that of the closed loop,
     is kept in memory only; report.json holds its mean, se and z.
@@ -320,12 +323,12 @@ def _fold(total, rows):
     return np.add.accumulate(np.concatenate([total[None], rows]))[-1]
 
 
-def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes, collect_first,
-                    mean_sum, summed=None, lkf=None):
+def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes, collect_first, lkf,
+                    mean_sum, summed=None):
     """Simulate one chunk of paired runs; returns per-run aggregates, the
     mask of diverged runs, which are frozen on the nominal so the batch
-    stays healthy, and, given the filter `lkf`, each run's delta_J and
-    realized cost.
+    stays healthy, and each run's delta_J and realized cost, scored by
+    the filter `lkf`.
 
     The closed-loop states of the runs in the mask `summed` (default:
     all) are added to mean_sum (N+1, n_x) in strict run-index order."""
@@ -363,13 +366,12 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes,
             "open": np.zeros((N + 1, n_p)),
         }
 
-    if lkf is not None:
-        cost = lkf.cost
-        # CostSpec weights are diagonal: each quadratic form is a row-wise sum
-        q_mean, q_terminal, r_u = (np.diag(w) for w in (cost.Q_mean, cost.Q_terminal, cost.R_u))
-        dmu = np.zeros((R, n_x))  # LKF mean minus x_det
-        delta_J = np.zeros(R)
-        cost_acc = np.full(R, lkf.cost0)
+    cost = lkf.cost
+    # CostSpec weights are diagonal: each quadratic form is a row-wise sum
+    q_mean, q_terminal, r_u = (np.diag(w) for w in (cost.Q_mean, cost.Q_terminal, cost.R_u))
+    dmu = np.zeros((R, n_x))  # LKF mean minus x_det
+    delta_J = np.zeros(R)
+    cost_acc = np.full(R, lkf.cost0)
 
     y = plant.observe(x_cl, v_all[:, 0], 0)
     for k in range(N):
@@ -406,38 +408,35 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes,
                 run0["open"][k + 1] = err_o[0]
         y = plant.observe(x_cl, v_all[:, k + 1], k + 1)
 
-        if lkf is not None:
-            # LKF predict with the step's tangent along the deviations
-            # from x_det, and update with row-wise products: BLAS sums a
-            # row in an order that depends on the number of rows
-            dmu = _tangent(plant, lkf.states[k], nominal.controls[k], dmu, du, k, lkf.h)
-            C = _output_jacobian(plant, lkf.states[k + 1], k + 1, lkf.h)
-            dmu += _times_t(y - lkf.observations[k + 1] - _times_t(dmu, C), lkf.gains[k])
-            delta_J += (du * lkf.C_u[k]).sum(axis=-1)
-            cost_acc += (u * u * r_u).sum(axis=-1)
-            delta_J += (dmu * lkf.C_mu[k + 1]).sum(axis=-1)
-            d = lkf.states[k + 1] + dmu - cost.target
-            cost_acc += (d * d * (q_terminal if k == N - 1 else q_mean)).sum(axis=-1)
-            # the trace terms, 0 unless q_trace > 0
-            delta_J += cost.q_trace * (lkf.traces[k + 1] - nominal.cov_traces[k + 1])
-            cost_acc += cost.q_trace * lkf.traces[k + 1]
+        # LKF predict with the step's tangent along the deviations from
+        # x_det, and update with row-wise products: BLAS sums a row in an
+        # order that depends on the number of rows
+        dmu = _tangent(plant, lkf.states[k], nominal.controls[k], dmu, du, k, lkf.h)
+        C = _output_jacobian(plant, lkf.states[k + 1], k + 1, lkf.h)
+        dmu += _times_t(y - lkf.observations[k + 1] - _times_t(dmu, C), lkf.gains[k])
+        delta_J += (du * lkf.C_u[k]).sum(axis=-1)
+        cost_acc += (u * u * r_u).sum(axis=-1)
+        delta_J += (dmu * lkf.C_mu[k + 1]).sum(axis=-1)
+        d = lkf.states[k + 1] + dmu - cost.target
+        cost_acc += (d * d * (q_terminal if k == N - 1 else q_mean)).sum(axis=-1)
+        # the trace terms, 0 unless q_trace > 0
+        delta_J += cost.q_trace * (lkf.traces[k + 1] - nominal.cov_traces[k + 1])
+        cost_acc += cost.q_trace * lkf.traces[k + 1]
 
-    out = {"sq_closed": sq_closed, "sq_open": sq_open, "run0": run0, "failed": failed}
-    if lkf is not None:
-        out.update(delta_J=delta_J, cost=cost_acc)
-    return out
+    return {"sq_closed": sq_closed, "sq_open": sq_open, "run0": run0, "failed": failed,
+            "delta_J": delta_J, "cost": cost_acc}
 
 
-def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positions=(0.4, 0.9),
-                    cost=None, chunk=100, epsilon=1e-2):
+def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positions=(0.4, 0.9), *,
+                    cost, chunk=100, epsilon=1e-2):
     """Paired closed/open-loop Monte Carlo evaluation, in one pass per
     chunk of runs and in this process.
 
     Each run simulates the true plant under the LQG loop and, with the
-    same noise draws, under the open-loop nominal controls.  When a cost
-    spec is given, the linearized Kalman filter along the noiseless
-    nominal x_det follows each closed-loop run on its controls and
-    measurements, and yields the per-run realized cost, at the filter
+    same noise draws, under the open-loop nominal controls.  The
+    linearized Kalman filter along the noiseless nominal x_det follows
+    each closed-loop run on its controls and measurements, and yields
+    the per-run realized cost under the cost spec `cost`, at the filter
     mean mu, and the first-order cost deviation delta_J = sum C_u du +
     C_mu (mu - x_det), C_mu taken at x_det.  With q_trace > 0 both add
     the trace term of the filter's covariance, which is the same for
@@ -462,7 +461,7 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
     if probe_nodes:
         probe_rows = probe_output_rows(plant, nominal, controller.rom, probe_nodes, epsilon)
         two_sigma = closed_loop_band(controller, probe_rows)
-    lkf = None if cost is None else _Lkf(plant, nominal, cost, epsilon)
+    lkf = _Lkf(plant, nominal, cost, epsilon)
 
     N = nominal.horizon
     mean_sum = np.zeros((N + 1, plant.n_x))
@@ -475,20 +474,19 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
     run0 = None
     for lo in range(0, n_runs, chunk):
         run_ids = list(range(lo, min(lo + chunk, n_runs)))
-        args = (plant, nominal, controller, run_ids, base_seed, probe_nodes, lo == 0)
+        args = (plant, nominal, controller, run_ids, base_seed, probe_nodes, lo == 0, lkf)
         mean_before = mean_sum.copy()
-        out = _simulate_chunk(*args, mean_sum, lkf=lkf)
+        out = _simulate_chunk(*args, mean_sum)
         ok = ~out["failed"]
         if not ok.all():
-            # replay the loop pass of the same batch, so that every run
-            # repeats bit for bit, and sum only the runs that did not
-            # diverge into mean_sum
+            # replay the same batch, so that every run repeats bit for
+            # bit, and sum only the runs that did not diverge into
+            # mean_sum; the replay's scores are not needed
             mean_sum[:] = mean_before
             _simulate_chunk(*args, mean_sum, summed=ok)
         failures += int((~ok).sum())
-        if lkf is not None:
-            delta_J.append(out["delta_J"][ok])
-            cost_samples.append(out["cost"][ok])
+        delta_J.append(out["delta_J"][ok])
+        cost_samples.append(out["cost"][ok])
         # strict run-order folds keep aggregates independent of chunking
         sq_closed = _fold(sq_closed, out["sq_closed"][ok])
         sq_open = _fold(sq_open, out["sq_open"][ok])
@@ -512,8 +510,8 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
         two_sigma=two_sigma,
         mse_closed=sq_closed / denom,
         mse_open=sq_open / denom,
-        delta_J_samples=np.concatenate(delta_J) if lkf is not None else np.zeros(0),
-        cost_samples=np.concatenate(cost_samples) if lkf is not None else np.zeros(0),
+        delta_J_samples=np.concatenate(delta_J),
+        cost_samples=np.concatenate(cost_samples),
         nominal_cost=float(nominal.nominal_cost),
         failures=failures,
         mse_diff_samples=np.concatenate(mse_diff),

@@ -2,8 +2,8 @@
 
 Backward LQR Riccati recursion for the feedback gains, forward Kalman
 Riccati recursion for the estimator gains (`kf_steps`, the one
-covariance recursion, which the design, the exact-KF optimizer and the
-Monte Carlo's linearized filter share), and the online control law that
+covariance recursion, which the design and the Monte Carlo's linearized
+filter share), and the online control law that
 tracks the nominal trajectory (`lqg_update`, batched over runs; the
 Monte Carlo engine steps all runs of a chunk with it):
 

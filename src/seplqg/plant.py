@@ -151,6 +151,13 @@ def _as_finite(x, what, k):
 
 _DEFAULT_POSITIONS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
+
+def _grid_nodes(n, fractions):
+    """Indices of the nodes of an n-node grid nearest each fraction of
+    its length, 0 and 1 being its ends."""
+    return tuple(int(round(f * (n - 1))) for f in fractions)
+
+
 # explicit-Euler stability margin: max K*dt/dx^2 over the operating
 # temperature range must stay below this
 _STABILITY_LIMIT = 0.5
@@ -168,11 +175,6 @@ class HeatPlantConfig:
     fractional positions.  When k0 is omitted it defaults to
     0.38*dx^2/dt, which keeps the explicit scheme stable over
     temp_range with the default k1.
-
-    `insulated` is a test-only switch that replaces both boundary
-    conditions with zero-flux ones in conservation form, so the plain
-    spatial sum of temperature is conserved when eta = 0, u = 0 and k1
-    = 0.
     """
 
     n_grid: int = 100
@@ -186,7 +188,6 @@ class HeatPlantConfig:
     t_right: float = 150.0
     dt: float = 0.25
     horizon: int = 250
-    insulated: bool = False
     temp_range: tuple = (0.0, 300.0)
 
     def __post_init__(self):
@@ -224,11 +225,11 @@ class HeatPlantConfig:
 
     @property
     def actuator_nodes(self):
-        return tuple(int(round(f * (self.n_grid - 1))) for f in self.actuators)
+        return _grid_nodes(self.n_grid, self.actuators)
 
     @property
     def sensor_nodes(self):
-        return tuple(int(round(f * (self.n_grid - 1))) for f in self.sensors)
+        return _grid_nodes(self.n_grid, self.sensors)
 
     @classmethod
     def from_dict(cls, raw):
@@ -274,8 +275,7 @@ class HeatPlant(Plant):
     def initial_state(self):
         """Uniform t_init profile with the Dirichlet entry at t_right."""
         x0 = np.full(self.config.n_grid, float(self.config.t_init))
-        if not self.config.insulated:
-            x0[-1] = self.config.t_right
+        x0[-1] = self.config.t_right
         return x0
 
     def _laplacian(self, T):
@@ -291,13 +291,8 @@ class HeatPlant(Plant):
         np.subtract(t[2:], t[1:-1], out=out)
         out -= t[1:-1]
         out += t[:-2]
-        if self.config.insulated:
-            # conservation (zero-flux) form at both ends
-            lap[..., 0] = T[..., 1] - T[..., 0]
-            lap[..., -1] = T[..., -2] - T[..., -1]
-        else:
-            lap[..., 0] = 2.0 * (T[..., 1] - T[..., 0])
-            lap[..., -1] = 0.0
+        lap[..., 0] = 2.0 * (T[..., 1] - T[..., 0])
+        lap[..., -1] = 0.0
         return lap
 
     def _laplacian_t(self, g):
@@ -307,14 +302,8 @@ class HeatPlant(Plant):
         r[..., 2:] += inner
         r[..., :-2] += inner
         r[..., 1:-1] -= 2.0 * inner
-        if self.config.insulated:
-            r[..., 1] += g[..., 0]
-            r[..., 0] -= g[..., 0]
-            r[..., -2] += g[..., -1]
-            r[..., -1] -= g[..., -1]
-        else:
-            r[..., 1] += 2.0 * g[..., 0]
-            r[..., 0] -= 2.0 * g[..., 0]
+        r[..., 1] += 2.0 * g[..., 0]
+        r[..., 0] -= 2.0 * g[..., 0]
         return r
 
     def step(self, state, control, process_noise, k=0):
@@ -334,8 +323,7 @@ class HeatPlant(Plant):
             # scatters a copy of the columns
             for j, node in enumerate(self._act):
                 out[..., node] += drive[..., j]
-            if not c.insulated:
-                out[..., -1] = T[..., -1]
+            out[..., -1] = T[..., -1]
         return _as_finite(out, "heat plant step", k)
 
     def step_jvp(self, state, control, d_state, d_control, k=0):
@@ -351,8 +339,7 @@ class HeatPlant(Plant):
         drive = np.multiply(d_control, c.dt, dtype=float)
         for j, node in enumerate(self._act):
             out[..., node] += drive[..., j]
-        if not c.insulated:
-            out[..., -1] = d[..., -1]
+        out[..., -1] = d[..., -1]
         return out
 
     def step_vjp(self, state, control, g, k=0):
@@ -363,15 +350,13 @@ class HeatPlant(Plant):
         c = self.config
         T = np.asarray(state, dtype=float)
         g = np.array(g, dtype=float)
-        if not c.insulated:
-            # the Dirichlet entry is carried through unchanged
-            g_right = g[..., -1].copy()
-            g[..., -1] = 0.0
+        # the Dirichlet entry is carried through unchanged
+        g_right = g[..., -1].copy()
+        g[..., -1] = 0.0
         g_state = g * (1.0 - c.eta * c.dt)
         g_state += self._a_k1 * self._laplacian(T) * g
         g_state += self._laplacian_t(g * (self._a + self._a_k1 * T))
-        if not c.insulated:
-            g_state[..., -1] += g_right
+        g_state[..., -1] += g_right
         return g_state, g[..., self._act] * c.dt
 
     def observe(self, state, meas_noise, k=0):
@@ -429,13 +414,6 @@ class LinearPlant(Plant):
         if self._tv:
             return self._A[k], self._B[k], self.output_matrix(k)
         return self._A, self._B, self._C
-
-    def sequences(self, N):
-        """Stacked A_k, B_k for k = 0..N-1 and C_k for k = 0..N."""
-        if self._tv:
-            return self._A[:N], self._B[:N], np.stack([self.output_matrix(k) for k in range(N + 1)])
-        return (np.broadcast_to(self._A, (N, *self._A.shape)), np.broadcast_to(self._B, (N, *self._B.shape)),
-                np.broadcast_to(self._C, (N + 1, *self._C.shape)))
 
     def output_matrix(self, k):
         if not self._tv:

@@ -7,10 +7,10 @@ plain gradient descent with backtracking,
 
 where J(U) is evaluated through a deterministic belief rollout: the
 nominal observations come from the noiseless plant rollout under U, and
-the belief is filtered against those observations (EnKF for black-box
-plants, exact Kalman filter for linear ones).  With a fixed seed the
-map U -> J(U) is deterministic: noise draws are pre-generated per step
-and shared by every rollout (common random numbers).
+the belief is filtered against those observations with an EnKF.  With
+a fixed seed the map U -> J(U) is deterministic: noise draws are
+pre-generated per step and shared by every rollout (common random
+numbers).
 
 The gradient is the hot path.  One EnKF rollout records its whole tape:
 the noiseless plant states, the observations and the ensembles at every
@@ -22,9 +22,7 @@ with only `step` and `observe` gets central finite differences, 2*N*n_u
 perturbed rollouts, each forked from the tape at its perturbation time
 (a rollout perturbed at time j agrees bit for bit with the unperturbed
 one up to j).  `gradient_fd` always takes this path, so it is also the
-oracle the adjoint is tested against.  The exact-KF engine for linear
-plants uses finite differences on the means alone, since its
-covariances do not depend on the controls.
+oracle the adjoint is tested against.
 
 `optimize` keeps the tape of the accepted iterate: the line search's
 rollout of it serves the next gradient and the returned nominal, so no
@@ -45,7 +43,6 @@ from .belief import (
     psd_sqrt,
 )
 from .exceptions import GradientEvaluationError, InsufficientEnsembleError
-from .lqg import kf_recursion
 from .rng import stream
 
 __all__ = [
@@ -193,7 +190,7 @@ def nominal_cost(beliefs, controls, spec):
 
 
 # ---------------------------------------------------------------------------
-# Rollout engines
+# Rollout engine
 # ---------------------------------------------------------------------------
 
 # perturbation times whose forked rollouts are batched together, bounding
@@ -379,95 +376,21 @@ class _EnkfEngine:
         return grad
 
 
-class _KalmanEngine:
-    """Exact-KF counterpart of _EnkfEngine for linear plants.
-
-    The covariance recursion is control-independent, so gains and
-    covariances are computed once; batched rollouts only carry means.
-    """
-
-    def __init__(self, plant, b0):
-        if not hasattr(plant, "sequences"):
-            raise ValueError("exact-KF rollouts need a linear plant exposing sequences(N)")
-        self.plant = plant
-        self.b0 = b0
-        self.A, self.B, C = plant.sequences(plant.horizon)
-        self.C1 = C[1:]
-        self.gains, self.covs = kf_recursion(self.A, self.B, self.C1, plant.spec.W, plant.spec.V, b0.cov)
-        self.traces = np.einsum("kii->k", self.covs)
-
-    def _roll_means(self, U_batch):
-        """Means (B, N+1, n_x) of the filtered belief for each control
-        sequence, tracking each sequence's own nominal observations."""
-        plant = self.plant
-        B_, N, _ = U_batch.shape
-        mu = np.broadcast_to(self.b0.mean, (B_, plant.n_x)).copy()
-        xd = mu.copy()
-        out = np.empty((B_, N + 1, plant.n_x))
-        out[:, 0] = mu
-        for k in range(N):
-            A, Bm, C1 = self.A[k], self.B[k], self.C1[k]
-            xd = xd @ A.T + U_batch[:, k] @ Bm.T
-            y = xd @ C1.T
-            mu = mu @ A.T + U_batch[:, k] @ Bm.T
-            mu = mu + (y - mu @ C1.T) @ self.gains[k].T
-            out[:, k + 1] = mu
-        return out
-
-    def rollout(self, controls):
-        """Single rollout; returns (means, traces, observations)."""
-        _, obs = self.plant.simulate_nominal(self.b0.mean, controls)
-        return self._roll_means(controls[None])[0], self.traces.copy(), obs
-
-    def beliefs(self, controls):
-        return [GaussianBelief(m, c) for m, c in zip(self._roll_means(controls[None])[0], self.covs)]
-
-    def gradient_fd(self, U, spec, h, tape=None):
-        N, n_u = U.shape
-        batch = np.repeat(U[None], 2 * N * n_u, axis=0)
-        idx = 0
-        for j in range(N):
-            for m in range(n_u):
-                batch[idx, j, m] += h
-                batch[idx + 1, j, m] -= h
-                idx += 2
-        means = self._roll_means(batch)
-        d = means - spec.target
-        sc = np.einsum("bki,ij,bkj->bk", d[:, :-1], spec.Q_mean, d[:, :-1]).sum(axis=1)
-        sc += np.einsum("bi,ij,bj->b", d[:, -1], spec.Q_terminal, d[:, -1])
-        cc = np.einsum("bki,ij,bkj->bk", batch, spec.R_u, batch).sum(axis=1)
-        tot = sc + cc
-        if spec.q_trace:
-            tot += spec.q_trace * self.traces.sum()
-        _check_finite(tot, n_u)
-        return ((tot[0::2] - tot[1::2]) / (2.0 * h)).reshape(N, n_u)
-
-    gradient = gradient_fd
-
-
-def _make_engine(plant, b0, M, seed, method):
-    if method == "enkf":
-        return _EnkfEngine(plant, b0, M, seed)
-    if method == "kf":
-        return _KalmanEngine(plant, b0)
-    raise ValueError(f"unknown rollout method {method!r}")
-
-
 def _as_controls(u_seq):
     return np.atleast_2d(np.asarray(u_seq, dtype=float))
 
 
-def rollout_belief(u_seq, b0, plant, M=100, seed=0, method="enkf"):
+def rollout_belief(u_seq, b0, plant, M=100, seed=0):
     """Deterministic belief rollout under u_seq; returns N+1 beliefs.
 
     Nominal observations are generated by the noiseless plant rollout
     from the prior mean, and the filter tracks those observations.  The
     fixed seed makes the whole map u_seq -> beliefs a pure function.
     """
-    return _make_engine(plant, b0, M, seed, method).beliefs(_as_controls(u_seq))
+    return _EnkfEngine(plant, b0, M, seed).beliefs(_as_controls(u_seq))
 
 
-def gradient_fd(u_seq, b0, plant, spec, h=1e-4, seed=0, M=100, method="enkf"):
+def gradient_fd(u_seq, b0, plant, spec, h=1e-4, seed=0, M=100):
     """Central-difference gradient of the rollout cost, (N, n_u).
 
     The same seed drives the +h and -h rollouts (common random
@@ -475,7 +398,7 @@ def gradient_fd(u_seq, b0, plant, spec, h=1e-4, seed=0, M=100, method="enkf"):
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    engine = _make_engine(plant, b0, M, seed, method)
+    engine = _EnkfEngine(plant, b0, M, seed)
     U = _as_controls(u_seq)
     return engine.gradient_fd(U, spec, h, engine.rollout(U))
 
@@ -498,9 +421,7 @@ class OptimizeOptions:
     M: int = 100
     seed: int = 0
     # finite-difference step, used only for plants without an adjoint
-    # and by the exact-KF engine
     h: float = 1e-4
-    method: str = "enkf"
 
 
 _MAX_HALVINGS = 30
@@ -517,7 +438,7 @@ def optimize(u_init, b0, plant, spec, opts=None):
     """
     opts = opts or OptimizeOptions()
     U = _as_controls(u_init).copy()
-    engine = _make_engine(plant, b0, opts.M, opts.seed, opts.method)
+    engine = _EnkfEngine(plant, b0, opts.M, opts.seed)
     tape = engine.rollout(U)
     J = _cost_from_arrays(*tape[:2], U, spec)
     history = [J]

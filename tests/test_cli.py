@@ -336,6 +336,9 @@ def test_config_rejects_unknown_q_mean_preset():
     ({"assertions": {"theorem_1": {}}}, "unknown assertions key.*: theorem_1"),
     ({"evalute": {"runs": 3}}, "unknown config section.*: evalute"),
     ({"sysid": 20}, "section 'sysid' must be an object"),
+    # removed options are unknown keys like any other
+    ({"optimize": {"method": "enkf"}}, "unknown optimize key.*: method"),
+    ({"plant": {"insulated": True}}, "unknown plant key.*: insulated"),
 ])
 def test_config_rejects_unknown_keys(raw, message):
     with pytest.raises(ValueError, match=message):
@@ -346,7 +349,7 @@ def test_every_known_key_is_accepted():
     ExperimentConfig(TINY)
     ExperimentConfig(benchmark_config().raw)
     ExperimentConfig({
-        "plant": {"w_scale": 2.0, "v_scale": 0.5, "insulated": True},
+        "plant": {"w_scale": 2.0, "v_scale": 0.5},
         "cost": {"spatial_gain": 3.0, "spatial_reach": 5.0, "q_terminal": 2.0, "q_trace": 0.1},
         "sysid": {"holdout_extra": 4},
         "lqg": {"ridge": 0.0},
@@ -355,12 +358,6 @@ def test_every_known_key_is_accepted():
                        "rom_error_max": 1.0, "closed_beats_open": True, "mean_within": 1.0,
                        "theorem1": {"se_mult": 3.0, "frac_cost": 0.02}},
     })
-
-
-def test_optimize_method_is_rejected():
-    # "kf" rollouts need a linear plant, and the CLI's plant is a HeatPlant
-    with pytest.raises(ValueError, match="unknown optimize key.*: method"):
-        ExperimentConfig({"optimize": {"method": "enkf"}})
 
 
 @pytest.mark.parametrize("entry, message", [

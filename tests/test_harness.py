@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from kalman_reference import kalman_predict, kalman_update
-from test_trajopt import BlackBox
+from test_trajopt import BlackBox, lq_direct_solution
 
 from seplqg import harness
 from seplqg.belief import GaussianBelief, psd_sqrt
@@ -17,11 +17,11 @@ from seplqg.harness import (
     probe_output_rows,
     run_monte_carlo,
 )
-from seplqg.lqg import design_lqg
+from seplqg.lqg import design_lqg, kf_recursion
 from seplqg.plant import HeatPlant, HeatPlantConfig, LinearPlant
 from seplqg.rng import stream
 from seplqg.sysid import LtvRom, collect_impulse_responses, tv_era
-from seplqg.trajopt import CostSpec, OptimizeOptions, optimize
+from seplqg.trajopt import CostSpec, NominalTrajectory, OptimizeOptions, optimize
 
 
 def constant_rom(A, B, C, N):
@@ -35,15 +35,21 @@ def constant_rom(A, B, C, N):
     )
 
 
-def linear_setup(W=0.2, V=0.3, N=20, seed=3):
+def linear_setup(W=0.2, V=0.3, N=20):
+    """A linear plant whose nominal is its LQ optimum, exact: the controls
+    solve the open-loop LQ problem, the belief means are the noiseless
+    states and the covariance traces come from the Kalman recursion."""
     A = np.array([[0.92, 0.1], [0.0, 0.8]])
     B = np.array([[1.0], [0.4]])
     C = np.array([[1.0, 0.2]])
     plant = LinearPlant(A, B, C, W=W * np.eye(1), V=V * np.eye(1), horizon=N)
     b0 = GaussianBelief(np.array([0.5, -0.3]), 0.3 * np.eye(2))
     spec = CostSpec.from_weights(2, 1, q_mean=1.0, r_u=0.2, q_terminal=1.5, target=[0.2, 0.0])
-    opts = OptimizeOptions(alpha=0.3, max_iters=150, tol=1e-9, method="kf", h=1e-5)
-    nominal = optimize(np.zeros((N, 1)), b0, plant, spec, opts)
+    U, J = lq_direct_solution(plant, b0.mean, spec, N)
+    states, obs = plant.simulate_nominal(b0.mean, U)
+    _, P = kf_recursion(*(np.broadcast_to(M, (N, *M.shape)) for M in (A, B, C)), plant.spec.W, plant.spec.V, b0.cov)
+    nominal = NominalTrajectory(controls=U, means=states, prior_cov=b0.cov, cov_traces=np.einsum("kii->k", P),
+                                observations=obs, nominal_cost=J, iterations=0, converged=True)
     rom = constant_rom(A, B, C, N)
     ctrl = design_lqg(rom, W=plant.spec.W, V=plant.spec.V, P0=b0.cov, q_y=1.0, r=0.2)
     return plant, b0, spec, nominal, ctrl
@@ -257,8 +263,8 @@ def test_linearized_filter_matches_a_per_run_kalman_filter_on_a_linear_plant(mon
                            lambda k: (*plant.matrices(k)[:2], plant.matrices(k + 1)[2]))
     assert_close(report.delta_J_samples, ref[0], 1e-12)
     assert_close(report.cost_samples, ref[2], 1e-12)
-    # on a linear plant the exact-KF nominal's means are x_det to
-    # roundoff, so the values scored about those means stay
+    # the nominal's means are x_det, so the values scored about those
+    # means stay
     assert np.abs(nominal.means - noiseless_nominal(plant, nominal)).max() < 1e-12
     assert_close(report.delta_J_samples, ref[1], 1e-10)
 
@@ -332,7 +338,7 @@ def test_open_loop_equals_closed_loop_with_zero_gains():
 
 def test_paired_differences_are_the_runs_open_minus_closed_errors():
     plant, spec, nominal, ctrl = heat_setup()
-    kw = dict(base_seed=4, probe_positions=(0.4, 0.9), chunk=5)
+    kw = dict(base_seed=4, probe_positions=(0.4, 0.9), cost=spec, chunk=5)
     report = run_monte_carlo(plant, nominal, ctrl, n_runs=12, **kw)
     N = nominal.horizon
     assert report.mse_diff_samples.shape == (12, 2)
@@ -416,18 +422,16 @@ def test_diverged_runs_are_left_out_of_every_average():
 def test_run_monte_carlo_validates_inputs():
     plant, b0, spec, nominal, ctrl = linear_setup()
     with pytest.raises(ValueError):
-        run_monte_carlo(plant, nominal, ctrl, n_runs=0, base_seed=0)
+        run_monte_carlo(plant, nominal, ctrl, n_runs=0, base_seed=0, cost=spec)
 
 
 @pytest.mark.parametrize("chunk", [0, -1])
 def test_chunk_below_one_is_rejected_before_any_step(chunk):
-    # unchecked, chunk -1 without a cost gave a report of 5 runs that
-    # simulated none, and with a cost the chunk loop raised a raw error
+    # unchecked, chunk -1 made the chunk loop raise a raw error
     plant, spec, nominal, ctrl = heat_setup()
     plant = CountingHeatPlant(plant.config)
-    for cost in (None, spec):
-        with pytest.raises(ValueError, match=f"chunk must be >= 1, got {chunk}"):
-            run_monte_carlo(plant, nominal, ctrl, n_runs=5, base_seed=0, cost=cost, chunk=chunk)
+    with pytest.raises(ValueError, match=f"chunk must be >= 1, got {chunk}"):
+        run_monte_carlo(plant, nominal, ctrl, n_runs=5, base_seed=0, cost=spec, chunk=chunk)
     assert not plant.rows
 
 

@@ -109,15 +109,24 @@ def test_actuation_enters_at_point_sources():
     assert np.array_equal(out, out2)
 
 
-def test_insulated_mode_conserves_total_temperature():
-    cfg = HeatPlantConfig(k1=0.0, eta=0.0, insulated=True)
+def test_slab_energy_changes_by_the_boundary_flux():
+    # with k1 = eta = 0 and no drive, the trapezoid sum over the nodes the
+    # step moves, S = T_0/2 + sum_{i=1}^{n-2} T_i, changes each step only
+    # by the flux from the Dirichlet end, a (T_{n-1} - T_{n-2}) with
+    # a = k0 dt/dx^2: the insulated left end lets none out
+    cfg = HeatPlantConfig(k1=0.0, eta=0.0)
     hp = HeatPlant(cfg)
+    a = cfg.k0 * cfg.dt / cfg.dx**2
     rng = stream(7, "conserve")
-    x = 100.0 + 10.0 * rng.random(100)
-    total = x.sum()
+    x = hp.initial_state() + 10.0 * rng.random(100)
+
+    def energy(T):
+        return 0.5 * T[0] + T[1:-1].sum()
+
     for _ in range(50):
+        expected = energy(x) + a * (x[-1] - x[-2])
         x = hp.step(x, np.zeros(5), np.zeros(5))
-        assert x.sum() == pytest.approx(total, rel=1e-9)
+        assert energy(x) == pytest.approx(expected, rel=1e-9)
 
 
 def test_divergence_raises_named_step():
@@ -127,26 +136,21 @@ def test_divergence_raises_named_step():
         hp.step(x * np.inf, np.zeros(5), np.zeros(5), k=3)
 
 
-def strided_laplacian(T, insulated):
+def strided_laplacian(T):
     """The second difference on (..., n) views, in the operation order of
     `HeatPlant._laplacian`."""
     lap = np.empty(T.shape)
     np.subtract(T[..., 2:], T[..., 1:-1], out=lap[..., 1:-1])
     lap[..., 1:-1] -= T[..., 1:-1]
     lap[..., 1:-1] += T[..., :-2]
-    if insulated:
-        lap[..., 0] = T[..., 1] - T[..., 0]
-        lap[..., -1] = T[..., -2] - T[..., -1]
-    else:
-        lap[..., 0] = 2.0 * (T[..., 1] - T[..., 0])
-        lap[..., -1] = 0.0
+    lap[..., 0] = 2.0 * (T[..., 1] - T[..., 0])
+    lap[..., -1] = 0.0
     return lap
 
 
-@pytest.mark.parametrize("insulated", [False, True])
 @pytest.mark.parametrize("n", [3, 4, 17])
-def test_laplacian_matches_strided_reference_bit_for_bit(insulated, n):
-    hp = HeatPlant(HeatPlantConfig(n_grid=n, insulated=insulated, actuators=(0.0,), sensors=(1.0,)))
+def test_laplacian_matches_strided_reference_bit_for_bit(n):
+    hp = HeatPlant(HeatPlantConfig(n_grid=n, actuators=(0.0,), sensors=(1.0,)))
     rng = stream(4, n, "lap")
     base = 100.0 + 30.0 * rng.standard_normal((5, 6, 2 * n))
     inputs = [
@@ -158,7 +162,7 @@ def test_laplacian_matches_strided_reference_bit_for_bit(insulated, n):
         base[:, ::2, :n].transpose(1, 0, 2),  # permuted axes
     ]
     for T in inputs:
-        assert np.array_equal(hp._laplacian(T), strided_laplacian(T, insulated)), T.shape
+        assert np.array_equal(hp._laplacian(T), strided_laplacian(T)), T.shape
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +321,17 @@ def assert_tangent_is_adjoint_transpose(plant, x, u, rng, k=0):
     assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + abs(rhs))
 
 
-@pytest.mark.parametrize("insulated", [False, True])
-def test_heat_step_jvp_is_the_transpose_of_step_vjp(insulated):
-    hp = HeatPlant(HeatPlantConfig(n_grid=17, insulated=insulated))
-    rng = stream(5, int(insulated), "heat-jvp")
+def dirichlet_actuated_slab(on_dirichlet_node):
+    """17-node slab with five actuators, the last on the Dirichlet node
+    if asked, where its drive is overwritten like the rest of the step."""
+    last = 1.0 if on_dirichlet_node else 0.9
+    return HeatPlant(HeatPlantConfig(n_grid=17, actuators=(0.1, 0.3, 0.5, 0.7, last)))
+
+
+@pytest.mark.parametrize("on_dirichlet_node", [False, True])
+def test_heat_step_jvp_is_the_transpose_of_step_vjp(on_dirichlet_node):
+    hp = dirichlet_actuated_slab(on_dirichlet_node)
+    rng = stream(5, int(on_dirichlet_node), "heat-jvp")
     for shape in ((17,), (4, 17)):
         T = rng.uniform(*hp.config.temp_range, shape)
         assert_tangent_is_adjoint_transpose(hp, T, rng.standard_normal(shape[:-1] + (5,)), rng)
@@ -336,10 +347,10 @@ def test_time_varying_linear_step_jvp_is_the_transpose_of_step_vjp():
         assert np.array_equal(lp.step_jvp(x, u, x, u, k), lp.step(x, u, 0.0, k))
 
 
-@pytest.mark.parametrize("insulated", [False, True])
-def test_heat_step_jvp_rows_equal_single_row_calls_bit_for_bit(insulated):
-    hp = HeatPlant(HeatPlantConfig(n_grid=17, insulated=insulated))
-    rng = stream(7, int(insulated), "heat-jvp-rows")
+@pytest.mark.parametrize("on_dirichlet_node", [False, True])
+def test_heat_step_jvp_rows_equal_single_row_calls_bit_for_bit(on_dirichlet_node):
+    hp = dirichlet_actuated_slab(on_dirichlet_node)
+    rng = stream(7, int(on_dirichlet_node), "heat-jvp-rows")
     T = rng.uniform(*hp.config.temp_range, (6, 17))
     u, d, e = rng.standard_normal((6, 5)), rng.standard_normal((6, 17)), rng.standard_normal((6, 5))
     shared = hp.step_jvp(T[0], u[0], d, e)
