@@ -64,10 +64,6 @@ class GaussianBelief:
             cov = 0.5 * (cov + cov.T)
         self.cov = cov
 
-    @property
-    def dim(self):
-        return self.mean.size
-
 
 def belief_from_ensemble(members):
     """Sample mean and unbiased (M-1 denominator) sample covariance of

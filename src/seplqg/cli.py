@@ -46,7 +46,7 @@ from .belief import GaussianBelief
 from .config import ExperimentConfig, benchmark_config
 from .harness import complexity_report, run_monte_carlo
 from .lqg import LqgController, design_lqg
-from .sysid import LtvRom, collect_impulse_responses, holdout_pairs, tv_era, validate_rom
+from .sysid import LtvRom, collect_impulse_responses, tv_era, validate_rom
 from .trajopt import NominalTrajectory, optimize
 
 __all__ = ["main"]
@@ -117,8 +117,7 @@ def cmd_identify(args):
     max_lag = max(p + q, p + q - 1 + extra)
     markov = collect_impulse_responses(plant, nominal, sid["epsilon"], max_lag=max_lag)
     rom = tv_era(markov, n_r=sid["n_r"], p=p, q=q)
-    holdout = holdout_pairs(nominal.horizon, p, q, extra, rom.time_range)
-    err = validate_rom(rom, markov, holdout)
+    err = validate_rom(rom, markov, p + q - 1, extra)
     rom.to_json(out / "rom.json")
     rows = [[k, *s] for k, s in sorted(rom.singular_values.items())]
     width = max(len(r) - 1 for r in rows)

@@ -77,20 +77,19 @@ def probe_nodes_from_fractions(n_x, fractions):
 # ---------------------------------------------------------------------------
 
 
-def cost_gradient_coefficients(nominal, spec, states=None):
-    """Gradients of the quadratic stage costs at the nominal trajectory.
+def cost_gradient_coefficients(nominal, spec, states):
+    """Gradients of the quadratic stage costs along `states` (N+1, n_x)
+    and the nominal's controls.
 
     C_mu[k] = 2 Q (mu_k - target) with Q = Q_terminal at k = N and
-    Q_mean before, mu_k the nominal's belief means or, when given, the
-    states (N+1, n_x), C_u[k] = 2 R_u u_k, and the trace weight q_trace,
-    the derivative of the cost in every covariance diagonal entry.
-    Returns (C_mu (N+1, n_x), C_u (N, n_u), c_trace).
+    Q_mean before, mu_k = states[k], and C_u[k] = 2 R_u u_k.
+    Returns (C_mu (N+1, n_x), C_u (N, n_u)).
     """
-    d = (nominal.means if states is None else states) - spec.target
+    d = states - spec.target
     C_mu = 2.0 * (d @ spec.Q_mean)
     C_mu[-1] = 2.0 * (d[-1] @ spec.Q_terminal)
     C_u = 2.0 * (nominal.controls @ spec.R_u)
-    return C_mu, C_u, float(spec.q_trace)
+    return C_mu, C_u
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +295,7 @@ class _Lkf:
     def __init__(self, plant, nominal, cost, h):
         self.cost, self.h = cost, h
         self.states, self.observations = plant.simulate_nominal(nominal.means[0], nominal.controls)
-        self.C_mu, self.C_u, _ = cost_gradient_coefficients(nominal, cost, self.states)
+        self.C_mu, self.C_u = cost_gradient_coefficients(nominal, cost, self.states)
         N, n_x, n_y = nominal.horizon, plant.n_x, plant.n_y
         self.gains = np.empty((N, n_x, n_y))
         self.traces = np.empty(N + 1)

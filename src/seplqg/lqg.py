@@ -27,42 +27,36 @@ __all__ = [
     "LqgController",
     "lqr_backward",
     "kf_steps",
-    "kf_recursion",
     "kf_forward",
     "design_lqg",
     "lqg_update",
 ]
 
 
-def _weight_at(Q, k):
-    Q = np.asarray(Q, dtype=float)
-    return Q[k] if Q.ndim == 3 else Q
-
-
-def lqr_backward(rom, Qk, QN, Rk):
+def lqr_backward(rom, Qk, QN, R):
     """Finite-horizon discrete LQR on the ROM sequences.
 
     S_N = Q_N
-    L_k = (R_k + B' S_{k+1} B)^-1 B' S_{k+1} A
+    L_k = (R + B' S_{k+1} B)^-1 B' S_{k+1} A
     S_k = Q_k + A' S_{k+1} A - A' S_{k+1} B L_k
 
-    Returns (L_gains (N, n_u, n_r), S (N+1, n_r, n_r)).  Qk may be one
-    matrix or a per-step stack; same for Rk.
+    Qk is the per-step stack (N, n_r, n_r), QN and R one matrix each.
+    Returns (L_gains (N, n_u, n_r), S (N+1, n_r, n_r)).
     """
     N = rom.horizon
     n_r, n_u = rom.n_r, rom.n_u
     L = np.empty((N, n_u, n_r))
     S = np.empty((N + 1, n_r, n_r))
-    S[N] = _weight_at(QN, 0)
+    S[N] = QN
     for k in range(N - 1, -1, -1):
         A, B = rom.A_hat[k], rom.B_hat[k]
         SB = S[k + 1] @ B
-        G = _weight_at(Rk, k) + B.T @ SB
+        G = R + B.T @ SB
         try:
             L[k] = np.linalg.solve(G, SB.T @ A)
         except np.linalg.LinAlgError as e:
             raise IllPosedCostError(f"R + B'SB singular at step k={k}") from e
-        Sk = _weight_at(Qk, k) + A.T @ S[k + 1] @ A - A.T @ SB @ L[k]
+        Sk = Qk[k] + A.T @ S[k + 1] @ A - A.T @ SB @ L[k]
         S[k] = 0.5 * (Sk + Sk.T)
     return L, S
 
@@ -97,34 +91,22 @@ def kf_steps(models, W, V, P):
         yield K, P
 
 
-def kf_recursion(A, B, C, W, V, P):
-    """`kf_steps` over A, B stacked over k = 0..N-1 and C over k = 1..N,
-    each step written into the stacks as it comes, so that no list of
-    step results is held beside them.  Returns (K (N, n, n_y) with
-    K[k] = K_{k+1}, P (N+1, n, n) with P[0] = P).
-    """
-    N = len(A)
-    n = P.shape[0]
-    K = np.empty((N, n, C[0].shape[0]))
-    Ps = np.empty((N + 1, n, n))
-    Ps[0] = P
-    for k, (K_k, P_k) in enumerate(kf_steps(zip(A, B, C), W, V, P)):
-        K[k], Ps[k + 1] = K_k, P_k
-    return K, Ps
-
-
 def kf_forward(rom, W, V, P0):
-    """Forward Kalman Riccati recursion on the ROM (see kf_recursion).
+    """Forward Kalman Riccati recursion on the ROM: `kf_steps`, each
+    step written into the stacks as it comes.
 
     K_0 comes from the prior P0 the same way, so a measurement update is
     available at every step 0..N.  Returns (K_gains (N+1, n_r, n_y),
     P (N+1, n_r, n_r)) with P the post-update covariances.
     """
-    W = np.asarray(W, dtype=float)
     V = np.asarray(V, dtype=float)
-    K0, P_post = _kf_update(np.asarray(P0, dtype=float), rom.C_hat[0], V, 0)
-    K, P = kf_recursion(rom.A_hat, rom.B_hat, rom.C_hat[1:], W, V, P_post)
-    return np.concatenate([K0[None], K]), P
+    K = np.empty((rom.horizon + 1, rom.n_r, rom.n_y))
+    P = np.empty((rom.horizon + 1, rom.n_r, rom.n_r))
+    K[0], P[0] = _kf_update(np.asarray(P0, dtype=float), rom.C_hat[0], V, 0)
+    steps = kf_steps(zip(rom.A_hat, rom.B_hat, rom.C_hat[1:]), np.asarray(W, dtype=float), V, P[0])
+    for k, (K_k, P_k) in enumerate(steps, 1):
+        K[k], P[k] = K_k, P_k
+    return K, P
 
 
 @dataclass
@@ -146,49 +128,31 @@ class LqgController:
     P_traces: np.ndarray
     S_traces: np.ndarray
 
-    @property
-    def horizon(self):
-        return self.rom.horizon
-
     to_json = save
     from_json = classmethod(load)
 
 
-def default_rom_weights(rom, q_y=1.0, r=0.1, terminal_scale=10.0, ridge=1e-8):
-    """Output-weighted ROM-space cost: Q_k = C_k' Q_y C_k + ridge*I.
-
-    The ridge keeps the stage weights positive definite; QN scales the
-    final stage weight.
-    """
-    n_r, n_u, n_y = rom.n_r, rom.n_u, rom.n_y
-    Qy = q_y * np.eye(n_y) if np.ndim(q_y) == 0 else np.asarray(q_y, dtype=float)
-    N = rom.horizon
-    Qk = np.empty((N, n_r, n_r))
-    for k in range(N):
-        C = rom.C_hat[k]
-        Qk[k] = C.T @ Qy @ C + ridge * np.eye(n_r)
-    CN = rom.C_hat[N]
-    QN = terminal_scale * (CN.T @ Qy @ CN + ridge * np.eye(n_r))
-    Rk = r * np.eye(n_u) if np.ndim(r) == 0 else np.asarray(r, dtype=float)
-    return Qk, QN, Rk
-
-
-def design_lqg(rom, W=None, V=None, P0=None, Qk=None, QN=None, Rk=None,
-               q_y=1.0, r=0.1, terminal_scale=10.0, ridge=1e-8):
+def design_lqg(rom, W=None, V=None, P0=None, q_y=1.0, r=0.1, terminal_scale=10.0, ridge=1e-8):
     """Design the tracking LQG controller for a ROM.
 
-    Explicit Qk/QN/Rk win; otherwise the output-weighted defaults are
-    used.  W, V default to identity; P0 to identity in ROM coordinates.
+    The cost is output-weighted in ROM space: Q_k = C_k' (q_y I) C_k +
+    ridge I, the ridge keeping the stage weights positive definite,
+    Q_N = terminal_scale times the final stage weight, and R = r I, for
+    scalar q_y and r.  W, V default to identity; P0 to identity in ROM
+    coordinates.
     """
-    if Qk is None or QN is None or Rk is None:
-        dQk, dQN, dRk = default_rom_weights(rom, q_y, r, terminal_scale, ridge)
-        Qk = dQk if Qk is None else Qk
-        QN = dQN if QN is None else QN
-        Rk = dRk if Rk is None else Rk
+    n_r = rom.n_r
+    Qy = q_y * np.eye(rom.n_y)
+    Qk = np.empty((rom.horizon, n_r, n_r))
+    for k in range(rom.horizon):
+        C = rom.C_hat[k]
+        Qk[k] = C.T @ Qy @ C + ridge * np.eye(n_r)
+    CN = rom.C_hat[rom.horizon]
+    QN = terminal_scale * (CN.T @ Qy @ CN + ridge * np.eye(n_r))
     W = np.eye(rom.n_u) if W is None else np.asarray(W, dtype=float)
     V = np.eye(rom.n_y) if V is None else np.asarray(V, dtype=float)
-    P0 = np.eye(rom.n_r) if P0 is None else np.asarray(P0, dtype=float)
-    L, S = lqr_backward(rom, Qk, QN, Rk)
+    P0 = np.eye(n_r) if P0 is None else np.asarray(P0, dtype=float)
+    L, S = lqr_backward(rom, Qk, QN, r * np.eye(rom.n_u))
     K, P = kf_forward(rom, W, V, P0)
     return LqgController(
         rom=rom,

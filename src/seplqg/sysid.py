@@ -10,7 +10,8 @@ yields the time-varying Markov parameters
     Y[k][j] = C_k Phi(k, j+1) B_j,      Phi(k, j) = A_{k-1} ... A_j,
 
 and realized as a reduced-order LTV triple (A_hat_k, B_hat_k, C_hat_k)
-by SVD of generalized Hankel matrices (time-varying ERA):
+by SVD of generalized Hankel matrices with p block rows and q block
+columns (time-varying ERA, `tv_era(markov, n_r, p, q)`):
 
     H_k[i, l]       = Y[k+i][k-1-l]            = O_k R_k
     H_k^shift[i, l] = Y[k+1+i][k-1-l]          = O_{k+1} A_k R_k
@@ -24,15 +25,16 @@ SVD H_k = U_k S_k V_k'.  Then
 
 Near the horizon ends full Hankel matrices cannot be formed; the nearest
 valid matrices are held constant there, and `time_range` records the
-fully valid span.
+fully valid span.  `validate_rom(rom, markov, lag, extra)` scores the
+ROM on the lags (lag, lag + extra] past the lag = p + q - 1 ERA reads.
 
 The Hankel blocks read lags k - j up to p + q only, so an impulse
 campaign may be lag-limited: with `max_lag` L each perturbed rollout
 stops L steps after its impulse, and the work and memory of the
 campaign scale with L rather than the horizon.  A lag past the
-campaign's `max_lag` was never measured and cannot be read: `get` and
-`tv_era` raise IndexError for it rather than return the zero stored
-there.
+campaign's `max_lag` was never measured and cannot be read: `get`,
+`tv_era` and `validate_rom` raise IndexError for it rather than return
+the zero stored there.
 """
 
 from dataclasses import dataclass
@@ -48,8 +50,6 @@ __all__ = [
     "collect_impulse_responses",
     "tv_era",
     "validate_rom",
-    "holdout_pairs",
-    "default_block_counts",
 ]
 
 
@@ -203,12 +203,6 @@ def collect_impulse_responses(plant, nominal, epsilon=1e-2, nodes=None, max_lag=
     return MarkovParams(data, max_lag)
 
 
-def default_block_counts(n_r, n_y, n_u):
-    """Observability/controllability block counts p = q = ceil(2 n_r / min(n_y, n_u))."""
-    p = int(np.ceil(2.0 * n_r / min(n_y, n_u)))
-    return p, p
-
-
 def _hankel(markov, k, p, q, shift=0):
     """Generalized Hankel at time k: block (i, l) = Y[k + shift + i][k-1-l],
     gathered in one fancy index."""
@@ -217,7 +211,7 @@ def _hankel(markov, k, p, q, shift=0):
     return blocks.transpose(0, 2, 1, 3).reshape(p * markov.n_y, q * markov.n_u)
 
 
-def tv_era(markov, n_r, p=None, q=None):
+def tv_era(markov, n_r, p, q):
     """Realize a reduced-order LTV model from Markov parameters.
 
     Returns an LtvRom whose A/B/C sequences cover the full horizon, with
@@ -225,10 +219,6 @@ def tv_era(markov, n_r, p=None, q=None):
     pass over k keeps the truncated SVD factors of H_k and H_{k+1} only.
     """
     n_y, n_u, N = markov.n_y, markov.n_u, markov.horizon
-    if p is None or q is None:
-        dp, dq = default_block_counts(n_r, n_y, n_u)
-        p = dp if p is None else p
-        q = dq if q is None else q
     if p * n_y < n_r or q * n_u < n_r:
         raise ValueError(f"need p*n_y >= n_r and q*n_u >= n_r, got p={p}, q={q}, n_r={n_r}")
     k_min, k_max = q, N - p  # A_hat_k valid on [k_min, k_max]
@@ -281,60 +271,36 @@ def tv_era(markov, n_r, p=None, q=None):
     )
 
 
-def holdout_pairs(N, p, q, extra, time_range=None):
-    """(k, j) pairs at lags beyond what the Hankel blocks ever see.
-
-    ERA consumes lags k - j <= p + q - 1; holding out the lag window
-    (p+q-1, p+q-1+extra] tests genuine extrapolation of the realized
-    model.  Passing the ROM's time_range restricts the pairs to the
-    span where the realization is valid (outside it the matrices are
-    held constant, which is boundary patching rather than
-    identification).
-    """
-    lag_lo = p + q - 1
-    k_lo, k_hi = 1, N
-    j_min = 0
-    if time_range is not None:
-        k_lo, k_hi = time_range[0], min(time_range[1] + 1, N)
-        j_min = max(0, time_range[0] - 1)
-    pairs = []
-    for k in range(k_lo, k_hi + 1):
-        for j in range(max(j_min, k - lag_lo - extra), k - lag_lo):
-            pairs.append((k, j))
-    return pairs
-
-
-def validate_rom(rom, markov, holdout):
+def validate_rom(rom, markov, lag, extra):
     """Relative Frobenius error of ROM-reconstructed Markov parameters
-    over the held-out (k, j) pairs.
+    over the held-out window: lags k - j in (lag, lag + extra], past
+    the lag = p + q - 1 ERA reads, so genuine extrapolation, within the
+    ROM's valid span k in [k_min, min(k_max + 1, N)], j >= k_min - 1
+    ((k_min, k_max) = rom.time_range; outside it the matrices are only
+    held constant).  An empty window raises ValueError.
 
     It is inf when every held-out Markov parameter is zero and the ROM
     predicts a nonzero one; `seplqg identify` then stops with the
     ValueError of `write_json`, which stores no non-finite number."""
-    holdout = list(holdout)
-    if not holdout:
-        raise ValueError("holdout set is empty")
-    # group by j and propagate B_hat_j forward once per j
-    by_j = {}
-    for k, j in holdout:
-        if not 0 <= j < k <= rom.horizon:
-            raise IndexError(f"holdout pair ({k}, {j}) out of range")
-        by_j.setdefault(j, []).append(k)
+    k_lo, k_hi = rom.time_range[0], min(rom.time_range[1] + 1, rom.horizon)
+    j_lo = max(0, k_lo - 1, k_lo - lag - extra)
+    j_hi = k_hi - lag - 1
+    if extra < 1 or j_hi < j_lo:
+        raise ValueError(f"holdout window (lag {lag}, extra {extra}) is empty")
+    # propagate B_hat_j forward once per j, reading each k of its window
     err2 = 0.0
     ref2 = 0.0
-    for j, ks in by_j.items():
-        k_stop = max(ks)
-        want = set(ks)
+    for j in range(j_lo, j_hi + 1):
+        k_first, k_stop = max(k_lo, j + lag + 1), min(k_hi, j + lag + extra)
         M = rom.B_hat[j]
         for k in range(j + 1, k_stop + 1):
-            if k in want:
-                pred = rom.C_hat[k] @ M
-                diff = pred - markov.get(k, j)
+            if k >= k_first:
+                Y = markov.get(k, j)
+                diff = rom.C_hat[k] @ M - Y
                 err2 += float((diff**2).sum())
-                ref2 += float((markov.get(k, j) ** 2).sum())
+                ref2 += float((Y**2).sum())
             if k < k_stop:
                 M = rom.A_hat[k] @ M
     if ref2 == 0.0:
         return 0.0 if err2 == 0.0 else float("inf")
     return float(np.sqrt(err2 / ref2))
-

@@ -1,6 +1,6 @@
 """Exact Kalman predict and update steps on a GaussianBelief, one
-measurement at a time: the reference the EnKF kernels and the batched
-covariance recursion `lqg.kf_recursion` are tested against."""
+measurement at a time: the reference the EnKF kernels and the
+covariance recursion `lqg.kf_steps` are tested against."""
 
 import numpy as np
 

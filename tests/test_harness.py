@@ -17,7 +17,7 @@ from seplqg.harness import (
     probe_output_rows,
     run_monte_carlo,
 )
-from seplqg.lqg import design_lqg, kf_recursion
+from seplqg.lqg import design_lqg, kf_steps
 from seplqg.plant import HeatPlant, HeatPlantConfig, LinearPlant
 from seplqg.rng import stream
 from seplqg.sysid import LtvRom, collect_impulse_responses, tv_era
@@ -47,7 +47,7 @@ def linear_setup(W=0.2, V=0.3, N=20):
     spec = CostSpec.from_weights(2, 1, q_mean=1.0, r_u=0.2, q_terminal=1.5, target=[0.2, 0.0])
     U, J = lq_direct_solution(plant, b0.mean, spec, N)
     states, obs = plant.simulate_nominal(b0.mean, U)
-    _, P = kf_recursion(*(np.broadcast_to(M, (N, *M.shape)) for M in (A, B, C)), plant.spec.W, plant.spec.V, b0.cov)
+    P = np.stack([b0.cov, *(P_k for _, P_k in kf_steps([(A, B, C)] * N, plant.spec.W, plant.spec.V, b0.cov))])
     nominal = NominalTrajectory(controls=U, means=states, prior_cov=b0.cov, cov_traces=np.einsum("kii->k", P),
                                 observations=obs, nominal_cost=J, iterations=0, converged=True)
     rom = constant_rom(A, B, C, N)
@@ -84,7 +84,7 @@ def assert_close(a, b, rel):
 
 def test_coefficients_match_quadratic_gradients():
     plant, b0, spec, nominal, ctrl = linear_setup()
-    C_mu, C_u, c_tr = cost_gradient_coefficients(nominal, spec)
+    C_mu, C_u = cost_gradient_coefficients(nominal, spec, nominal.means)
     h = 1e-5
 
     def central_difference(f, x):
@@ -100,16 +100,6 @@ def test_coefficients_match_quadratic_gradients():
     for k in (0, 7):
         expected = central_difference(lambda u: u @ spec.R_u @ u, nominal.controls[k])
         assert np.allclose(C_u[k], expected, atol=1e-8)
-    assert c_tr == 0.0
-
-
-def test_trace_coefficient_active_with_trace_weight():
-    plant, b0, spec, nominal, ctrl = linear_setup()
-    spec_tr = CostSpec(
-        Q_mean=spec.Q_mean, q_trace=0.7, R_u=spec.R_u, Q_terminal=spec.Q_terminal, target=spec.target
-    )
-    _, _, c_tr = cost_gradient_coefficients(nominal, spec_tr)
-    assert c_tr == pytest.approx(0.7, rel=1e-8)
 
 
 def test_kf_realized_cost_includes_every_trace_term():
@@ -232,8 +222,9 @@ def reference_scores(plant, nominal, spec, ys, dus, model):
     Kalman filter per run on the deviations from x_det and dense
     quadratic forms.  model(k) gives (A_k, B_k, C_{k+1}) at x_det."""
     x_det, y_det = plant.simulate_nominal(nominal.means[0], nominal.controls)
-    C_mu, C_u, q_tr = cost_gradient_coefficients(nominal, spec, x_det)
-    C_mu_means = cost_gradient_coefficients(nominal, spec)[0]
+    C_mu, C_u = cost_gradient_coefficients(nominal, spec, x_det)
+    C_mu_means = cost_gradient_coefficients(nominal, spec, nominal.means)[0]
+    q_tr = spec.q_trace
     N = nominal.horizon
     out = np.zeros((3, ys.shape[1]))
     for r in range(ys.shape[1]):
@@ -325,9 +316,7 @@ def test_open_loop_equals_closed_loop_with_zero_gains():
     # paired noise: with L = 0 the applied controls are the nominal ones,
     # so matched draws make both trajectories identical
     plant, b0, spec, nominal, ctrl = linear_setup()
-    rom = ctrl.rom
-    zero_ctrl = design_lqg(rom, W=plant.spec.W, V=plant.spec.V, Qk=1e-12 * np.eye(2),
-                           QN=1e-12 * np.eye(2), Rk=np.eye(1))
+    zero_ctrl = replace(ctrl, L_gains=np.zeros_like(ctrl.L_gains))
     assert np.abs(zero_ctrl.L_gains).max() < 1e-9
     report = run_monte_carlo(
         plant, nominal, zero_ctrl, n_runs=10, base_seed=7, probe_positions=(0.5,), cost=spec,

@@ -23,6 +23,11 @@ def constant_rom(A, B, C, N):
     )
 
 
+def stage_weights(Q, rom):
+    """The one stage weight Q at every step of the ROM's horizon."""
+    return np.broadcast_to(Q, (rom.horizon, *np.shape(Q)))
+
+
 def random_stable_ltv(n_r, n_u, n_y, N, seed):
     rng = stream(seed, "ltv-rom")
     A = np.stack([0.85 * np.eye(n_r) + 0.05 * rng.standard_normal((n_r, n_r)) for _ in range(N)])
@@ -38,7 +43,7 @@ def random_stable_ltv(n_r, n_u, n_y, N, seed):
 
 def test_lqr_scalar_hand_recursion():
     rom = constant_rom([[1.0]], [[1.0]], [[1.0]], N=1)
-    L, S = lqr_backward(rom, Qk=np.array([[1.0]]), QN=np.array([[1.0]]), Rk=np.array([[1.0]]))
+    L, S = lqr_backward(rom, Qk=stage_weights([[1.0]], rom), QN=np.array([[1.0]]), R=np.array([[1.0]]))
     assert S[1, 0, 0] == pytest.approx(1.0)
     assert L[0, 0, 0] == pytest.approx(0.5)
     assert S[0, 0, 0] == pytest.approx(1.5)
@@ -50,7 +55,7 @@ def test_lqr_uncontrollable_reduces_to_lyapunov():
     rom = constant_rom(A, np.zeros((3, 1)), np.eye(3)[:2], N=6)
     Q = np.eye(3)
     R = np.eye(1)
-    L, S = lqr_backward(rom, Qk=Q, QN=2 * Q, Rk=R)
+    L, S = lqr_backward(rom, Qk=stage_weights(Q, rom), QN=2 * Q, R=R)
     assert np.allclose(L, 0.0)
     expected = 2 * Q
     for _ in range(6):
@@ -61,7 +66,7 @@ def test_lqr_uncontrollable_reduces_to_lyapunov():
 def test_lqr_cost_to_go_psd_and_symmetric():
     rom = random_stable_ltv(4, 2, 2, 30, seed=5)
     Q = np.eye(4)
-    L, S = lqr_backward(rom, Qk=Q, QN=3 * Q, Rk=0.5 * np.eye(2))
+    L, S = lqr_backward(rom, Qk=stage_weights(Q, rom), QN=3 * Q, R=0.5 * np.eye(2))
     for k in range(31):
         assert np.allclose(S[k], S[k].T, atol=1e-12)
         assert np.linalg.eigvalsh(S[k]).min() >= -1e-8
@@ -73,7 +78,7 @@ def test_lqr_beats_random_gain_sequences():
     Q = np.eye(4)
     QN = 2 * np.eye(4)
     R = 0.3 * np.eye(2)
-    L_opt, _ = lqr_backward(rom, Qk=Q, QN=QN, Rk=R)
+    L_opt, _ = lqr_backward(rom, Qk=stage_weights(Q, rom), QN=QN, R=R)
 
     def closed_loop_cost(L_seq):
         x = np.array([1.0, -1.0, 0.5, 0.2])
@@ -97,9 +102,9 @@ def test_lqr_beats_random_gain_sequences():
 def test_lqr_gain_invariant_under_joint_weight_scaling():
     rom = random_stable_ltv(3, 1, 2, 12, seed=9)
     Q, QN, R = np.eye(3), 2 * np.eye(3), 0.4 * np.eye(1)
-    L1, _ = lqr_backward(rom, Q, QN, R)
+    L1, _ = lqr_backward(rom, stage_weights(Q, rom), QN, R)
     c = 37.5
-    L2, _ = lqr_backward(rom, c * Q, c * QN, c * R)
+    L2, _ = lqr_backward(rom, stage_weights(c * Q, rom), c * QN, c * R)
     assert np.allclose(L1, L2, atol=1e-10)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kalman_reference import kalman_predict, kalman_update
 from seplqg.belief import GaussianBelief, enkf_update_members, enkf_update_vjp
-from seplqg.lqg import kf_recursion, lqr_backward
+from seplqg.lqg import kf_steps, lqr_backward
 from seplqg.plant import HeatPlant, HeatPlantConfig, LinearPlant
 from seplqg.rng import stream
 from seplqg.sysid import LtvRom
@@ -47,19 +47,20 @@ systems = st.builds(
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(systems)
-def test_kf_recursion_matches_stepwise_kalman(system):
+def test_kf_steps_matches_stepwise_kalman(system):
     A, B, C, W, V, P0 = system
     n, n_y = A.shape[1], C.shape[1]
-    K, P = kf_recursion(A, B, C[1:], W, V, P0)
+    steps = list(kf_steps(zip(A, B, C[1:]), W, V, P0))
+    assert len(steps) == len(A)
     belief = GaussianBelief(np.zeros(n), P0)
-    for k in range(len(A)):
+    for k, (K_k, P_k) in enumerate(steps):
         pred = kalman_predict(belief, np.zeros(B.shape[2]), A[k], B[k], W)
         # with a zero prior mean, the updated mean on measurement e_j is column j of the gain
         gain = np.column_stack([kalman_update(pred, e, C[k + 1], V).mean for e in np.eye(n_y)])
         belief = kalman_update(pred, np.zeros(n_y), C[k + 1], V)
         scale = max(1.0, float(np.abs(belief.cov).max()))
-        assert np.allclose(P[k + 1], belief.cov, rtol=1e-8, atol=1e-10 * scale)
-        assert np.allclose(K[k], gain, rtol=1e-8, atol=1e-10)
+        assert np.allclose(P_k, belief.cov, rtol=1e-8, atol=1e-10 * scale)
+        assert np.allclose(K_k, gain, rtol=1e-8, atol=1e-10)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -67,7 +68,7 @@ def test_kf_recursion_matches_stepwise_kalman(system):
 def test_riccati_outputs_symmetric_psd(system):
     A, B, C, W, V, P0 = system
     N, n, n_u = B.shape
-    _, P = kf_recursion(A, B, C[1:], W, V, P0)
+    P = np.stack([P0, *(P_k for _, P_k in kf_steps(zip(A, B, C[1:]), W, V, P0))])
     assert_symmetric_psd(P)
     rom = LtvRom(A_hat=A, B_hat=B, C_hat=C, n_r=n, time_range=(0, N - 1), singular_values={})
     CtC = np.einsum("kyi,kyj->kij", C, C)

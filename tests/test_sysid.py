@@ -9,8 +9,6 @@ from seplqg.rng import stream
 from seplqg.sysid import (
     MarkovParams,
     collect_impulse_responses,
-    default_block_counts,
-    holdout_pairs,
     tv_era,
     validate_rom,
 )
@@ -183,8 +181,7 @@ def test_lag_limited_campaign_gives_the_same_rom():
     rom_full, rom = tv_era(full, n_r=6, p=6, q=6), tv_era(mk, n_r=6, p=6, q=6)
     for name in ("A_hat", "B_hat", "C_hat"):
         assert np.array_equal(getattr(rom, name), getattr(rom_full, name))
-    pairs = holdout_pairs(60, 6, 6, extra=4, time_range=rom.time_range)
-    assert validate_rom(rom, mk, pairs) == validate_rom(rom_full, full, pairs)
+    assert validate_rom(rom, mk, 11, 4) == validate_rom(rom_full, full, 11, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +231,6 @@ def test_era_respects_dimension_preconditions():
         tv_era(exact_markov_lti(A, B, C, 6), n_r=3, p=4, q=4)
 
 
-def test_era_default_block_counts():
-    assert default_block_counts(20, 5, 5) == (8, 8)
-    assert default_block_counts(3, 2, 2) == (3, 3)
-
-
 def test_era_sequences_cover_horizon():
     plant, A, B, C = order3_lti()
     mk = exact_markov_lti(A, B, C, 40)
@@ -274,8 +266,7 @@ def test_validate_exact_realization():
     plant, A, B, C = order3_lti()
     mk = exact_markov_lti(A, B, C, 40)
     rom = tv_era(mk, n_r=3, p=4, q=4)
-    pairs = holdout_pairs(40, 4, 4, extra=8, time_range=rom.time_range)
-    assert validate_rom(rom, mk, pairs) <= 1e-8
+    assert validate_rom(rom, mk, 7, 8) <= 1e-8
 
 
 def test_validate_truncation_monotone_in_order():
@@ -283,8 +274,8 @@ def test_validate_truncation_monotone_in_order():
     mk = exact_markov_lti(A, B, C, 40)
     rom1 = tv_era(mk, n_r=1, p=4, q=4)
     rom3 = tv_era(mk, n_r=3, p=4, q=4)
-    pairs = holdout_pairs(40, 4, 4, extra=8, time_range=rom3.time_range)
-    assert validate_rom(rom1, mk, pairs) > validate_rom(rom3, mk, pairs)
+    assert rom1.time_range == rom3.time_range
+    assert validate_rom(rom1, mk, 7, 8) > validate_rom(rom3, mk, 7, 8)
 
 
 def test_validate_error_bounded_by_singular_gap():
@@ -292,20 +283,51 @@ def test_validate_error_bounded_by_singular_gap():
     mk = exact_markov_lti(A, B, C, 40)
     for n_r in (1, 2, 3):
         rom = tv_era(mk, n_r=n_r, p=4, q=4)
-        pairs = holdout_pairs(40, 4, 4, extra=4, time_range=rom.time_range)
-        err = validate_rom(rom, mk, pairs)
+        err = validate_rom(rom, mk, 7, 4)
         gap = max(s[min(n_r, len(s) - 1)] / s[0] for s in rom.singular_values.values())
         assert err <= 10.0 * gap + 1e-12
+
+
+def brute_force_holdout_error(rom, mk, lag, extra):
+    """The held-out error by definition: every (k, j) with k in the ROM's
+    valid span [k_min, min(k_max + 1, N)], j >= k_min - 1 and lag k - j
+    in (lag, lag + extra]."""
+    k_min, k_max = rom.time_range
+    err2 = ref2 = 0.0
+    for k in range(k_min, min(k_max + 1, rom.horizon) + 1):
+        for j in range(max(0, k_min - 1), k):
+            if lag < k - j <= lag + extra:
+                Y = mk.get(k, j)
+                err2 += ((rom_markov(rom, k, j) - Y) ** 2).sum()
+                ref2 += (Y**2).sum()
+    return np.sqrt(err2 / ref2)
+
+
+@pytest.mark.parametrize("p, q, extra", [(4, 4, 8), (3, 5, 1), (5, 3, 6)])
+def test_validate_matches_brute_force_over_the_window(p, q, extra):
+    # an order-2 ROM of the 20-node slab, so every held-out pair has an error
+    plant = HeatPlant(HeatPlantConfig(n_grid=20, horizon=40))
+    lag = p + q - 1
+    mk = collect_impulse_responses(plant, zero_nominal(plant), max_lag=lag + extra)
+    rom = tv_era(mk, n_r=2, p=p, q=q)
+    err = validate_rom(rom, mk, lag, extra)
+    expected = brute_force_holdout_error(rom, mk, lag, extra)
+    assert expected > 1e-3
+    assert err == pytest.approx(expected, rel=1e-12)
 
 
 def test_validate_rejects_empty_holdout():
     plant, A, B, C = order3_lti()
     mk = exact_markov_lti(A, B, C, 40)
     rom = tv_era(mk, n_r=3, p=4, q=4)
-    with pytest.raises(ValueError):
-        validate_rom(rom, mk, [])
-    with pytest.raises(IndexError):
-        validate_rom(rom, mk, [(5, 7)])
+    # no lag past 40 fits in the horizon
+    with pytest.raises(ValueError, match="empty"):
+        validate_rom(rom, mk, 40, 8)
+    # a campaign measured up to lag 10 cannot score lags up to 7 + 8
+    limited = collect_impulse_responses(plant, zero_nominal(plant, np.zeros(3)), max_lag=10)
+    rom = tv_era(limited, n_r=3, p=4, q=4)
+    with pytest.raises(IndexError, match="max_lag 10"):
+        validate_rom(rom, limited, 7, 8)
 
 
 def test_heat_rom_fidelity_monotone_in_order():
@@ -316,8 +338,7 @@ def test_heat_rom_fidelity_monotone_in_order():
     errs = []
     for n_r in (2, 5, 10, 20):
         rom = tv_era(mk, n_r=n_r, p=8, q=8)
-        pairs = holdout_pairs(80, 8, 8, extra=8, time_range=rom.time_range)
-        errs.append(validate_rom(rom, mk, pairs))
+        errs.append(validate_rom(rom, mk, 15, 8))
     assert all(errs[i + 1] <= errs[i] + 1e-12 for i in range(len(errs) - 1))
 
 
