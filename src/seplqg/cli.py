@@ -11,7 +11,9 @@ The first three are written and read by `artifacts.save` and `load`
 and hold the stored fields of `NominalTrajectory`, `LtvRom` and
 `LqgController` (with a copy of the ROM).  Neither ROM file holds the
 Hankel spectra: identify writes them to sysid_singvals.csv, one row per
-valid k.  rom_validation.json records the held-out Markov error and the
+valid k with s_1..s_(n_r+1) of H_k, the kept singular values and the
+first discarded one, which is what `gap_warning` reads (TV-ERA computes
+no others).  rom_validation.json records the held-out Markov error and the
 identification settings, holdout_extra resolved (null means p + q).
 report.json holds the fields of `MonteCarloReport`, the mean first-order
 cost deviation delta_J_mean, its standard error delta_J_se and

@@ -96,43 +96,64 @@ def cost_gradient_coefficients(nominal, spec, states):
 # Probe output rows and closed-loop bands
 # ---------------------------------------------------------------------------
 
+# the probe rows and the band are computed in blocks of _BLOCK times; a
+# probe fit whose R has a diagonal entry at most _RANK_TOL times its
+# largest is left to the minimum-norm least squares
+_BLOCK = 16
+_RANK_TOL = 1e-10
+
 
 def probe_output_rows(plant, nominal, rom, nodes, epsilon=1e-2, lag=None):
     """Identify ROM output rows for extra state entries.
 
     Collects impulse responses of the probed entries and fits, at each
     time k, the map from the ROM deviation state to the probe deviation
-    by least squares over the impulses within `lag` steps (default: twice
-    the ROM's Hankel depth, time_range start, and at least 8).  Returns
+    by least squares over the impulses j within `lag` steps (default:
+    twice the ROM's Hankel depth, time_range start, and at least 8).
+    The fits are made in blocks of _BLOCK times k.  The ROM impulse
+    states a^(j)_k = Phi_hat(k, j+1) B_hat_j of a block are propagated
+    one lag k - j at a time, each lag one batched product, into the
+    block's stack of fits [rows | targets], and a batched QR of that
+    stack gives each fit's R and Q'targets.  A time whose fit is
+    rank-poor, a diagonal entry of R at most _RANK_TOL times the largest
+    (as when it has fewer impulse rows than ROM states), is solved by
+    `np.linalg.lstsq` instead, the minimum-norm fit.  Returns
     (N+1, n_probe, n_r).
     """
     if lag is None:
         lag = max(2 * rom.time_range[0], 8)
     probe_markov = collect_impulse_responses(plant, nominal, epsilon, nodes=nodes, max_lag=lag)
-    N = rom.horizon
-    n_r, n_u = rom.n_r, rom.n_u
+    N, n_r, n_u = rom.horizon, rom.n_r, rom.n_u
     n_p = len(nodes)
     C_probe = np.zeros((N + 1, n_p, n_r))
-    # impulse-driven ROM states a^{(j,m)}_k = Phi_hat(k, j+1) B_hat_j e_m,
-    # propagated lazily: states[j] holds the (n_r, n_u) block for impulse time j
-    states = {}
-    for k in range(1, N + 1):
-        states[k - 1] = rom.B_hat[k - 1].copy()
-        rows = []
-        targets = []
-        for j in range(max(0, k - lag), k):
-            rows.append(states[j].T)  # (n_u, n_r)
-            targets.append(probe_markov.data[k, j].T)  # (n_u, n_p)
-        A_mat = np.concatenate(rows)
-        b_mat = np.concatenate(targets)
-        sol, *_ = np.linalg.lstsq(A_mat, b_mat, rcond=None)
-        C_probe[k] = sol.T
-        if k < N:
-            for j in list(states):
-                if j < k - lag:
-                    del states[j]
-                else:
-                    states[j] = rom.A_hat[k] @ states[j]
+    for k0 in range(1, N + 1, _BLOCK):
+        k1 = min(k0 + _BLOCK, N + 1)
+        ks = np.arange(k0, k1)
+        nb = len(ks)
+        # fits[i, d-1] holds the n_u rows of the impulse at j = k - d,
+        # k = ks[i]: a^(j)_k' and the probe responses Y[k][j]'; the rows
+        # of j < 0 have zero states, so they leave the fit as it is
+        fits = np.zeros((nb, lag, n_u, n_r + n_p))
+        j = np.maximum(ks[:, None] - np.arange(1, lag + 1), 0)
+        fits[..., n_r:] = probe_markov.data[ks[:, None], j].transpose(0, 1, 3, 2)
+        # X: the states at lag d of the times [t0 + d - 1, k1), those of
+        # the block and of the times before it that later lags reach
+        t0 = max(k0 - lag + 1, 1)
+        X = rom.B_hat[t0 - 1 : k1 - 1]
+        for d in range(1, lag + 1):
+            if d > 1:
+                X = rom.A_hat[t0 + d - 2 : k1 - 1] @ X[:-1]
+            n = min(nb, len(X))
+            fits[nb - n :, d - 1, :, :n_r] = X[len(X) - n :].transpose(0, 2, 1)
+        fits = fits.reshape(nb, lag * n_u, n_r + n_p)
+        R = np.linalg.qr(fits, mode="r")
+        diag = np.abs(np.diagonal(R[:, :n_r, :n_r], axis1=1, axis2=2))
+        poor = diag.min(axis=1) <= _RANK_TOL * diag.max(axis=1)
+        sol = np.empty((nb, n_r, n_p))
+        sol[~poor] = np.linalg.solve(R[~poor, :n_r, :n_r], R[~poor, :n_r, n_r:])
+        for i in np.flatnonzero(poor):
+            sol[i] = np.linalg.lstsq(fits[i, :, :n_r], fits[i, :, n_r:], rcond=None)[0]
+        C_probe[ks] = sol.transpose(0, 2, 1)
     C_probe[0] = C_probe[1]
     return C_probe
 
@@ -140,36 +161,41 @@ def probe_output_rows(plant, nominal, rom, nodes, epsilon=1e-2, lag=None):
 def closed_loop_band(controller, C_rows):
     """Two-sigma envelope of probe deviations under the closed loop.
 
-    Propagates the joint covariance of (true ROM deviation, estimator
-    prior) exactly through the LQG loop from zero initial deviation and
-    projects it with the probe output rows; returns (N+1, n_probe).
+    Propagates the joint covariance Z of (true ROM deviation, estimator
+    prior) exactly through the LQG loop from zero initial deviation,
+    Z_(k+1) = F_k Z_k F_k' + G_k, and projects it with the probe output
+    rows; returns (N+1, n_probe).  The transition matrices F_k and noise
+    terms G_k = Gw W Gw' + Gv V Gv' of a block of _BLOCK steps are
+    formed by batched products, so each step of the recursion is the
+    one product F Z F'.
     """
     rom = controller.rom
     N, n_r = rom.horizon, rom.n_r
     W = np.asarray(controller.W, dtype=float)
     V = np.asarray(controller.V, dtype=float)
-    n_p = C_rows.shape[1]
-    band = np.zeros((N + 1, n_p))
+    band = np.zeros((N + 1, C_rows.shape[1]))
     Z = np.zeros((2 * n_r, 2 * n_r))  # cov of (da, da_hat_prior)
     eye = np.eye(n_r)
-    for k in range(N):
-        A, B, C = rom.A_hat[k], rom.B_hat[k], rom.C_hat[k]
-        K, L = controller.K_gains[k], controller.L_gains[k]
+    for k0 in range(0, N, _BLOCK):
+        k1 = min(k0 + _BLOCK, N)
+        ks = slice(k0, k1)
+        A, B, C = rom.A_hat[ks], rom.B_hat[ks], rom.C_hat[ks]
+        K, L = controller.K_gains[ks], controller.L_gains[ks]
         BL = B @ L
         KC = K @ C
-        F = np.block(
-            [
-                [A - BL @ KC, -BL @ (eye - KC)],
-                [(A - BL) @ KC, (A - BL) @ (eye - KC)],
-            ]
-        )
-        Gw = np.vstack([B, np.zeros_like(B)])
-        Gv = np.vstack([-BL @ K, (A - BL) @ K])
-        Z = F @ Z @ F.T + Gw @ W @ Gw.T + Gv @ V @ Gv.T
-        Z = 0.5 * (Z + Z.T)
-        Saa = Z[:n_r, :n_r]
-        var = np.einsum("pi,ij,pj->p", C_rows[k + 1], Saa, C_rows[k + 1])
-        band[k + 1] = 2.0 * np.sqrt(np.clip(var, 0.0, None))
+        ABL = A - BL
+        F = np.block([[A - BL @ KC, -BL @ (eye - KC)], [ABL @ KC, ABL @ (eye - KC)]])
+        Gw = np.concatenate([B, np.zeros_like(B)], axis=1)
+        Gv = np.concatenate([-BL @ K, ABL @ K], axis=1)
+        G = Gw @ W @ Gw.transpose(0, 2, 1) + Gv @ V @ Gv.transpose(0, 2, 1)
+        S = np.empty_like(A)
+        for i in range(len(F)):
+            Z = F[i] @ Z @ F[i].T + G[i]
+            Z = 0.5 * (Z + Z.T)
+            S[i] = Z[:n_r, :n_r]
+        rows = C_rows[k0 + 1 : k1 + 1]
+        var = np.einsum("kpi,kij,kpj->kp", rows, S, rows)
+        band[k0 + 1 : k1 + 1] = 2.0 * np.sqrt(np.clip(var, 0.0, None))
     return band
 
 

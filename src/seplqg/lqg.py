@@ -132,14 +132,14 @@ class LqgController:
     from_json = classmethod(load)
 
 
-def design_lqg(rom, W=None, V=None, P0=None, q_y=1.0, r=0.1, terminal_scale=10.0, ridge=1e-8):
+def design_lqg(rom, *, W, V, P0, q_y, r, terminal_scale, ridge):
     """Design the tracking LQG controller for a ROM.
 
     The cost is output-weighted in ROM space: Q_k = C_k' (q_y I) C_k +
     ridge I, the ridge keeping the stage weights positive definite,
     Q_N = terminal_scale times the final stage weight, and R = r I, for
-    scalar q_y and r.  W, V default to identity; P0 to identity in ROM
-    coordinates.
+    scalar q_y and r.  W and V are the process and measurement noise
+    covariances, P0 the prior covariance in ROM coordinates.
     """
     n_r = rom.n_r
     Qy = q_y * np.eye(rom.n_y)
@@ -149,9 +149,9 @@ def design_lqg(rom, W=None, V=None, P0=None, q_y=1.0, r=0.1, terminal_scale=10.0
         Qk[k] = C.T @ Qy @ C + ridge * np.eye(n_r)
     CN = rom.C_hat[rom.horizon]
     QN = terminal_scale * (CN.T @ Qy @ CN + ridge * np.eye(n_r))
-    W = np.eye(rom.n_u) if W is None else np.asarray(W, dtype=float)
-    V = np.eye(rom.n_y) if V is None else np.asarray(V, dtype=float)
-    P0 = np.eye(n_r) if P0 is None else np.asarray(P0, dtype=float)
+    W = np.asarray(W, dtype=float)
+    V = np.asarray(V, dtype=float)
+    P0 = np.asarray(P0, dtype=float)
     L, S = lqr_backward(rom, Qk, QN, r * np.eye(rom.n_u))
     K, P = kf_forward(rom, W, V, P0)
     return LqgController(

@@ -476,6 +476,8 @@ def test_singvals_csv_holds_the_hankel_spectra_bit_for_bit(pipeline_dir):
         rows = list(csv.reader(fh))[1:]
     assert [int(row[0]) for row in rows] == sorted(spectra)
     for row in rows:
+        # s_1..s_(n_r+1): the kept values and the first one discarded
+        assert len(row) == 1 + sid["n_r"] + 1
         assert np.array([float(s) for s in row[1:]]).tobytes() == spectra[int(row[0])].tobytes()
 
 

@@ -1,9 +1,12 @@
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from kalman_reference import kalman_predict, kalman_update
+from per_k_reference import band_reference, probe_rows_reference
+from test_sysid import zero_nominal
 from test_trajopt import BlackBox, lq_direct_solution
 
 from seplqg import harness
@@ -22,6 +25,10 @@ from seplqg.plant import HeatPlant, HeatPlantConfig, LinearPlant
 from seplqg.rng import stream
 from seplqg.sysid import LtvRom, collect_impulse_responses, tv_era
 from seplqg.trajopt import CostSpec, NominalTrajectory, OptimizeOptions, optimize
+
+
+# the LQG weights of the built-in config
+WEIGHTS = dict(q_y=1.0, r=0.1, terminal_scale=10.0, ridge=1e-8)
 
 
 def constant_rom(A, B, C, N):
@@ -51,7 +58,8 @@ def linear_setup(W=0.2, V=0.3, N=20):
     nominal = NominalTrajectory(controls=U, means=states, prior_cov=b0.cov, cov_traces=np.einsum("kii->k", P),
                                 observations=obs, nominal_cost=J, iterations=0, converged=True)
     rom = constant_rom(A, B, C, N)
-    ctrl = design_lqg(rom, W=plant.spec.W, V=plant.spec.V, P0=b0.cov, q_y=1.0, r=0.2)
+    ctrl = design_lqg(rom, W=plant.spec.W, V=plant.spec.V, P0=b0.cov, q_y=1.0, r=0.2, terminal_scale=10.0,
+                      ridge=1e-8)
     return plant, b0, spec, nominal, ctrl
 
 
@@ -64,7 +72,7 @@ def heat_setup():
     opts = OptimizeOptions(alpha=20.0, max_iters=1, M=8, seed=1, h=1e-2)
     nominal = optimize(np.zeros((30, 5)), b0, plant, spec, opts)
     rom = tv_era(collect_impulse_responses(plant, nominal), n_r=6, p=4, q=4)
-    ctrl = design_lqg(rom, W=plant.spec.W, V=plant.spec.V)
+    ctrl = design_lqg(rom, W=plant.spec.W, V=plant.spec.V, P0=np.eye(6), **WEIGHTS)
     return plant, spec, nominal, ctrl
 
 
@@ -123,7 +131,7 @@ def test_kf_realized_cost_includes_every_trace_term():
 def test_noiseless_runs_reproduce_nominal_exactly():
     plant, b0, spec, nominal, _ = linear_setup(W=0.0, V=0.0)
     rom = constant_rom(*plant.matrices(0), plant.horizon)
-    ctrl = design_lqg(rom, W=np.zeros((1, 1)), V=np.eye(1), P0=np.zeros((2, 2)))
+    ctrl = design_lqg(rom, W=np.zeros((1, 1)), V=np.eye(1), P0=np.zeros((2, 2)), **WEIGHTS)
     report = run_monte_carlo(
         plant, nominal, ctrl, n_runs=3, base_seed=0, probe_positions=(0.0, 1.0), cost=spec,
     )
@@ -441,7 +449,7 @@ def test_linear_exact_kf_mean_delta_j_statistically_zero():
 def test_zero_noise_delta_j_identically_zero():
     plant, b0, spec, nominal, _ = linear_setup(W=0.0, V=0.0)
     rom = constant_rom(*plant.matrices(0), plant.horizon)
-    ctrl = design_lqg(rom, W=np.zeros((1, 1)), V=np.eye(1), P0=np.zeros((2, 2)))
+    ctrl = design_lqg(rom, W=np.zeros((1, 1)), V=np.eye(1), P0=np.zeros((2, 2)), **WEIGHTS)
     report = run_monte_carlo(
         plant, nominal, ctrl, n_runs=120, base_seed=3, probe_positions=(), cost=spec
     )
@@ -495,9 +503,54 @@ def test_probe_rows_recover_output_map_on_linear_plant():
 
 def test_closed_loop_band_zero_noise():
     plant, b0, spec, nominal, ctrl = linear_setup()
-    noiseless = design_lqg(ctrl.rom, W=np.zeros((1, 1)), V=1e-12 * np.eye(1), P0=np.zeros((2, 2)))
+    noiseless = design_lqg(ctrl.rom, W=np.zeros((1, 1)), V=1e-12 * np.eye(1), P0=np.zeros((2, 2)), **WEIGHTS)
     band = closed_loop_band(noiseless, np.ones((21, 1, 2)))
     assert np.allclose(band, 0.0, atol=1e-5)
+
+
+def assert_close_per_step(a, b, rel):
+    """|a_k - b_k| within rel times the largest |b_k| at every step k."""
+    for a_k, b_k in zip(a, b):
+        assert np.abs(a_k - b_k).max() <= rel * np.abs(b_k).max()
+
+
+@pytest.mark.parametrize("lag", [None, 13])
+def test_probe_rows_and_band_match_the_per_step_loops(monkeypatch, lag):
+    # two blocks of fits on the heat slab; the fit at k = 1 is rank-poor
+    # (5 impulse rows, 6 ROM states) and left to lstsq
+    plant, spec, nominal, ctrl = heat_setup()
+    lstsq, fits = np.linalg.lstsq, []
+
+    def counted(a, b, rcond):
+        fits.append(a.shape)
+        return lstsq(a, b, rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    rows = probe_output_rows(plant, nominal, ctrl.rom, nodes=(4, 10), lag=lag)
+    monkeypatch.undo()
+    assert len(fits) == 1
+    ref = probe_rows_reference(plant, nominal, ctrl.rom, nodes=(4, 10), lag=lag)
+    assert_close_per_step(rows, ref, 1e-12)
+    band = closed_loop_band(ctrl, rows)
+    assert np.all(band[1:] > 0.0)
+    assert_close_per_step(band[1:], band_reference(ctrl, rows)[1:], 1e-12)
+
+
+def test_probe_rows_hold_one_block_of_fits_at_a_time():
+    # 200 fits of 80 rows: a stack of all of them, with its QR copy,
+    # would add 3.5 MB to the impulse campaign's 3.2 MB; the per-k loop
+    # peaked at 3,822,154 traced bytes here, the campaign's own peak,
+    # with tens of bytes of jitter between calls
+    plant = HeatPlant(HeatPlantConfig(n_grid=20, horizon=200))
+    nominal = zero_nominal(plant)
+    rom = tv_era(collect_impulse_responses(plant, nominal, max_lag=16), n_r=12, p=8, q=8)
+    tracemalloc.start()
+    try:
+        probe_output_rows(plant, nominal, rom, nodes=(8, 15))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_830_000
 
 
 def test_probe_nodes_from_fractions():

@@ -23,6 +23,15 @@ def constant_rom(A, B, C, N):
     )
 
 
+# the LQG weights of the built-in config
+WEIGHTS = dict(q_y=1.0, r=0.1, terminal_scale=10.0, ridge=1e-8)
+
+
+def unit_noise(rom):
+    """Identity noise covariances W and V and prior P0 for the ROM."""
+    return dict(W=np.eye(rom.n_u), V=np.eye(rom.n_y), P0=np.eye(rom.n_r))
+
+
 def stage_weights(Q, rom):
     """The one stage weight Q at every step of the ROM's horizon."""
     return np.broadcast_to(Q, (rom.horizon, *np.shape(Q)))
@@ -171,16 +180,17 @@ def test_kf_covariances_symmetric_psd():
 
 def test_lqr_gains_independent_of_noise():
     rom = random_stable_ltv(3, 1, 2, 12, seed=17)
-    c1 = design_lqg(rom, W=np.eye(1), V=np.eye(2))
-    c2 = design_lqg(rom, W=7.3 * np.eye(1), V=0.1 * np.eye(2))
+    c1 = design_lqg(rom, W=np.eye(1), V=np.eye(2), P0=np.eye(3), **WEIGHTS)
+    c2 = design_lqg(rom, W=7.3 * np.eye(1), V=0.1 * np.eye(2), P0=np.eye(3), **WEIGHTS)
     assert np.array_equal(c1.L_gains, c2.L_gains)
     assert not np.array_equal(c1.K_gains, c2.K_gains)
 
 
 def test_kf_gains_independent_of_cost():
     rom = random_stable_ltv(3, 1, 2, 12, seed=18)
-    c1 = design_lqg(rom, q_y=1.0, r=0.1)
-    c2 = design_lqg(rom, q_y=11.0, r=3.0)
+    noise = dict(W=np.eye(1), V=np.eye(2), P0=np.eye(3))
+    c1 = design_lqg(rom, **noise, q_y=1.0, r=0.1, terminal_scale=10.0, ridge=1e-8)
+    c2 = design_lqg(rom, **noise, q_y=11.0, r=3.0, terminal_scale=10.0, ridge=1e-8)
     assert np.array_equal(c1.K_gains, c2.K_gains)
     assert not np.array_equal(c1.L_gains, c2.L_gains)
 
@@ -206,7 +216,7 @@ def make_nominal_for(plant, N):
 
 def test_closed_loop_tracks_nominal_exactly_without_deviation():
     rom = random_stable_ltv(3, 2, 2, 20, seed=21)
-    ctrl = design_lqg(rom)
+    ctrl = design_lqg(rom, **unit_noise(rom), **WEIGHTS)
     nominal = NominalTrajectory(
         controls=stream(1, "u").standard_normal((20, 2)),
         means=np.zeros((21, 3)),
@@ -235,7 +245,8 @@ def test_closed_loop_estimator_and_regulator_converge():
     N = 60
     plant = LinearPlant(A, B, C, W=np.zeros((2, 2)), V=np.zeros((2, 2)), horizon=N)
     rom = constant_rom(A, B, C, N)
-    ctrl = design_lqg(rom, W=0.1 * np.eye(2), V=0.1 * np.eye(2), q_y=1.0, r=0.05)
+    ctrl = design_lqg(rom, W=0.1 * np.eye(2), V=0.1 * np.eye(2), P0=np.eye(3), q_y=1.0, r=0.05,
+                      terminal_scale=10.0, ridge=1e-8)
     nominal = make_nominal_for(plant, N)
     x = np.array([1.0, -1.5, 0.8])  # deviation from the zero nominal
     a_hat = np.zeros(n)
@@ -260,7 +271,7 @@ def test_closed_loop_estimator_and_regulator_converge():
 
 def test_controller_json_roundtrip(tmp_path):
     rom = random_stable_ltv(3, 2, 2, 10, seed=27)
-    ctrl = design_lqg(rom)
+    ctrl = design_lqg(rom, **unit_noise(rom), **WEIGHTS)
     path = tmp_path / "controller.json"
     ctrl.to_json(path)
     back = LqgController.from_json(path)
@@ -273,7 +284,7 @@ def test_controller_json_roundtrip(tmp_path):
 
 def test_design_checks_weight_shapes():
     rom = random_stable_ltv(3, 1, 2, 10, seed=29)
-    ctrl = design_lqg(rom)
+    ctrl = design_lqg(rom, **unit_noise(rom), **WEIGHTS)
     assert ctrl.L_gains.shape == (10, 1, 3)
     assert ctrl.K_gains.shape == (11, 3, 2)
     assert ctrl.P_traces.shape == (11,)

@@ -2,7 +2,9 @@
 exists, so `from seplqg.<module> import *` cannot fail, every name
 `seplqg/__init__.py` re-exports is the module attribute it names, the
 third-party packages the modules import are the ones `pyproject.toml`
-declares, and those the tests import besides are its `test` extra."""
+declares, those the tests import besides are its `test` extra, and
+every name the benchmark's tracer patches resolves where it patches
+it."""
 
 import ast
 import importlib
@@ -66,3 +68,52 @@ def test_packages_the_tests_import_are_the_test_extra():
     local = {"seplqg", *(path.stem for path in tests)}
     needed = third_party_imports(tests) - local - declared_packages("dependencies")
     assert needed == declared_packages("test")
+
+
+# The names `perfbench/tracer.py` wraps to time each layer, in the
+# modules it patches them in, with the module that defines each, and
+# the classes whose attributes it replaces.  A renamed or moved name
+# breaks the traced benchmark run; the benchmark itself is not imported.
+TRACED_FUNCTIONS = {
+    "belief": {"enkf_update_members": "belief"},
+    "trajopt": {"enkf_update_members": "belief"},
+    "harness": {"enkf_update_members": "belief", "collect_impulse_responses": "sysid",
+                "probe_output_rows": "harness", "closed_loop_band": "harness"},
+    "cli": {"optimize": "trajopt", "tv_era": "sysid", "validate_rom": "sysid", "design_lqg": "lqg",
+            "run_monte_carlo": "harness", "collect_impulse_responses": "sysid"},
+}
+CALLED_BY_NAME = {
+    "trajopt": {"enkf_update_members"},
+    "harness": {"collect_impulse_responses", "probe_output_rows", "closed_loop_band"},
+    "cli": set(TRACED_FUNCTIONS["cli"]),
+}
+TRACED_METHODS = {
+    ("plant", "HeatPlant"): ("step",),
+    ("trajopt", "NominalTrajectory"): ("to_json", "from_json"),
+    ("sysid", "LtvRom"): ("to_json", "from_json"),
+    ("lqg", "LqgController"): ("to_json", "from_json"),
+}
+
+
+def called_names(module):
+    """The names the module's code calls as bare globals."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    return {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_FUNCTIONS))
+def test_traced_functions_resolve_where_they_are_patched(name):
+    module = importlib.import_module(f"seplqg.{name}")
+    for attr, home in TRACED_FUNCTIONS[name].items():
+        assert getattr(module, attr, None) is getattr(importlib.import_module(f"seplqg.{home}"), attr), attr
+    # a patched name is timed only where the module calls it by that name
+    assert CALLED_BY_NAME.get(name, set()) <= called_names(module)
+
+
+def test_traced_methods_are_in_their_class_bodies():
+    for (name, cls_name), attrs in TRACED_METHODS.items():
+        cls = getattr(importlib.import_module(f"seplqg.{name}"), cls_name)
+        for attr in attrs:
+            assert attr in cls.__dict__, f"{cls_name}.{attr} is not bound in the class body"
+        if "from_json" in attrs:
+            assert isinstance(cls.__dict__["from_json"], classmethod)

@@ -2,7 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from per_k_reference import era_reference
 
+from seplqg import sysid
 from seplqg.exceptions import PerturbationDivergedError
 from seplqg.plant import HeatPlant, HeatPlantConfig, LinearPlant
 from seplqg.rng import stream
@@ -201,6 +203,109 @@ def test_era_keeps_only_the_factors_it_reads():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def slab_markov(N=60, lag=12):
+    """Impulse responses of the 20-node slab about its unforced rollout."""
+    plant = HeatPlant(HeatPlantConfig(n_grid=20, horizon=N))
+    return collect_impulse_responses(plant, zero_nominal(plant), max_lag=lag)
+
+
+def full_svds(monkeypatch):
+    """Count the full SVDs of one Hankel matrix, the fallback of the
+    subspace iteration."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def negating_svd(seed):
+    """np.linalg.svd with each singular triple of each matrix negated at
+    random: a routine that chose the other signs."""
+    svd = np.linalg.svd
+    rng = stream(seed, "svd-signs")
+
+    def negated(a, *args, **kwargs):
+        U, s, Vt = svd(a, *args, **kwargs)
+        sign = rng.choice([-1.0, 1.0], size=s.shape)
+        assert (sign < 0).any()
+        return U * sign[..., None, :], s, Vt * sign[..., :, None]
+
+    return negated
+
+
+def assert_rom_close(rom, ref, rel):
+    for name in ("A_hat", "B_hat", "C_hat"):
+        a, b = getattr(rom, name), getattr(ref, name)
+        assert np.abs(a - b).max() <= rel * np.abs(b).max(), name
+    assert rom.time_range == ref.time_range and rom.gap_warning == ref.gap_warning
+    assert sorted(rom.singular_values) == sorted(ref.singular_values)
+    for k, s in ref.singular_values.items():
+        assert np.abs(rom.singular_values[k] - s).max() <= rel * s[0]
+
+
+def rom_bytes(rom):
+    return [getattr(rom, name).tobytes() for name in ("A_hat", "B_hat", "C_hat")]
+
+
+@pytest.mark.parametrize("case", ["slab", "order3"])
+def test_era_matches_the_full_svd_loop(monkeypatch, case):
+    if case == "slab":
+        mk, n_r, p = slab_markov(), 6, 6
+    else:
+        plant, A, B, C = order3_lti()
+        mk, n_r, p = exact_markov_lti(A, B, C, 40), 3, 8
+    ref = era_reference(mk, n_r, p, p)
+    calls = full_svds(monkeypatch)
+    rom = tv_era(mk, n_r=n_r, p=p, q=p)
+    # the subspace iteration converged at every k: no fallback
+    assert calls == []
+    assert_rom_close(rom, ref, 1e-10)
+    assert all(s.size == n_r + 1 for s in rom.singular_values.values())
+
+
+def test_era_falls_back_to_the_full_svd_without_a_gap(monkeypatch):
+    # the no-gap input of test_era_keeps_only_the_factors_it_reads: the
+    # residual check sends every k to the full SVD
+    mk = MarkovParams(stream(5, "era-memory").standard_normal((121, 120, 5, 5)))
+    ref = era_reference(mk, 4, 8, 8)
+    calls = full_svds(monkeypatch)
+    rom = tv_era(mk, n_r=4, p=8, q=8)
+    assert calls == [(40, 40)] * len(ref.singular_values)
+    assert_rom_close(rom, ref, 1e-12)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_era_is_the_same_bits_for_any_block_size(monkeypatch, block):
+    mk = slab_markov()
+    default = tv_era(mk, n_r=6, p=6, q=6)
+    monkeypatch.setattr(sysid, "_BLOCK", block)
+    rom = tv_era(mk, n_r=6, p=6, q=6)
+    assert rom_bytes(rom) == rom_bytes(default)
+    for k, s in default.singular_values.items():
+        assert rom.singular_values[k].tobytes() == s.tobytes()
+
+
+@pytest.mark.parametrize("case", ["slab", "no-gap"])
+def test_sign_rule_makes_the_rom_independent_of_svd_signs(monkeypatch, case):
+    # a triple's sign is arbitrary in any SVD; LAPACK flips leading
+    # triples between consecutive k on the benchmark slabs
+    if case == "slab":
+        mk, n_r, p = slab_markov(), 6, 6
+    else:
+        mk, n_r, p = MarkovParams(stream(5, "era-memory").standard_normal((61, 60, 5, 5))), 4, 8
+    rom = tv_era(mk, n_r=n_r, p=p, q=p)
+    ref = era_reference(mk, n_r, p, p)
+    assert rom_bytes(era_reference(mk, n_r, p, p, svd=negating_svd(1))) == rom_bytes(ref)
+    monkeypatch.setattr(np.linalg, "svd", negating_svd(2))
+    assert rom_bytes(tv_era(mk, n_r=n_r, p=p, q=p)) == rom_bytes(rom)
 
 
 def test_era_roundtrip_exact_order3():
