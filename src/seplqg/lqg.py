@@ -136,23 +136,18 @@ def design_lqg(rom, *, W, V, P0, q_y, r, terminal_scale, ridge):
     """Design the tracking LQG controller for a ROM.
 
     The cost is output-weighted in ROM space: Q_k = C_k' (q_y I) C_k +
-    ridge I, the ridge keeping the stage weights positive definite,
-    Q_N = terminal_scale times the final stage weight, and R = r I, for
-    scalar q_y and r.  W and V are the process and measurement noise
-    covariances, P0 the prior covariance in ROM coordinates.
+    ridge I, the ridge keeping the stage weights positive definite, for
+    all k = 0..N in one batched product; Q_N = terminal_scale times the
+    weight of k = N, and R = r I, for scalar q_y and r.  W and V are the
+    process and measurement noise covariances, P0 the prior covariance
+    in ROM coordinates.
     """
-    n_r = rom.n_r
-    Qy = q_y * np.eye(rom.n_y)
-    Qk = np.empty((rom.horizon, n_r, n_r))
-    for k in range(rom.horizon):
-        C = rom.C_hat[k]
-        Qk[k] = C.T @ Qy @ C + ridge * np.eye(n_r)
-    CN = rom.C_hat[rom.horizon]
-    QN = terminal_scale * (CN.T @ Qy @ CN + ridge * np.eye(n_r))
+    C = rom.C_hat
+    Q = C.transpose(0, 2, 1) @ (q_y * np.eye(rom.n_y)) @ C + ridge * np.eye(rom.n_r)
     W = np.asarray(W, dtype=float)
     V = np.asarray(V, dtype=float)
     P0 = np.asarray(P0, dtype=float)
-    L, S = lqr_backward(rom, Qk, QN, r * np.eye(rom.n_u))
+    L, S = lqr_backward(rom, Q[:-1], terminal_scale * Q[-1], r * np.eye(rom.n_u))
     K, P = kf_forward(rom, W, V, P0)
     return LqgController(
         rom=rom,

@@ -1,3 +1,4 @@
+import json
 import struct
 from dataclasses import dataclass
 
@@ -33,9 +34,9 @@ def assert_same_values(got, want, where="payload"):
         assert got == want, where
 
 
-def test_write_json_reads_back_the_same_values(tmp_path):
+def mixed_fields():
     rng = np.random.default_rng(3)
-    fields = {
+    return {
         "matrix": rng.standard_normal((4, 3, 2)) * 10.0 ** rng.integers(-300, 300, (4, 3, 2)),
         "vector": np.array([0.1, -0.0, 1e-320, 2.5e17]),
         "empty": np.zeros((0, 3)),
@@ -47,11 +48,22 @@ def test_write_json_reads_back_the_same_values(tmp_path):
         "nested": {"inner": np.eye(2), "none": None, "deeper": {"x": np.arange(3.0)}},
         "empty_dict": {},
     }
+
+
+def test_write_json_reads_back_the_same_values(tmp_path):
+    fields = mixed_fields()
     written = tmp_path / "written.json"
     write_json(written, fields)
     assert_same_values(read_json(written), as_lists(fields))
     write_json(written, {})
     assert written.read_text() == "{}"
+
+
+def test_the_stdlib_reader_sees_the_values_read_json_sees(tmp_path):
+    # perfbench/checks.py reads the artifacts with the stdlib json
+    path = tmp_path / "written.json"
+    write_json(path, mixed_fields())
+    assert_same_values(json.loads(path.read_text()), read_json(path))
 
 
 def test_write_json_takes_arrays_that_are_not_c_contiguous(tmp_path):

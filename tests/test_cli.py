@@ -139,6 +139,23 @@ def test_evaluate_rerun_is_deterministic(pipeline_dir):
     assert first["mean_traj"] == second["mean_traj"]
 
 
+def test_evaluate_writes_the_same_files_for_any_chunk(pipeline_dir, tmp_path):
+    # the heat slab's Monte Carlo is chunk-exact, so the written files are
+    # too, byte for byte, one-run chunks included
+    raw = json.loads((pipeline_dir / "cfg.json").read_text())
+    written = []
+    for chunk in (1, 5, 16):
+        d = tmp_path / f"chunk{chunk}"
+        d.mkdir()
+        for name in ("nominal.json", "controller.json"):
+            shutil.copy(pipeline_dir / name, d / name)
+        cfg = d / "cfg.json"
+        cfg.write_text(json.dumps({**raw, "evaluate": {**raw["evaluate"], "chunk": chunk}}))
+        assert main(["evaluate", "--config", str(cfg), "--out", str(d), "--seed", "3"]) == 0
+        written.append({name: (d / name).read_bytes() for name in ("report.json", "fig3_errors.csv")})
+    assert written[0] == written[1] == written[2]
+
+
 def test_theorem1_subcommand(pipeline_dir):
     cfg = pipeline_dir / "cfg.json"
     rc = main(["theorem1", "--config", str(cfg), "--out", str(pipeline_dir), "--runs", "150"])

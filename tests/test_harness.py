@@ -351,17 +351,32 @@ def test_paired_differences_are_the_runs_open_minus_closed_errors():
 
 class CountingHeatPlant(HeatPlant):
     """Heat slab that counts the rows it steps, by the number of axes of
-    the state: 2 for the closed and open loops, 1 for their row-by-row
-    retries, the nominal rollout and the impulse experiments."""
+    the state: 2 for the loop pass's batches and the impulse experiments,
+    1 for the row-by-row retries and the nominal rollout; and its
+    completed 2-D calls, by their number of rows."""
 
     def __init__(self, config, W=None, V=None):
         super().__init__(config, W, V)
         self.rows = Counter()
+        self.batches = Counter()
 
     def step(self, state, control, process_noise, k=0):
         out = super().step(state, control, process_noise, k)
         self.rows[np.ndim(state)] += int(np.prod(np.shape(state)[:-1]))
+        if np.ndim(state) == 2:
+            self.batches[len(state)] += 1
         return out
+
+
+def test_each_loop_step_steps_a_chunks_closed_and_open_loops_in_one_call():
+    # without probes no impulse campaign runs, and the heat slab's filter
+    # advances by step_jvp: every 2-D step is the loop pass's.  A chunk's
+    # closed-loop runs and their open-loop partners are one batch.
+    plant, spec, nominal, ctrl = heat_setup()
+    counting = CountingHeatPlant(plant.config)
+    run_monte_carlo(counting, nominal, ctrl, n_runs=12, base_seed=5, probe_positions=(), cost=spec, chunk=5)
+    N = nominal.horizon
+    assert counting.batches == Counter({10: 2 * N, 4: N})
 
 
 class DivergesOnRun3(CountingHeatPlant):
