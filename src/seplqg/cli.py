@@ -30,7 +30,8 @@ paired z above 3 at every probe.
 and controller.json it runs at least 100 Monte Carlo runs (no probes)
 and writes theorem1.json with the mean first-order cost deviation, its
 standard error and the nominal cost; it exits non-zero unless
-|mean| <= max(3 se, 2% of the nominal cost).
+|mean| <= max(3 se, 2% of the nominal cost), the bound of the
+`theorem1` assertion with its default factors.
 
 Run it as `seplqg <command>` once installed, or as
 `python -m seplqg.cli <command>` from a source checkout.
@@ -45,7 +46,7 @@ import numpy as np
 
 from .artifacts import read_json, stored_fields, write_json
 from .belief import GaussianBelief
-from .config import ExperimentConfig, benchmark_config
+from .config import _ASSERTION_DEFAULTS, ExperimentConfig, benchmark_config
 from .harness import complexity_report, run_monte_carlo
 from .lqg import LqgController, design_lqg
 from .sysid import LtvRom, collect_impulse_responses, tv_era, validate_rom
@@ -243,10 +244,16 @@ def cmd_theorem1(args):
     out = Path(args.out)
     mean_dj, se, jbar = report.delta_J_mean, report.delta_J_se, report.nominal_cost
     write_json(out / "theorem1.json", {"mean_delta_J": mean_dj, "se": se, "nominal_cost": jbar, "runs": n_runs})
-    verdict = abs(mean_dj) <= max(3 * se, 0.02 * abs(jbar))
+    verdict = abs(mean_dj) <= _theorem1_bound(report, **_ASSERTION_DEFAULTS["theorem1"])
     print(f"mean dJ = {mean_dj:.5g}, se = {se:.5g}, J = {jbar:.6g} "
           f"-> |mean| {'<=' if verdict else '>'} max(3 se, 2% J)")
     return 0 if verdict else 1
+
+
+def _theorem1_bound(report, se_mult, frac_cost):
+    """Theorem 1's bound on |mean delta_J|: se_mult standard errors or
+    frac_cost of |nominal cost|, whichever is larger."""
+    return max(se_mult * report.delta_J_se, frac_cost * abs(report.nominal_cost))
 
 
 def _run_assertions(cfg, plant, nominal, report, out):
@@ -283,7 +290,7 @@ def _run_assertions(cfg, plant, nominal, report, out):
         if report.n_effective < 2:
             emit("theorem1", False, f"needs at least 2 kept runs, got {report.n_effective}")
         else:
-            bound = max(c["se_mult"] * report.delta_J_se, c["frac_cost"] * abs(report.nominal_cost))
+            bound = _theorem1_bound(report, c["se_mult"], c["frac_cost"])
             ok = abs(report.delta_J_mean) <= bound
             emit("theorem1", bool(ok), f"|{report.delta_J_mean:.4g}| <= {bound:.4g}")
     return failures

@@ -6,9 +6,11 @@ Every Monte Carlo run draws its noise from counter-based streams keyed
 (base_seed, run_index, channel), so reports are bit-reproducible under a
 fixed seed.  On the heat slab they are also chunk-exact: the same bits
 for any chunk size, because every product that mixes a run's entries
-(the LQG law of `lqg_update`, the filter update, the cost and delta_J
-sums) is a row-wise reduction, whose rounding does not depend on how
-many runs a batch has, and the heat slab's `step_jvp` is a stencil.
+(the LQG law of `lqg_update`, the filter update, the delta_J sums and
+the realized cost, which `CostSpec.state_cost` and `control_cost` sum
+from the diagonal weights) is a row-wise reduction, whose rounding does
+not depend on how many runs a batch has, and the heat slab's `step_jvp`
+is a stencil.
 On linear plants the BLAS products of `LinearPlant.step` and
 `step_jvp` still round a row differently for different batch sizes.
 
@@ -30,8 +32,9 @@ the realized cost (taken at mu) and the first-order cost deviation
 
     delta_J = sum_k C_u,k du_k + C_mu,k (mu_k - x_det,k),
 
-with C_mu taken at x_det, so that Theorem 1's zero mean is tested about
-the trajectory the loop regulates to.  The filter never feeds back into
+with (C_mu, C_u) = `CostSpec.gradient` taken at x_det and the nominal
+controls, so that Theorem 1's zero mean is tested about the trajectory
+the loop regulates to.  The filter never feeds back into
 the loop, so it changes no other output.  The probe errors, `mean_traj`
 and the frozen states of diverged runs are still taken against the
 stored belief means `nominal.means`, because the benchmark's run-0
@@ -58,7 +61,6 @@ __all__ = [
     "ComplexityReport",
     "run_monte_carlo",
     "complexity_report",
-    "cost_gradient_coefficients",
     "probe_output_rows",
     "closed_loop_band",
     "probe_nodes_from_fractions",
@@ -72,26 +74,6 @@ def probe_nodes_from_fractions(n_x, fractions):
         if not 0.0 <= f <= 1.0:
             raise ValueError(f"probe position {f} outside [0, 1]")
     return _grid_nodes(n_x, fractions)
-
-
-# ---------------------------------------------------------------------------
-# Cost linearization coefficients (closed-form gradients of the stage costs)
-# ---------------------------------------------------------------------------
-
-
-def cost_gradient_coefficients(nominal, spec, states):
-    """Gradients of the quadratic stage costs along `states` (N+1, n_x)
-    and the nominal's controls.
-
-    C_mu[k] = 2 Q (mu_k - target) with Q = Q_terminal at k = N and
-    Q_mean before, mu_k = states[k], and C_u[k] = 2 R_u u_k.
-    Returns (C_mu (N+1, n_x), C_u (N, n_u)).
-    """
-    d = states - spec.target
-    C_mu = 2.0 * (d @ spec.Q_mean)
-    C_mu[-1] = 2.0 * (d[-1] @ spec.Q_terminal)
-    C_u = 2.0 * (nominal.controls @ spec.R_u)
-    return C_mu, C_u
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +293,9 @@ def _output_jacobian(plant, x, k, h):
 
 class _Lkf:
     """The linearized Kalman filter along the noiseless nominal x_det,
-    and the cost terms it scores.
+    and the cost terms it scores: the gradients (C_mu, C_u) of
+    `CostSpec.gradient` along x_det and the nominal controls, and the
+    realized cost of step 0, the same for every run.
 
     One `kf_steps` sweep from the nominal prior covariance, over the
     Jacobians (A_k, B_k, C_{k+1}) at (x_det,k, u_k), A_k and B_k from the
@@ -324,7 +308,7 @@ class _Lkf:
     def __init__(self, plant, nominal, cost, h):
         self.cost, self.h = cost, h
         self.states, self.observations = plant.simulate_nominal(nominal.means[0], nominal.controls)
-        self.C_mu, self.C_u = cost_gradient_coefficients(nominal, cost, self.states)
+        self.C_mu, self.C_u = cost.gradient(self.states, nominal.controls)
         N, n_x, n_y = nominal.horizon, plant.n_x, plant.n_y
         self.gains = np.empty((N, n_x, n_y))
         self.traces = np.empty(N + 1)
@@ -340,8 +324,7 @@ class _Lkf:
             self.gains[k] = K
             self.traces[k + 1] = np.trace(P)
         # the realized cost of step 0, the same for every run
-        d0 = self.states[0] - cost.target
-        self.cost0 = float((d0 * d0 * np.diag(cost.Q_mean)).sum()) + cost.q_trace * self.traces[0]
+        self.cost0 = float(cost.state_cost(self.states[0])) + cost.q_trace * self.traces[0]
 
 
 def _fold(total, rows):
@@ -355,7 +338,9 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes,
     """Simulate one chunk of paired runs; returns per-run aggregates, the
     mask of diverged runs, which are frozen on the nominal so the batch
     stays healthy, and each run's delta_J and realized cost, scored by
-    the filter `lkf`.
+    the filter `lkf`.  The realized cost adds, step by step, the rows of
+    `CostSpec.control_cost` at the run's controls and of `state_cost`
+    at its filter mean, each a row-wise sum.
 
     The chunk's R closed-loop states and their R open-loop partners are
     one (2R, n_x) batch, a pair being row i and row R + i: each step
@@ -396,8 +381,6 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes,
     run0 = np.zeros((N + 1, 2, n_p))
 
     cost = lkf.cost
-    # CostSpec weights are diagonal: each quadratic form is a row-wise sum
-    q_mean, q_terminal, r_u = (np.diag(w) for w in (cost.Q_mean, cost.Q_terminal, cost.R_u))
     dmu = np.zeros((R, n_x))  # LKF mean minus x_det
     delta_J = np.zeros(R)
     cost_acc = np.full(R, lkf.cost0)
@@ -433,10 +416,9 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes,
         C = _output_jacobian(plant, lkf.states[k + 1], k + 1, lkf.h)
         dmu += _times_t(y - lkf.observations[k + 1] - _times_t(dmu, C), lkf.gains[k])
         delta_J += (du * lkf.C_u[k]).sum(axis=-1)
-        cost_acc += (u * u * r_u).sum(axis=-1)
+        cost_acc += cost.control_cost(u)
         delta_J += (dmu * lkf.C_mu[k + 1]).sum(axis=-1)
-        d = lkf.states[k + 1] + dmu - cost.target
-        cost_acc += (d * d * (q_terminal if k == N - 1 else q_mean)).sum(axis=-1)
+        cost_acc += cost.state_cost(lkf.states[k + 1] + dmu, terminal=k == N - 1)
         # the trace terms, 0 unless q_trace > 0
         delta_J += cost.q_trace * (lkf.traces[k + 1] - nominal.cov_traces[k + 1])
         cost_acc += cost.q_trace * lkf.traces[k + 1]

@@ -46,9 +46,9 @@ The Hankel blocks read lags k - j up to p + q only, so an impulse
 campaign may be lag-limited: with `max_lag` L each perturbed rollout
 stops L steps after its impulse, and the work and memory of the
 campaign scale with L rather than the horizon.  A lag past the
-campaign's `max_lag` was never measured and cannot be read: `get`,
-`tv_era` and `validate_rom` raise IndexError for it rather than return
-the zero stored there.
+campaign's `max_lag` was never measured and cannot be read:
+`MarkovParams.check_lag`, and so `tv_era` and `validate_rom`, raise
+IndexError for it rather than return the zero stored there.
 """
 
 from dataclasses import dataclass
@@ -101,14 +101,6 @@ class MarkovParams:
         """Raise IndexError unless lags up to `lag` were measured."""
         if self.max_lag is not None and lag > self.max_lag:
             raise IndexError(f"lag {lag} past the campaign's max_lag {self.max_lag}")
-
-    def get(self, k, j):
-        if not 0 <= j <= k <= self.horizon:
-            raise IndexError(f"Markov parameter ({k}, {j}) out of range")
-        self.check_lag(k - j)
-        if j == k:
-            return np.zeros((self.n_y, self.n_u))
-        return self.data[k, j]
 
 
 @dataclass

@@ -57,67 +57,99 @@ __all__ = [
 ]
 
 
-def _diag_check(M, name, positive=False):
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be square")
-    w = np.diag(M)
-    if np.count_nonzero(M - np.diag(w)):
-        raise ValueError(f"{name} must be diagonal")
-    if positive and w.min() <= 0:
-        raise ValueError(f"{name} must be positive definite")
-    if not positive and w.min() < 0:
-        raise ValueError(f"{name} must be positive semi-definite")
-    return M
+def _vector(name, value, n):
+    """`value`, a scalar or n entries, as a float vector of n entries; a
+    ValueError names `name` if it has another length or is not finite."""
+    v = np.asarray(value, dtype=float)
+    if v.ndim == 0:
+        v = np.full(n, float(v))
+    if v.shape != (n,):
+        raise ValueError(f"{name} must have length {n}, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite")
+    return v
 
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Quadratic belief-space cost.
+    """Quadratic belief-space cost with diagonal weights, held as the
+    vectors of their diagonals: q_mean and q_terminal (n_x,), r_u (n_u,).
 
-    Stage k:  (mu_k - target)' Q_mean (mu_k - target)
-              + q_trace * tr(Sigma_k) + u_k' R_u u_k
-    Terminal: (mu_N - target)' Q_terminal (mu_N - target)
+    Stage k:  sum_i q_mean_i (mu_k,i - target_i)^2
+              + q_trace * tr(Sigma_k) + sum_m r_u,m u_k,m^2
+    Terminal: sum_i q_terminal_i (mu_N,i - target_i)^2
               + q_trace * tr(Sigma_N)
 
-    Q_mean, Q_terminal and R_u must be diagonal, so the Monte Carlo
-    scoring sums the realized cost from their diagonals alone.
+    This class is the one place the cost is evaluated.  `state_cost`,
+    `control_cost` and `gradient` work row by row over the last axis,
+    with elementwise products and a row-wise sum, so a row of an (R, n)
+    batch gets the same bits as that row alone: the Monte Carlo scores
+    a chunk of runs in one batch and stays chunk-exact.  The weights
+    and the target must be finite, the weights >= 0, r_u > 0 and
+    q_trace finite and >= 0; a ValueError names the field that is not.
     """
 
-    Q_mean: np.ndarray
+    q_mean: np.ndarray
     q_trace: float
-    R_u: np.ndarray
-    Q_terminal: np.ndarray
+    r_u: np.ndarray
+    q_terminal: np.ndarray
     target: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "Q_mean", _diag_check(self.Q_mean, "Q_mean"))
-        object.__setattr__(self, "Q_terminal", _diag_check(self.Q_terminal, "Q_terminal"))
-        object.__setattr__(self, "R_u", _diag_check(self.R_u, "R_u", positive=True))
-        object.__setattr__(self, "target", np.asarray(self.target, dtype=float).reshape(-1))
-        if self.q_trace < 0:
-            raise ValueError("q_trace must be >= 0")
-        if self.target.size != self.Q_mean.shape[0]:
-            raise ValueError("target length must match Q_mean")
+        n_x, n_u = len(np.atleast_1d(self.q_mean)), len(np.atleast_1d(self.r_u))
+        for name, n in (("q_mean", n_x), ("q_terminal", n_x), ("target", n_x), ("r_u", n_u)):
+            object.__setattr__(self, name, _vector(name, getattr(self, name), n))
+        for name in ("q_mean", "q_terminal"):
+            if getattr(self, name).min() < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.r_u.min() <= 0:
+            raise ValueError("r_u must be > 0")
+        if not (np.isfinite(self.q_trace) and self.q_trace >= 0):
+            raise ValueError(f"q_trace must be finite and >= 0, got {self.q_trace!r}")
 
     @classmethod
     def from_weights(cls, n_x, n_u, q_mean=1.0, r_u=1.0, q_terminal=1.0, q_trace=0.0, target=0.0):
-        """Build diagonal weights from scalars or per-entry vectors."""
-
-        def diag(v, n):
-            v = np.asarray(v, dtype=float)
-            return np.diag(np.full(n, float(v))) if v.ndim == 0 else np.diag(v)
-
-        tgt = np.asarray(target, dtype=float)
-        if tgt.ndim == 0:
-            tgt = np.full(n_x, float(tgt))
+        """Build the weights from scalars or per-entry vectors."""
         return cls(
-            Q_mean=diag(q_mean, n_x),
+            q_mean=_vector("q_mean", q_mean, n_x),
             q_trace=float(q_trace),
-            R_u=diag(r_u, n_u),
-            Q_terminal=diag(q_terminal, n_x),
-            target=tgt,
+            r_u=_vector("r_u", r_u, n_u),
+            q_terminal=_vector("q_terminal", q_terminal, n_x),
+            target=_vector("target", target, n_x),
         )
+
+    def state_cost(self, mu, terminal=False):
+        """(mu - target)' diag(q) (mu - target) of each row of mu, q
+        being q_terminal if `terminal` and q_mean if not."""
+        d = mu - self.target
+        return (d * d * (self.q_terminal if terminal else self.q_mean)).sum(-1)
+
+    def control_cost(self, u):
+        """u' diag(r_u) u of each row of u."""
+        return (u * u * self.r_u).sum(-1)
+
+    def gradient(self, means, controls):
+        """The stage costs' gradients along a trajectory: (C_mu (N+1,
+        n_x), C_u (N, n_u)), C_mu[k] = 2 q o (mu_k - target) with q =
+        q_terminal on the last row of `means` and q_mean before, and
+        C_u[k] = 2 r_u o u_k."""
+        d = means - self.target
+        C_mu = 2.0 * d * self.q_mean
+        C_mu[-1] = 2.0 * d[-1] * self.q_terminal
+        return C_mu, 2.0 * controls * self.r_u
+
+    def total(self, means, traces, controls):
+        """Cost of a whole trajectory: means (N+1, n_x), covariance traces
+        (N+1,) and controls (N, n_u).  A row of another width is rejected,
+        where the row-wise sums would broadcast a width of 1."""
+        if means.shape[1:] != self.q_mean.shape or controls.shape[1:] != self.r_u.shape:
+            raise ValueError(f"the cost needs rows of n_x = {self.q_mean.size} means and n_u = "
+                             f"{self.r_u.size} controls, got {means.shape} and {controls.shape}")
+        total = self.state_cost(means[:-1]).sum() + self.control_cost(controls).sum()
+        total += self.state_cost(means[-1], terminal=True)
+        if self.q_trace:
+            total += self.q_trace * traces.sum()
+        return float(total)
 
 
 @dataclass
@@ -164,29 +196,14 @@ class NominalTrajectory:
     from_json = classmethod(load)
 
 
-def _cost_from_arrays(means, covs_trace, controls, spec):
-    """Total cost from stacked means (N+1, n_x), per-step covariance
-    traces (N+1,) and controls (N, n_u)."""
-    d = means - spec.target
-    stage_state = np.einsum("ki,ij,kj->k", d[:-1], spec.Q_mean, d[:-1])
-    term = d[-1] @ spec.Q_terminal @ d[-1]
-    ctrl = np.einsum("ki,ij,kj->k", controls, spec.R_u, controls)
-    total = stage_state.sum() + ctrl.sum() + term
-    if spec.q_trace:
-        total += spec.q_trace * covs_trace.sum()
-    return float(total)
-
-
 def nominal_cost(beliefs, controls, spec):
     """Cost of a belief trajectory under a control sequence."""
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
     if len(beliefs) != controls.shape[0] + 1:
         raise ValueError(f"need N+1 = {controls.shape[0] + 1} beliefs, got {len(beliefs)}")
     means = np.stack([b.mean for b in beliefs])
-    if means.shape[1] != spec.target.size:
-        raise ValueError("belief dimension does not match cost spec")
     traces = np.array([np.trace(b.cov) for b in beliefs])
-    return _cost_from_arrays(means, traces, controls, spec)
+    return spec.total(means, traces, controls)
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +319,11 @@ class _EnkfEngine:
         plant, M = self.plant, self.M
         means, _, obs, states, ensembles = tape
         N = U.shape[0]
-        Q_mean = spec.Q_mean + spec.Q_mean.T
-        Q_terminal = spec.Q_terminal + spec.Q_terminal.T
-        grad = U @ (spec.R_u + spec.R_u.T)
+        C_mu, grad = spec.gradient(means, U)
         g_D = np.zeros(plant.n_x)
         g_E = np.zeros((M, plant.n_x))
         for k in range(N - 1, -1, -1):
-            q = Q_terminal if k == N - 1 else Q_mean
-            g_E += (means[k + 1] - spec.target) @ q / M
+            g_E += C_mu[k + 1] / M
             if spec.q_trace:
                 g_E += (2.0 * spec.q_trace / (M - 1)) * (ensembles[k + 1] - means[k + 1])
             E_pred = enkf_predict_members(ensembles[k], U[k], self.w_draws[k], plant, k)
@@ -329,11 +343,9 @@ class _EnkfEngine:
         """
         plant = self.plant
         N, n_u = U.shape
-        _, _, _, states, ensembles = tape
-        grad = np.zeros((N, n_u))
-        Qm = spec.Q_mean
-        Qt = spec.Q_terminal
-        tgt = spec.target
+        means, _, _, states, ensembles = tape
+        # the control term of a quadratic is exact under central FD
+        grad = spec.gradient(means, U)[1]
         for j0 in range(0, N, _FD_CHUNK):
             j1 = min(j0 + _FD_CHUNK, N)
             n_jobs = 2 * n_u * (j1 - j0)
@@ -359,20 +371,17 @@ class _EnkfEngine:
                     )
                 except FloatingPointError as e:  # pragma: no cover - defensive
                     raise GradientEvaluationError(str(e)) from e
-                dd = post_mean - tgt
-                q = Qt if k == N - 1 else Qm
-                suffix[:active] += np.einsum("bi,bi->b", dd @ q, dd)
+                suffix[:active] += spec.state_cost(post_mean, terminal=k == N - 1)
                 if spec.q_trace:
                     ctr = ((Eb[:active] - post_mean[:, None, :]) ** 2).sum(axis=(1, 2)) / (self.M - 1)
                     suffix[:active] += spec.q_trace * ctr
             _check_finite(suffix, n_u, j0)
-            # assemble central differences; shared prefixes cancel exactly,
-            # and the control term of a quadratic is exact under central FD
+            # assemble central differences; shared prefixes cancel exactly
             for j in range(j0, j1):
                 lo = 2 * n_u * (j - j0)
                 plus = suffix[lo : lo + 2 * n_u : 2]
                 minus = suffix[lo + 1 : lo + 2 * n_u : 2]
-                grad[j] = (plus - minus) / (2.0 * h) + 2.0 * (spec.R_u @ U[j])
+                grad[j] += (plus - minus) / (2.0 * h)
         return grad
 
 
@@ -440,7 +449,7 @@ def optimize(u_init, b0, plant, spec, opts=None):
     U = _as_controls(u_init).copy()
     engine = _EnkfEngine(plant, b0, opts.M, opts.seed)
     tape = engine.rollout(U)
-    J = _cost_from_arrays(*tape[:2], U, spec)
+    J = spec.total(*tape[:2], U)
     history = [J]
     iterations = 0
     converged = False
@@ -455,7 +464,7 @@ def optimize(u_init, b0, plant, spec, opts=None):
         for _ in range(_MAX_HALVINGS):
             U_try = U - alpha * grad
             tape_try = engine.rollout(U_try)
-            J_try = _cost_from_arrays(*tape_try[:2], U_try, spec)
+            J_try = spec.total(*tape_try[:2], U_try)
             if J_try < J:
                 accepted = True
                 break

@@ -204,6 +204,23 @@ def test_pipeline_rejects_bad_sysid_and_lqg_values_before_any_stage(tmp_path, se
     assert not out.exists()
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"q_terminal": [1.0, 2.0]}, "q_terminal must have length 24, got shape (2,)"),
+    ({"r_u": [1e-3] * 4}, "r_u must have length 5, got shape (4,)"),
+    ({"target": float("inf")}, "target must be finite"),
+    ({"q_trace": float("nan")}, "q_trace must be finite and >= 0, got nan"),
+    ({"q_mean": [1.0] * 23 + [-1.0]}, "q_mean must be >= 0"),
+])
+def test_pipeline_rejects_bad_cost_weights_before_any_stage(tmp_path, entry, message):
+    # the stdlib reader of the config takes Infinity and NaN
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY, "cost": {**TINY["cost"], **entry}}))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        main(["pipeline", "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+
+
 def test_theorem1_rejects_too_few_runs_before_loading_artifacts(tmp_path):
     # tmp_path holds no artifacts: loading them would raise FileNotFoundError
     with pytest.raises(ValueError, match="at least 100 runs"):

@@ -15,7 +15,6 @@ from seplqg.exceptions import IntegrationDivergedError
 from seplqg.harness import (
     closed_loop_band,
     complexity_report,
-    cost_gradient_coefficients,
     probe_nodes_from_fractions,
     probe_output_rows,
     run_monte_carlo,
@@ -92,21 +91,21 @@ def assert_close(a, b, rel):
 
 def test_coefficients_match_quadratic_gradients():
     plant, b0, spec, nominal, ctrl = linear_setup()
-    C_mu, C_u = cost_gradient_coefficients(nominal, spec, nominal.means)
+    C_mu, C_u = spec.gradient(nominal.means, nominal.controls)
     h = 1e-5
 
     def central_difference(f, x):
         return np.array([(f(x + h * e) - f(x - h * e)) / (2.0 * h) for e in np.eye(x.size)])
 
     for k in (0, 5, nominal.horizon):
-        Q = spec.Q_terminal if k == nominal.horizon else spec.Q_mean
+        Q = np.diag(spec.q_terminal if k == nominal.horizon else spec.q_mean)
 
         def stage(mu):
             return (mu - spec.target) @ Q @ (mu - spec.target)
 
         assert np.allclose(C_mu[k], central_difference(stage, nominal.means[k]), atol=1e-6)
     for k in (0, 7):
-        expected = central_difference(lambda u: u @ spec.R_u @ u, nominal.controls[k])
+        expected = central_difference(lambda u: u @ np.diag(spec.r_u) @ u, nominal.controls[k])
         assert np.allclose(C_u[k], expected, atol=1e-8)
 
 
@@ -230,15 +229,16 @@ def reference_scores(plant, nominal, spec, ys, dus, model):
     Kalman filter per run on the deviations from x_det and dense
     quadratic forms.  model(k) gives (A_k, B_k, C_{k+1}) at x_det."""
     x_det, y_det = plant.simulate_nominal(nominal.means[0], nominal.controls)
-    C_mu, C_u = cost_gradient_coefficients(nominal, spec, x_det)
-    C_mu_means = cost_gradient_coefficients(nominal, spec, nominal.means)[0]
+    C_mu, C_u = spec.gradient(x_det, nominal.controls)
+    C_mu_means = spec.gradient(nominal.means, nominal.controls)[0]
+    Q_mean, Q_terminal, R_u = (np.diag(w) for w in (spec.q_mean, spec.q_terminal, spec.r_u))
     q_tr = spec.q_trace
     N = nominal.horizon
     out = np.zeros((3, ys.shape[1]))
     for r in range(ys.shape[1]):
         b = GaussianBelief(np.zeros(plant.n_x), nominal.prior_cov)
         d = x_det[0] - spec.target
-        out[2, r] = d @ spec.Q_mean @ d + q_tr * np.trace(b.cov)
+        out[2, r] = d @ Q_mean @ d + q_tr * np.trace(b.cov)
         for k in range(N):
             A, B, C = model(k)
             b = kalman_update(kalman_predict(b, dus[k, r], A, B, plant.spec.W),
@@ -247,9 +247,9 @@ def reference_scores(plant, nominal, spec, ys, dus, model):
             trace_term = q_tr * (np.trace(b.cov) - nominal.cov_traces[k + 1])
             out[0, r] += C_u[k] @ dus[k, r] + C_mu[k + 1] @ b.mean + trace_term
             out[1, r] += C_u[k] @ dus[k, r] + C_mu_means[k + 1] @ (mu - nominal.means[k + 1]) + trace_term
-            Q = spec.Q_terminal if k == N - 1 else spec.Q_mean
+            Q = Q_terminal if k == N - 1 else Q_mean
             d = mu - spec.target
-            out[2, r] += u @ spec.R_u @ u + d @ Q @ d + q_tr * np.trace(b.cov)
+            out[2, r] += u @ R_u @ u + d @ Q @ d + q_tr * np.trace(b.cov)
     return out
 
 

@@ -117,3 +117,19 @@ def test_traced_methods_are_in_their_class_bodies():
             assert attr in cls.__dict__, f"{cls_name}.{attr} is not bound in the class body"
         if "from_json" in attrs:
             assert isinstance(cls.__dict__["from_json"], classmethod)
+
+
+# The cost's weights are held in one format, read only where `CostSpec`
+# is defined; every other module goes through its methods.
+COST_WEIGHTS = {"q_mean", "q_terminal", "r_u"}
+
+
+def test_only_trajopt_reads_the_cost_weights():
+    readers = {}
+    for path in sorted(Path(seplqg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} & COST_WEIGHTS
+        if reads:
+            readers[path.stem] = reads
+    assert set(readers) <= {"trajopt"}, readers
+    assert readers["trajopt"] == COST_WEIGHTS

@@ -77,7 +77,7 @@ def test_impulses_zero_at_equal_times():
     nominal = zero_nominal(plant, x0=np.zeros(3))
     mk = collect_impulse_responses(plant, nominal, epsilon=1e-3)
     for k in range(5):
-        assert np.array_equal(mk.get(k, k), np.zeros((2, 2)))
+        assert np.array_equal(mk.data[k, k], np.zeros((2, 2)))
 
 
 def test_impulses_on_time_varying_linear_plant():
@@ -94,7 +94,7 @@ def test_impulses_on_time_varying_linear_plant():
         Phi = np.eye(2)
         for k in range(j + 1, N + 1):
             expected = C[k] @ Phi @ B[j]
-            assert np.abs(mk.get(k, j) - expected).max() < 1e-8
+            assert np.abs(mk.data[k, j] - expected).max() < 1e-8
             if k < N:
                 Phi = A[k] @ Phi
 
@@ -165,9 +165,9 @@ def test_lag_limited_campaign_steps_only_the_band(L):
 def test_lag_past_max_lag_cannot_be_read():
     plant = HeatPlant(HeatPlantConfig(n_grid=20, horizon=40))
     mk = collect_impulse_responses(plant, zero_nominal(plant), max_lag=8)
-    assert np.array_equal(mk.get(20, 12), mk.data[20, 12])
+    mk.check_lag(8)
     with pytest.raises(IndexError, match="max_lag 8"):
-        mk.get(20, 11)
+        mk.check_lag(9)
     # the shifted Hankel blocks read lags up to p + q = 9
     with pytest.raises(IndexError, match="max_lag 8"):
         tv_era(mk, n_r=4, p=4, q=5)
@@ -315,7 +315,7 @@ def test_era_roundtrip_exact_order3():
     k_min, k_max = rom.time_range
     for k in range(k_min + 1, k_max + 1):
         for j in range(max(k_min - 1, k - 8), k):
-            assert np.abs(rom_markov(rom, k, j) - mk.get(k, j)).max() < 1e-8
+            assert np.abs(rom_markov(rom, k, j) - mk.data[k, j]).max() < 1e-8
     assert not rom.gap_warning
 
 
@@ -402,7 +402,7 @@ def brute_force_holdout_error(rom, mk, lag, extra):
     for k in range(k_min, min(k_max + 1, rom.horizon) + 1):
         for j in range(max(0, k_min - 1), k):
             if lag < k - j <= lag + extra:
-                Y = mk.get(k, j)
+                Y = mk.data[k, j]
                 err2 += ((rom_markov(rom, k, j) - Y) ** 2).sum()
                 ref2 += (Y**2).sum()
     return np.sqrt(err2 / ref2)
@@ -460,9 +460,12 @@ def test_select_order_finds_true_rank():
 def test_markov_params_validation():
     with pytest.raises(ValueError):
         MarkovParams(np.zeros((5, 5, 2, 2)))  # needs (N+1, N, ...)
-    mk = MarkovParams(np.zeros((6, 5, 2, 2)))
-    with pytest.raises(IndexError):
-        mk.get(3, 4)
+    with pytest.raises(ValueError, match="finite"):
+        MarkovParams(np.full((6, 5, 2, 2), np.nan))
+    mk = MarkovParams(np.zeros((6, 5, 2, 2)), max_lag=2)
+    assert (mk.horizon, mk.n_y, mk.n_u) == (5, 2, 2)
+    with pytest.raises(IndexError, match="lag 3 past the campaign's max_lag 2"):
+        mk.check_lag(3)
 
 
 def test_rom_json_roundtrip(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from kalman_reference import kalman_predict, kalman_update
@@ -46,20 +48,21 @@ def lq_direct_solution(plant, x0, spec, N):
             F[k * n_x : (k + 1) * n_x, j * n_u : (j + 1) * n_u] = (
                 np.linalg.matrix_power(A, k - 1 - j) @ B
             )
+    Q_mean, Q_terminal, R_u = (np.diag(w) for w in (spec.q_mean, spec.q_terminal, spec.r_u))
     Qbig = np.zeros(((N + 1) * n_x, (N + 1) * n_x))
     for k in range(N):
-        Qbig[k * n_x : (k + 1) * n_x, k * n_x : (k + 1) * n_x] = spec.Q_mean
-    Qbig[N * n_x :, N * n_x :] = spec.Q_terminal
-    Rbig = np.kron(np.eye(N), spec.R_u)
+        Qbig[k * n_x : (k + 1) * n_x, k * n_x : (k + 1) * n_x] = Q_mean
+    Qbig[N * n_x :, N * n_x :] = Q_terminal
+    Rbig = np.kron(np.eye(N), R_u)
     t = np.tile(spec.target, N + 1)
     H = F.T @ Qbig @ F + Rbig
     g = F.T @ Qbig @ (c - t)
     U = np.linalg.solve(H, -g).reshape(N, n_u)
     x = (F @ U.ravel() + c).reshape(N + 1, n_x)
     d = x - spec.target
-    J = np.einsum("ki,ij,kj->", d[:-1], spec.Q_mean, d[:-1])
-    J += d[-1] @ spec.Q_terminal @ d[-1]
-    J += np.einsum("ki,ij,kj->", U, spec.R_u, U)
+    J = np.einsum("ki,ij,kj->", d[:-1], Q_mean, d[:-1])
+    J += d[-1] @ Q_terminal @ d[-1]
+    J += np.einsum("ki,ij,kj->", U, R_u, U)
     return U, float(J)
 
 
@@ -110,6 +113,13 @@ def test_cost_dimension_mismatch():
     spec = CostSpec.from_weights(1, 1)
     with pytest.raises(ValueError):
         nominal_cost([GaussianBelief([0.0], [[0.0]])], [[0.0]], spec)
+    # a width of 1 would broadcast against the weights of a wider spec
+    spec = CostSpec.from_weights(2, 3)
+    beliefs = [GaussianBelief([0.0, 0.0], np.zeros((2, 2)))] * 2
+    with pytest.raises(ValueError, match=r"n_u = 3 controls, got \(2, 2\) and \(1, 1\)"):
+        nominal_cost(beliefs, [[0.0]], spec)
+    with pytest.raises(ValueError, match=r"n_x = 2 means"):
+        nominal_cost([GaussianBelief([0.0], [[0.0]])] * 2, [[0.0, 0.0, 0.0]], spec)
 
 
 def test_cost_invariant_under_member_permutation():
@@ -125,17 +135,75 @@ def test_cost_invariant_under_member_permutation():
     assert nominal_cost(beliefs1, u, spec) == pytest.approx(nominal_cost(beliefs2, u, spec), rel=1e-12)
 
 
+# each bad from_weights(3, 2, ...) argument and the start of its message
+BAD_WEIGHTS = [
+    ({"r_u": 0.0}, "r_u must be > 0"),
+    ({"r_u": [1.0, -2.0]}, "r_u must be > 0"),
+    ({"q_trace": -1.0}, "q_trace must be finite and >= 0"),
+    ({"q_trace": np.nan}, "q_trace must be finite and >= 0"),
+    ({"q_trace": np.inf}, "q_trace must be finite and >= 0"),
+    ({"q_mean": -1.0}, "q_mean must be >= 0"),
+    ({"q_terminal": [1.0, -0.5, 1.0]}, "q_terminal must be >= 0"),
+    # a weight or target whose length is not n_x = 3 (n_u = 2 for r_u)
+    ({"q_mean": [1.0, 2.0]}, r"q_mean must have length 3, got shape \(2,\)"),
+    ({"q_terminal": [1.0, 2.0]}, r"q_terminal must have length 3, got shape \(2,\)"),
+    ({"target": np.zeros(4)}, r"target must have length 3, got shape \(4,\)"),
+    ({"r_u": [1.0, 2.0, 3.0]}, r"r_u must have length 2, got shape \(3,\)"),
+    ({"q_mean": np.eye(3)}, r"q_mean must have length 3, got shape \(3, 3\)"),
+    # non-finite entries
+    ({"target": np.inf}, "target must be finite"),
+    ({"q_mean": [1.0, np.nan, 1.0]}, "q_mean must be finite"),
+    ({"q_terminal": np.inf}, "q_terminal must be finite"),
+    ({"r_u": [1.0, np.inf]}, "r_u must be finite"),
+]
+
+
 def test_cost_spec_validation():
-    with pytest.raises(ValueError, match="positive definite"):
-        CostSpec.from_weights(2, 1, r_u=0.0)
-    with pytest.raises(ValueError):
-        CostSpec.from_weights(2, 1, q_trace=-1.0)
-    # the weights must be diagonal, even when symmetric and definite
-    spec = CostSpec.from_weights(2, 2)
-    coupled = np.array([[1.0, 0.1], [0.1, 1.0]])
-    for name in ("Q_mean", "Q_terminal", "R_u"):
-        with pytest.raises(ValueError, match=f"{name} must be diagonal"):
-            CostSpec(**{**vars(spec), name: coupled})
+    for kwargs, message in BAD_WEIGHTS:
+        with pytest.raises(ValueError, match=message):
+            CostSpec.from_weights(3, 2, **kwargs)
+    # a direct construction takes n_x from q_mean and n_u from r_u, and
+    # is checked the same way
+    spec = CostSpec.from_weights(3, 2)
+    for name, value, message in [
+        ("q_terminal", np.ones(2), r"q_terminal must have length 3"),
+        ("target", np.ones(4), r"target must have length 3"),
+        ("q_mean", -np.ones(3), "q_mean must be >= 0"),
+        ("r_u", np.array([1.0, 0.0]), "r_u must be > 0"),
+        ("target", np.array([0.0, np.nan, 0.0]), "target must be finite"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            replace(spec, **{name: value})
+
+
+def test_cost_is_row_exact():
+    # each row of a batch gets the bits of that row evaluated alone, which
+    # the Monte Carlo's chunk-exactness rests on
+    rng = stream(21, "row-exact")
+    spec = CostSpec.from_weights(37, 5, q_mean=rng.uniform(0.5, 2.0, 37), r_u=rng.uniform(1e-3, 1.0, 5),
+                                 q_terminal=rng.uniform(0.5, 2.0, 37), target=150.0)
+    mu = 150.0 + rng.standard_normal((64, 37))
+    u = rng.standard_normal((64, 5))
+    for terminal in (False, True):
+        batch = spec.state_cost(mu, terminal=terminal)
+        assert batch.shape == (64,)
+        assert all(batch[i] == spec.state_cost(mu[i], terminal=terminal) for i in range(64))
+        assert all(batch[i] == spec.state_cost(mu[i : i + 1], terminal=terminal)[0] for i in range(64))
+    batch = spec.control_cost(u)
+    assert all(batch[i] == spec.control_cost(u[i]) for i in range(64))
+    C_mu, C_u = spec.gradient(mu, u)
+    for i in range(64):
+        # mu[i : i + 2] ends in the terminal row exactly when mu[i] does
+        C_mu_i, C_u_i = spec.gradient(mu[i : i + 2], u[i : i + 1])
+        assert np.array_equal(C_mu[i], C_mu_i[0]) and np.array_equal(C_u[i], C_u_i[0])
+    # the dense quadratic forms are an independent reference
+    Q, R = np.diag(spec.q_mean), np.diag(spec.r_u)
+    d = mu - spec.target
+    np.testing.assert_allclose(spec.state_cost(mu), np.einsum("ki,ij,kj->k", d, Q, d), rtol=1e-13)
+    np.testing.assert_allclose(spec.control_cost(u), np.einsum("ki,ij,kj->k", u, R, u), rtol=1e-13)
+    np.testing.assert_array_equal(C_mu[:-1], 2.0 * d[:-1] @ Q)
+    np.testing.assert_array_equal(C_mu[-1], 2.0 * d[-1] @ np.diag(spec.q_terminal))
+    np.testing.assert_array_equal(C_u, 2.0 * u @ R)
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +272,10 @@ def closed_form_lq_gradient(plant, x0, spec, U):
     grad = np.zeros_like(U)
     for j in range(N):
         for k in range(j + 1, N + 1):
-            Q = spec.Q_terminal if k == N else spec.Q_mean
+            Q = np.diag(spec.q_terminal if k == N else spec.q_mean)
             G = np.linalg.matrix_power(A, k - 1 - j) @ B
             grad[j] += 2.0 * G.T @ Q @ (x[k] - spec.target)
-        grad[j] += 2.0 * spec.R_u @ U[j]
+        grad[j] += 2.0 * np.diag(spec.r_u) @ U[j]
     return grad
 
 
@@ -287,7 +355,7 @@ class CountingHeatPlant(HeatPlant):
 
 
 def heat_case(q_trace, q_mean=None, q_terminal=3.0):
-    """16-node heat slab with (by default) Q_terminal != Q_mean and random
+    """16-node heat slab with (by default) q_terminal != q_mean and random
     nonzero controls over 12 steps."""
     n_grid, horizon = 16, 12
     plant = HeatPlant(HeatPlantConfig(n_grid=n_grid, horizon=horizon))
@@ -423,9 +491,9 @@ def test_optimize_reaches_lq_optimum():
     # against the deterministic optimum directly
     d = traj.means - spec.target
     J_reached = (
-        np.einsum("ki,ij,kj->", d[:-1], spec.Q_mean, d[:-1])
-        + d[-1] @ spec.Q_terminal @ d[-1]
-        + np.einsum("ki,ij,kj->", traj.controls, spec.R_u, traj.controls)
+        np.einsum("ki,ij,kj->", d[:-1], np.diag(spec.q_mean), d[:-1])
+        + d[-1] @ np.diag(spec.q_terminal) @ d[-1]
+        + np.einsum("ki,ij,kj->", traj.controls, np.diag(spec.r_u), traj.controls)
     )
     assert J_reached <= 1.01 * J_star
     assert np.allclose(traj.controls, U_star, atol=0.05)
@@ -459,6 +527,8 @@ def test_optimize_nominal_cost_consistency():
     beliefs = rollout_belief(traj.controls, b0, plant, M=12, seed=2)
     recomputed = nominal_cost(beliefs, traj.controls, spec)
     assert traj.nominal_cost == pytest.approx(recomputed, rel=1e-9)
+    # the optimizer's cost is the spec's total of the returned trajectory
+    assert traj.nominal_cost == spec.total(traj.means, traj.cov_traces, traj.controls)
     assert traj.means.shape == (11, 16)
     assert np.array_equal(traj.prior_cov, b0.cov)
     assert traj.cov_traces.shape == (11,)
