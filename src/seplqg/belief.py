@@ -5,8 +5,9 @@ pair.  The trajectory optimizer propagates it with a stochastic
 (perturbed-observation) Ensemble Kalman Filter, whose kernels take
 pre-drawn noise and broadcast over leading batch axes, so one call
 advances a batch of rollouts; `enkf_update_vjp` is the adjoint of the
-update.  The Monte Carlo scores its runs with a linearized Kalman filter
-instead (`harness`).
+update.  The Monte Carlo scores its runs by weights that one backward
+sweep of a linearized Kalman filter forms (`harness`), and carries no
+filter in its runs.
 """
 
 from dataclasses import dataclass

@@ -15,10 +15,13 @@ valid k with s_1..s_(n_r+1) of H_k, the kept singular values and the
 first discarded one, which is what `gap_warning` reads (TV-ERA computes
 no others).  rom_validation.json records the held-out Markov error and the
 identification settings, holdout_extra resolved (null means p + q).
-report.json holds the fields of `MonteCarloReport`, the mean first-order
-cost deviation delta_J_mean, its standard error delta_J_se and
-delta_J_z = mean / se; the last two are null with fewer than 2 kept
-runs, and delta_J_z also when se is 0.  For the paired verdict that the
+report.json holds the stored fields of `MonteCarloReport` (the run
+counts, base_seed, mean_traj, the probe positions and nodes, run 0's
+closed- and open-loop errors, two_sigma, mse_closed, mse_open,
+delta_J_samples, nominal_cost and failures), the mean first-order cost
+deviation delta_J_mean, its standard error delta_J_se and delta_J_z =
+mean / se; the last two are null with fewer than 2 kept runs, and
+delta_J_z also when se is 0.  For the paired verdict that the
 closed loop beats the open loop it holds, per probe, mse_diff_mean, the
 mean over runs of each run's time-averaged open-loop minus closed-loop
 squared error, its standard error mse_diff_se (null with fewer than 2

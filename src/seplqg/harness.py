@@ -6,13 +6,11 @@ Every Monte Carlo run draws its noise from counter-based streams keyed
 (base_seed, run_index, channel), so reports are bit-reproducible under a
 fixed seed.  On the heat slab they are also chunk-exact: the same bits
 for any chunk size, because every product that mixes a run's entries
-(the LQG law of `lqg_update`, the filter update, the delta_J sums and
-the realized cost, which `CostSpec.state_cost` and `control_cost` sum
-from the diagonal weights) is a row-wise reduction, whose rounding does
-not depend on how many runs a batch has, and the heat slab's `step_jvp`
-is a stencil.
-On linear plants the BLAS products of `LinearPlant.step` and
-`step_jvp` still round a row differently for different batch sizes.
+(the LQG law of `lqg_update` and the delta_J sums) is a row-wise
+reduction, whose rounding does not depend on how many runs a batch has,
+and the heat slab's `step` is a stencil.
+On linear plants the BLAS products of `LinearPlant.step` and `observe`
+still round a row differently for different batch sizes.
 
 Open-loop comparison runs consume the same draws as their closed-loop
 partner (common random numbers), making the error comparison paired.
@@ -22,23 +20,32 @@ closed-loop states and their R open-loop partners held as one (2R, n_x)
 batch.  Each step observes the closed loop, applies the LQG law, and
 steps the whole batch once: the closed-loop rows under the LQG controls
 and the open-loop rows under the nominal controls, each pair with the
-same draws.  The same step advances each run's linearized Kalman filter
-(LKF) along the noiseless nominal x_det, the rollout of the nominal
-controls from the nominal's initial state: its predict is the plant step's
-tangent at x_det along the run's deviation, and its gains come from
-one sweep per `run_monte_carlo`, so no chunk forms an n_x x n_x
-Jacobian.  Its mean mu, the belief to first order in the noise, gives
-the realized cost (taken at mu) and the first-order cost deviation
+same draws.
 
-    delta_J = sum_k C_u,k du_k + C_mu,k (mu_k - x_det,k),
+Each run is scored by its first-order cost deviation about the
+noiseless nominal x_det, the rollout of the nominal controls from the
+nominal's initial state, so that Theorem 1's zero mean is tested about
+the trajectory the loop regulates to:
 
-with (C_mu, C_u) = `CostSpec.gradient` taken at x_det and the nominal
-controls, so that Theorem 1's zero mean is tested about the trajectory
-the loop regulates to.  The filter never feeds back into
-the loop, so it changes no other output.  The probe errors, `mean_traj`
-and the frozen states of diverged runs are still taken against the
-stored belief means `nominal.means`, because the benchmark's run-0
-check (`perfbench/checks.py`) replays the probe errors against them.
+    delta_J = sum_k C_u,k du_k + C_mu,k+1 dmu_k+1,
+
+with (C_mu, C_u) = `CostSpec.gradient` at x_det and the nominal
+controls, and dmu the mean of the run's linearized Kalman filter (LKF)
+along x_det, which starts at 0 and follows the run's control deviations
+du and measurement deviations e_k+1 = y_k+1 - y_det,k+1:
+
+    dmu_k+1 = M_k (A_k dmu_k + B_k du_k) + K_k+1 e_k+1,  M_k = I - K_k+1 C_k+1.
+
+So delta_J is linear in each run's du and e.  One backward (adjoint)
+sweep per `run_monte_carlo`, lambda_N = C_mu,N and lambda_k = C_mu,k +
+A_k' M_k' lambda_k+1, gives its weights g_u,k = C_u,k + B_k' M_k'
+lambda_k+1 and g_e,k = K_k+1' lambda_k+1: each step of a chunk adds two
+row-wise dot products to delta_J, and no run carries a filter.  The
+filter never feeds back into the loop, so it changes no other output.
+The probe errors, `mean_traj` and the frozen states of diverged runs
+are still taken against the stored belief means `nominal.means`,
+because the benchmark's run-0 check (`perfbench/checks.py`) replays the
+probe errors against them.
 """
 
 from dataclasses import dataclass
@@ -51,7 +58,7 @@ from .artifacts import memory_only
 # own metrics
 from .belief import enkf_update_members, psd_sqrt  # noqa: F401
 from .exceptions import IntegrationDivergedError
-from .lqg import _times_t, kf_steps, lqg_update
+from .lqg import kf_steps, lqg_update
 from .plant import _grid_nodes
 from .rng import stream
 from .sysid import collect_impulse_responses
@@ -192,13 +199,13 @@ def closed_loop_band(controller, C_rows):
 class MonteCarloReport:
     """Aggregated paired closed/open-loop Monte Carlo results.
 
-    n_runs counts the runs requested; the averages, delta_J_samples,
-    cost_samples and mse_diff_samples cover only the n_effective runs
-    that did not diverge (failures = n_runs - n_effective).
-    `run_monte_carlo` raises a RuntimeError instead of returning a report
-    when every run, or more than max(1, n_runs // 100) of them, diverged.
-    delta_J_samples and cost_samples (n_effective,) hold each kept run's
-    first-order cost deviation and realized cost under the cost spec.
+    n_runs counts the runs requested; the averages, delta_J_samples and
+    mse_diff_samples cover only the n_effective runs that did not
+    diverge (failures = n_runs - n_effective).  `run_monte_carlo` raises
+    a RuntimeError instead of returning a report when every run, or more
+    than max(1, n_runs // 100) of them, diverged.  delta_J_samples
+    (n_effective,) holds each kept run's first-order cost deviation
+    under the cost spec.
     mse_diff_samples (n_effective, n_probe), each run's time-averaged
     squared probe error of the open loop minus that of the closed loop,
     is kept in memory only; report.json holds its mean, se and z.
@@ -216,7 +223,6 @@ class MonteCarloReport:
     mse_closed: np.ndarray  # (n_probe,) time- and run-averaged squared error
     mse_open: np.ndarray
     delta_J_samples: np.ndarray
-    cost_samples: np.ndarray
     nominal_cost: float
     failures: int
     mse_diff_samples: np.ndarray = memory_only(lambda: np.zeros((0, 0)))
@@ -269,62 +275,58 @@ def _safe_step(plant, X, U, w, k):
         return out, bad
 
 
-def _tangent(plant, x, u, dX, dU, k, h):
-    """The noiseless step's tangent at (x, u) along each row of (dX, dU).
-    From `step_jvp` when the plant has one; for a black box, from central
-    differences of `step` along each row scaled to length h, in one
-    batch of 2 rows."""
+def _linearize(plant, x_det, controls, k, h):
+    """(A_k, B_k, C_{k+1}): the Jacobians of the noiseless step at
+    (x_det,k, u_k) and of the noiseless observation at x_det,k+1.  The
+    step's come from `step_jvp` on the identity batch when the plant
+    has it, and for a black box from central differences of `step` with
+    step h, in one batch of 2 (n_x + n_u) rows; C from `observe_vjp` or
+    from central differences of `observe`."""
+    n_x = plant.n_x
+    E = np.eye(n_x + plant.n_u)
+    x, u = x_det[k], controls[k]
     if hasattr(plant, "step_jvp"):
-        return plant.step_jvp(x, u, dX, dU, k)
-    norm = np.sqrt((dX * dX).sum(-1) + (dU * dU).sum(-1))[:, None]
-    s = h / np.where(norm > 0.0, norm, 1.0)
-    out = plant.step(x + np.concatenate([s * dX, -s * dX]), u + np.concatenate([s * dU, -s * dU]), 0.0, k)
-    return (out[:len(s)] - out[len(s):]) / (2.0 * s)
-
-
-def _output_jacobian(plant, x, k, h):
-    """C: the Jacobian of the noiseless observation at x, from
-    `observe_vjp` or from central differences of `observe`."""
+        J = plant.step_jvp(x, u, E[:, :n_x], E[:, n_x:], k).T
+    else:
+        D = h * np.concatenate([E, -E])
+        out = plant.step(x + D[:, :n_x], u + D[:, n_x:], 0.0, k)
+        J = ((out[:len(E)] - out[len(E):]) / (2.0 * h)).T
     if hasattr(plant, "observe_vjp"):
-        return plant.observe_vjp(np.eye(plant.n_y), k)
-    E = h * np.eye(plant.n_x)
-    return (plant.observe(x + E, 0.0, k) - plant.observe(x - E, 0.0, k)).T / (2.0 * h)
+        C = plant.observe_vjp(np.eye(plant.n_y), k + 1)
+    else:
+        x1, D = x_det[k + 1], h * np.eye(n_x)
+        C = (plant.observe(x1 + D, 0.0, k + 1) - plant.observe(x1 - D, 0.0, k + 1)).T / (2.0 * h)
+    return J[:, :n_x], J[:, n_x:], C
 
 
-class _Lkf:
-    """The linearized Kalman filter along the noiseless nominal x_det,
-    and the cost terms it scores: the gradients (C_mu, C_u) of
-    `CostSpec.gradient` along x_det and the nominal controls, and the
-    realized cost of step 0, the same for every run.
+def _delta_j_weights(plant, nominal, cost, h):
+    """The weights that score each run's delta_J from its control and
+    measurement deviations along the noiseless nominal x_det; returns
+    (y_det (N+1, n_y), g_u (N, n_u), g_e (N, n_y)), y_det the noiseless
+    observations.
 
-    One `kf_steps` sweep from the nominal prior covariance, over the
-    Jacobians (A_k, B_k, C_{k+1}) at (x_det,k, u_k), A_k and B_k from the
-    step's tangent on an identity batch, gives the gains K_{k+1}, once
-    per `run_monte_carlo`.  It keeps only the gains and the covariance
-    traces, no (N, n_x, n_x) array.  The loop pass advances each run by
-    the step's tangent along its deviation.  `h` is the difference step
-    for a plant without `step_jvp` or `observe_vjp`."""
-
-    def __init__(self, plant, nominal, cost, h):
-        self.cost, self.h = cost, h
-        self.states, self.observations = plant.simulate_nominal(nominal.means[0], nominal.controls)
-        self.C_mu, self.C_u = cost.gradient(self.states, nominal.controls)
-        N, n_x, n_y = nominal.horizon, plant.n_x, plant.n_y
-        self.gains = np.empty((N, n_x, n_y))
-        self.traces = np.empty(N + 1)
-        self.traces[0] = np.trace(nominal.prior_cov)
-        E = np.eye(n_x + plant.n_u)
-
-        def models():
-            for k, u in enumerate(nominal.controls):
-                J = _tangent(plant, self.states[k], u, E[:, :n_x], E[:, n_x:], k, h).T
-                yield J[:, :n_x], J[:, n_x:], _output_jacobian(plant, self.states[k + 1], k + 1, h)
-
-        for k, (K, P) in enumerate(kf_steps(models(), plant.spec.W, plant.spec.V, nominal.prior_cov)):
-            self.gains[k] = K
-            self.traces[k + 1] = np.trace(P)
-        # the realized cost of step 0, the same for every run
-        self.cost0 = float(cost.state_cost(self.states[0])) + cost.q_trace * self.traces[0]
+    A forward `kf_steps` sweep from the nominal prior covariance gives
+    the LKF's gains K_{k+1}.  A backward sweep from lambda_N = C_mu,N
+    then forms, with v = M_k' lambda_{k+1} = lambda_{k+1} - C_{k+1}'
+    g_e,k, the weights g_e,k = K_{k+1}' lambda_{k+1} and g_u,k = C_u,k +
+    B_k' v, and lambda_k = C_mu,k + A_k' v.  Both sweeps take each
+    step's Jacobians from `_linearize`, one step at a time, so neither
+    holds an (N, n_x, n_x) array.  `h` is the difference step for a
+    plant without `step_jvp` or `observe_vjp`."""
+    x_det, y_det = plant.simulate_nominal(nominal.means[0], nominal.controls)
+    C_mu, g_u = cost.gradient(x_det, nominal.controls)
+    N = nominal.horizon
+    models = (_linearize(plant, x_det, nominal.controls, k, h) for k in range(N))
+    gains = [K for K, _ in kf_steps(models, plant.spec.W, plant.spec.V, nominal.prior_cov)]
+    g_e = np.empty((N, plant.n_y))
+    lam = C_mu[N]
+    for k in range(N - 1, -1, -1):
+        A, B, C = _linearize(plant, x_det, nominal.controls, k, h)
+        g_e[k] = lam @ gains[k]
+        v = lam - g_e[k] @ C
+        g_u[k] += v @ B
+        lam = C_mu[k] + v @ A
+    return y_det, g_u, g_e
 
 
 def _fold(total, rows):
@@ -334,13 +336,11 @@ def _fold(total, rows):
     return np.add.accumulate(np.concatenate([total[None], rows]))[-1]
 
 
-def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes, lkf, mean_sum, summed=None):
+def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes, weights, mean_sum, summed=None):
     """Simulate one chunk of paired runs; returns per-run aggregates, the
     mask of diverged runs, which are frozen on the nominal so the batch
-    stays healthy, and each run's delta_J and realized cost, scored by
-    the filter `lkf`.  The realized cost adds, step by step, the rows of
-    `CostSpec.control_cost` at the run's controls and of `state_cost`
-    at its filter mean, each a row-wise sum.
+    stays healthy, and each run's delta_J, scored by the `weights`
+    (y_det, g_u, g_e) of `_delta_j_weights`.
 
     The chunk's R closed-loop states and their R open-loop partners are
     one (2R, n_x) batch, a pair being row i and row R + i: each step
@@ -380,10 +380,8 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes,
     sq = np.zeros((2 * R, n_p))
     run0 = np.zeros((N + 1, 2, n_p))
 
-    cost = lkf.cost
-    dmu = np.zeros((R, n_x))  # LKF mean minus x_det
+    y_det, g_u, g_e = weights
     delta_J = np.zeros(R)
-    cost_acc = np.full(R, lkf.cost0)
 
     y = plant.observe(x[:R], v_all[:, 0], 0)
     for k in range(N):
@@ -409,21 +407,12 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes,
             run0[k + 1] = err[[0, R]]
         y = plant.observe(x[:R], v_all[:, k + 1], k + 1)
 
-        # LKF predict with the step's tangent along the deviations from
-        # x_det, and update with row-wise products: BLAS sums a row in an
-        # order that depends on the number of rows
-        dmu = _tangent(plant, lkf.states[k], nominal.controls[k], dmu, du, k, lkf.h)
-        C = _output_jacobian(plant, lkf.states[k + 1], k + 1, lkf.h)
-        dmu += _times_t(y - lkf.observations[k + 1] - _times_t(dmu, C), lkf.gains[k])
-        delta_J += (du * lkf.C_u[k]).sum(axis=-1)
-        cost_acc += cost.control_cost(u)
-        delta_J += (dmu * lkf.C_mu[k + 1]).sum(axis=-1)
-        cost_acc += cost.state_cost(lkf.states[k + 1] + dmu, terminal=k == N - 1)
-        # the trace terms, 0 unless q_trace > 0
-        delta_J += cost.q_trace * (lkf.traces[k + 1] - nominal.cov_traces[k + 1])
-        cost_acc += cost.q_trace * lkf.traces[k + 1]
+        # delta_J's terms of step k, by row-wise products: BLAS sums a
+        # row in an order that depends on the number of rows
+        delta_J += (du * g_u[k]).sum(axis=-1)
+        delta_J += ((y - y_det[k + 1]) * g_e[k]).sum(axis=-1)
 
-    return {"sq": sq, "run0": run0, "failed": failed, "delta_J": delta_J, "cost": cost_acc}
+    return {"sq": sq, "run0": run0, "failed": failed, "delta_J": delta_J}
 
 
 def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positions=(0.4, 0.9), *,
@@ -432,15 +421,15 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
     chunk of runs and in this process.
 
     Each run simulates the true plant under the LQG loop and, with the
-    same noise draws, under the open-loop nominal controls.  The
-    linearized Kalman filter along the noiseless nominal x_det follows
-    each closed-loop run on its controls and measurements, and yields
-    the per-run realized cost under the cost spec `cost`, at the filter
-    mean mu, and the first-order cost deviation delta_J = sum C_u du +
-    C_mu (mu - x_det), C_mu taken at x_det.  With q_trace > 0 both add
-    the trace term of the filter's covariance, which is the same for
-    every run.  The probe errors and `mean_traj` stay measured against
-    `nominal.means`, which the benchmark's run-0 check replays.
+    same noise draws, under the open-loop nominal controls.  Each
+    closed-loop run is scored by its first-order cost deviation under
+    the cost spec `cost`, delta_J = sum C_u du + C_mu dmu, dmu the mean
+    of its linearized Kalman filter along the noiseless nominal x_det
+    and C_mu taken at x_det.  delta_J is linear in the run's control and
+    measurement deviations, whose weights one backward sweep forms
+    before the first chunk (`_delta_j_weights`).  The probe errors and
+    `mean_traj` stay measured against `nominal.means`, which the
+    benchmark's run-0 check replays.
 
     Runs whose plant step diverges are counted in `failures` and left
     out of every average and sample; if every run, or more than
@@ -460,18 +449,17 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
     if probe_nodes:
         probe_rows = probe_output_rows(plant, nominal, controller.rom, probe_nodes, epsilon)
         two_sigma = closed_loop_band(controller, probe_rows)
-    lkf = _Lkf(plant, nominal, cost, epsilon)
+    weights = _delta_j_weights(plant, nominal, cost, epsilon)
 
     N, n_p = nominal.horizon, len(probe_nodes)
     mean_sum = np.zeros((N + 1, plant.n_x))
     sq_sum = np.zeros((2, n_p))  # closed, open
     delta_J = []
-    cost_samples = []
     mse_diff = []
     failures = 0
     for lo in range(0, n_runs, chunk):
         run_ids = list(range(lo, min(lo + chunk, n_runs)))
-        args = (plant, nominal, controller, run_ids, base_seed, probe_nodes, lkf)
+        args = (plant, nominal, controller, run_ids, base_seed, probe_nodes, weights)
         mean_before = mean_sum.copy()
         out = _simulate_chunk(*args, mean_sum)
         ok = ~out["failed"]
@@ -483,7 +471,6 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
             _simulate_chunk(*args, mean_sum, summed=ok)
         failures += int((~ok).sum())
         delta_J.append(out["delta_J"][ok])
-        cost_samples.append(out["cost"][ok])
         # a strict run-order fold, column by column, keeps the sums
         # independent of chunking
         sq = out["sq"].reshape(2, len(ok), n_p)[:, ok]
@@ -509,7 +496,6 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
         mse_closed=sq_sum[0] / denom,
         mse_open=sq_sum[1] / denom,
         delta_J_samples=np.concatenate(delta_J),
-        cost_samples=np.concatenate(cost_samples),
         nominal_cost=float(nominal.nominal_cost),
         failures=failures,
         mse_diff_samples=np.concatenate(mse_diff),

@@ -75,22 +75,19 @@ class CostSpec:
     """Quadratic belief-space cost with diagonal weights, held as the
     vectors of their diagonals: q_mean and q_terminal (n_x,), r_u (n_u,).
 
-    Stage k:  sum_i q_mean_i (mu_k,i - target_i)^2
-              + q_trace * tr(Sigma_k) + sum_m r_u,m u_k,m^2
+    Stage k:  sum_i q_mean_i (mu_k,i - target_i)^2 + sum_m r_u,m u_k,m^2
     Terminal: sum_i q_terminal_i (mu_N,i - target_i)^2
-              + q_trace * tr(Sigma_N)
 
     This class is the one place the cost is evaluated.  `state_cost`,
     `control_cost` and `gradient` work row by row over the last axis,
     with elementwise products and a row-wise sum, so a row of an (R, n)
     batch gets the same bits as that row alone: the Monte Carlo scores
     a chunk of runs in one batch and stays chunk-exact.  The weights
-    and the target must be finite, the weights >= 0, r_u > 0 and
-    q_trace finite and >= 0; a ValueError names the field that is not.
+    and the target must be finite, the weights >= 0 and r_u > 0; a
+    ValueError names the field that is not.
     """
 
     q_mean: np.ndarray
-    q_trace: float
     r_u: np.ndarray
     q_terminal: np.ndarray
     target: np.ndarray
@@ -104,15 +101,12 @@ class CostSpec:
                 raise ValueError(f"{name} must be >= 0")
         if self.r_u.min() <= 0:
             raise ValueError("r_u must be > 0")
-        if not (np.isfinite(self.q_trace) and self.q_trace >= 0):
-            raise ValueError(f"q_trace must be finite and >= 0, got {self.q_trace!r}")
 
     @classmethod
-    def from_weights(cls, n_x, n_u, q_mean=1.0, r_u=1.0, q_terminal=1.0, q_trace=0.0, target=0.0):
+    def from_weights(cls, n_x, n_u, q_mean=1.0, r_u=1.0, q_terminal=1.0, target=0.0):
         """Build the weights from scalars or per-entry vectors."""
         return cls(
             q_mean=_vector("q_mean", q_mean, n_x),
-            q_trace=float(q_trace),
             r_u=_vector("r_u", r_u, n_u),
             q_terminal=_vector("q_terminal", q_terminal, n_x),
             target=_vector("target", target, n_x),
@@ -138,17 +132,15 @@ class CostSpec:
         C_mu[-1] = 2.0 * d[-1] * self.q_terminal
         return C_mu, 2.0 * controls * self.r_u
 
-    def total(self, means, traces, controls):
-        """Cost of a whole trajectory: means (N+1, n_x), covariance traces
-        (N+1,) and controls (N, n_u).  A row of another width is rejected,
-        where the row-wise sums would broadcast a width of 1."""
+    def total(self, means, controls):
+        """Cost of a whole trajectory: means (N+1, n_x) and controls (N,
+        n_u).  A row of another width is rejected, where the row-wise sums
+        would broadcast a width of 1."""
         if means.shape[1:] != self.q_mean.shape or controls.shape[1:] != self.r_u.shape:
             raise ValueError(f"the cost needs rows of n_x = {self.q_mean.size} means and n_u = "
                              f"{self.r_u.size} controls, got {means.shape} and {controls.shape}")
         total = self.state_cost(means[:-1]).sum() + self.control_cost(controls).sum()
         total += self.state_cost(means[-1], terminal=True)
-        if self.q_trace:
-            total += self.q_trace * traces.sum()
         return float(total)
 
 
@@ -156,16 +148,16 @@ class CostSpec:
 class NominalTrajectory:
     """Optimized nominal: controls (N, n_u), belief means and noiseless
     observations over k = 0..N, the prior covariance (n_x, n_x), the
-    belief covariance traces over k = 0..N, the nominal cost, and
-    optimizer bookkeeping.  Later stages read no other covariance, so
-    the per-step covariances are not kept.  nominal.json stores every
-    field but cost_history, the accepted-iterate costs, which are an
-    in-memory diagnostic."""
+    nominal cost, and optimizer bookkeeping.  Later stages read no other
+    covariance, so the per-step belief covariances are not kept.
+    nominal.json stores every field but cost_history, the
+    accepted-iterate costs, which are an in-memory diagnostic.  Keys of
+    the file besides the stored fields, such as those an older
+    nominal.json holds, are ignored."""
 
     controls: np.ndarray
     means: np.ndarray
     prior_cov: np.ndarray
-    cov_traces: np.ndarray
     observations: np.ndarray
     nominal_cost: float
     iterations: int
@@ -176,13 +168,11 @@ class NominalTrajectory:
         self.controls = np.atleast_2d(np.asarray(self.controls, dtype=float))
         self.means = np.atleast_2d(np.asarray(self.means, dtype=float))
         self.prior_cov = np.asarray(self.prior_cov, dtype=float)
-        self.cov_traces = np.asarray(self.cov_traces, dtype=float).reshape(-1)
         self.observations = np.atleast_2d(np.asarray(self.observations, dtype=float))
         n = self.controls.shape[0]
         if self.prior_cov.shape != (self.means.shape[1],) * 2:
             raise ValueError(f"prior_cov must be n_x x n_x, got {self.prior_cov.shape}")
-        for name, arr in (("means", self.means), ("cov_traces", self.cov_traces),
-                          ("observations", self.observations)):
+        for name, arr in (("means", self.means), ("observations", self.observations)):
             if arr.shape[0] != n + 1:
                 raise ValueError(f"{name} must have length N+1 = {n + 1}, got {arr.shape[0]}")
         if not np.isfinite(self.nominal_cost):
@@ -201,9 +191,7 @@ def nominal_cost(beliefs, controls, spec):
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
     if len(beliefs) != controls.shape[0] + 1:
         raise ValueError(f"need N+1 = {controls.shape[0] + 1} beliefs, got {len(beliefs)}")
-    means = np.stack([b.mean for b in beliefs])
-    traces = np.array([np.trace(b.cov) for b in beliefs])
-    return spec.total(means, traces, controls)
+    return spec.total(np.stack([b.mean for b in beliefs]), controls)
 
 
 # ---------------------------------------------------------------------------
@@ -272,19 +260,17 @@ class _EnkfEngine:
         return D_next, E_next, y_next, E_next.mean(axis=-2)
 
     def rollout(self, controls):
-        """Single rollout; returns (means, traces, observations, states,
+        """Single rollout; returns (means, observations, states,
         ensembles) over k = 0..N, with states the noiseless plant states.
-        means[0] and traces[0] are the exact prior's (the belief at k=0 is
-        the given prior, not a sample estimate)."""
+        means[0] is the exact prior's (the belief at k=0 is the given
+        prior, not a sample estimate)."""
         plant, b0 = self.plant, self.b0
         N = controls.shape[0]
         means = np.empty((N + 1, plant.n_x))
-        traces = np.empty(N + 1)
         obs = np.empty((N + 1, plant.n_y))
         states = np.empty((N + 1, plant.n_x))
         ensembles = np.empty((N + 1, self.M, plant.n_x))
         means[0] = states[0] = b0.mean
-        traces[0] = np.trace(b0.cov)
         obs[0] = plant.observe(b0.mean, 0.0, 0)
         ensembles[0] = self.members0
         for k in range(N):
@@ -292,11 +278,10 @@ class _EnkfEngine:
                 states[k][None], ensembles[k][None], controls[k][None], k
             )
             states[k + 1], ensembles[k + 1], obs[k + 1], means[k + 1] = D[0], E[0], y[0], post_mean[0]
-            traces[k + 1] = float(((E[0] - post_mean[0]) ** 2).sum() / (self.M - 1))
-        return means, traces, obs, states, ensembles
+        return means, obs, states, ensembles
 
     def beliefs(self, controls):
-        ensembles = self.rollout(controls)[4]
+        ensembles = self.rollout(controls)[3]
         return [GaussianBelief(self.b0.mean, self.b0.cov)] + [belief_from_ensemble(E) for E in ensembles[1:]]
 
     def gradient(self, U, spec, h, tape):
@@ -310,22 +295,20 @@ class _EnkfEngine:
         """Exact gradient (N, n_u) by one reverse pass over the tape.
 
         Carries the adjoints of the noiseless state and of the M members
-        back from k = N: at each step it adds the cost's mean and trace
-        terms, goes back through the EnKF update (whose innovation also
-        reaches the noiseless state through y = h(x_det)) and then
-        through the plant step of both.  The forecast ensemble the
+        back from k = N: at each step it adds the cost's mean term, goes
+        back through the EnKF update (whose innovation also reaches the
+        noiseless state through y = h(x_det)) and then through the plant
+        step of both.  The forecast ensemble the
         update saw is recomputed from the tape.
         """
         plant, M = self.plant, self.M
-        means, _, obs, states, ensembles = tape
+        means, obs, states, ensembles = tape
         N = U.shape[0]
         C_mu, grad = spec.gradient(means, U)
         g_D = np.zeros(plant.n_x)
         g_E = np.zeros((M, plant.n_x))
         for k in range(N - 1, -1, -1):
             g_E += C_mu[k + 1] / M
-            if spec.q_trace:
-                g_E += (2.0 * spec.q_trace / (M - 1)) * (ensembles[k + 1] - means[k + 1])
             E_pred = enkf_predict_members(ensembles[k], U[k], self.w_draws[k], plant, k)
             g_E, g_y = enkf_update_vjp(E_pred, obs[k + 1], self.v_draws[k], plant, plant.spec.V, g_E, k + 1)
             g_D, g_u = plant.step_vjp(states[k], U[k], g_D + plant.observe_vjp(g_y, k + 1), k)
@@ -343,7 +326,7 @@ class _EnkfEngine:
         """
         plant = self.plant
         N, n_u = U.shape
-        means, _, _, states, ensembles = tape
+        means, _, states, ensembles = tape
         # the control term of a quadratic is exact under central FD
         grad = spec.gradient(means, U)[1]
         for j0 in range(0, N, _FD_CHUNK):
@@ -372,9 +355,6 @@ class _EnkfEngine:
                 except FloatingPointError as e:  # pragma: no cover - defensive
                     raise GradientEvaluationError(str(e)) from e
                 suffix[:active] += spec.state_cost(post_mean, terminal=k == N - 1)
-                if spec.q_trace:
-                    ctr = ((Eb[:active] - post_mean[:, None, :]) ** 2).sum(axis=(1, 2)) / (self.M - 1)
-                    suffix[:active] += spec.q_trace * ctr
             _check_finite(suffix, n_u, j0)
             # assemble central differences; shared prefixes cancel exactly
             for j in range(j0, j1):
@@ -449,7 +429,7 @@ def optimize(u_init, b0, plant, spec, opts=None):
     U = _as_controls(u_init).copy()
     engine = _EnkfEngine(plant, b0, opts.M, opts.seed)
     tape = engine.rollout(U)
-    J = spec.total(*tape[:2], U)
+    J = spec.total(tape[0], U)
     history = [J]
     iterations = 0
     converged = False
@@ -464,7 +444,7 @@ def optimize(u_init, b0, plant, spec, opts=None):
         for _ in range(_MAX_HALVINGS):
             U_try = U - alpha * grad
             tape_try = engine.rollout(U_try)
-            J_try = spec.total(*tape_try[:2], U_try)
+            J_try = spec.total(tape_try[0], U_try)
             if J_try < J:
                 accepted = True
                 break
@@ -479,13 +459,11 @@ def optimize(u_init, b0, plant, spec, opts=None):
         if delta <= opts.tol * (1.0 + abs(J)):
             converged = True
             break
-    means, traces, obs = tape[:3]
     return NominalTrajectory(
         controls=U,
-        means=means,
+        means=tape[0],
         prior_cov=b0.cov,
-        cov_traces=traces,
-        observations=obs,
+        observations=tape[1],
         nominal_cost=J,
         iterations=iterations,
         converged=converged,

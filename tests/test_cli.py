@@ -107,8 +107,7 @@ def _one_probe_report(diffs):
         n_runs=n, n_effective=n, base_seed=0, mean_traj=np.zeros((2, 1)), probe_positions=(0.5,),
         probe_nodes=(0,), run0_closed_err=np.zeros((2, 1)), run0_open_err=np.zeros((2, 1)),
         two_sigma=np.zeros((2, 1)), mse_closed=np.array([1.0]), mse_open=1.0 + samples.mean(axis=0),
-        delta_J_samples=np.zeros(n), cost_samples=np.zeros(n), nominal_cost=1.0, failures=0,
-        mse_diff_samples=samples)
+        delta_J_samples=np.zeros(n), nominal_cost=1.0, failures=0, mse_diff_samples=samples)
 
 
 @pytest.mark.parametrize("diffs, z, passed", [
@@ -208,8 +207,11 @@ def test_pipeline_rejects_bad_sysid_and_lqg_values_before_any_stage(tmp_path, se
     ({"q_terminal": [1.0, 2.0]}, "q_terminal must have length 24, got shape (2,)"),
     ({"r_u": [1e-3] * 4}, "r_u must have length 5, got shape (4,)"),
     ({"target": float("inf")}, "target must be finite"),
-    ({"q_trace": float("nan")}, "q_trace must be finite and >= 0, got nan"),
+    ({"q_mean": [1.0] * 23 + [float("nan")]}, "q_mean must be finite"),
     ({"q_mean": [1.0] * 23 + [-1.0]}, "q_mean must be >= 0"),
+    # the covariance-trace weight is deleted: a config that still sets it
+    # names an unknown key
+    ({"q_trace": 0.0}, "unknown cost key(s): q_trace"),
 ])
 def test_pipeline_rejects_bad_cost_weights_before_any_stage(tmp_path, entry, message):
     # the stdlib reader of the config takes Infinity and NaN
@@ -384,7 +386,7 @@ def test_every_known_key_is_accepted():
     ExperimentConfig(benchmark_config().raw)
     ExperimentConfig({
         "plant": {"w_scale": 2.0, "v_scale": 0.5},
-        "cost": {"spatial_gain": 3.0, "spatial_reach": 5.0, "q_terminal": 2.0, "q_trace": 0.1},
+        "cost": {"spatial_gain": 3.0, "spatial_reach": 5.0, "q_terminal": 2.0},
         "sysid": {"holdout_extra": 4},
         "lqg": {"ridge": 0.0},
         "evaluate": {"chunk": 5},
@@ -475,14 +477,13 @@ def test_runs_override_is_used_as_given(pipeline_dir, tmp_path):
     assert json.loads((tmp_path / "report.json").read_text())["n_runs"] == 3
 
 
-NOMINAL_KEYS = {"controls", "means", "prior_cov", "cov_traces", "observations", "nominal_cost",
-                "iterations", "converged"}
+NOMINAL_KEYS = {"controls", "means", "prior_cov", "observations", "nominal_cost", "iterations", "converged"}
 ROM_KEYS = {"A_hat", "B_hat", "C_hat", "n_r", "time_range", "gap_warning"}
 CONTROLLER_KEYS = {"rom", "L_gains", "K_gains", "W", "V", "P_traces", "S_traces"}
 REPORT_KEYS = {"n_runs", "n_effective", "base_seed", "mean_traj", "probe_positions", "probe_nodes",
                "run0_closed_err", "run0_open_err", "two_sigma", "mse_closed", "mse_open",
-               "delta_J_samples", "cost_samples", "nominal_cost", "failures", "delta_J_mean",
-               "delta_J_se", "delta_J_z", "mse_diff_mean", "mse_diff_se", "mse_diff_z"}
+               "delta_J_samples", "nominal_cost", "failures", "delta_J_mean", "delta_J_se", "delta_J_z",
+               "mse_diff_mean", "mse_diff_se", "mse_diff_z"}
 
 
 def test_artifact_files_hold_exactly_the_stored_fields(pipeline_dir):

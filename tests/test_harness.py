@@ -19,7 +19,7 @@ from seplqg.harness import (
     probe_output_rows,
     run_monte_carlo,
 )
-from seplqg.lqg import design_lqg, kf_steps
+from seplqg.lqg import design_lqg
 from seplqg.plant import HeatPlant, HeatPlantConfig, LinearPlant
 from seplqg.rng import stream
 from seplqg.sysid import LtvRom, collect_impulse_responses, tv_era
@@ -43,8 +43,8 @@ def constant_rom(A, B, C, N):
 
 def linear_setup(W=0.2, V=0.3, N=20):
     """A linear plant whose nominal is its LQ optimum, exact: the controls
-    solve the open-loop LQ problem, the belief means are the noiseless
-    states and the covariance traces come from the Kalman recursion."""
+    solve the open-loop LQ problem and the belief means are the
+    noiseless states."""
     A = np.array([[0.92, 0.1], [0.0, 0.8]])
     B = np.array([[1.0], [0.4]])
     C = np.array([[1.0, 0.2]])
@@ -53,9 +53,8 @@ def linear_setup(W=0.2, V=0.3, N=20):
     spec = CostSpec.from_weights(2, 1, q_mean=1.0, r_u=0.2, q_terminal=1.5, target=[0.2, 0.0])
     U, J = lq_direct_solution(plant, b0.mean, spec, N)
     states, obs = plant.simulate_nominal(b0.mean, U)
-    P = np.stack([b0.cov, *(P_k for _, P_k in kf_steps([(A, B, C)] * N, plant.spec.W, plant.spec.V, b0.cov))])
-    nominal = NominalTrajectory(controls=U, means=states, prior_cov=b0.cov, cov_traces=np.einsum("kii->k", P),
-                                observations=obs, nominal_cost=J, iterations=0, converged=True)
+    nominal = NominalTrajectory(controls=U, means=states, prior_cov=b0.cov, observations=obs, nominal_cost=J,
+                                iterations=0, converged=True)
     rom = constant_rom(A, B, C, N)
     ctrl = design_lqg(rom, W=plant.spec.W, V=plant.spec.V, P0=b0.cov, q_y=1.0, r=0.2, terminal_scale=10.0,
                       ridge=1e-8)
@@ -109,19 +108,6 @@ def test_coefficients_match_quadratic_gradients():
         assert np.allclose(C_u[k], expected, atol=1e-8)
 
 
-def test_kf_realized_cost_includes_every_trace_term():
-    plant, b0, spec, nominal, ctrl = linear_setup()
-    kw = dict(n_runs=12, base_seed=8, probe_positions=())
-    base = run_monte_carlo(plant, nominal, ctrl, cost=spec, **kw)
-    traced = run_monte_carlo(plant, nominal, ctrl, cost=replace(spec, q_trace=0.7), **kw)
-    # the filter's covariances do not depend on the run: every run pays
-    # q_trace * sum_k tr P_k, the nominal's own trace term, and delta_J
-    # carries no trace deviation
-    expected = 0.7 * nominal.cov_traces.sum()
-    assert np.allclose(traced.cost_samples - base.cost_samples, expected, rtol=1e-10, atol=0)
-    assert np.array_equal(traced.delta_J_samples, base.delta_J_samples)
-
-
 # ---------------------------------------------------------------------------
 # run_monte_carlo
 # ---------------------------------------------------------------------------
@@ -141,8 +127,8 @@ def test_noiseless_runs_reproduce_nominal_exactly():
     assert report.failures == 0
 
 
-REPORT_FIELDS = ("delta_J_samples", "cost_samples", "mean_traj", "mse_closed", "mse_open",
-                 "run0_closed_err", "run0_open_err", "two_sigma", "mse_diff_samples")
+REPORT_FIELDS = ("delta_J_samples", "mean_traj", "mse_closed", "mse_open", "run0_closed_err", "run0_open_err",
+                 "two_sigma", "mse_diff_samples")
 
 
 def test_report_bit_reproducible_and_chunk_independent():
@@ -151,7 +137,6 @@ def test_report_bit_reproducible_and_chunk_independent():
     r1 = run_monte_carlo(plant, nominal, ctrl, chunk=7, **kw)
     r2 = run_monte_carlo(plant, nominal, ctrl, chunk=30, **kw)
     assert np.array_equal(r1.delta_J_samples, r2.delta_J_samples)
-    assert np.array_equal(r1.cost_samples, r2.cost_samples)
     assert np.array_equal(r1.mean_traj, r2.mean_traj)
     r3 = run_monte_carlo(plant, nominal, ctrl, chunk=7, **kw)
     assert np.array_equal(r1.mean_traj, r3.mean_traj)
@@ -159,7 +144,6 @@ def test_report_bit_reproducible_and_chunk_independent():
     # a heat slab under the identified controller: every step gives the
     # same bits for any chunk, one-run chunks included
     plant, spec, nominal, ctrl = heat_setup()
-    spec = replace(spec, q_trace=0.5)
     assert np.abs(ctrl.L_gains).max() > 0.1
     kw = dict(n_runs=16, base_seed=5, probe_positions=(0.5,), cost=spec)
     reports = [run_monte_carlo(plant, nominal, ctrl, chunk=c, **kw) for c in (16, 1, 7)]
@@ -187,15 +171,15 @@ class TangentLog(HeatPlant):
         return super().step_vjp(state, control, g, k)
 
 
-def test_filter_linearizes_once_and_advances_each_chunk_by_tangents():
-    # one identity-batch linearization per step for the gains, then one
-    # tangent per step and chunk on that chunk's rows: no chunk rebuilds
-    # a Jacobian
+def test_filter_linearizes_each_step_twice_and_makes_no_tangent_on_run_rows():
+    # one identity-batch linearization per step in the forward gain sweep
+    # and one in the backward weight sweep; the chunks' runs carry no
+    # filter, so no tangent or adjoint is taken on their rows
     plant, spec, nominal, ctrl = heat_setup()
     log = TangentLog(plant.config)
     run_monte_carlo(log, nominal, ctrl, n_runs=20, base_seed=5, probe_positions=(), cost=spec, chunk=7)
     N = nominal.horizon
-    assert log.tangents == [(21, True)] * N + [(7, False)] * (2 * N) + [(6, False)] * N
+    assert log.tangents == [(21, True)] * (2 * N)
     assert log.adjoints == 0
 
 
@@ -223,58 +207,45 @@ def recorded_run(monkeypatch, plant, run):
 
 
 def reference_scores(plant, nominal, spec, ys, dus, model):
-    """Per run: delta_J about the noiseless nominal x_det, delta_J about
-    the belief means nominal.means (the reference of the exact-KF scoring
-    before the linearized filter) and the realized cost, from one exact
-    Kalman filter per run on the deviations from x_det and dense
-    quadratic forms.  model(k) gives (A_k, B_k, C_{k+1}) at x_det."""
+    """Per run: delta_J about the noiseless nominal x_det and delta_J
+    about the belief means nominal.means (the reference of the exact-KF
+    scoring before the linearized filter), from one exact Kalman filter
+    per run on the deviations from x_det, carried forward step by step.
+    model(k) gives (A_k, B_k, C_{k+1}) at x_det."""
     x_det, y_det = plant.simulate_nominal(nominal.means[0], nominal.controls)
     C_mu, C_u = spec.gradient(x_det, nominal.controls)
     C_mu_means = spec.gradient(nominal.means, nominal.controls)[0]
-    Q_mean, Q_terminal, R_u = (np.diag(w) for w in (spec.q_mean, spec.q_terminal, spec.r_u))
-    q_tr = spec.q_trace
-    N = nominal.horizon
-    out = np.zeros((3, ys.shape[1]))
+    out = np.zeros((2, ys.shape[1]))
     for r in range(ys.shape[1]):
         b = GaussianBelief(np.zeros(plant.n_x), nominal.prior_cov)
-        d = x_det[0] - spec.target
-        out[2, r] = d @ Q_mean @ d + q_tr * np.trace(b.cov)
-        for k in range(N):
+        for k in range(nominal.horizon):
             A, B, C = model(k)
             b = kalman_update(kalman_predict(b, dus[k, r], A, B, plant.spec.W),
                               ys[k + 1, r] - y_det[k + 1], C, plant.spec.V)
-            mu, u = x_det[k + 1] + b.mean, nominal.controls[k] + dus[k, r]
-            trace_term = q_tr * (np.trace(b.cov) - nominal.cov_traces[k + 1])
-            out[0, r] += C_u[k] @ dus[k, r] + C_mu[k + 1] @ b.mean + trace_term
-            out[1, r] += C_u[k] @ dus[k, r] + C_mu_means[k + 1] @ (mu - nominal.means[k + 1]) + trace_term
-            Q = Q_terminal if k == N - 1 else Q_mean
-            d = mu - spec.target
-            out[2, r] += u @ R_u @ u + d @ Q @ d + q_tr * np.trace(b.cov)
+            out[0, r] += C_u[k] @ dus[k, r] + C_mu[k + 1] @ b.mean
+            out[1, r] += C_u[k] @ dus[k, r] + C_mu_means[k + 1] @ (x_det[k + 1] + b.mean - nominal.means[k + 1])
     return out
 
 
 def test_linearized_filter_matches_a_per_run_kalman_filter_on_a_linear_plant(monkeypatch):
     plant, b0, spec, nominal, ctrl = linear_setup()
-    spec = replace(spec, q_trace=0.7)
     report, ys, dus = recorded_run(monkeypatch, plant, lambda: run_monte_carlo(
         plant, nominal, ctrl, n_runs=20, base_seed=6, probe_positions=(), cost=spec))
     ref = reference_scores(plant, nominal, spec, ys, dus,
                            lambda k: (*plant.matrices(k)[:2], plant.matrices(k + 1)[2]))
     assert_close(report.delta_J_samples, ref[0], 1e-12)
-    assert_close(report.cost_samples, ref[2], 1e-12)
     # the nominal's means are x_det, so the values scored about those
     # means stay
     assert np.abs(nominal.means - noiseless_nominal(plant, nominal)).max() < 1e-12
     assert_close(report.delta_J_samples, ref[1], 1e-10)
 
 
-def test_realized_cost_equals_dense_quadratic_forms(monkeypatch):
-    # the loop pass sums the diagonal weights row by row; rebuild each
-    # run's realized cost and delta_J on a heat slab from a per-run Kalman
-    # filter on the plant's Jacobians along x_det, with the dense forms
+def test_delta_j_matches_a_per_run_kalman_filter_on_the_heat_slab(monkeypatch):
+    # rebuild each run's delta_J on a heat slab, under per-entry weights,
+    # from a per-run Kalman filter on the plant's Jacobians along x_det
     plant, spec, nominal, ctrl = heat_setup()
     spec = CostSpec.from_weights(16, 5, q_mean=np.linspace(0.5, 2.0, 16), r_u=np.linspace(1e-3, 5e-3, 5),
-                                 q_terminal=3.0, q_trace=0.5, target=150.0)
+                                 q_terminal=3.0, target=150.0)
     report, ys, dus = recorded_run(monkeypatch, plant, lambda: run_monte_carlo(
         plant, nominal, ctrl, n_runs=4, base_seed=3, probe_positions=(), cost=spec))
     assert (len(ys), len(dus)) == (nominal.horizon + 1, nominal.horizon)
@@ -285,39 +256,30 @@ def test_realized_cost_equals_dense_quadratic_forms(monkeypatch):
         return A, B, plant.observe_vjp(np.eye(5), k + 1)
 
     ref = reference_scores(plant, nominal, spec, ys, dus, model)
-    assert_close(report.cost_samples, ref[2], 1e-12)
     assert_close(report.delta_J_samples, ref[0], 1e-10)
 
 
 def test_heat_jacobians_match_central_differences_and_a_black_box_scores_alike():
-    # a black box's tangent is the central difference of step along each
-    # direction, the heat slab's is its stencil step_jvp: they agree on
-    # the identity batch of the gain sweep, on runs' deviations of any
-    # length and on a zero direction
+    # a black box is linearized by central differences of step and
+    # observe, the heat slab by its stencil step_jvp on the identity
+    # batch and by observe_vjp: the Jacobians agree column by column
     plant, spec, nominal, ctrl = heat_setup()
     x_det = noiseless_nominal(plant, nominal)
-    rng = stream(9, "tangent-directions")
-    E = np.eye(21)
-    scale = np.array([[50.0], [1e-6]])
-    dX = np.concatenate([E[:, :16], scale * rng.standard_normal((2, 16)), np.zeros((1, 16))])
-    dU = np.concatenate([E[:, 16:], scale * rng.standard_normal((2, 5)), np.zeros((1, 5))])
     for k in (0, 11, 29):
-        x, u = x_det[k], nominal.controls[k]
-        exact = plant.step_jvp(x, u, dX, dU, k)
-        assert np.array_equal(harness._tangent(plant, x, u, dX, dU, k, 1e-3), exact)
+        exact = harness._linearize(plant, x_det, nominal.controls, k, 1e-3)
+        A, B = plant.step_vjp(x_det[k], nominal.controls[k], np.eye(16), k)
+        assert np.array_equal(exact[0], A) and np.array_equal(exact[1], B)
+        assert np.array_equal(exact[2], plant.observe_vjp(np.eye(5), k + 1))
         for h in (1e-3, 1e-2):
-            fd = harness._tangent(BlackBox(plant), x, u, dX, dU, k, h)
-            for row, ref in zip(fd[:-1], exact[:-1]):
-                assert_close(row, ref, 1e-8)
-            assert np.all(fd[-1] == 0.0)
-    # the black box is linearized by central differences of step and
-    # observe, the heat slab by its adjoint
-    kw = dict(n_runs=6, base_seed=2, probe_positions=(), cost=replace(spec, q_trace=0.5))
+            fd = harness._linearize(BlackBox(plant), x_det, nominal.controls, k, h)
+            for J, ref in zip(fd, exact):
+                for column, ref_column in zip(J.T, ref.T):
+                    assert_close(column, ref_column, 1e-8)
+    kw = dict(n_runs=6, base_seed=2, probe_positions=(), cost=spec)
     adjoint = run_monte_carlo(plant, nominal, ctrl, **kw)
     boxed = run_monte_carlo(BlackBox(plant), nominal, ctrl, **kw)
     assert np.array_equal(adjoint.mse_diff_samples, boxed.mse_diff_samples)
     assert_close(boxed.delta_J_samples, adjoint.delta_J_samples, 1e-6)
-    assert_close(boxed.cost_samples, adjoint.cost_samples, 1e-6)
 
 
 def test_open_loop_equals_closed_loop_with_zero_gains():
@@ -370,7 +332,7 @@ class CountingHeatPlant(HeatPlant):
 
 def test_each_loop_step_steps_a_chunks_closed_and_open_loops_in_one_call():
     # without probes no impulse campaign runs, and the heat slab's filter
-    # advances by step_jvp: every 2-D step is the loop pass's.  A chunk's
+    # is linearized by step_jvp: every 2-D step is the loop pass's.  A chunk's
     # closed-loop runs and their open-loop partners are one batch.
     plant, spec, nominal, ctrl = heat_setup()
     counting = CountingHeatPlant(plant.config)
@@ -406,7 +368,6 @@ def test_diverged_runs_are_left_out_of_every_average():
     assert (report.failures, report.n_effective, report.n_runs) == (1, 15, 16)
     assert len(report.delta_J_samples) == 15
     assert np.array_equal(report.delta_J_samples, np.delete(healthy.delta_J_samples, 3))
-    assert np.array_equal(report.cost_samples, np.delete(healthy.cost_samples, 3))
     assert np.array_equal(report.mse_diff_samples, np.delete(healthy.mse_diff_samples, 3, axis=0))
 
     # the loop pass of the failing chunk runs twice; in each of its passes

@@ -206,7 +206,6 @@ def make_nominal_for(plant, N):
         controls=np.zeros((N, plant.n_u)),
         means=states,
         prior_cov=np.zeros((plant.n_x, plant.n_x)),
-        cov_traces=np.zeros(N + 1),
         observations=obs,
         nominal_cost=0.0,
         iterations=0,
@@ -221,7 +220,6 @@ def test_closed_loop_tracks_nominal_exactly_without_deviation():
         controls=stream(1, "u").standard_normal((20, 2)),
         means=np.zeros((21, 3)),
         prior_cov=np.zeros((3, 3)),
-        cov_traces=np.zeros(21),
         observations=stream(2, "y").standard_normal((21, 2)),
         nominal_cost=0.0,
         iterations=0,

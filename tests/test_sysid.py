@@ -25,7 +25,6 @@ def zero_nominal(plant, x0=None):
         controls=np.zeros((N, plant.n_u)),
         means=states,
         prior_cov=np.zeros((plant.n_x, plant.n_x)),
-        cov_traces=np.zeros(N + 1),
         observations=obs,
         nominal_cost=0.0,
         iterations=0,
@@ -123,7 +122,6 @@ def test_impulse_divergence_advises_smaller_epsilon():
         controls=np.zeros((500, 1)),
         means=np.zeros((501, 1)),
         prior_cov=np.zeros((1, 1)),
-        cov_traces=np.zeros(501),
         observations=np.zeros((501, 1)),
         nominal_cost=0.0,
         iterations=0,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from kalman_reference import kalman_predict, kalman_update
 
+from seplqg.artifacts import read_json, stored_fields, write_json
 from seplqg.belief import GaussianBelief, belief_from_ensemble
 from seplqg.exceptions import GradientEvaluationError, InsufficientEnsembleError
 from seplqg.plant import HeatPlant, HeatPlantConfig, LinearPlant, Plant, PlantSpec
@@ -103,12 +104,6 @@ def test_cost_hand_value():
     assert nominal_cost(beliefs, [[2.0]], spec) == pytest.approx(5.0)
 
 
-def test_cost_includes_trace_term():
-    spec = CostSpec.from_weights(1, 1, q_mean=0.0, r_u=1.0, q_terminal=0.0, q_trace=2.0, target=0.0)
-    beliefs = [GaussianBelief([0.0], [[0.5]]), GaussianBelief([0.0], [[1.5]])]
-    assert nominal_cost(beliefs, [[0.0]], spec) == pytest.approx(2.0 * (0.5 + 1.5))
-
-
 def test_cost_dimension_mismatch():
     spec = CostSpec.from_weights(1, 1)
     with pytest.raises(ValueError):
@@ -139,9 +134,6 @@ def test_cost_invariant_under_member_permutation():
 BAD_WEIGHTS = [
     ({"r_u": 0.0}, "r_u must be > 0"),
     ({"r_u": [1.0, -2.0]}, "r_u must be > 0"),
-    ({"q_trace": -1.0}, "q_trace must be finite and >= 0"),
-    ({"q_trace": np.nan}, "q_trace must be finite and >= 0"),
-    ({"q_trace": np.inf}, "q_trace must be finite and >= 0"),
     ({"q_mean": -1.0}, "q_mean must be >= 0"),
     ({"q_terminal": [1.0, -0.5, 1.0]}, "q_terminal must be >= 0"),
     # a weight or target whose length is not n_x = 3 (n_u = 2 for r_u)
@@ -354,20 +346,19 @@ class CountingHeatPlant(HeatPlant):
         return super().step(state, control, process_noise, k)
 
 
-def heat_case(q_trace, q_mean=None, q_terminal=3.0):
-    """16-node heat slab with (by default) q_terminal != q_mean and random
-    nonzero controls over 12 steps."""
+def heat_case():
+    """16-node heat slab with q_terminal != q_mean and random nonzero
+    controls over 12 steps."""
     n_grid, horizon = 16, 12
     plant = HeatPlant(HeatPlantConfig(n_grid=n_grid, horizon=horizon))
     b0 = GaussianBelief(plant.initial_state(), 0.25 * np.eye(n_grid))
-    q_mean = np.linspace(0.5, 2.0, n_grid) if q_mean is None else q_mean
-    spec = CostSpec.from_weights(n_grid, 5, q_mean=q_mean, r_u=1e-3, q_terminal=q_terminal,
-                                 q_trace=q_trace, target=150.0)
+    spec = CostSpec.from_weights(n_grid, 5, q_mean=np.linspace(0.5, 2.0, n_grid), r_u=1e-3, q_terminal=3.0,
+                                 target=150.0)
     U = 2.0 * stream(1, "adjoint-u").standard_normal((horizon, 5))
     return plant, b0, spec, U
 
 
-def linear_tv_case(q_trace):
+def linear_tv_case():
     """Time-varying linear plant whose C is dense, not a row selection."""
     rng = stream(5, "adjoint-linear")
     N, n, n_u, n_y = 10, 4, 2, 3
@@ -376,25 +367,17 @@ def linear_tv_case(q_trace):
     C = rng.standard_normal((N + 1, n_y, n))
     plant = LinearPlant(A, B, C, W=0.3 * np.eye(n_u), V=0.5 * np.eye(n_y), horizon=N)
     b0 = GaussianBelief(rng.standard_normal(n), 0.4 * np.eye(n))
-    spec = CostSpec.from_weights(n, n_u, q_mean=1.0, r_u=0.2, q_terminal=2.5, q_trace=q_trace, target=0.3)
+    spec = CostSpec.from_weights(n, n_u, q_mean=1.0, r_u=0.2, q_terminal=2.5, target=0.3)
     return plant, b0, spec, rng.standard_normal((N, n_u))
 
 
-@pytest.mark.parametrize("case, q_trace", [
-    ("heat", 0.0), ("heat", 0.5), ("linear-tv", 0.0), ("linear-tv", 0.5),
-    # the trace depends on U only through the weak k1 nonlinearity, so
-    # only a cost without mean terms shows its share (about 2 %)
-    ("heat-trace-only", 1.0),
-])
-def test_adjoint_gradient_matches_central_fd(case, q_trace):
+@pytest.mark.parametrize("case", ["heat", "linear-tv"])
+def test_adjoint_gradient_matches_central_fd(case):
     if case == "linear-tv":
-        plant, b0, spec, U = linear_tv_case(q_trace)
+        plant, b0, spec, U = linear_tv_case()
         h, M = 1e-4, 8
-    elif case == "heat-trace-only":
-        plant, b0, spec, U = heat_case(q_trace, q_mean=0.0, q_terminal=0.0)
-        h, M = 1e-2, 12
     else:
-        plant, b0, spec, U = heat_case(q_trace)
+        plant, b0, spec, U = heat_case()
         h, M = 1e-3, 12
     g_adj = gradient_adjoint(U, b0, plant, spec, seed=3, M=M)
     g_fd = gradient_fd(U, b0, plant, spec, h=h, seed=3, M=M)
@@ -403,7 +386,7 @@ def test_adjoint_gradient_matches_central_fd(case, q_trace):
 
 
 def test_adjoint_gradient_needs_step_vjp():
-    plant, b0, spec, U = heat_case(0.0)
+    plant, b0, spec, U = heat_case()
     with pytest.raises(ValueError, match="step_vjp"):
         gradient_adjoint(U, b0, BlackBox(plant), spec, M=8)
 
@@ -416,7 +399,7 @@ def test_adjoint_gradient_names_first_non_finite_step():
                 g_control[..., 2] = np.nan
             return g_state, g_control
 
-    plant, b0, spec, U = heat_case(0.0)
+    plant, b0, spec, U = heat_case()
     plant = NanVjpPlant(plant.config)
     with pytest.raises(GradientEvaluationError, match=r"k=5, channel=2"):
         gradient_adjoint(U, b0, plant, spec, M=8)
@@ -426,7 +409,7 @@ def test_adjoint_gradient_names_first_non_finite_step():
 
 
 def test_one_iteration_black_box_fd_matches_adjoint():
-    plant, b0, spec, U = heat_case(0.5)
+    plant, b0, spec, U = heat_case()
     opts = OptimizeOptions(alpha=20.0, max_iters=1, tol=0.0, M=12, seed=3, h=1e-3)
     counted = CountingHeatPlant(plant.config)
     adj = optimize(U, b0, counted, spec, opts)
@@ -528,10 +511,9 @@ def test_optimize_nominal_cost_consistency():
     recomputed = nominal_cost(beliefs, traj.controls, spec)
     assert traj.nominal_cost == pytest.approx(recomputed, rel=1e-9)
     # the optimizer's cost is the spec's total of the returned trajectory
-    assert traj.nominal_cost == spec.total(traj.means, traj.cov_traces, traj.controls)
+    assert traj.nominal_cost == spec.total(traj.means, traj.controls)
     assert traj.means.shape == (11, 16)
     assert np.array_equal(traj.prior_cov, b0.cov)
-    assert traj.cov_traces.shape == (11,)
     assert traj.observations.shape == (11, 5)
     assert traj.controls.shape == (10, 5)
 
@@ -554,10 +536,26 @@ def test_trajectory_json_roundtrip(tmp_path):
     assert np.array_equal(back.controls, traj.controls)
     assert np.array_equal(back.means, traj.means)
     assert np.array_equal(back.prior_cov, traj.prior_cov)
-    assert np.array_equal(back.cov_traces, traj.cov_traces)
     assert back.nominal_cost == traj.nominal_cost
     assert back.iterations == traj.iterations
     assert back.converged == traj.converged
+
+
+def test_nominal_json_with_cov_traces_loads_as_without(tmp_path):
+    # nominal.json files of earlier versions also hold the belief
+    # covariance traces, which no stage reads: `load` ignores the key
+    plant, b0, spec = lq_toy()
+    traj = optimize(np.zeros((10, 1)), b0, plant, spec, OptimizeOptions(alpha=0.3, max_iters=3, h=1e-5))
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    traj.to_json(new)
+    write_json(old, {**read_json(new), "cov_traces": np.linspace(1e-12, 0.4, 11)})
+    assert "cov_traces" in read_json(old)
+    fields = [stored_fields(NominalTrajectory.from_json(path)) for path in (new, old)]
+    assert fields[0].keys() == fields[1].keys() == stored_fields(traj).keys()
+    for name, value in stored_fields(traj).items():
+        for loaded in fields:
+            assert np.array_equal(loaded[name], value), name
+            assert type(loaded[name]) is type(value), name
 
 
 def test_trajectory_length_validation():
@@ -566,7 +564,6 @@ def test_trajectory_length_validation():
             controls=np.zeros((5, 1)),
             means=np.zeros((5, 2)),
             prior_cov=np.zeros((2, 2)),
-            cov_traces=np.zeros(6),
             observations=np.zeros((6, 1)),
             nominal_cost=0.0,
             iterations=0,
