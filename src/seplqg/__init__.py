@@ -1,9 +1,10 @@
 """seplqg: separation-based output-feedback control for black-box plants.
 
-Pipeline: belief-space open-loop trajectory optimization (EnKF rollouts,
-gradient descent with a reverse-mode gradient, or finite differences for
-plants without an adjoint), time-varying ERA identification of
-the perturbation LTV system from impulse responses, and reduced-order
+Pipeline: open-loop trajectory optimization (gradient descent on the
+cost of the noiseless rollout, with a reverse-mode gradient, or finite
+differences for plants without an adjoint, and the belief of the result
+reported by one EnKF rollout), time-varying ERA identification of the
+perturbation LTV system from impulse responses, and reduced-order
 time-varying LQG synthesis, evaluated by paired-noise Monte Carlo.
 """
 

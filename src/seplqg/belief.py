@@ -1,13 +1,12 @@
 """Gaussian beliefs and their propagation.
 
 The belief over the plant state is kept as a Gaussian (mean, covariance)
-pair.  The trajectory optimizer propagates it with a stochastic
-(perturbed-observation) Ensemble Kalman Filter, whose kernels take
-pre-drawn noise and broadcast over leading batch axes, so one call
-advances a batch of rollouts; `enkf_update_vjp` is the adjoint of the
-update.  The Monte Carlo scores its runs by weights that one backward
-sweep of a linearized Kalman filter forms (`harness`), and carries no
-filter in its runs.
+pair.  The trajectory optimizer reports the belief of its final
+controls from one rollout of a stochastic (perturbed-observation)
+Ensemble Kalman Filter, whose kernels take pre-drawn noise and
+broadcast over leading batch axes.  The Monte Carlo scores its runs by
+weights that one backward sweep of a linearized Kalman filter forms
+(`harness`), and carries no filter in its runs.
 """
 
 from dataclasses import dataclass
@@ -21,7 +20,6 @@ __all__ = [
     "belief_from_ensemble",
     "enkf_predict_members",
     "enkf_update_members",
-    "enkf_update_vjp",
     "psd_sqrt",
 ]
 
@@ -91,9 +89,8 @@ def enkf_predict_members(members, control, w_draws, plant, k=0):
 
 
 def _enkf_gain(members, plant, V, k):
-    """Predicted observations Yp, their anomalies Yc, the inverse of
-    S = P_yy + V and the transposed gain K' = S^-1 P_xy' of the
-    perturbed-observation update."""
+    """Predicted observations Yp and the transposed gain K' = S^-1 P_xy'
+    of the perturbed-observation update, S = P_yy + V."""
     M = members.shape[-2]
     Yp = plant.observe(members, 0.0, k)
     Yc = Yp - Yp.mean(axis=-2, keepdims=True)
@@ -109,7 +106,7 @@ def _enkf_gain(members, plant, V, k):
         S_inv = np.linalg.inv(Pyy + V)
     except np.linalg.LinAlgError as e:
         raise FilterDegenerateError(f"innovation covariance singular at step k={k}") from e
-    return Yp, Yc, S_inv, S_inv @ Pxy_t
+    return Yp, S_inv @ Pxy_t
 
 
 def enkf_update_members(members, y, v_draws, plant, V, k=0):
@@ -118,28 +115,6 @@ def enkf_update_members(members, y, v_draws, plant, V, k=0):
     Gain K = P_xy (P_yy + V)^-1 from ensemble cross-covariances; each
     member is shifted by K (y + v_i - h(x_i, 0)).
     """
-    Yp, _, _, Kt = _enkf_gain(members, plant, V, k)
+    Yp, Kt = _enkf_gain(members, plant, V, k)
     innov = np.asarray(y)[..., None, :] + v_draws - Yp
     return members + innov @ Kt
-
-
-def enkf_update_vjp(members, y, v_draws, plant, V, g, k=0):
-    """Adjoint of `enkf_update_members` at (members, y) for an output
-    adjoint g shaped like members; returns (g_members, g_y).
-
-    Reverse mode through out = X + (y + v - h(X)) K', K' = S^-1 P_xy',
-    S = P_yy + V; needs `plant.observe_vjp`.
-    """
-    Yp, Yc, S_inv, Kt = _enkf_gain(members, plant, V, k)
-    Xc = members - members.mean(axis=-2, keepdims=True)
-    fac = 1.0 / (members.shape[-2] - 1)
-    innov = np.asarray(y)[..., None, :] + v_draws - Yp
-    g_innov = g @ np.swapaxes(Kt, -1, -2)
-    # adjoints of P_xy' and S through K' = S^-1 P_xy'
-    g_Pxy_t = np.swapaxes(S_inv, -1, -2) @ (np.swapaxes(innov, -1, -2) @ g)
-    g_S = -g_Pxy_t @ np.swapaxes(Kt, -1, -2)
-    # the anomalies sum to zero over the members, so the adjoint of the
-    # centering passes these terms through unchanged
-    g_Yc = fac * (Yc @ (g_S + np.swapaxes(g_S, -1, -2)) + Xc @ np.swapaxes(g_Pxy_t, -1, -2))
-    g_members = g + fac * (Yc @ g_Pxy_t) + plant.observe_vjp(g_Yc - g_innov, k)
-    return g_members, g_innov.sum(axis=-2)

@@ -9,6 +9,7 @@ up-weighted so the optimizer does not park them outside the target band.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -139,10 +140,24 @@ class ExperimentConfig:
         )
 
     def optimize_options(self, seed=None):
+        """The optimize section, `seed` replacing its seed if given,
+        checked: alpha > 0 and tol >= 0, both finite; max_iters an
+        integer >= 0; M an integer >= 2; h > 0 and finite; seed an
+        integer."""
         o = dict(self.raw.get("optimize", {}))
         if seed is not None:
             o["seed"] = seed
-        return OptimizeOptions(**o)
+        opts = OptimizeOptions(**o)
+        for key, ok, rule in (
+            ("alpha", _is_number(opts.alpha) and 0 < opts.alpha < math.inf, "> 0 and finite"),
+            ("max_iters", _is_number(opts.max_iters, int) and opts.max_iters >= 0, "an integer >= 0"),
+            ("tol", _is_number(opts.tol) and 0 <= opts.tol < math.inf, ">= 0 and finite"),
+            ("M", _is_number(opts.M, int) and opts.M >= 2, "an integer >= 2"),
+            ("h", _is_number(opts.h) and 0 < opts.h < math.inf, "> 0 and finite"),
+            ("seed", _is_number(opts.seed, int), "an integer"),
+        ):
+            _require(ok, "optimize", key, rule, getattr(opts, key))
+        return opts
 
     def sysid(self):
         """The sysid section, checked: n_r, p and q integers of at least
@@ -197,8 +212,9 @@ def benchmark_config():
     """The nonlinear heat-slab benchmark: 100 grid points, dt = 0.25 s,
     horizon 250 (62.5 s), five actuators/sensors, unit noise
     covariances.  Its four stages at `--seed 0`, run in one process on a
-    2-core Intel Xeon server, took 27-31 s in two runs, 95-96 % of it in
-    the 120 optimizer iterations and 1.2 s in the 1000-run evaluate."""
+    2-core Intel Xeon server, took 6.6-6.8 s in two runs: 4.3-5.6 s
+    (65-83 %) in the 120 optimizer iterations and 0.9-2.1 s in the
+    1000-run evaluate."""
     return ExperimentConfig(
         {
             "plant": {"n_grid": 100, "dt": 0.25, "horizon": 250},

@@ -1,32 +1,28 @@
 """Open-loop trajectory optimization in belief space.
 
-Minimizes a quadratic belief-space cost over the control sequence by
-plain gradient descent with backtracking,
+The paper's first stage, a deterministic trajectory optimization on the
+black-box simulation model: plain gradient descent with backtracking,
 
     U <- U - alpha * grad J(U),
 
-where J(U) is evaluated through a deterministic belief rollout: the
-nominal observations come from the noiseless plant rollout under U, and
-the belief is filtered against those observations with an EnKF.  With
-a fixed seed the map U -> J(U) is deterministic: noise draws are
-pre-generated per step and shared by every rollout (common random
-numbers).
+on J(U) = `CostSpec.total(x_det(U), U)`, x_det(U) being the noiseless
+rollout of U from the prior mean.  Under maximum-likelihood
+observations the planned belief mean is that noiseless state, so the
+plan stays a belief-space plan.
 
-The gradient is the hot path.  One EnKF rollout records its whole tape:
-the noiseless plant states, the observations and the ensembles at every
-step.  When the plant exposes its adjoint (`step_vjp`, `observe_vjp`,
-see `plant`), one reverse pass over that tape through the cost, the
-perturbed-observation update and the plant step gives the exact
-gradient for about the work of two more rollouts.  A black-box plant
-with only `step` and `observe` gets central finite differences, 2*N*n_u
-perturbed rollouts, each forked from the tape at its perturbation time
-(a rollout perturbed at time j agrees bit for bit with the unperturbed
-one up to j).  `gradient_fd` always takes this path, so it is also the
-oracle the adjoint is tested against.
+The gradient is the hot path.  When the plant exposes its adjoint
+(`step_vjp`, see `plant`), one reverse pass over the rollout's tape
+gives the exact gradient, one row per step.  A black-box plant with
+only `step` gets central finite differences, 2*N*n_u single-row
+rollouts, each forked from the tape at its perturbation time (a rollout
+perturbed at time j agrees bit for bit with the unperturbed one up to
+j).  `gradient_fd` always takes this path, so it is also the oracle the
+adjoint is tested against.  The line search's rollout of the accepted
+iterate serves the next gradient, so no iterate is rolled out twice.
 
-`optimize` keeps the tape of the accepted iterate: the line search's
-rollout of it serves the next gradient and the returned nominal, so no
-iterate is rolled out twice.
+The belief `optimize` reports, its means and their cost, is that of one
+seeded stochastic EnKF rollout of the final controls, which filters the
+noiseless observations (`rollout_belief`).
 """
 
 from dataclasses import dataclass
@@ -39,7 +35,6 @@ from .belief import (
     belief_from_ensemble,
     enkf_predict_members,
     enkf_update_members,
-    enkf_update_vjp,
     psd_sqrt,
 )
 from .exceptions import GradientEvaluationError, InsufficientEnsembleError
@@ -146,14 +141,16 @@ class CostSpec:
 
 @dataclass
 class NominalTrajectory:
-    """Optimized nominal: controls (N, n_u), belief means and noiseless
-    observations over k = 0..N, the prior covariance (n_x, n_x), the
-    nominal cost, and optimizer bookkeeping.  Later stages read no other
-    covariance, so the per-step belief covariances are not kept.
-    nominal.json stores every field but cost_history, the
-    accepted-iterate costs, which are an in-memory diagnostic.  Keys of
-    the file besides the stored fields, such as those an older
-    nominal.json holds, are ignored."""
+    """Optimized nominal: controls (N, n_u); the belief of those
+    controls, its means and the noiseless observations over k = 0..N
+    from one seeded EnKF rollout, and nominal_cost, the cost of those
+    means; the prior covariance (n_x, n_x); and optimizer bookkeeping.
+    Later stages read no other covariance, so the per-step belief
+    covariances are not kept.  nominal.json stores every field but
+    cost_history, the deterministic costs of the accepted iterates,
+    which is an in-memory diagnostic.  Keys of the file besides the
+    stored fields, such as those an older nominal.json holds, are
+    ignored."""
 
     controls: np.ndarray
     means: np.ndarray
@@ -195,11 +192,11 @@ def nominal_cost(beliefs, controls, spec):
 
 
 # ---------------------------------------------------------------------------
-# Rollout engine
+# Deterministic descent engine
 # ---------------------------------------------------------------------------
 
 # perturbation times whose forked rollouts are batched together, bounding
-# the memory of one batch to 2*n_u*_FD_CHUNK ensembles
+# one batch to 2*n_u*_FD_CHUNK rows
 _FD_CHUNK = 64
 
 
@@ -225,13 +222,76 @@ def _check_finite_gradient(grad):
         raise GradientEvaluationError(f"non-finite adjoint gradient at control entry (k={k}, channel={channel})")
 
 
-class _EnkfEngine:
-    """Batched deterministic EnKF rollouts with shared noise draws.
+def _states(plant, b0, U):
+    """The noiseless rollout x_det (N+1, n_x) of U from the prior mean."""
+    return plant.simulate_nominal(b0.mean, U)[0]
 
-    All rollouts of one engine instance consume identical per-step
-    draws, so costs are common-random-number comparable across control
-    sequences.
+
+def _gradient_adjoint(plant, spec, U, states):
+    """Exact gradient (N, n_u) by one reverse pass over the noiseless
+    tape: lambda_N = C_x,N, then (g_x, g_u) = step_vjp(x_k, u_k,
+    lambda_k+1), grad_k = C_u,k + g_u and lambda_k = C_x,k + g_x."""
+    C_x, grad = spec.gradient(states, U)
+    lam = C_x[-1]
+    for k in range(U.shape[0] - 1, -1, -1):
+        g_x, g_u = plant.step_vjp(states[k], U[k], lam, k)
+        grad[k] += g_u
+        lam = C_x[k] + g_x
+    _check_finite_gradient(grad)
+    return grad
+
+
+def _gradient_fd(plant, spec, U, states, h):
+    """Central-difference gradient (N, n_u).
+
+    The +h and -h rollouts of each control entry (j, m) are single rows
+    forked from the tape's state at j; the rows of _FD_CHUNK
+    perturbation times are stepped as one batch.
     """
+    N, n_u = U.shape
+    # the control term of a quadratic is exact under central FD
+    grad = spec.gradient(states, U)[1]
+    # rows 2m and 2m+1 of a time's block add +h and -h to channel m
+    dU = h * np.repeat(np.eye(n_u), 2, axis=0)
+    dU[1::2] *= -1.0
+    for j0 in range(0, N, _FD_CHUNK):
+        j1 = min(j0 + _FD_CHUNK, N)
+        X = np.empty((2 * n_u * (j1 - j0), plant.n_x))
+        # suffix state costs of every perturbed rollout
+        suffix = np.zeros(len(X))
+        active = 0
+        for k in range(j0, N):
+            if k < j1:
+                X[active : active + 2 * n_u] = states[k]
+                active += 2 * n_u
+            ub = np.broadcast_to(U[k], (active, n_u)).copy()
+            if k < j1:
+                ub[-2 * n_u :] += dU
+            X[:active] = plant.step(X[:active], ub, 0.0, k)
+            suffix[:active] += spec.state_cost(X[:active], terminal=k == N - 1)
+        _check_finite(suffix, n_u, j0)
+        # shared prefixes cancel exactly
+        grad[j0:j1] += ((suffix[0::2] - suffix[1::2]) / (2.0 * h)).reshape(j1 - j0, n_u)
+    return grad
+
+
+def _gradient(plant, spec, U, states, h):
+    """Gradient (N, n_u) at U, whose noiseless tape is given: reverse
+    mode when the plant has an adjoint, finite differences if not."""
+    if hasattr(plant, "step_vjp"):
+        return _gradient_adjoint(plant, spec, U, states)
+    return _gradient_fd(plant, spec, U, states, h)
+
+
+# ---------------------------------------------------------------------------
+# Reported belief
+# ---------------------------------------------------------------------------
+
+
+class _EnkfEngine:
+    """Seeded stochastic EnKF rollouts that filter the noiseless
+    observations of a control sequence; the noise draws are made once,
+    so a rollout is a pure function of the controls."""
 
     def __init__(self, plant, b0, M, seed):
         if M < 2:
@@ -249,120 +309,27 @@ class _EnkfEngine:
         self.w_draws = g_w.standard_normal((N, self.M, plant.n_u)) @ W_s.T
         self.v_draws = g_v.standard_normal((N, self.M, plant.n_y)) @ V_s.T
 
-    def _step_batch(self, D, E, controls, k):
-        """Advance det states D (B, n_x) and ensembles E (B, M, n_x) one
-        step under controls (B, n_u); returns (D', E', y', post_means)."""
-        plant = self.plant
-        D_next = plant.step(D, controls, 0.0, k)
-        y_next = plant.observe(D_next, 0.0, k + 1)
-        E_pred = enkf_predict_members(E, controls, self.w_draws[k], plant, k)
-        E_next = enkf_update_members(E_pred, y_next, self.v_draws[k], plant, plant.spec.V, k + 1)
-        return D_next, E_next, y_next, E_next.mean(axis=-2)
-
     def rollout(self, controls):
-        """Single rollout; returns (means, observations, states,
-        ensembles) over k = 0..N, with states the noiseless plant states.
-        means[0] is the exact prior's (the belief at k=0 is the given
-        prior, not a sample estimate)."""
-        plant, b0 = self.plant, self.b0
+        """Single rollout; returns (means, observations, ensembles) over
+        k = 0..N, the observations the noiseless plant's.  means[0] is
+        the exact prior's (the belief at k=0 is the given prior, not a
+        sample estimate)."""
+        plant = self.plant
         N = controls.shape[0]
+        obs = plant.simulate_nominal(self.b0.mean, controls)[1]
         means = np.empty((N + 1, plant.n_x))
-        obs = np.empty((N + 1, plant.n_y))
-        states = np.empty((N + 1, plant.n_x))
         ensembles = np.empty((N + 1, self.M, plant.n_x))
-        means[0] = states[0] = b0.mean
-        obs[0] = plant.observe(b0.mean, 0.0, 0)
+        means[0] = self.b0.mean
         ensembles[0] = self.members0
         for k in range(N):
-            D, E, y, post_mean = self._step_batch(
-                states[k][None], ensembles[k][None], controls[k][None], k
-            )
-            states[k + 1], ensembles[k + 1], obs[k + 1], means[k + 1] = D[0], E[0], y[0], post_mean[0]
-        return means, obs, states, ensembles
+            E = enkf_predict_members(ensembles[k], controls[k], self.w_draws[k], plant, k)
+            ensembles[k + 1] = enkf_update_members(E, obs[k + 1], self.v_draws[k], plant, plant.spec.V, k + 1)
+            means[k + 1] = ensembles[k + 1].mean(axis=0)
+        return means, obs, ensembles
 
     def beliefs(self, controls):
-        ensembles = self.rollout(controls)[3]
+        ensembles = self.rollout(controls)[2]
         return [GaussianBelief(self.b0.mean, self.b0.cov)] + [belief_from_ensemble(E) for E in ensembles[1:]]
-
-    def gradient(self, U, spec, h, tape):
-        """Gradient (N, n_u) at U, whose rollout tape is given: reverse
-        mode when the plant has an adjoint, finite differences if not."""
-        if hasattr(self.plant, "step_vjp"):
-            return self.gradient_adjoint(U, spec, tape)
-        return self.gradient_fd(U, spec, h, tape)
-
-    def gradient_adjoint(self, U, spec, tape):
-        """Exact gradient (N, n_u) by one reverse pass over the tape.
-
-        Carries the adjoints of the noiseless state and of the M members
-        back from k = N: at each step it adds the cost's mean term, goes
-        back through the EnKF update (whose innovation also reaches the
-        noiseless state through y = h(x_det)) and then through the plant
-        step of both.  The forecast ensemble the
-        update saw is recomputed from the tape.
-        """
-        plant, M = self.plant, self.M
-        means, obs, states, ensembles = tape
-        N = U.shape[0]
-        C_mu, grad = spec.gradient(means, U)
-        g_D = np.zeros(plant.n_x)
-        g_E = np.zeros((M, plant.n_x))
-        for k in range(N - 1, -1, -1):
-            g_E += C_mu[k + 1] / M
-            E_pred = enkf_predict_members(ensembles[k], U[k], self.w_draws[k], plant, k)
-            g_E, g_y = enkf_update_vjp(E_pred, obs[k + 1], self.v_draws[k], plant, plant.spec.V, g_E, k + 1)
-            g_D, g_u = plant.step_vjp(states[k], U[k], g_D + plant.observe_vjp(g_y, k + 1), k)
-            g_E, g_w = plant.step_vjp(ensembles[k], U[k] + self.w_draws[k], g_E, k)
-            grad[k] += g_u + g_w.sum(axis=0)
-        _check_finite_gradient(grad)
-        return grad
-
-    def gradient_fd(self, U, spec, h, tape):
-        """Central-difference gradient (N, n_u).
-
-        Each perturbed rollout is forked from the tape's states at its
-        perturbation time; perturbation times are processed in chunks of
-        _FD_CHUNK to bound memory.
-        """
-        plant = self.plant
-        N, n_u = U.shape
-        means, _, states, ensembles = tape
-        # the control term of a quadratic is exact under central FD
-        grad = spec.gradient(means, U)[1]
-        for j0 in range(0, N, _FD_CHUNK):
-            j1 = min(j0 + _FD_CHUNK, N)
-            n_jobs = 2 * n_u * (j1 - j0)
-            Db = np.empty((n_jobs, plant.n_x))
-            Eb = np.empty((n_jobs, self.M, plant.n_x))
-            # suffix state costs for every perturbed rollout
-            suffix = np.zeros(n_jobs)
-            active = 0
-            for k in range(j0, N):
-                if k < j1:
-                    lo = 2 * n_u * (k - j0)
-                    Db[lo : lo + 2 * n_u] = states[k]
-                    Eb[lo : lo + 2 * n_u] = ensembles[k]
-                    active = lo + 2 * n_u
-                ub = np.broadcast_to(U[k], (active, n_u)).copy()
-                if k < j1:
-                    for m in range(n_u):
-                        ub[lo + 2 * m, m] += h
-                        ub[lo + 2 * m + 1, m] -= h
-                try:
-                    Db[:active], Eb[:active], _, post_mean = self._step_batch(
-                        Db[:active], Eb[:active], ub, k
-                    )
-                except FloatingPointError as e:  # pragma: no cover - defensive
-                    raise GradientEvaluationError(str(e)) from e
-                suffix[:active] += spec.state_cost(post_mean, terminal=k == N - 1)
-            _check_finite(suffix, n_u, j0)
-            # assemble central differences; shared prefixes cancel exactly
-            for j in range(j0, j1):
-                lo = 2 * n_u * (j - j0)
-                plus = suffix[lo : lo + 2 * n_u : 2]
-                minus = suffix[lo + 1 : lo + 2 * n_u : 2]
-                grad[j] += (plus - minus) / (2.0 * h)
-        return grad
 
 
 def _as_controls(u_seq):
@@ -379,27 +346,23 @@ def rollout_belief(u_seq, b0, plant, M=100, seed=0):
     return _EnkfEngine(plant, b0, M, seed).beliefs(_as_controls(u_seq))
 
 
-def gradient_fd(u_seq, b0, plant, spec, h=1e-4, seed=0, M=100):
-    """Central-difference gradient of the rollout cost, (N, n_u).
-
-    The same seed drives the +h and -h rollouts (common random
-    numbers), so EnKF sampling noise cancels to first order.
-    """
+def gradient_fd(u_seq, b0, plant, spec, h=1e-4):
+    """Central-difference gradient (N, n_u) of the deterministic cost
+    J(U) = spec.total(x_det(U), U), x_det the noiseless rollout from
+    b0.mean."""
     if h <= 0:
         raise ValueError("h must be positive")
-    engine = _EnkfEngine(plant, b0, M, seed)
     U = _as_controls(u_seq)
-    return engine.gradient_fd(U, spec, h, engine.rollout(U))
+    return _gradient_fd(plant, spec, U, _states(plant, b0, U), h)
 
 
-def gradient_adjoint(u_seq, b0, plant, spec, seed=0, M=100):
-    """Exact gradient of the EnKF rollout cost, (N, n_u), by reverse
-    mode; the plant must have `step_vjp` and `observe_vjp`."""
+def gradient_adjoint(u_seq, b0, plant, spec):
+    """Exact gradient (N, n_u) of the deterministic cost by reverse mode;
+    the plant must have `step_vjp`."""
     if not hasattr(plant, "step_vjp"):
-        raise ValueError("the adjoint gradient needs a plant with step_vjp and observe_vjp")
-    engine = _EnkfEngine(plant, b0, M, seed)
+        raise ValueError("the adjoint gradient needs a plant with step_vjp")
     U = _as_controls(u_seq)
-    return engine.gradient_adjoint(U, spec, engine.rollout(U))
+    return _gradient_adjoint(plant, spec, U, _states(plant, b0, U))
 
 
 @dataclass
@@ -407,6 +370,7 @@ class OptimizeOptions:
     alpha: float = 1e-2
     max_iters: int = 200
     tol: float = 1e-4
+    # size and seed of the EnKF that reports the belief of the result
     M: int = 100
     seed: int = 0
     # finite-difference step, used only for plants without an adjoint
@@ -417,24 +381,31 @@ _MAX_HALVINGS = 30
 
 
 def optimize(u_init, b0, plant, spec, opts=None):
-    """Gradient descent with backtracking on the rollout cost.
+    """Gradient descent with backtracking on the deterministic cost
+    J(U) = spec.total(x_det(U), U), then the belief of the result.
 
     The step size alpha / (1 + max|grad|) is restored at every iteration
     and halved, at most 30 times, within an iteration until the cost
     decreases.  Stops when the cost improvement falls below
     tol*(1+|J|), when the gradient norm falls below tol, or at max_iters
-    (returning the best iterate seen, converged=False).
+    (returning the best iterate seen, converged=False).  cost_history
+    holds the accepted deterministic costs.
+
+    The returned means, observations and nominal_cost are those of one
+    EnKF rollout of the final controls with opts.M members and opts.seed,
+    `rollout_belief`'s belief; its draws are made before any plant step,
+    so an M below 2 is rejected first.
     """
     opts = opts or OptimizeOptions()
-    U = _as_controls(u_init).copy()
     engine = _EnkfEngine(plant, b0, opts.M, opts.seed)
-    tape = engine.rollout(U)
-    J = spec.total(tape[0], U)
+    U = _as_controls(u_init).copy()
+    states = _states(plant, b0, U)
+    J = spec.total(states, U)
     history = [J]
     iterations = 0
     converged = False
     for it in range(opts.max_iters):
-        grad = engine.gradient(U, spec, opts.h, tape)
+        grad = _gradient(plant, spec, U, states, opts.h)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= opts.tol:
             converged = True
@@ -443,28 +414,29 @@ def optimize(u_init, b0, plant, spec, opts=None):
         accepted = False
         for _ in range(_MAX_HALVINGS):
             U_try = U - alpha * grad
-            tape_try = engine.rollout(U_try)
-            J_try = spec.total(tape_try[0], U_try)
+            states_try = _states(plant, b0, U_try)
+            J_try = spec.total(states_try, U_try)
             if J_try < J:
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
-            # stuck at the sampling-noise floor; keep the best iterate
+            # no decrease left above roundoff; keep the best iterate
             break
         delta = J - J_try
-        U, J, tape = U_try, J_try, tape_try
+        U, J, states = U_try, J_try, states_try
         history.append(J)
         iterations = it + 1
         if delta <= opts.tol * (1.0 + abs(J)):
             converged = True
             break
+    means, observations, _ = engine.rollout(U)
     return NominalTrajectory(
         controls=U,
-        means=tape[0],
+        means=means,
         prior_cov=b0.cov,
-        observations=tape[1],
-        nominal_cost=J,
+        observations=observations,
+        nominal_cost=spec.total(means, U),
         iterations=iterations,
         converged=converged,
         cost_history=history,

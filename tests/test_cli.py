@@ -204,6 +204,32 @@ def test_pipeline_rejects_bad_sysid_and_lqg_values_before_any_stage(tmp_path, se
 
 
 @pytest.mark.parametrize("entry, message", [
+    ({"alpha": -30}, "optimize alpha must be > 0 and finite, got -30"),
+    ({"alpha": float("inf")}, "optimize alpha must be > 0 and finite, got inf"),
+    ({"max_iters": -2}, "optimize max_iters must be an integer >= 0, got -2"),
+    ({"max_iters": 2.5}, "optimize max_iters must be an integer >= 0, got 2.5"),
+    ({"tol": -1e-8}, "optimize tol must be >= 0 and finite, got -1e-08"),
+    ({"tol": float("nan")}, "optimize tol must be >= 0 and finite, got nan"),
+    ({"M": 1}, "optimize M must be an integer >= 2, got 1"),
+    ({"M": 8.0}, "optimize M must be an integer >= 2, got 8.0"),
+    ({"h": 0.0}, "optimize h must be > 0 and finite, got 0.0"),
+    ({"seed": 1.5}, "optimize seed must be an integer, got 1.5"),
+])
+def test_pipeline_rejects_bad_optimize_values_before_any_stage(tmp_path, entry, message):
+    # the stdlib reader of the config takes Infinity and NaN
+    raw = {**TINY, "optimize": {**TINY["optimize"], **entry}}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(raw).optimize_options()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    for command in ("optimize", "pipeline"):
+        out = tmp_path / command
+        with pytest.raises(ValueError, match=re.escape(message)):
+            main([command, "--config", str(cfg), "--out", str(out)])
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("entry, message", [
     ({"q_terminal": [1.0, 2.0]}, "q_terminal must have length 24, got shape (2,)"),
     ({"r_u": [1e-3] * 4}, "r_u must have length 5, got shape (4,)"),
     ({"target": float("inf")}, "target must be finite"),

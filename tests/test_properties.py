@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from kalman_reference import kalman_predict, kalman_update
-from seplqg.belief import GaussianBelief, enkf_update_members, enkf_update_vjp
+from seplqg.belief import GaussianBelief
 from seplqg.lqg import kf_steps, lqr_backward
 from seplqg.plant import HeatPlant, HeatPlantConfig, LinearPlant
 from seplqg.rng import stream
@@ -121,21 +121,3 @@ def test_linear_step_and_observe_vjp_dot_product(system, k, batch):
                                 (x, u), v, rng.standard_normal(x.shape), eps=1e-3, rtol=1e-9)
     assert_dot_product_identity(lambda x: plant.observe(x, 0.0, k + 1), lambda g: (plant.observe_vjp(g, k + 1),),
                                 (x,), v[:1], rng.standard_normal((batch, C.shape[1])), eps=1e-3, rtol=1e-9)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(systems, st.integers(3, 10))
-def test_enkf_update_vjp_dot_product(system, M):
-    A, B, C, W, V, _ = system
-    plant = LinearPlant(A, B, C, W=W, V=V, horizon=len(A))
-    n, n_y = A.shape[1], C.shape[1]
-    rng = stream(M, n, n_y, "prop-enkf-vjp")
-    X = rng.standard_normal((M, n))
-    y = rng.standard_normal(n_y)
-    v_draws = rng.standard_normal((M, n_y))
-    v = (rng.standard_normal(X.shape), rng.standard_normal(y.shape))
-    assert_dot_product_identity(
-        lambda X, y: enkf_update_members(X, y, v_draws, plant, V, 1),
-        lambda g: enkf_update_vjp(X, y, v_draws, plant, V, g, 1),
-        (X, y), v, rng.standard_normal(X.shape), eps=1e-6, rtol=1e-6,
-    )
