@@ -1,24 +1,23 @@
 """Gaussian beliefs and their propagation.
 
 The belief over the plant state is kept as a Gaussian (mean, covariance)
-pair.  The trajectory optimizer reports the belief of its final
-controls from one rollout of a stochastic (perturbed-observation)
-Ensemble Kalman Filter, whose kernels take pre-drawn noise and
-broadcast over leading batch axes.  The Monte Carlo scores its runs by
-weights that one backward sweep of a linearized Kalman filter forms
-(`harness`), and carries no filter in its runs.
+pair.  The trajectory optimizer reports the means of its final controls
+from one rollout of a stochastic (perturbed-observation) Ensemble
+Kalman Filter, whose members it steps with `plant.step` and updates
+with `enkf_update_members`, the one EnKF kernel, which takes pre-drawn
+noise and broadcasts over leading batch axes.  The Monte Carlo scores
+its runs by weights that one backward sweep of a linearized Kalman
+filter forms (`harness`), and carries no filter in its runs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import FilterDegenerateError, InsufficientEnsembleError
+from .exceptions import FilterDegenerateError
 
 __all__ = [
     "GaussianBelief",
-    "belief_from_ensemble",
-    "enkf_predict_members",
     "enkf_update_members",
     "psd_sqrt",
 ]
@@ -64,28 +63,9 @@ class GaussianBelief:
         self.cov = cov
 
 
-def belief_from_ensemble(members):
-    """Sample mean and unbiased (M-1 denominator) sample covariance of
-    members (M, n_x)."""
-    members = np.atleast_2d(members)
-    M = members.shape[0]
-    if M < 2:
-        raise InsufficientEnsembleError("need at least 2 members for a covariance")
-    mean = members.mean(axis=0)
-    Xc = members - mean
-    cov = Xc.T @ Xc / (M - 1)
-    return GaussianBelief(mean, cov)
-
-
 # ---------------------------------------------------------------------------
 # Stochastic EnKF
 # ---------------------------------------------------------------------------
-
-
-def enkf_predict_members(members, control, w_draws, plant, k=0):
-    """Propagate members (..., M, n_x) through plant.step with noise draws."""
-    control = np.asarray(control)
-    return plant.step(members, control[..., None, :], w_draws, k)
 
 
 def _enkf_gain(members, plant, V, k):

@@ -121,7 +121,10 @@ class ExperimentConfig:
         return HeatPlant(cfg, W=w_scale * np.eye(n_act), V=v_scale * np.eye(n_sen))
 
     def prior_std(self):
-        return float(self._section("prior")["std"])
+        """The prior section's std, checked: >= 0 and finite."""
+        std = self._section("prior")["std"]
+        _require(_is_number(std) and 0 <= std < math.inf, "prior", "std", ">= 0 and finite", std)
+        return float(std)
 
     def cost(self, plant):
         c = self._section("cost")
@@ -163,7 +166,8 @@ class ExperimentConfig:
         """The sysid section, checked: n_r, p and q integers of at least
         1, Hankel blocks with at least n_r rows and columns (p n_y and
         q n_u >= n_r for the plant's n_y sensors and n_u actuators),
-        epsilon > 0, and holdout_extra null or an integer of at least 1."""
+        epsilon > 0 and finite, and holdout_extra null or an integer of at
+        least 1."""
         sid = self._section("sysid")
         for key in ("n_r", "p", "q"):
             _require(_is_number(sid[key], int) and sid[key] >= 1, "sysid", key, "an integer >= 1", sid[key])
@@ -172,6 +176,7 @@ class ExperimentConfig:
             _require(sid[key] * channels >= sid["n_r"], "sysid", key,
                      f"at least n_r / {name} = {sid['n_r']}/{channels}", sid[key])
         _require(_is_number(sid["epsilon"]) and sid["epsilon"] > 0, "sysid", "epsilon", "> 0", sid["epsilon"])
+        _require(math.isfinite(sid["epsilon"]), "sysid", "epsilon", "finite", sid["epsilon"])
         extra = sid["holdout_extra"]
         _require(extra is None or (_is_number(extra, int) and extra >= 1), "sysid", "holdout_extra",
                  "null or an integer >= 1", extra)
@@ -179,22 +184,25 @@ class ExperimentConfig:
 
     def lqg(self):
         """The lqg section, checked: q_y, r, terminal_scale and p0 > 0,
-        ridge >= 0."""
+        ridge >= 0, all finite."""
         lq = self._section("lqg")
         for key in ("q_y", "r", "terminal_scale", "p0"):
             _require(_is_number(lq[key]) and lq[key] > 0, "lqg", key, "> 0", lq[key])
         _require(_is_number(lq["ridge"]) and lq["ridge"] >= 0, "lqg", "ridge", ">= 0", lq["ridge"])
+        for key, value in lq.items():
+            _require(math.isfinite(value), "lqg", key, "finite", value)
         return lq
 
     def evaluate(self):
-        """The evaluate section, checked: at least one run, chunk and
-        belief filter sizes of at least 1 and 2, probes inside [0, 1].
+        """The evaluate section, checked: runs, chunk and belief_size
+        integers of at least 1, 1 and 2, probes inside [0, 1].
         Nothing reads belief_size since the Monte Carlo scores with the
         linearized Kalman filter; the key stays accepted and checked
         because `perfbench/workloads.py` still sets it."""
         ev = self._section("evaluate")
         ev["probes"] = tuple(ev["probes"])
         for key, least in (("runs", 1), ("chunk", 1), ("belief_size", 2)):
+            _require(_is_number(ev[key], int), "evaluate", key, "an integer", ev[key])
             _require(ev[key] >= least, "evaluate", key, f">= {least}", ev[key])
         probe_nodes_from_fractions(self.plant().n_x, ev["probes"])
         return ev

@@ -39,13 +39,13 @@ du and measurement deviations e_k+1 = y_k+1 - y_det,k+1:
 So delta_J is linear in each run's du and e.  One backward (adjoint)
 sweep per `run_monte_carlo`, lambda_N = C_mu,N and lambda_k = C_mu,k +
 A_k' M_k' lambda_k+1, gives its weights g_u,k = C_u,k + B_k' M_k'
-lambda_k+1 and g_e,k = K_k+1' lambda_k+1: each step of a chunk adds two
-row-wise dot products to delta_J, and no run carries a filter.  The
-filter never feeds back into the loop, so it changes no other output.
-The probe errors, `mean_traj` and the frozen states of diverged runs
-are still taken against the stored belief means `nominal.means`,
-because the benchmark's run-0 check (`perfbench/checks.py`) replays the
-probe errors against them.
+lambda_k+1 and g_e,k = K_k+1' lambda_k+1, by one adjoint row of the
+plant per step: each step of a chunk adds two row-wise dot products to
+delta_J, and no run carries a filter.  The filter never feeds back into
+the loop, so it changes no other output.  The probe errors, `mean_traj`
+and the frozen states of diverged runs are still taken against the
+stored belief means `nominal.means`, because the benchmark's run-0
+check (`perfbench/checks.py`) replays the probe errors against them.
 """
 
 from dataclasses import dataclass
@@ -275,28 +275,33 @@ def _safe_step(plant, X, U, w, k):
         return out, bad
 
 
+def _adjoints(plant, x_det, h):
+    """The plant's (step_vjp, observe_vjp).  A black box lacking one gets
+    the adjoint times the Jacobian of `step` at (x, u), or of `observe`
+    at x_det,k, from central differences with step h in one batch."""
+    def jacobian(f, z):
+        E = h * np.eye(len(z))
+        out = f(z + np.concatenate([E, -E]))
+        return ((out[: len(z)] - out[len(z) :]) / (2.0 * h)).T
+
+    def step_vjp(x, u, g, k):
+        n_x = len(x)
+        gz = g @ jacobian(lambda z: plant.step(z[:, :n_x], z[:, n_x:], 0.0, k), np.concatenate([x, u]))
+        return gz[..., :n_x], gz[..., n_x:]
+
+    def observe_vjp(g, k):
+        return g @ jacobian(lambda x: plant.observe(x, 0.0, k), x_det[k])
+
+    return getattr(plant, "step_vjp", step_vjp), getattr(plant, "observe_vjp", observe_vjp)
+
+
 def _linearize(plant, x_det, controls, k, h):
     """(A_k, B_k, C_{k+1}): the Jacobians of the noiseless step at
-    (x_det,k, u_k) and of the noiseless observation at x_det,k+1.  The
-    step's come from `step_jvp` on the identity batch when the plant
-    has it, and for a black box from central differences of `step` with
-    step h, in one batch of 2 (n_x + n_u) rows; C from `observe_vjp` or
-    from central differences of `observe`."""
-    n_x = plant.n_x
-    E = np.eye(n_x + plant.n_u)
-    x, u = x_det[k], controls[k]
-    if hasattr(plant, "step_jvp"):
-        J = plant.step_jvp(x, u, E[:, :n_x], E[:, n_x:], k).T
-    else:
-        D = h * np.concatenate([E, -E])
-        out = plant.step(x + D[:, :n_x], u + D[:, n_x:], 0.0, k)
-        J = ((out[:len(E)] - out[len(E):]) / (2.0 * h)).T
-    if hasattr(plant, "observe_vjp"):
-        C = plant.observe_vjp(np.eye(plant.n_y), k + 1)
-    else:
-        x1, D = x_det[k + 1], h * np.eye(n_x)
-        C = (plant.observe(x1 + D, 0.0, k + 1) - plant.observe(x1 - D, 0.0, k + 1)).T / (2.0 * h)
-    return J[:, :n_x], J[:, n_x:], C
+    (x_det,k, u_k) and of the noiseless observation at x_det,k+1, the
+    adjoints of the identity."""
+    step_vjp, observe_vjp = _adjoints(plant, x_det, h)
+    A, B = step_vjp(x_det[k], controls[k], np.eye(plant.n_x), k)
+    return A, B, observe_vjp(np.eye(plant.n_y), k + 1)
 
 
 def _delta_j_weights(plant, nominal, cost, h):
@@ -307,25 +312,26 @@ def _delta_j_weights(plant, nominal, cost, h):
 
     A forward `kf_steps` sweep from the nominal prior covariance gives
     the LKF's gains K_{k+1}.  A backward sweep from lambda_N = C_mu,N
-    then forms, with v = M_k' lambda_{k+1} = lambda_{k+1} - C_{k+1}'
-    g_e,k, the weights g_e,k = K_{k+1}' lambda_{k+1} and g_u,k = C_u,k +
-    B_k' v, and lambda_k = C_mu,k + A_k' v.  Both sweeps take each
-    step's Jacobians from `_linearize`, one step at a time, so neither
-    holds an (N, n_x, n_x) array.  `h` is the difference step for a
-    plant without `step_jvp` or `observe_vjp`."""
+    then forms g_e,k = K_{k+1}' lambda_{k+1} and, with v = M_k'
+    lambda_{k+1} = lambda_{k+1} - observe_vjp(g_e,k) and (g_x, g_v) =
+    step_vjp(x_k, u_k, v), g_u,k = C_u,k + g_v and lambda_k = C_mu,k +
+    g_x.  Only the forward sweep takes each step's Jacobians from
+    `_linearize`; the backward one takes one adjoint row per step, and
+    neither holds an (N, n_x, n_x) array.  `h` is the difference step
+    for a plant without `step_vjp` or `observe_vjp`."""
     x_det, y_det = plant.simulate_nominal(nominal.means[0], nominal.controls)
     C_mu, g_u = cost.gradient(x_det, nominal.controls)
     N = nominal.horizon
     models = (_linearize(plant, x_det, nominal.controls, k, h) for k in range(N))
     gains = [K for K, _ in kf_steps(models, plant.spec.W, plant.spec.V, nominal.prior_cov)]
+    step_vjp, observe_vjp = _adjoints(plant, x_det, h)
     g_e = np.empty((N, plant.n_y))
     lam = C_mu[N]
     for k in range(N - 1, -1, -1):
-        A, B, C = _linearize(plant, x_det, nominal.controls, k, h)
         g_e[k] = lam @ gains[k]
-        v = lam - g_e[k] @ C
-        g_u[k] += v @ B
-        lam = C_mu[k] + v @ A
+        g_x, g_v = step_vjp(x_det[k], nominal.controls[k], lam - observe_vjp(g_e[k], k + 1), k)
+        g_u[k] += g_v
+        lam = C_mu[k] + g_x
     return y_det, g_u, g_e
 
 
@@ -436,7 +442,7 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
     max(1, n_runs // 100) of them, diverged, a RuntimeError is raised
     instead.  `epsilon` is the impulse size used to identify the probe
     output rows of the two-sigma band, and the difference step of the
-    filter's linearization for a plant without `step_jvp` or
+    filter's linearization for a plant without `step_vjp` or
     `observe_vjp`.  Fewer than 1 run or a chunk of fewer than 1 run and
     probe positions outside [0, 1] are rejected before any run starts.
     """

@@ -16,20 +16,20 @@ over leading batch dimensions: a state array of shape (..., n_x) maps to
 (..., n_x).  The optional time index `k` matters only for time-varying
 plants (see `LinearPlant` with stacked matrices).
 
-A plant may also expose its derivatives, optional methods broadcasting
-like `step`, for a tangent (d_state, d_control) and an adjoint g:
+A plant may also expose its adjoints, optional methods broadcasting
+like `step` over the leading axes of an adjoint g:
 
-    step_jvp(state, control, d_state, d_control, k) -> d next state
     step_vjp(state, control, g, k) -> (g @ d step/d state, g @ d step/d control)
     observe_vjp(g, k)              -> g @ d observe/d state
 
 The process noise enters with the control, so the step's derivatives at
 control u + w are those of the noisy step, and `observe_vjp` takes no
 state because the observation is linear in it.  Trajectory optimization
-differentiates its rollouts with the adjoint; the Monte Carlo's
-linearized filter takes its gains and each run's predict from the
-tangent.  Both difference `step` and `observe`, the black-box method,
-when a plant lacks them.  `HeatPlant` and `LinearPlant` have all three.
+differentiates its rollouts with one adjoint row per step.  The Monte
+Carlo's linearized filter takes its Jacobians as the adjoints of the
+identity and scores its runs by one adjoint row per step.  Both
+difference `step` and `observe`, the black-box method, when a plant
+lacks them.  `HeatPlant` and `LinearPlant` have both.
 """
 
 from dataclasses import dataclass
@@ -326,22 +326,6 @@ class HeatPlant(Plant):
             out[..., -1] = T[..., -1]
         return _as_finite(out, "heat plant step", k)
 
-    def step_jvp(self, state, control, d_state, d_control, k=0):
-        """Tangent of `step`.  With a = k0*dt/dx^2 and L the second
-        difference, it is (1 - eta*dt + a k1 (L T)) * d + a (1 + k1 T) *
-        (L d) plus dt d_control at the actuator nodes, and d's Dirichlet
-        entry carried through: a stencil, row by row like `step`."""
-        c = self.config
-        T = np.asarray(state, dtype=float)
-        d = np.asarray(d_state, dtype=float)
-        out = (1.0 - c.eta * c.dt + self._a_k1 * self._laplacian(T)) * d
-        out += (self._a + self._a_k1 * T) * self._laplacian(d)
-        drive = np.multiply(d_control, c.dt, dtype=float)
-        for j, node in enumerate(self._act):
-            out[..., node] += drive[..., j]
-        out[..., -1] = d[..., -1]
-        return out
-
     def step_vjp(self, state, control, g, k=0):
         """Adjoint of `step`.  With a = k0*dt/dx^2 and L the second
         difference, the step is (1 - eta*dt) T + a (1 + k1 T) * (L T) plus
@@ -427,11 +411,6 @@ class LinearPlant(Plant):
         with np.errstate(invalid="ignore", over="ignore"):
             out = x @ A.T + np.add(control, process_noise) @ B.T
         return _as_finite(out, "linear plant step", k)
-
-    def step_jvp(self, state, control, d_state, d_control, k=0):
-        A = self._A[k] if self._tv else self._A
-        B = self._B[k] if self._tv else self._B
-        return np.asarray(d_state, dtype=float) @ A.T + np.asarray(d_control, dtype=float) @ B.T
 
     def step_vjp(self, state, control, g, k=0):
         A = self._A[k] if self._tv else self._A

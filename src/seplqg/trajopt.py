@@ -22,7 +22,7 @@ iterate serves the next gradient, so no iterate is rolled out twice.
 
 The belief `optimize` reports, its means and their cost, is that of one
 seeded stochastic EnKF rollout of the final controls, which filters the
-noiseless observations (`rollout_belief`).
+noiseless observations, within `optimize`.
 """
 
 from dataclasses import dataclass
@@ -30,13 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import load, memory_only, save
-from .belief import (
-    GaussianBelief,
-    belief_from_ensemble,
-    enkf_predict_members,
-    enkf_update_members,
-    psd_sqrt,
-)
+from .belief import enkf_update_members, psd_sqrt
 from .exceptions import GradientEvaluationError, InsufficientEnsembleError
 from .rng import stream
 
@@ -44,8 +38,6 @@ __all__ = [
     "CostSpec",
     "NominalTrajectory",
     "OptimizeOptions",
-    "nominal_cost",
-    "rollout_belief",
     "gradient_fd",
     "gradient_adjoint",
     "optimize",
@@ -129,8 +121,10 @@ class CostSpec:
 
     def total(self, means, controls):
         """Cost of a whole trajectory: means (N+1, n_x) and controls (N,
-        n_u).  A row of another width is rejected, where the row-wise sums
-        would broadcast a width of 1."""
+        n_u).  Another number of means, or a row of another width, is
+        rejected, where the row-wise sums would broadcast a width of 1."""
+        if len(means) != len(controls) + 1:
+            raise ValueError(f"the cost needs N+1 = {len(controls) + 1} means for N controls, got {len(means)}")
         if means.shape[1:] != self.q_mean.shape or controls.shape[1:] != self.r_u.shape:
             raise ValueError(f"the cost needs rows of n_x = {self.q_mean.size} means and n_u = "
                              f"{self.r_u.size} controls, got {means.shape} and {controls.shape}")
@@ -181,14 +175,6 @@ class NominalTrajectory:
 
     to_json = save
     from_json = classmethod(load)
-
-
-def nominal_cost(beliefs, controls, spec):
-    """Cost of a belief trajectory under a control sequence."""
-    controls = np.atleast_2d(np.asarray(controls, dtype=float))
-    if len(beliefs) != controls.shape[0] + 1:
-        raise ValueError(f"need N+1 = {controls.shape[0] + 1} beliefs, got {len(beliefs)}")
-    return spec.total(np.stack([b.mean for b in beliefs]), controls)
 
 
 # ---------------------------------------------------------------------------
@@ -288,62 +274,28 @@ def _gradient(plant, spec, U, states, h):
 # ---------------------------------------------------------------------------
 
 
-class _EnkfEngine:
-    """Seeded stochastic EnKF rollouts that filter the noiseless
-    observations of a control sequence; the noise draws are made once,
-    so a rollout is a pure function of the controls."""
-
-    def __init__(self, plant, b0, M, seed):
-        if M < 2:
-            raise InsufficientEnsembleError(f"the EnKF needs at least 2 members, got M={M}")
-        self.plant = plant
-        self.b0 = b0
-        self.M = int(M)
-        N = plant.horizon
-        W_s = psd_sqrt(plant.spec.W)
-        V_s = psd_sqrt(plant.spec.V)
-        g_init = stream(seed, "enkf-init")
-        g_w = stream(seed, "enkf-w")
-        g_v = stream(seed, "enkf-v")
-        self.members0 = b0.mean + g_init.standard_normal((self.M, plant.n_x)) @ psd_sqrt(b0.cov).T
-        self.w_draws = g_w.standard_normal((N, self.M, plant.n_u)) @ W_s.T
-        self.v_draws = g_v.standard_normal((N, self.M, plant.n_y)) @ V_s.T
-
-    def rollout(self, controls):
-        """Single rollout; returns (means, observations, ensembles) over
-        k = 0..N, the observations the noiseless plant's.  means[0] is
-        the exact prior's (the belief at k=0 is the given prior, not a
-        sample estimate)."""
-        plant = self.plant
-        N = controls.shape[0]
-        obs = plant.simulate_nominal(self.b0.mean, controls)[1]
-        means = np.empty((N + 1, plant.n_x))
-        ensembles = np.empty((N + 1, self.M, plant.n_x))
-        means[0] = self.b0.mean
-        ensembles[0] = self.members0
-        for k in range(N):
-            E = enkf_predict_members(ensembles[k], controls[k], self.w_draws[k], plant, k)
-            ensembles[k + 1] = enkf_update_members(E, obs[k + 1], self.v_draws[k], plant, plant.spec.V, k + 1)
-            means[k + 1] = ensembles[k + 1].mean(axis=0)
-        return means, obs, ensembles
-
-    def beliefs(self, controls):
-        ensembles = self.rollout(controls)[2]
-        return [GaussianBelief(self.b0.mean, self.b0.cov)] + [belief_from_ensemble(E) for E in ensembles[1:]]
+def _enkf_means(plant, b0, U, M, seed):
+    """Means (N+1, n_x) and noiseless observations (N+1, n_y) of one
+    stochastic EnKF rollout of M members that filters the noiseless
+    plant's observations of U, its noise drawn from streams of `seed`.
+    means[0] is the prior mean, not a sample estimate; one step's
+    members are held at a time."""
+    N = U.shape[0]
+    members = b0.mean + stream(seed, "enkf-init").standard_normal((M, plant.n_x)) @ psd_sqrt(b0.cov).T
+    w_draws = stream(seed, "enkf-w").standard_normal((N, M, plant.n_u)) @ psd_sqrt(plant.spec.W).T
+    v_draws = stream(seed, "enkf-v").standard_normal((N, M, plant.n_y)) @ psd_sqrt(plant.spec.V).T
+    obs = plant.simulate_nominal(b0.mean, U)[1]
+    means = np.empty((N + 1, plant.n_x))
+    means[0] = b0.mean
+    for k in range(N):
+        members = plant.step(members, U[k], w_draws[k], k)
+        members = enkf_update_members(members, obs[k + 1], v_draws[k], plant, plant.spec.V, k + 1)
+        means[k + 1] = members.mean(axis=0)
+    return means, obs
 
 
 def _as_controls(u_seq):
     return np.atleast_2d(np.asarray(u_seq, dtype=float))
-
-
-def rollout_belief(u_seq, b0, plant, M=100, seed=0):
-    """Deterministic belief rollout under u_seq; returns N+1 beliefs.
-
-    Nominal observations are generated by the noiseless plant rollout
-    from the prior mean, and the filter tracks those observations.  The
-    fixed seed makes the whole map u_seq -> beliefs a pure function.
-    """
-    return _EnkfEngine(plant, b0, M, seed).beliefs(_as_controls(u_seq))
 
 
 def gradient_fd(u_seq, b0, plant, spec, h=1e-4):
@@ -392,12 +344,12 @@ def optimize(u_init, b0, plant, spec, opts=None):
     holds the accepted deterministic costs.
 
     The returned means, observations and nominal_cost are those of one
-    EnKF rollout of the final controls with opts.M members and opts.seed,
-    `rollout_belief`'s belief; its draws are made before any plant step,
-    so an M below 2 is rejected first.
+    EnKF rollout of the final controls with opts.M members and opts.seed;
+    an M below 2 is rejected before any plant step.
     """
     opts = opts or OptimizeOptions()
-    engine = _EnkfEngine(plant, b0, opts.M, opts.seed)
+    if opts.M < 2:
+        raise InsufficientEnsembleError(f"the EnKF needs at least 2 members, got M={opts.M}")
     U = _as_controls(u_init).copy()
     states = _states(plant, b0, U)
     J = spec.total(states, U)
@@ -430,7 +382,7 @@ def optimize(u_init, b0, plant, spec, opts=None):
         if delta <= opts.tol * (1.0 + abs(J)):
             converged = True
             break
-    means, observations, _ = engine.rollout(U)
+    means, observations = _enkf_means(plant, b0, U, opts.M, opts.seed)
     return NominalTrajectory(
         controls=U,
         means=means,

@@ -2,15 +2,8 @@ import numpy as np
 import pytest
 
 from kalman_reference import kalman_predict, kalman_update
-from seplqg.belief import (
-    GaussianBelief,
-    _enkf_gain,
-    belief_from_ensemble,
-    enkf_predict_members,
-    enkf_update_members,
-    psd_sqrt,
-)
-from seplqg.exceptions import FilterDegenerateError, InsufficientEnsembleError
+from seplqg.belief import GaussianBelief, _enkf_gain, enkf_update_members, psd_sqrt
+from seplqg.exceptions import FilterDegenerateError
 from seplqg.plant import HeatPlant, HeatPlantConfig, LinearPlant
 from seplqg.rng import stream
 
@@ -34,8 +27,9 @@ def sample(belief, M, rng):
 
 
 def predict(members, control, plant, rng, k=0):
-    """One forecast, each member stepped with its own w ~ N(0, W)."""
-    return enkf_predict_members(members, control, draw(rng, len(members), plant.spec.W), plant, k)
+    """One forecast, as `optimize`'s EnKF makes it: the members stepped
+    as one batch, each with its own w ~ N(0, W)."""
+    return plant.step(members, control, draw(rng, len(members), plant.spec.W), k)
 
 
 def update(members, y, plant, rng, k=0):
@@ -44,7 +38,7 @@ def update(members, y, plant, rng, k=0):
 
 
 # ---------------------------------------------------------------------------
-# GaussianBelief / belief_from_ensemble
+# GaussianBelief
 # ---------------------------------------------------------------------------
 
 
@@ -63,44 +57,6 @@ def test_belief_rejects_shape_mismatch():
         GaussianBelief([0.0, 0.0], np.eye(3))
 
 
-def test_ensemble_needs_two_members():
-    with pytest.raises(InsufficientEnsembleError):
-        belief_from_ensemble(np.ones((1, 4)))
-
-
-def test_belief_from_ensemble_degenerate_pair():
-    a = np.array([1.0, -2.0, 3.0])
-    b = belief_from_ensemble(np.stack([a, a]))
-    assert np.allclose(b.mean, a)
-    assert np.allclose(b.cov, 0.0)
-
-
-def test_belief_from_ensemble_hand_variance():
-    # members {-1, +1}: unbiased variance (M-1 denominator) is 2
-    b = belief_from_ensemble(np.array([[-1.0], [1.0]]))
-    assert b.mean[0] == pytest.approx(0.0)
-    assert b.cov[0, 0] == pytest.approx(2.0)
-
-
-def test_belief_from_ensemble_recovers_moments():
-    rng = stream(5, "moments")
-    mu0 = np.array([1.0, -2.0, 0.5])
-    S = np.array([[2.0, 0.4, 0.0], [0.4, 1.0, -0.2], [0.0, -0.2, 0.7]])
-    ens = sample(GaussianBelief(mu0, S), 10000, rng)
-    b = belief_from_ensemble(ens)
-    assert np.linalg.norm(b.mean - mu0) / np.linalg.norm(mu0) < 0.1
-    assert np.linalg.norm(b.cov - S) / np.linalg.norm(S) < 0.1
-
-
-def test_ensemble_covariance_psd_by_construction():
-    rng = stream(6, "psd")
-    for trial in range(5):
-        members = rng.standard_normal((3, 8))  # fewer members than dims
-        cov = belief_from_ensemble(members).cov
-        assert np.array_equal(cov, cov.T)
-        assert np.linalg.eigvalsh(cov).min() >= -1e-8
-
-
 def test_psd_sqrt_handles_singular():
     M = np.array([[1.0, 1.0], [1.0, 1.0]])
     S = psd_sqrt(M)
@@ -109,7 +65,7 @@ def test_psd_sqrt_handles_singular():
 
 
 # ---------------------------------------------------------------------------
-# enkf_predict_members
+# EnKF forecast
 # ---------------------------------------------------------------------------
 
 
@@ -136,8 +92,7 @@ def test_predict_mean_matches_kalman():
     out = predict(ens, u, lp, stream(2, "w"))
     exact = kalman_predict(GaussianBelief(mu0, P0), u, A, B, W)
     se = np.sqrt(np.diag(exact.cov) / M)
-    b = belief_from_ensemble(out)
-    assert np.all(np.abs(b.mean - exact.mean) <= 3 * se)
+    assert np.all(np.abs(np.mean(out, axis=0) - exact.mean) <= 3 * se)
 
 
 def test_predict_deterministic_under_seed():
@@ -174,11 +129,10 @@ def test_update_matches_exact_kalman_scalar():
     ens = sample(GaussianBelief([mu0], [[P0]]), M, stream(8, "init"))
     out = update(ens, np.array([y]), lp, stream(8, "v"))
     post = kalman_update(GaussianBelief([mu0], [[P0]]), [y], np.array([[1.0]]), np.array([[V]]))
-    b = belief_from_ensemble(out)
     se_mean = np.sqrt(post.cov[0, 0] / M) * (1 + P0 / V)  # prior sampling inflates the estimator
     se_var = post.cov[0, 0] * np.sqrt(2.0 / (M - 1)) * (1 + P0 / V)
-    assert abs(b.mean[0] - post.mean[0]) <= 3 * se_mean
-    assert abs(b.cov[0, 0] - post.cov[0, 0]) <= 3 * se_var
+    assert abs(np.mean(out) - post.mean[0]) <= 3 * se_mean
+    assert abs(np.cov(out[:, 0]) - post.cov[0, 0]) <= 3 * se_var
 
 
 def test_update_identical_members_zero_gain():
@@ -229,8 +183,8 @@ def test_enkf_converges_to_kalman_with_ensemble_size():
 
     def posterior_error(M, seed):
         ens = sample(GaussianBelief([mu0], [[P0]]), M, stream(seed, "init"))
-        out = belief_from_ensemble(update(ens, np.array([y]), lp, stream(seed, "v")))
-        return abs(out.mean[0] - post.mean[0]) + abs(out.cov[0, 0] - post.cov[0, 0])
+        out = update(ens, np.array([y]), lp, stream(seed, "v"))[:, 0]
+        return abs(np.mean(out) - post.mean[0]) + abs(np.cov(out) - post.cov[0, 0])
 
     wins = sum(posterior_error(20000, s) < posterior_error(200, s) for s in range(12))
     assert wins >= 10

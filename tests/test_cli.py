@@ -167,7 +167,11 @@ def test_theorem1_subcommand(pipeline_dir):
 @pytest.mark.parametrize("evaluate, message", [({"belief_size": 1}, "belief_size must be >= 2"),
                                                ({"probes": [-0.5, 0.9]}, "-0.5 outside"),
                                                ({"chunk": 0}, "chunk must be >= 1"),
-                                               ({"runs": 0}, "runs must be >= 1")])
+                                               ({"runs": 0}, "runs must be >= 1"),
+                                               ({"runs": 2.5}, "runs must be an integer, got 2.5"),
+                                               ({"runs": True}, "runs must be an integer, got True"),
+                                               ({"chunk": 7.0}, "chunk must be an integer, got 7.0"),
+                                               ({"chunk": False}, "chunk must be an integer, got False")])
 def test_pipeline_rejects_bad_evaluate_section_before_any_stage(tmp_path, evaluate, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**TINY, "evaluate": {**TINY["evaluate"], **evaluate}}))
@@ -190,11 +194,19 @@ def test_pipeline_rejects_bad_evaluate_section_before_any_stage(tmp_path, evalua
     ("lqg", {"terminal_scale": 0}, "lqg terminal_scale must be > 0, got 0"),
     ("lqg", {"p0": "1"}, "lqg p0 must be > 0, got '1'"),
     ("lqg", {"ridge": -1e-8}, "lqg ridge must be >= 0, got -1e-08"),
+    # the stdlib reader of the config takes Infinity and NaN
+    ("sysid", {"epsilon": float("inf")}, "sysid epsilon must be finite, got inf"),
+    ("lqg", {"q_y": float("inf")}, "lqg q_y must be finite, got inf"),
+    ("lqg", {"ridge": float("inf")}, "lqg ridge must be finite, got inf"),
+    ("prior", {"std": -0.5}, "prior std must be >= 0 and finite, got -0.5"),
+    ("prior", {"std": float("nan")}, "prior std must be >= 0 and finite, got nan"),
+    ("prior", {"std": float("inf")}, "prior std must be >= 0 and finite, got inf"),
 ])
 def test_pipeline_rejects_bad_sysid_and_lqg_values_before_any_stage(tmp_path, section, entry, message):
+    # the prior section is read by `prior_std`
     raw = {**TINY, section: {**TINY.get(section, {}), **entry}}
     with pytest.raises(ValueError, match=re.escape(message)):
-        getattr(ExperimentConfig(raw), section)()
+        getattr(ExperimentConfig(raw), {"prior": "prior_std"}.get(section, section))()
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
     out = tmp_path / "out"

@@ -153,34 +153,33 @@ def test_report_bit_reproducible_and_chunk_independent():
             assert np.array_equal(getattr(r, name), getattr(reports[0], name)), name
 
 
-class TangentLog(HeatPlant):
-    """Heat slab that logs each tangent it is asked for, as (rows, whether
-    the directions are the identity batch), and each adjoint call."""
+class AdjointLog(HeatPlant):
+    """Heat slab that logs each adjoint it is asked for, as (k, the
+    adjoint's shape, whether it is the identity batch), after checking
+    that it is taken at one state row."""
 
     def __init__(self, config):
         super().__init__(config)
-        self.tangents, self.adjoints = [], 0
-
-    def step_jvp(self, state, control, d_state, d_control, k=0):
-        D = np.concatenate([d_state, d_control], axis=-1)
-        self.tangents.append((len(D), np.array_equal(D, np.eye(len(D)))))
-        return super().step_jvp(state, control, d_state, d_control, k)
+        self.adjoints = []
 
     def step_vjp(self, state, control, g, k=0):
-        self.adjoints += 1
+        assert np.shape(state) == (self.n_x,)
+        g = np.asarray(g)
+        self.adjoints.append((k, g.shape, g.ndim == 2 and np.array_equal(g, np.eye(len(g)))))
         return super().step_vjp(state, control, g, k)
 
 
-def test_filter_linearizes_each_step_twice_and_makes_no_tangent_on_run_rows():
-    # one identity-batch linearization per step in the forward gain sweep
-    # and one in the backward weight sweep; the chunks' runs carry no
-    # filter, so no tangent or adjoint is taken on their rows
+def test_filter_linearizes_each_step_once_and_takes_no_adjoint_on_run_rows():
+    # the forward gain sweep takes each step's Jacobians as the adjoint of
+    # the identity batch, and the backward weight sweep one adjoint row
+    # per step; the chunks' runs carry no filter, so no adjoint is taken
+    # on their rows
     plant, spec, nominal, ctrl = heat_setup()
-    log = TangentLog(plant.config)
+    log = AdjointLog(plant.config)
     run_monte_carlo(log, nominal, ctrl, n_runs=20, base_seed=5, probe_positions=(), cost=spec, chunk=7)
     N = nominal.horizon
-    assert log.tangents == [(21, True)] * (2 * N)
-    assert log.adjoints == 0
+    assert log.adjoints == ([(k, (16, 16), True) for k in range(N)]
+                            + [(k, (16,), False) for k in range(N - 1, -1, -1)])
 
 
 def recorded_run(monkeypatch, plant, run):
@@ -261,8 +260,8 @@ def test_delta_j_matches_a_per_run_kalman_filter_on_the_heat_slab(monkeypatch):
 
 def test_heat_jacobians_match_central_differences_and_a_black_box_scores_alike():
     # a black box is linearized by central differences of step and
-    # observe, the heat slab by its stencil step_jvp on the identity
-    # batch and by observe_vjp: the Jacobians agree column by column
+    # observe, the heat slab by its step_vjp and observe_vjp on the
+    # identity batch: the Jacobians agree column by column
     plant, spec, nominal, ctrl = heat_setup()
     x_det = noiseless_nominal(plant, nominal)
     for k in (0, 11, 29):
@@ -332,7 +331,7 @@ class CountingHeatPlant(HeatPlant):
 
 def test_each_loop_step_steps_a_chunks_closed_and_open_loops_in_one_call():
     # without probes no impulse campaign runs, and the heat slab's filter
-    # is linearized by step_jvp: every 2-D step is the loop pass's.  A chunk's
+    # is linearized by its adjoints: every 2-D step is the loop pass's.  A chunk's
     # closed-loop runs and their open-loop partners are one batch.
     plant, spec, nominal, ctrl = heat_setup()
     counting = CountingHeatPlant(plant.config)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from test_properties import assert_dot_product_identity
 
 from seplqg.exceptions import IntegrationDivergedError
 from seplqg.plant import HeatPlant, HeatPlantConfig, LinearPlant, PlantSpec
@@ -308,17 +309,8 @@ def test_time_varying_linear_plant_uses_k():
 
 
 # ---------------------------------------------------------------------------
-# Tangent of the step: the transpose of the adjoint, row by row
+# Adjoint of the step on a slab actuated at its Dirichlet node
 # ---------------------------------------------------------------------------
-
-
-def assert_tangent_is_adjoint_transpose(plant, x, u, rng, k=0):
-    """<g, jvp(d, e)> = <vjp(g)_x, d> + <vjp(g)_u, e> to 1e-12."""
-    d, e, g = rng.standard_normal(x.shape), rng.standard_normal(u.shape), rng.standard_normal(x.shape)
-    lhs = np.vdot(g, plant.step_jvp(x, u, d, e, k))
-    g_x, g_u = plant.step_vjp(x, u, g, k)
-    rhs = np.vdot(g_x, d) + np.vdot(g_u, e)
-    assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + abs(rhs))
 
 
 def dirichlet_actuated_slab(on_dirichlet_node):
@@ -329,41 +321,19 @@ def dirichlet_actuated_slab(on_dirichlet_node):
 
 
 @pytest.mark.parametrize("on_dirichlet_node", [False, True])
-def test_heat_step_jvp_is_the_transpose_of_step_vjp(on_dirichlet_node):
+def test_heat_step_vjp_matches_central_differences(on_dirichlet_node):
+    # the step is quadratic in T and affine in u, so the central
+    # difference is exact up to roundoff; an actuator on the Dirichlet
+    # node drives nothing there, and its adjoint is 0
     hp = dirichlet_actuated_slab(on_dirichlet_node)
-    rng = stream(5, int(on_dirichlet_node), "heat-jvp")
+    rng = stream(5, int(on_dirichlet_node), "heat-vjp-dirichlet")
     for shape in ((17,), (4, 17)):
         T = rng.uniform(*hp.config.temp_range, shape)
-        assert_tangent_is_adjoint_transpose(hp, T, rng.standard_normal(shape[:-1] + (5,)), rng)
-
-
-def test_time_varying_linear_step_jvp_is_the_transpose_of_step_vjp():
-    rng = stream(6, "linear-jvp")
-    A, B, C = rng.standard_normal((4, 3, 3)), rng.standard_normal((4, 3, 2)), rng.standard_normal((5, 2, 3))
-    lp = LinearPlant(A, B, C, horizon=4)
-    for k in range(4):
-        x, u = rng.standard_normal((3, 3)), rng.standard_normal((3, 2))
-        assert_tangent_is_adjoint_transpose(lp, x, u, rng, k)
-        assert np.array_equal(lp.step_jvp(x, u, x, u, k), lp.step(x, u, 0.0, k))
-
-
-@pytest.mark.parametrize("on_dirichlet_node", [False, True])
-def test_heat_step_jvp_rows_equal_single_row_calls_bit_for_bit(on_dirichlet_node):
-    hp = dirichlet_actuated_slab(on_dirichlet_node)
-    rng = stream(7, int(on_dirichlet_node), "heat-jvp-rows")
-    T = rng.uniform(*hp.config.temp_range, (6, 17))
-    u, d, e = rng.standard_normal((6, 5)), rng.standard_normal((6, 17)), rng.standard_normal((6, 5))
-    shared = hp.step_jvp(T[0], u[0], d, e)
-    batched = hp.step_jvp(T, u, d, e)
-    for i in range(6):
-        assert np.array_equal(shared[i], hp.step_jvp(T[0], u[0], d[i], e[i]))
-        assert np.array_equal(batched[i], hp.step_jvp(T[i], u[i], d[i], e[i]))
-
-
-def test_heat_step_jvp_carries_the_dirichlet_entry():
-    # an actuator on the Dirichlet node drives nothing there, as in step
-    hp = paper_plant(actuators=(0.1, 1.0))
-    rng = stream(8, "heat-jvp-dirichlet")
-    T = rng.uniform(100.0, 200.0, (3, 100))
-    d, e = rng.standard_normal((3, 100)), rng.standard_normal((3, 2))
-    assert np.array_equal(hp.step_jvp(T, np.zeros(2), d, e)[:, -1], d[:, -1])
+        u = rng.standard_normal(shape[:-1] + (5,))
+        v = (rng.standard_normal(T.shape), rng.standard_normal(u.shape))
+        g = rng.standard_normal(T.shape)
+        assert_dot_product_identity(lambda x, c: hp.step(x, c, 0.0), lambda g: hp.step_vjp(T, u, g),
+                                    (T, u), v, g, eps=1e-2, rtol=1e-9)
+        g_u = hp.step_vjp(T, u, g)[1]
+        assert np.all(g_u[..., :4] != 0.0)
+        assert np.all((g_u[..., 4] == 0.0) == on_dirichlet_node)

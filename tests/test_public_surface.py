@@ -2,9 +2,9 @@
 exists, so `from seplqg.<module> import *` cannot fail, every name
 `seplqg/__init__.py` re-exports is the module attribute it names, the
 third-party packages the modules import are the ones `pyproject.toml`
-declares, those the tests import besides are its `test` extra, and
-every name the benchmark's tracer patches resolves where it patches
-it."""
+declares, those the tests import besides are its `test` extra, every
+name the benchmark's tracer patches resolves where it patches it, and
+no module imports a name it does not use."""
 
 import ast
 import importlib
@@ -117,6 +117,24 @@ def test_traced_methods_are_in_their_class_bodies():
             assert attr in cls.__dict__, f"{cls_name}.{attr} is not bound in the class body"
         if "from_json" in attrs:
             assert isinstance(cls.__dict__["from_json"], classmethod)
+
+
+def unused_imports(path):
+    """The names the module at `path` imports and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_modules_import_only_names_they_use(name):
+    # a name the tracer patches in a module stays imported there even
+    # where the module does not call it; the package's own imports are its
+    # re-exports, checked by test_package_reexports_resolve
+    unused = unused_imports(Path(importlib.import_module(f"seplqg.{name}").__file__))
+    assert unused <= set(TRACED_FUNCTIONS.get(name, ())), f"seplqg.{name} imports unused {sorted(unused)}"
 
 
 # The cost's weights are held in one format, read only where `CostSpec`
