@@ -12,7 +12,7 @@ paired-noise Monte Carlo.
 from .belief import GaussianBelief, enkf_update_members
 from .harness import MonteCarloReport, complexity_report, run_monte_carlo
 from .lqg import LqgController, design_lqg, kf_forward, lqg_update, lqr_backward
-from .plant import HeatPlant, HeatPlantConfig, LinearPlant, PlantSpec
+from .plant import HeatPlant, HeatPlantConfig, LinearPlant, Plant
 from .sysid import LtvRom, MarkovParams, collect_impulse_responses, tv_era, validate_rom
 from .trajopt import CostSpec, NominalTrajectory, OptimizeOptions, gradient_fd, optimize
 

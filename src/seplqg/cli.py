@@ -9,12 +9,13 @@ acceptance assertion listed in the config fails.
 
 The first three are written and read by `artifacts.save` and `load`
 and hold the stored fields of `NominalTrajectory`, `LtvRom` and
-`LqgController` (with a copy of the ROM).  Neither ROM file holds the
-Hankel spectra: identify writes them to sysid_singvals.csv, one row per
-valid k with s_1..s_(n_r+1) of H_k, the kept singular values and the
-first discarded one, which is what `gap_warning` reads (TV-ERA computes
-no others).  rom_validation.json records the held-out Markov error and the
-identification settings, holdout_extra resolved (null means p + q).
+`LqgController` (with a copy of the ROM, and no noise covariances:
+every stage takes W and V from the plant the config builds).  Neither
+ROM file holds the Hankel spectra: identify writes them to
+sysid_singvals.csv, one row per valid k with s_1..s_(n_r+1) of H_k,
+the kept singular values and the first discarded one, which is what
+`gap_warning` reads (TV-ERA computes no others).  rom_validation.json
+records the held-out Markov error and the identification settings.
 report.json holds the stored fields of `MonteCarloReport` (the run
 counts, base_seed, mean_traj, the probe positions and nodes, run 0's
 closed- and open-loop errors, two_sigma, mse_closed, mse_open,
@@ -116,12 +117,10 @@ def cmd_identify(args):
     sid = cfg.sysid()
     out = Path(args.out)
     nominal = NominalTrajectory.from_json(out / "nominal.json")
-    p, q = sid["p"], sid["q"]
-    extra = p + q if sid["holdout_extra"] is None else sid["holdout_extra"]
-    # the deepest lags read: p + q by the shifted Hankel blocks and
-    # p + q - 1 + extra by the held-out pairs
-    max_lag = max(p + q, p + q - 1 + extra)
-    markov = collect_impulse_responses(plant, nominal, sid["epsilon"], max_lag=max_lag)
+    p, q, extra = sid["p"], sid["q"], sid["holdout_extra"]
+    # the deepest lag read, by the held-out pairs; with extra >= 1 it
+    # covers the p + q of the shifted Hankel blocks
+    markov = collect_impulse_responses(plant, nominal, sid["epsilon"], max_lag=p + q - 1 + extra)
     rom = tv_era(markov, n_r=sid["n_r"], p=p, q=q)
     err = validate_rom(rom, markov, p + q - 1, extra)
     rom.to_json(out / "rom.json")
@@ -145,8 +144,8 @@ def cmd_design(args):
     rom = LtvRom.from_json(out / "rom.json")
     ctrl = design_lqg(
         rom,
-        W=plant.spec.W,
-        V=plant.spec.V,
+        W=plant.W,
+        V=plant.V,
         P0=lq["p0"] * np.eye(rom.n_r),
         q_y=lq["q_y"],
         r=lq["r"],

@@ -2,10 +2,13 @@
 optimizer, identification, controller and evaluation settings.
 
 Every section is optional: a missing section or key falls back to its
-default, the plant's to `HeatPlantConfig`'s.  `spatial_weight` builds
-the diagonal state weighting used by the heat benchmark: nodes far from
-any heat source (actuator or the fixed-temperature boundary) get
-up-weighted so the optimizer does not park them outside the target band.
+default, the plant's to `HeatPlantConfig`'s and the optimizer's to
+`OptimizeOptions`'.  The built-in heat benchmark (`benchmark_config`)
+is the empty config, every setting at its default.  `spatial_weight`
+builds the diagonal state weighting used by the heat benchmark: nodes
+far from any heat source (actuator or the fixed-temperature boundary)
+get up-weighted so the optimizer does not park them outside the target
+band.
 """
 
 import json
@@ -14,7 +17,7 @@ import math
 import numpy as np
 
 from .harness import probe_nodes_from_fractions
-from .plant import HeatPlant, HeatPlantConfig
+from .plant import HeatPlant, HeatPlantConfig, _is_finite
 from .trajopt import CostSpec, OptimizeOptions
 
 __all__ = ["ExperimentConfig", "spatial_weight", "benchmark_config"]
@@ -72,8 +75,10 @@ class ExperimentConfig:
     """Parsed experiment file with constructors for the pipeline pieces.
 
     An unknown section, key of a section, assertion name or key of an
-    assertion entry, and a missing required key of an assertion entry,
-    raise a ValueError here, before any stage runs."""
+    assertion entry, a missing required key of an assertion entry, and
+    an assertion value that is not a finite number (closed_beats_open:
+    not true or false), raise a ValueError here, before any stage
+    runs."""
 
     def __init__(self, raw):
         self.raw = dict(raw)
@@ -87,7 +92,11 @@ class ExperimentConfig:
             if unknown:
                 raise ValueError(f"unknown {name} key(s): {', '.join(unknown)}")
         for name, entry in self.raw.get("assertions", {}).items():
+            if name == "closed_beats_open":
+                _require(isinstance(entry, bool), "assertions", name, "true or false", entry)
+                continue
             if name not in _ASSERTION_DEFAULTS:
+                _require(_is_finite(entry), "assertions", name, "a finite number", entry)
                 continue
             if not isinstance(entry, dict):
                 raise ValueError(f"assertion {name!r} must be an object")
@@ -98,6 +107,8 @@ class ExperimentConfig:
             missing = sorted(k for k, v in keys.items() if v is _REQUIRED and k not in entry)
             if missing:
                 raise ValueError(f"{name} assertion needs key(s): {', '.join(missing)}")
+            for key, value in entry.items():
+                _require(_is_finite(value), f"{name} assertion", key, "a finite number", value)
 
     @classmethod
     def load(cls, path):
@@ -112,13 +123,16 @@ class ExperimentConfig:
         return {**_DEFAULTS[name], **self.raw.get(name, {})}
 
     def plant(self):
+        """The heat slab of the plant section, checked: w_scale and
+        v_scale >= 0 and finite, and the `HeatPlantConfig` fields as it
+        checks them."""
         section = dict(self.raw.get("plant", {}))
-        w_scale = section.pop("w_scale", 1.0)
-        v_scale = section.pop("v_scale", 1.0)
-        cfg = HeatPlantConfig.from_dict(section)
-        n_act = len(cfg.actuators)
-        n_sen = len(cfg.sensors)
-        return HeatPlant(cfg, W=w_scale * np.eye(n_act), V=v_scale * np.eye(n_sen))
+        scales = {key: section.pop(key, 1.0) for key in ("w_scale", "v_scale")}
+        for key, value in scales.items():
+            _require(_is_finite(value) and value >= 0, "plant", key, ">= 0 and finite", value)
+        cfg = HeatPlantConfig(**section)
+        return HeatPlant(cfg, W=scales["w_scale"] * np.eye(len(cfg.actuators)),
+                         V=scales["v_scale"] * np.eye(len(cfg.sensors)))
 
     def prior_std(self):
         """The prior section's std, checked: >= 0 and finite."""
@@ -127,12 +141,18 @@ class ExperimentConfig:
         return float(std)
 
     def cost(self, plant):
+        """The cost section's `CostSpec` for `plant`, checked:
+        spatial_gain >= 0 and spatial_reach > 0, both finite, and the
+        weights as `CostSpec` checks them."""
         c = self._section("cost")
+        gain, reach = c["spatial_gain"], c["spatial_reach"]
+        _require(_is_finite(gain) and gain >= 0, "cost", "spatial_gain", ">= 0 and finite", gain)
+        _require(_is_finite(reach) and reach > 0, "cost", "spatial_reach", "> 0 and finite", reach)
         q_mean = c["q_mean"]
         if isinstance(q_mean, str):
             if q_mean != "spatial":
                 raise ValueError(f"unknown q_mean preset {q_mean!r}")
-            q_mean = spatial_weight(plant.config, gain=c["spatial_gain"], reach=c["spatial_reach"])
+            q_mean = spatial_weight(plant.config, gain=gain, reach=reach)
         return CostSpec.from_weights(
             plant.n_x,
             plant.n_u,
@@ -166,8 +186,8 @@ class ExperimentConfig:
         """The sysid section, checked: n_r, p and q integers of at least
         1, Hankel blocks with at least n_r rows and columns (p n_y and
         q n_u >= n_r for the plant's n_y sensors and n_u actuators),
-        epsilon > 0 and finite, and holdout_extra null or an integer of at
-        least 1."""
+        epsilon > 0 and finite, and holdout_extra an integer of at least
+        1."""
         sid = self._section("sysid")
         for key in ("n_r", "p", "q"):
             _require(_is_number(sid[key], int) and sid[key] >= 1, "sysid", key, "an integer >= 1", sid[key])
@@ -178,8 +198,7 @@ class ExperimentConfig:
         _require(_is_number(sid["epsilon"]) and sid["epsilon"] > 0, "sysid", "epsilon", "> 0", sid["epsilon"])
         _require(math.isfinite(sid["epsilon"]), "sysid", "epsilon", "finite", sid["epsilon"])
         extra = sid["holdout_extra"]
-        _require(extra is None or (_is_number(extra, int) and extra >= 1), "sysid", "holdout_extra",
-                 "null or an integer >= 1", extra)
+        _require(_is_number(extra, int) and extra >= 1, "sysid", "holdout_extra", "an integer >= 1", extra)
         return sid
 
     def lqg(self):
@@ -195,12 +214,16 @@ class ExperimentConfig:
 
     def evaluate(self):
         """The evaluate section, checked: runs, chunk and belief_size
-        integers of at least 1, 1 and 2, probes inside [0, 1].
+        integers of at least 1, 1 and 2, probes a list of numbers inside
+        [0, 1].
         Nothing reads belief_size since the Monte Carlo scores with the
         linearized Kalman filter; the key stays accepted and checked
         because `perfbench/workloads.py` still sets it."""
         ev = self._section("evaluate")
-        ev["probes"] = tuple(ev["probes"])
+        probes = ev["probes"]
+        _require(isinstance(probes, (list, tuple)) and all(map(_is_number, probes)), "evaluate", "probes",
+                 "a list of numbers", probes)
+        ev["probes"] = tuple(probes)
         for key, least in (("runs", 1), ("chunk", 1), ("belief_size", 2)):
             _require(_is_number(ev[key], int), "evaluate", key, "an integer", ev[key])
             _require(ev[key] >= least, "evaluate", key, f">= {least}", ev[key])
@@ -223,21 +246,4 @@ def benchmark_config():
     2-core Intel Xeon server, took 6.6-6.8 s in two runs: 4.3-5.6 s
     (65-83 %) in the 120 optimizer iterations and 0.9-2.1 s in the
     1000-run evaluate."""
-    return ExperimentConfig(
-        {
-            "plant": {"n_grid": 100, "dt": 0.25, "horizon": 250},
-            "prior": {"std": 0.5},
-            "cost": {"q_mean": "spatial", "r_u": 1e-3, "target": 150.0},
-            "optimize": {
-                "alpha": 30.0,
-                "max_iters": 120,
-                "tol": 1e-6,
-                "M": 16,
-                "h": 1e-2,
-                "seed": 0,
-            },
-            "sysid": {"n_r": 20, "p": 16, "q": 16, "epsilon": 1e-2, "holdout_extra": 8},
-            "lqg": {"q_y": 1.0, "r": 0.1, "terminal_scale": 10.0, "p0": 1.0},
-            "evaluate": {"runs": 1000, "probes": [0.4, 0.9]},
-        }
-    )
+    return ExperimentConfig({})

@@ -149,21 +149,20 @@ def probe_output_rows(plant, nominal, rom, nodes, epsilon=1e-2, lag=None):
     return C_probe
 
 
-def closed_loop_band(controller, C_rows):
+def closed_loop_band(controller, C_rows, W, V):
     """Two-sigma envelope of probe deviations under the closed loop.
 
     Propagates the joint covariance Z of (true ROM deviation, estimator
     prior) exactly through the LQG loop from zero initial deviation,
     Z_(k+1) = F_k Z_k F_k' + G_k, and projects it with the probe output
-    rows; returns (N+1, n_probe).  The transition matrices F_k and noise
-    terms G_k = Gw W Gw' + Gv V Gv' of a block of _BLOCK steps are
+    rows; returns (N+1, n_probe).  W and V are the plant's process and
+    measurement noise covariances.  The transition matrices F_k and
+    noise terms G_k = Gw W Gw' + Gv V Gv' of a block of _BLOCK steps are
     formed by batched products, so each step of the recursion is the
     one product F Z F'.
     """
     rom = controller.rom
     N, n_r = rom.horizon, rom.n_r
-    W = np.asarray(controller.W, dtype=float)
-    V = np.asarray(controller.V, dtype=float)
     band = np.zeros((N + 1, C_rows.shape[1]))
     Z = np.zeros((2 * n_r, 2 * n_r))  # cov of (da, da_hat_prior)
     eye = np.eye(n_r)
@@ -323,7 +322,7 @@ def _delta_j_weights(plant, nominal, cost, h):
     C_mu, g_u = cost.gradient(x_det, nominal.controls)
     N = nominal.horizon
     models = (_linearize(plant, x_det, nominal.controls, k, h) for k in range(N))
-    gains = [K for K, _ in kf_steps(models, plant.spec.W, plant.spec.V, nominal.prior_cov)]
+    gains = [K for K, _ in kf_steps(models, plant.W, plant.V, nominal.prior_cov)]
     step_vjp, observe_vjp = _adjoints(plant, x_det, h)
     g_e = np.empty((N, plant.n_y))
     lam = C_mu[N]
@@ -363,8 +362,8 @@ def _simulate_chunk(plant, nominal, controller, run_ids, base_seed, probe_nodes,
     R = len(run_ids)
     n_x, n_u, n_y = plant.n_x, plant.n_u, plant.n_y
     x0 = nominal.means[0]
-    W_s = psd_sqrt(plant.spec.W)
-    V_s = psd_sqrt(plant.spec.V)
+    W_s = psd_sqrt(plant.W)
+    V_s = psd_sqrt(plant.V)
 
     # per-run streams, predrawn
     w_all = np.empty((R, N, n_u))
@@ -454,7 +453,7 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
     two_sigma = np.zeros((nominal.horizon + 1, len(probe_nodes)))
     if probe_nodes:
         probe_rows = probe_output_rows(plant, nominal, controller.rom, probe_nodes, epsilon)
-        two_sigma = closed_loop_band(controller, probe_rows)
+        two_sigma = closed_loop_band(controller, probe_rows, plant.W, plant.V)
     weights = _delta_j_weights(plant, nominal, cost, epsilon)
 
     N, n_p = nominal.horizon, len(probe_nodes)

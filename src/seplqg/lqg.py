@@ -117,14 +117,15 @@ class LqgController:
     is passed to and returned by `lqg_update`.  P_traces holds the
     traces of the post-update estimator covariances, S_traces those of
     the LQR cost-to-go (diagnostics).  controller.json stores every
-    field, the ROM as the same object rom.json holds.
+    field, the ROM as the same object rom.json holds.  The noise
+    covariances the gains were designed for are the plant's (`Plant.W`
+    and `.V`), which the controller does not copy; the W and V keys of
+    an older controller.json are ignored.
     """
 
     rom: LtvRom
     L_gains: np.ndarray
     K_gains: np.ndarray
-    W: np.ndarray
-    V: np.ndarray
     P_traces: np.ndarray
     S_traces: np.ndarray
 
@@ -144,17 +145,12 @@ def design_lqg(rom, *, W, V, P0, q_y, r, terminal_scale, ridge):
     """
     C = rom.C_hat
     Q = C.transpose(0, 2, 1) @ (q_y * np.eye(rom.n_y)) @ C + ridge * np.eye(rom.n_r)
-    W = np.asarray(W, dtype=float)
-    V = np.asarray(V, dtype=float)
-    P0 = np.asarray(P0, dtype=float)
     L, S = lqr_backward(rom, Q[:-1], terminal_scale * Q[-1], r * np.eye(rom.n_u))
     K, P = kf_forward(rom, W, V, P0)
     return LqgController(
         rom=rom,
         L_gains=L,
         K_gains=K,
-        W=W,
-        V=V,
         P_traces=np.trace(P, axis1=1, axis2=2),
         S_traces=np.einsum("kii->k", S),
     )

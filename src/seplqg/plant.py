@@ -5,7 +5,9 @@ A plant is anything that can be stepped and observed:
     x[k+1] = f(x[k], u[k], w[k]),    y[k] = h(x[k], v[k])
 
 with zero-mean Gaussian white noises w ~ N(0, W) entering through the
-control channels and v ~ N(0, V) additive at the sensors.  Everything
+control channels and v ~ N(0, V) additive at the sensors.  A plant
+subclasses `Plant` and calls `Plant.__init__` with its dimensions, W,
+V, horizon and dt, which every stage reads as its attributes.  Everything
 downstream (belief propagation, trajectory optimization, impulse-response
 identification, Monte Carlo evaluation) only touches plants through this
 interface, so swapping the nonlinear heat slab for a small linear oracle
@@ -32,6 +34,8 @@ difference `step` and `observe`, the black-box method, when a plant
 lacks them.  `HeatPlant` and `LinearPlant` have both.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +43,6 @@ import numpy as np
 from .exceptions import IntegrationDivergedError
 
 __all__ = [
-    "PlantSpec",
     "Plant",
     "HeatPlantConfig",
     "HeatPlant",
@@ -58,61 +61,26 @@ def _check_psd(M, name):
     return M
 
 
-@dataclass(frozen=True)
-class PlantSpec:
-    """Dimensions, horizon and noise covariances of a plant.
-
-    W is n_u x n_u (process noise enters through the control channels),
-    V is n_y x n_y (additive measurement noise).
-    """
-
-    n_x: int
-    n_u: int
-    n_y: int
-    W: np.ndarray
-    V: np.ndarray
-    horizon: int
-    dt: float
-
-    def __post_init__(self):
-        if min(self.n_x, self.n_u, self.n_y) < 1:
-            raise ValueError("state/control/measurement dimensions must be >= 1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        object.__setattr__(self, "W", _check_psd(self.W, "W"))
-        object.__setattr__(self, "V", _check_psd(self.V, "V"))
-        if self.W.shape[0] != self.n_u:
-            raise ValueError(f"W must be {self.n_u}x{self.n_u}")
-        if self.V.shape[0] != self.n_y:
-            raise ValueError(f"V must be {self.n_y}x{self.n_y}")
-
-
 class Plant:
-    """Base class wiring a PlantSpec to step/observe implementations."""
+    """Base class of the plants: `__init__` checks and stores the
+    dimensions, horizon and noise covariances, W n_u x n_u (process
+    noise enters through the control channels) and V n_y x n_y
+    (additive measurement noise); subclasses implement step/observe."""
 
-    spec: PlantSpec
-
-    @property
-    def n_x(self):
-        return self.spec.n_x
-
-    @property
-    def n_u(self):
-        return self.spec.n_u
-
-    @property
-    def n_y(self):
-        return self.spec.n_y
-
-    @property
-    def horizon(self):
-        return self.spec.horizon
-
-    @property
-    def dt(self):
-        return self.spec.dt
+    def __init__(self, n_x, n_u, n_y, W, V, horizon, dt):
+        if min(n_x, n_u, n_y) < 1:
+            raise ValueError("state/control/measurement dimensions must be >= 1")
+        if horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        self.n_x, self.n_u, self.n_y, self.horizon, self.dt = n_x, n_u, n_y, horizon, dt
+        self.W = _check_psd(W, "W")
+        self.V = _check_psd(V, "V")
+        if self.W.shape[0] != n_u:
+            raise ValueError(f"W must be {n_u}x{n_u}")
+        if self.V.shape[0] != n_y:
+            raise ValueError(f"V must be {n_y}x{n_y}")
 
     def step(self, state, control, process_noise, k=0):
         raise NotImplementedError
@@ -158,6 +126,14 @@ def _grid_nodes(n, fractions):
     return tuple(int(round(f * (n - 1))) for f in fractions)
 
 
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 # explicit-Euler stability margin: max K*dt/dx^2 over the operating
 # temperature range must stay below this
 _STABILITY_LIMIT = 0.5
@@ -191,6 +167,16 @@ class HeatPlantConfig:
     temp_range: tuple = (0.0, 300.0)
 
     def __post_init__(self):
+        for name in ("n_grid", "horizon"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("L", "eta", "k0", "k1", "t_init", "t_right", "dt"):
+            value = getattr(self, name)
+            if not (_is_finite(value) or name == "k0" and value is None):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        object.__setattr__(self, "temp_range", tuple(self.temp_range))
+        if len(self.temp_range) != 2 or not all(map(_is_finite, self.temp_range)):
+            raise ValueError(f"temp_range must be two finite numbers, got {self.temp_range!r}")
         if self.n_grid < 3:
             raise ValueError("n_grid must be >= 3")
         if self.L <= 0 or self.dt <= 0 or self.horizon < 1:
@@ -211,7 +197,7 @@ class HeatPlantConfig:
             )
         for name in ("actuators", "sensors"):
             fr = np.asarray(getattr(self, name), dtype=float)
-            if fr.ndim != 1 or len(fr) < 1 or fr.min() < 0 or fr.max() > 1:
+            if fr.ndim != 1 or len(fr) < 1 or not np.all((fr >= 0) & (fr <= 1)):
                 raise ValueError(f"{name} must be fractions in [0, 1]")
             object.__setattr__(self, name, tuple(fr))
         if len(set(self.actuator_nodes)) != len(self.actuator_nodes):
@@ -231,14 +217,6 @@ class HeatPlantConfig:
     def sensor_nodes(self):
         return _grid_nodes(self.n_grid, self.sensors)
 
-    @classmethod
-    def from_dict(cls, raw):
-        raw = dict(raw)
-        for key in ("actuators", "sensors", "temp_range"):
-            if key in raw and raw[key] is not None:
-                raw[key] = tuple(raw[key])
-        return cls(**raw)
-
 
 class HeatPlant(Plant):
     """Explicit finite-difference model of the nonlinear heat slab.
@@ -256,15 +234,8 @@ class HeatPlant(Plant):
         c = self.config
         n_u = len(c.actuators)
         n_y = len(c.sensors)
-        self.spec = PlantSpec(
-            n_x=c.n_grid,
-            n_u=n_u,
-            n_y=n_y,
-            W=np.eye(n_u) if W is None else np.asarray(W, dtype=float),
-            V=np.eye(n_y) if V is None else np.asarray(V, dtype=float),
-            horizon=c.horizon,
-            dt=c.dt,
-        )
+        super().__init__(c.n_grid, n_u, n_y, np.eye(n_u) if W is None else W,
+                         np.eye(n_y) if V is None else V, c.horizon, c.dt)
         self._act = np.asarray(c.actuator_nodes)
         self._sen = np.asarray(c.sensor_nodes)
         self._inv_dx2 = 1.0 / c.dx**2
@@ -382,15 +353,8 @@ class LinearPlant(Plant):
         if horizon is None:
             horizon = A.shape[0] if self._tv else 1
         self._A, self._B, self._C = A, B, C
-        self.spec = PlantSpec(
-            n_x=n_x,
-            n_u=n_u,
-            n_y=n_y,
-            W=np.zeros((n_u, n_u)) if W is None else np.asarray(W, dtype=float),
-            V=np.zeros((n_y, n_y)) if V is None else np.asarray(V, dtype=float),
-            horizon=horizon,
-            dt=dt,
-        )
+        super().__init__(n_x, n_u, n_y, np.zeros((n_u, n_u)) if W is None else W,
+                         np.zeros((n_y, n_y)) if V is None else V, horizon, dt)
 
     def matrices(self, k):
         """(A_k, B_k, C_k); a constant plant ignores k.  A and B exist for

@@ -274,22 +274,22 @@ def _gradient(plant, spec, U, states, h):
 # ---------------------------------------------------------------------------
 
 
-def _enkf_means(plant, b0, U, M, seed):
+def _enkf_means(plant, b0, U, states, M, seed):
     """Means (N+1, n_x) and noiseless observations (N+1, n_y) of one
-    stochastic EnKF rollout of M members that filters the noiseless
-    plant's observations of U, its noise drawn from streams of `seed`.
-    means[0] is the prior mean, not a sample estimate; one step's
-    members are held at a time."""
+    stochastic EnKF rollout of M members that filters the observations
+    of `states`, the noiseless tape of U, its noise drawn from streams
+    of `seed`.  means[0] is the prior mean, not a sample estimate; one
+    step's members are held at a time."""
     N = U.shape[0]
     members = b0.mean + stream(seed, "enkf-init").standard_normal((M, plant.n_x)) @ psd_sqrt(b0.cov).T
-    w_draws = stream(seed, "enkf-w").standard_normal((N, M, plant.n_u)) @ psd_sqrt(plant.spec.W).T
-    v_draws = stream(seed, "enkf-v").standard_normal((N, M, plant.n_y)) @ psd_sqrt(plant.spec.V).T
-    obs = plant.simulate_nominal(b0.mean, U)[1]
+    w_draws = stream(seed, "enkf-w").standard_normal((N, M, plant.n_u)) @ psd_sqrt(plant.W).T
+    v_draws = stream(seed, "enkf-v").standard_normal((N, M, plant.n_y)) @ psd_sqrt(plant.V).T
+    obs = np.array([plant.observe(x, 0.0, k) for k, x in enumerate(states)])
     means = np.empty((N + 1, plant.n_x))
     means[0] = b0.mean
     for k in range(N):
         members = plant.step(members, U[k], w_draws[k], k)
-        members = enkf_update_members(members, obs[k + 1], v_draws[k], plant, plant.spec.V, k + 1)
+        members = enkf_update_members(members, obs[k + 1], v_draws[k], plant, plant.V, k + 1)
         means[k + 1] = members.mean(axis=0)
     return means, obs
 
@@ -319,14 +319,17 @@ def gradient_adjoint(u_seq, b0, plant, spec):
 
 @dataclass
 class OptimizeOptions:
-    alpha: float = 1e-2
-    max_iters: int = 200
-    tol: float = 1e-4
+    """Descent settings; the defaults are those of the built-in heat
+    benchmark."""
+
+    alpha: float = 30.0
+    max_iters: int = 120
+    tol: float = 1e-6
     # size and seed of the EnKF that reports the belief of the result
-    M: int = 100
+    M: int = 16
     seed: int = 0
     # finite-difference step, used only for plants without an adjoint
-    h: float = 1e-4
+    h: float = 1e-2
 
 
 _MAX_HALVINGS = 30
@@ -382,7 +385,7 @@ def optimize(u_init, b0, plant, spec, opts=None):
         if delta <= opts.tol * (1.0 + abs(J)):
             converged = True
             break
-    means, observations = _enkf_means(plant, b0, U, opts.M, opts.seed)
+    means, observations = _enkf_means(plant, b0, U, states, opts.M, opts.seed)
     return NominalTrajectory(
         controls=U,
         means=means,

@@ -41,7 +41,7 @@ def enkf_means_reference(plant, mean0, P0, U, M, seed):
     (M, n_x), (N, M, n_u) and (N, M, n_y) standard normals, times the
     Cholesky factors of P0, W and V (all positive definite here)."""
     N, n_x = len(U), len(mean0)
-    W, V = plant.spec.W, plant.spec.V
+    W, V = plant.W, plant.V
     X = mean0 + stream(seed, "enkf-init").standard_normal((M, n_x)) @ np.linalg.cholesky(P0).T
     w = stream(seed, "enkf-w").standard_normal((N, M, plant.n_u)) @ np.linalg.cholesky(W).T
     v = stream(seed, "enkf-v").standard_normal((N, M, plant.n_y)) @ np.linalg.cholesky(V).T

@@ -93,13 +93,12 @@ def probe_rows_reference(plant, nominal, rom, nodes, epsilon=1e-2, lag=None):
     return C_probe
 
 
-def band_reference(controller, C_rows):
-    """The closed-loop two-sigma band, its transition matrix built by
-    `np.block` at each step."""
+def band_reference(controller, C_rows, W, V):
+    """The closed-loop two-sigma band under process and measurement
+    noise covariances W and V, its transition matrix built by `np.block`
+    at each step."""
     rom = controller.rom
     N, n_r = rom.horizon, rom.n_r
-    W = np.asarray(controller.W, dtype=float)
-    V = np.asarray(controller.V, dtype=float)
     band = np.zeros((N + 1, C_rows.shape[1]))
     Z = np.zeros((2 * n_r, 2 * n_r))
     eye = np.eye(n_r)

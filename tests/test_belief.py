@@ -29,12 +29,12 @@ def sample(belief, M, rng):
 def predict(members, control, plant, rng, k=0):
     """One forecast, as `optimize`'s EnKF makes it: the members stepped
     as one batch, each with its own w ~ N(0, W)."""
-    return plant.step(members, control, draw(rng, len(members), plant.spec.W), k)
+    return plant.step(members, control, draw(rng, len(members), plant.W), k)
 
 
 def update(members, y, plant, rng, k=0):
     """One perturbed-observation analysis with draws v_i ~ N(0, V)."""
-    return enkf_update_members(members, y, draw(rng, len(members), plant.spec.V), plant, plant.spec.V, k)
+    return enkf_update_members(members, y, draw(rng, len(members), plant.V), plant, plant.V, k)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +164,7 @@ def test_update_with_singular_innovation_covariance_raises():
     lp = scalar_plant(V=0.0)
     members = np.full((2, 30, 1), 0.5)
     with pytest.raises(FilterDegenerateError, match="k=4"):
-        enkf_update_members(members, np.ones((2, 1)), np.zeros((2, 30, 1)), lp, lp.spec.V, 4)
+        enkf_update_members(members, np.ones((2, 1)), np.zeros((2, 30, 1)), lp, lp.V, 4)
 
 
 def test_update_preserves_member_count():

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 import seplqg
-from seplqg.cli import _run_assertions, main
+from seplqg.artifacts import stored_fields
+from seplqg.cli import _prior, _run_assertions, main
 from seplqg.config import ExperimentConfig, benchmark_config, spatial_weight
 from seplqg.harness import MonteCarloReport, closed_loop_band, probe_nodes_from_fractions, probe_output_rows
 from seplqg.lqg import LqgController
 from seplqg.plant import HeatPlantConfig
 from seplqg.sysid import collect_impulse_responses, tv_era
-from seplqg.trajopt import NominalTrajectory
+from seplqg.trajopt import NominalTrajectory, OptimizeOptions, optimize
 
 
 PIPELINE_COMMANDS = {"optimize", "identify", "design", "evaluate", "theorem1", "pipeline"}
@@ -171,7 +172,11 @@ def test_theorem1_subcommand(pipeline_dir):
                                                ({"runs": 2.5}, "runs must be an integer, got 2.5"),
                                                ({"runs": True}, "runs must be an integer, got True"),
                                                ({"chunk": 7.0}, "chunk must be an integer, got 7.0"),
-                                               ({"chunk": False}, "chunk must be an integer, got False")])
+                                               ({"chunk": False}, "chunk must be an integer, got False"),
+                                               ({"probes": ["a"]}, r"probes must be a list of numbers, got \['a'\]"),
+                                               ({"probes": 0.4}, "probes must be a list of numbers, got 0.4"),
+                                               ({"probes": [0.4, None]},
+                                                r"probes must be a list of numbers, got \[0.4, None\]")])
 def test_pipeline_rejects_bad_evaluate_section_before_any_stage(tmp_path, evaluate, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**TINY, "evaluate": {**TINY["evaluate"], **evaluate}}))
@@ -188,7 +193,7 @@ def test_pipeline_rejects_bad_evaluate_section_before_any_stage(tmp_path, evalua
     ("sysid", {"n_r": 21}, "sysid p must be at least n_r / n_y = 21/5, got 4"),
     ("sysid", {"n_r": 21, "p": 5}, "sysid q must be at least n_r / n_u = 21/5, got 4"),
     ("sysid", {"epsilon": 0.0}, "sysid epsilon must be > 0, got 0.0"),
-    ("sysid", {"holdout_extra": 0}, "sysid holdout_extra must be null or an integer >= 1, got 0"),
+    ("sysid", {"holdout_extra": 0}, "sysid holdout_extra must be an integer >= 1, got 0"),
     ("lqg", {"q_y": 0.0}, "lqg q_y must be > 0, got 0.0"),
     ("lqg", {"r": -0.1}, "lqg r must be > 0, got -0.1"),
     ("lqg", {"terminal_scale": 0}, "lqg terminal_scale must be > 0, got 0"),
@@ -201,6 +206,17 @@ def test_pipeline_rejects_bad_evaluate_section_before_any_stage(tmp_path, evalua
     ("prior", {"std": -0.5}, "prior std must be >= 0 and finite, got -0.5"),
     ("prior", {"std": float("nan")}, "prior std must be >= 0 and finite, got nan"),
     ("prior", {"std": float("inf")}, "prior std must be >= 0 and finite, got inf"),
+    ("sysid", {"holdout_extra": None}, "sysid holdout_extra must be an integer >= 1, got None"),
+    ("plant", {"t_init": float("inf")}, "t_init must be a finite number, got inf"),
+    ("plant", {"k1": float("nan")}, "k1 must be a finite number, got nan"),
+    ("plant", {"dt": "0.25"}, "dt must be a finite number, got '0.25'"),
+    ("plant", {"temp_range": [0.0, float("inf")]}, "temp_range must be two finite numbers, got (0.0, inf)"),
+    ("plant", {"n_grid": 16.5}, "n_grid must be an integer, got 16.5"),
+    ("plant", {"horizon": 30.0}, "horizon must be an integer, got 30.0"),
+    ("plant", {"w_scale": float("inf")}, "plant w_scale must be >= 0 and finite, got inf"),
+    ("plant", {"w_scale": -1}, "plant w_scale must be >= 0 and finite, got -1"),
+    ("plant", {"v_scale": float("nan")}, "plant v_scale must be >= 0 and finite, got nan"),
+    ("plant", {"sensors": [0.5, float("nan")]}, "sensors must be fractions in [0, 1]"),
 ])
 def test_pipeline_rejects_bad_sysid_and_lqg_values_before_any_stage(tmp_path, section, entry, message):
     # the prior section is read by `prior_std`
@@ -250,6 +266,10 @@ def test_pipeline_rejects_bad_optimize_values_before_any_stage(tmp_path, entry, 
     # the covariance-trace weight is deleted: a config that still sets it
     # names an unknown key
     ({"q_trace": 0.0}, "unknown cost key(s): q_trace"),
+    ({"spatial_reach": 0}, "cost spatial_reach must be > 0 and finite, got 0"),
+    ({"spatial_reach": float("inf")}, "cost spatial_reach must be > 0 and finite, got inf"),
+    ({"spatial_gain": float("nan")}, "cost spatial_gain must be >= 0 and finite, got nan"),
+    ({"spatial_gain": -1.0}, "cost spatial_gain must be >= 0 and finite, got -1.0"),
 ])
 def test_pipeline_rejects_bad_cost_weights_before_any_stage(tmp_path, entry, message):
     # the stdlib reader of the config takes Infinity and NaN
@@ -293,7 +313,7 @@ def test_evaluate_identifies_probe_rows_with_sysid_epsilon(pipeline_dir, tmp_pat
     nodes = probe_nodes_from_fractions(plant.n_x, experiment.evaluate()["probes"])
 
     def band(epsilon):
-        return closed_loop_band(ctrl, probe_output_rows(plant, nominal, ctrl.rom, nodes, epsilon))
+        return closed_loop_band(ctrl, probe_output_rows(plant, nominal, ctrl.rom, nodes, epsilon), plant.W, plant.V)
 
     assert np.array_equal(two_sigma, band(5e-2))
     assert not np.array_equal(two_sigma, band(1e-2))
@@ -374,10 +394,23 @@ def test_benchmark_config_matches_paper_setup():
     assert plant.n_u == plant.n_y == 5
     assert plant.horizon == 250
     assert plant.dt == 0.25
-    assert np.array_equal(plant.spec.W, np.eye(5))
-    assert np.array_equal(plant.spec.V, np.eye(5))
+    assert np.array_equal(plant.W, np.eye(5))
+    assert np.array_equal(plant.V, np.eye(5))
     assert cfg.sysid()["n_r"] == 20
     assert plant.config.t_init == 100.0 and plant.config.t_right == 150.0
+    # the built-in is the empty config: every setting is its default
+    assert cfg.raw == {}
+    assert cfg.optimize_options() == OptimizeOptions(alpha=30.0, max_iters=120, tol=1e-6, M=16, h=1e-2, seed=0)
+
+
+def test_the_default_optimizer_descends_on_the_tiny_slab():
+    # a config without an optimize section takes the built-in's settings,
+    # which must make the descent worth running
+    cfg = ExperimentConfig({name: section for name, section in TINY.items() if name != "optimize"})
+    plant = cfg.plant()
+    traj = optimize(np.zeros((plant.horizon, plant.n_u)), _prior(cfg, plant), plant, cfg.cost(plant),
+                    cfg.optimize_options())
+    assert traj.cost_history[-1] < 0.2 * traj.cost_history[0]
 
 
 @pytest.mark.parametrize(
@@ -442,6 +475,28 @@ def test_every_known_key_is_accepted():
 def test_config_checks_assertion_entry_keys(entry, message):
     with pytest.raises(ValueError, match=message):
         ExperimentConfig({"assertions": entry})
+
+
+@pytest.mark.parametrize("assertions, message", [
+    ({"rom_error_max": "0.1"}, "assertions rom_error_max must be a finite number, got '0.1'"),
+    ({"mean_within": "5"}, "assertions mean_within must be a finite number, got '5'"),
+    ({"mean_within": float("nan")}, "assertions mean_within must be a finite number, got nan"),
+    ({"closed_beats_open": "no"}, "assertions closed_beats_open must be true or false, got 'no'"),
+    ({"closed_beats_open": 1}, "assertions closed_beats_open must be true or false, got 1"),
+    ({"theorem1": {"se_mult": "3"}}, "theorem1 assertion se_mult must be a finite number, got '3'"),
+    ({"theorem1": {"frac_cost": float("inf")}}, "theorem1 assertion frac_cost must be a finite number, got inf"),
+    ({"nominal_band": {"t_start": 0.0, "t_end": 1.0, "lo": "a", "hi": 200.0}},
+     "nominal_band assertion lo must be a finite number, got 'a'"),
+])
+def test_pipeline_rejects_bad_assertion_values_before_any_stage(tmp_path, assertions, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig({"assertions": assertions})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY, "assertions": assertions}))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        main(["pipeline", "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
 
 
 def test_assertion_entries_get_their_defaults():
@@ -517,7 +572,7 @@ def test_runs_override_is_used_as_given(pipeline_dir, tmp_path):
 
 NOMINAL_KEYS = {"controls", "means", "prior_cov", "observations", "nominal_cost", "iterations", "converged"}
 ROM_KEYS = {"A_hat", "B_hat", "C_hat", "n_r", "time_range", "gap_warning"}
-CONTROLLER_KEYS = {"rom", "L_gains", "K_gains", "W", "V", "P_traces", "S_traces"}
+CONTROLLER_KEYS = {"rom", "L_gains", "K_gains", "P_traces", "S_traces"}
 REPORT_KEYS = {"n_runs", "n_effective", "base_seed", "mean_traj", "probe_positions", "probe_nodes",
                "run0_closed_err", "run0_open_err", "two_sigma", "mse_closed", "mse_open",
                "delta_J_samples", "nominal_cost", "failures", "delta_J_mean", "delta_J_se", "delta_J_z",
@@ -539,6 +594,21 @@ def test_artifact_files_hold_exactly_the_stored_fields(pipeline_dir):
         assert art["controller"]["rom"][key] == art["rom"][key]
 
 
+def test_a_controller_file_with_noise_covariances_loads_as_one_without(pipeline_dir, tmp_path):
+    # controller.json held a copy of the plant's W and V before the stages
+    # took them from the plant; such a file's extra keys are ignored
+    payload = json.loads((pipeline_dir / "controller.json").read_text())
+    (tmp_path / "controller.json").write_text(json.dumps({**payload, "W": np.eye(5).tolist(),
+                                                          "V": np.eye(5).tolist()}))
+    current = stored_fields(LqgController.from_json(pipeline_dir / "controller.json"))
+    older = stored_fields(LqgController.from_json(tmp_path / "controller.json"))
+    assert current.keys() == older.keys() == CONTROLLER_KEYS
+    for name in ("L_gains", "K_gains", "P_traces", "S_traces"):
+        assert current[name].tobytes() == older[name].tobytes()
+    for key in ("A_hat", "B_hat", "C_hat"):
+        assert current["rom"][key].tobytes() == older["rom"][key].tobytes()
+
+
 def test_singvals_csv_holds_the_hankel_spectra_bit_for_bit(pipeline_dir):
     experiment = ExperimentConfig(json.loads((pipeline_dir / "cfg.json").read_text()))
     sid = experiment.sysid()
@@ -552,17 +622,3 @@ def test_singvals_csv_holds_the_hankel_spectra_bit_for_bit(pipeline_dir):
         # s_1..s_(n_r+1): the kept values and the first one discarded
         assert len(row) == 1 + sid["n_r"] + 1
         assert np.array([float(s) for s in row[1:]]).tobytes() == spectra[int(row[0])].tobytes()
-
-
-def test_null_holdout_extra_is_resolved_to_p_plus_q(pipeline_dir, tmp_path):
-    validations = []
-    for extra in (None, 7):
-        out = tmp_path / f"extra-{extra}"
-        out.mkdir()
-        shutil.copy(pipeline_dir / "nominal.json", out / "nominal.json")
-        cfg = out / "cfg.json"
-        cfg.write_text(json.dumps({**TINY, "sysid": {**TINY["sysid"], "q": 3, "holdout_extra": extra}}))
-        assert main(["identify", "--config", str(cfg), "--out", str(out)]) == 0
-        validations.append(json.loads((out / "rom_validation.json").read_text()))
-    assert validations[0]["holdout_extra"] == 4 + 3
-    assert validations[0] == validations[1]

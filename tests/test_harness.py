@@ -56,7 +56,7 @@ def linear_setup(W=0.2, V=0.3, N=20):
     nominal = NominalTrajectory(controls=U, means=states, prior_cov=b0.cov, observations=obs, nominal_cost=J,
                                 iterations=0, converged=True)
     rom = constant_rom(A, B, C, N)
-    ctrl = design_lqg(rom, W=plant.spec.W, V=plant.spec.V, P0=b0.cov, q_y=1.0, r=0.2, terminal_scale=10.0,
+    ctrl = design_lqg(rom, W=plant.W, V=plant.V, P0=b0.cov, q_y=1.0, r=0.2, terminal_scale=10.0,
                       ridge=1e-8)
     return plant, b0, spec, nominal, ctrl
 
@@ -70,7 +70,7 @@ def heat_setup():
     opts = OptimizeOptions(alpha=20.0, max_iters=1, M=8, seed=1, h=1e-2)
     nominal = optimize(np.zeros((30, 5)), b0, plant, spec, opts)
     rom = tv_era(collect_impulse_responses(plant, nominal), n_r=6, p=4, q=4)
-    ctrl = design_lqg(rom, W=plant.spec.W, V=plant.spec.V, P0=np.eye(6), **WEIGHTS)
+    ctrl = design_lqg(rom, W=plant.W, V=plant.V, P0=np.eye(6), **WEIGHTS)
     return plant, spec, nominal, ctrl
 
 
@@ -219,8 +219,8 @@ def reference_scores(plant, nominal, spec, ys, dus, model):
         b = GaussianBelief(np.zeros(plant.n_x), nominal.prior_cov)
         for k in range(nominal.horizon):
             A, B, C = model(k)
-            b = kalman_update(kalman_predict(b, dus[k, r], A, B, plant.spec.W),
-                              ys[k + 1, r] - y_det[k + 1], C, plant.spec.V)
+            b = kalman_update(kalman_predict(b, dus[k, r], A, B, plant.W),
+                              ys[k + 1, r] - y_det[k + 1], C, plant.V)
             out[0, r] += C_u[k] @ dus[k, r] + C_mu[k + 1] @ b.mean
             out[1, r] += C_u[k] @ dus[k, r] + C_mu_means[k + 1] @ (x_det[k + 1] + b.mean - nominal.means[k + 1])
     return out
@@ -347,7 +347,7 @@ class DivergesOnRun3(CountingHeatPlant):
     def __init__(self, config, base_seed):
         super().__init__(config)
         w = stream(base_seed, 3, "w").standard_normal((config.horizon, self.n_u))
-        self.w_run3_k10 = (w @ psd_sqrt(self.spec.W).T)[10]
+        self.w_run3_k10 = (w @ psd_sqrt(self.W).T)[10]
 
     def step(self, state, control, process_noise, k=0):
         w = np.asarray(process_noise)
@@ -478,8 +478,9 @@ def test_probe_rows_recover_output_map_on_linear_plant():
 
 def test_closed_loop_band_zero_noise():
     plant, b0, spec, nominal, ctrl = linear_setup()
-    noiseless = design_lqg(ctrl.rom, W=np.zeros((1, 1)), V=1e-12 * np.eye(1), P0=np.zeros((2, 2)), **WEIGHTS)
-    band = closed_loop_band(noiseless, np.ones((21, 1, 2)))
+    W, V = np.zeros((1, 1)), 1e-12 * np.eye(1)
+    noiseless = design_lqg(ctrl.rom, W=W, V=V, P0=np.zeros((2, 2)), **WEIGHTS)
+    band = closed_loop_band(noiseless, np.ones((21, 1, 2)), W, V)
     assert np.allclose(band, 0.0, atol=1e-5)
 
 
@@ -506,9 +507,9 @@ def test_probe_rows_and_band_match_the_per_step_loops(monkeypatch, lag):
     assert len(fits) == 1
     ref = probe_rows_reference(plant, nominal, ctrl.rom, nodes=(4, 10), lag=lag)
     assert_close_per_step(rows, ref, 1e-12)
-    band = closed_loop_band(ctrl, rows)
+    band = closed_loop_band(ctrl, rows, plant.W, plant.V)
     assert np.all(band[1:] > 0.0)
-    assert_close_per_step(band[1:], band_reference(ctrl, rows)[1:], 1e-12)
+    assert_close_per_step(band[1:], band_reference(ctrl, rows, plant.W, plant.V)[1:], 1e-12)
 
 
 def test_probe_rows_hold_one_block_of_fits_at_a_time():

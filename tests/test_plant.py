@@ -3,7 +3,7 @@ import pytest
 from test_properties import assert_dot_product_identity
 
 from seplqg.exceptions import IntegrationDivergedError
-from seplqg.plant import HeatPlant, HeatPlantConfig, LinearPlant, PlantSpec
+from seplqg.plant import HeatPlant, HeatPlantConfig, LinearPlant, Plant
 from seplqg.rng import stream
 
 
@@ -12,27 +12,39 @@ def paper_plant(**kw):
 
 
 # ---------------------------------------------------------------------------
-# PlantSpec validation
+# Plant validation
 # ---------------------------------------------------------------------------
 
 
 def test_spec_rejects_asymmetric_W():
     W = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
-        PlantSpec(n_x=3, n_u=2, n_y=1, W=W, V=np.eye(1), horizon=5, dt=0.1)
+        Plant(n_x=3, n_u=2, n_y=1, W=W, V=np.eye(1), horizon=5, dt=0.1)
 
 
 def test_spec_rejects_indefinite_V():
     V = np.array([[1.0, 0.0], [0.0, -0.1]])
     with pytest.raises(ValueError, match="positive semi-definite"):
-        PlantSpec(n_x=3, n_u=1, n_y=2, W=np.eye(1), V=V, horizon=5, dt=0.1)
+        Plant(n_x=3, n_u=1, n_y=2, W=np.eye(1), V=V, horizon=5, dt=0.1)
 
 
 def test_spec_rejects_bad_dimensions():
     with pytest.raises(ValueError):
-        PlantSpec(n_x=0, n_u=1, n_y=1, W=np.eye(1), V=np.eye(1), horizon=5, dt=0.1)
+        Plant(n_x=0, n_u=1, n_y=1, W=np.eye(1), V=np.eye(1), horizon=5, dt=0.1)
     with pytest.raises(ValueError):
-        PlantSpec(n_x=1, n_u=1, n_y=1, W=np.eye(1), V=np.eye(1), horizon=0, dt=0.1)
+        Plant(n_x=1, n_u=1, n_y=1, W=np.eye(1), V=np.eye(1), horizon=0, dt=0.1)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        Plant(n_x=1, n_u=1, n_y=1, W=np.eye(1), V=np.eye(1), horizon=5, dt=0.0)
+    with pytest.raises(ValueError, match="W must be 2x2"):
+        Plant(n_x=1, n_u=2, n_y=1, W=np.eye(1), V=np.eye(1), horizon=5, dt=0.1)
+
+
+def test_plant_holds_its_settings_as_attributes():
+    # the plant facts every stage reads, W and V as float arrays
+    plant = Plant(n_x=3, n_u=2, n_y=1, W=[[2, 0], [0, 1]], V=[[0.5]], horizon=5, dt=0.1)
+    assert (plant.n_x, plant.n_u, plant.n_y, plant.horizon, plant.dt) == (3, 2, 1, 5, 0.1)
+    assert plant.W.dtype == plant.V.dtype == float
+    assert np.array_equal(plant.W, np.diag([2.0, 1.0])) and np.array_equal(plant.V, [[0.5]])
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +209,8 @@ def test_default_positions_evenly_spaced():
     assert cfg.actuators == cfg.sensors
 
 
-def test_config_from_dict_defaults_k0_and_maps_sensor_nodes():
+def test_config_of_json_values_defaults_k0_and_maps_sensor_nodes():
+    # the lists and the null of a JSON plant section
     raw = {
         "n_grid": 50,
         "L": 2.0,
@@ -212,7 +225,7 @@ def test_config_from_dict_defaults_k0_and_maps_sensor_nodes():
         "horizon": 100,
         "temp_range": [0.0, 250.0],
     }
-    cfg = HeatPlantConfig.from_dict(raw)
+    cfg = HeatPlantConfig(**raw)
     assert cfg.n_grid == 50 and cfg.horizon == 100
     assert cfg.k0 == pytest.approx(0.38 * cfg.dx**2 / cfg.dt)
     assert cfg.sensors == (0.2, 0.5, 0.8) and cfg.temp_range == (0.0, 250.0)
@@ -239,7 +252,7 @@ def test_observe_additive_noise():
 
 def test_observe_noise_moments():
     hp = paper_plant()
-    V = hp.spec.V
+    V = hp.V
     rng = stream(11, "obs-moments")
     draws = rng.standard_normal((1000, 5)) @ np.linalg.cholesky(V).T
     ys = hp.observe(np.zeros(100), draws)

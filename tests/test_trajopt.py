@@ -8,7 +8,7 @@ from seplqg.artifacts import read_json, stored_fields, write_json
 from seplqg import trajopt
 from seplqg.belief import GaussianBelief, enkf_update_members
 from seplqg.exceptions import GradientEvaluationError, InsufficientEnsembleError
-from seplqg.plant import HeatPlant, HeatPlantConfig, LinearPlant, Plant, PlantSpec
+from seplqg.plant import HeatPlant, HeatPlantConfig, LinearPlant, Plant
 from seplqg.rng import stream
 from seplqg.trajopt import (
     CostSpec,
@@ -69,11 +69,7 @@ class CubicPlant(Plant):
     """Scalar plant with a genuine third derivative for FD order checks."""
 
     def __init__(self, horizon=8, noise=1e-12):
-        self.spec = PlantSpec(
-            n_x=1, n_u=1, n_y=1,
-            W=np.array([[noise]]), V=np.array([[noise]]),
-            horizon=horizon, dt=1.0,
-        )
+        super().__init__(1, 1, 1, np.array([[noise]]), np.array([[noise]]), horizon, 1.0)
 
     def step(self, state, control, process_noise, k=0):
         x = np.asarray(state, dtype=float)
@@ -202,7 +198,7 @@ def test_rollout_matches_exact_kf_at_large_ensemble():
     _, obs = plant.simulate_nominal(b0.mean, U)
     kf = [b0]
     for k in range(10):
-        kf.append(kalman_update(kalman_predict(kf[-1], U[k], A, B, plant.spec.W), obs[k + 1], C, plant.spec.V))
+        kf.append(kalman_update(kalman_predict(kf[-1], U[k], A, B, plant.W), obs[k + 1], C, plant.V))
     M = 20000
     en = reported_means(U, b0, plant, M, 123)
     for k in (3, 6, 10):
@@ -314,8 +310,8 @@ class BlackBox(Plant):
     """A plant seen only through step/observe, as the paper's black box."""
 
     def __init__(self, plant):
+        super().__init__(plant.n_x, plant.n_u, plant.n_y, plant.W, plant.V, plant.horizon, plant.dt)
         self.plant = plant
-        self.spec = plant.spec
 
     def step(self, state, control, process_noise, k=0):
         return self.plant.step(state, control, process_noise, k)
@@ -462,8 +458,9 @@ def test_optimize_steps_each_iterate_once(monkeypatch):
         traj = optimize(np.zeros((N, 5)), b0, plant, spec, opts)
         assert traj.iterations == iters
         assert np.array_equal(traj.controls, U) and traj.cost_history[-1] == J
-        # the descent's rollouts, then the EnKF's noiseless rollout and members
-        assert plant.rows == (1 + sum(trials)) * N + N * (1 + M)
+        # the descent's rollouts, then the EnKF's members, which filter the
+        # observations of the final iterate's tape: no rollout of their own
+        assert plant.rows == (1 + sum(trials)) * N + N * M
         assert plant.vjp_rows == iters * N
         assert updates == [(M, 16)] * N
 
