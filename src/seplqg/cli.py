@@ -28,7 +28,8 @@ mean over runs of each run's time-averaged open-loop minus closed-loop
 squared error, its standard error mse_diff_se (null with fewer than 2
 kept runs) and mse_diff_z (null where the se is 0 or undefined).  The
 `closed_beats_open` assertion requires a lower closed-loop MSE and a
-paired z above 3 at every probe.
+paired z above 3 at every probe; a config that sets it and names no
+probe is rejected before `evaluate` or `pipeline` runs a stage.
 
 `theorem1` checks the paper's Theorem 1 on its own: from nominal.json
 and controller.json it runs at least 100 Monte Carlo runs (no probes)
@@ -209,6 +210,8 @@ def _run_monte_carlo(cfg, args, n_runs, probe_positions):
 def cmd_evaluate(args):
     cfg = _load_config(args)
     ev = cfg.evaluate()
+    # an assertion that cannot hold fails here, before the Monte Carlo
+    cfg.assertions()
     n_runs = ev["runs"] if args.runs is None else args.runs
     plant, nominal, ctrl, report = _run_monte_carlo(cfg, args, n_runs, ev["probes"])
     out = Path(args.out)
@@ -307,6 +310,7 @@ def cmd_pipeline(args):
     cfg.sysid()
     cfg.lqg()
     cfg.evaluate()
+    cfg.assertions()
     rc = cmd_optimize(args)
     rc = rc or cmd_identify(args)
     rc = rc or cmd_design(args)

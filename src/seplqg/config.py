@@ -232,11 +232,16 @@ class ExperimentConfig:
 
     def assertions(self):
         """The assertions section, object entries filled with their
-        defaults."""
-        return {
+        defaults, checked: closed_beats_open true needs an evaluate probe,
+        as it compares nothing without one."""
+        checks = {
             name: {**_ASSERTION_DEFAULTS[name], **entry} if name in _ASSERTION_DEFAULTS else entry
             for name, entry in self.raw.get("assertions", {}).items()
         }
+        probes = self._section("evaluate")["probes"]
+        _require(not checks.get("closed_beats_open") or probes, "assertions", "closed_beats_open",
+                 "false with no evaluate probes", probes)
+        return checks
 
 
 def benchmark_config():

@@ -59,7 +59,7 @@ from .artifacts import memory_only
 from .belief import enkf_update_members, psd_sqrt  # noqa: F401
 from .exceptions import IntegrationDivergedError
 from .lqg import kf_steps, lqg_update
-from .plant import _grid_nodes
+from .plant import _grid_nodes, adjoints
 from .rng import stream
 from .sysid import collect_impulse_responses
 
@@ -274,31 +274,11 @@ def _safe_step(plant, X, U, w, k):
         return out, bad
 
 
-def _adjoints(plant, x_det, h):
-    """The plant's (step_vjp, observe_vjp).  A black box lacking one gets
-    the adjoint times the Jacobian of `step` at (x, u), or of `observe`
-    at x_det,k, from central differences with step h in one batch."""
-    def jacobian(f, z):
-        E = h * np.eye(len(z))
-        out = f(z + np.concatenate([E, -E]))
-        return ((out[: len(z)] - out[len(z) :]) / (2.0 * h)).T
-
-    def step_vjp(x, u, g, k):
-        n_x = len(x)
-        gz = g @ jacobian(lambda z: plant.step(z[:, :n_x], z[:, n_x:], 0.0, k), np.concatenate([x, u]))
-        return gz[..., :n_x], gz[..., n_x:]
-
-    def observe_vjp(g, k):
-        return g @ jacobian(lambda x: plant.observe(x, 0.0, k), x_det[k])
-
-    return getattr(plant, "step_vjp", step_vjp), getattr(plant, "observe_vjp", observe_vjp)
-
-
 def _linearize(plant, x_det, controls, k, h):
     """(A_k, B_k, C_{k+1}): the Jacobians of the noiseless step at
     (x_det,k, u_k) and of the noiseless observation at x_det,k+1, the
     adjoints of the identity."""
-    step_vjp, observe_vjp = _adjoints(plant, x_det, h)
+    step_vjp, observe_vjp = adjoints(plant, x_det, h)
     A, B = step_vjp(x_det[k], controls[k], np.eye(plant.n_x), k)
     return A, B, observe_vjp(np.eye(plant.n_y), k + 1)
 
@@ -323,7 +303,7 @@ def _delta_j_weights(plant, nominal, cost, h):
     N = nominal.horizon
     models = (_linearize(plant, x_det, nominal.controls, k, h) for k in range(N))
     gains = [K for K, _ in kf_steps(models, plant.W, plant.V, nominal.prior_cov)]
-    step_vjp, observe_vjp = _adjoints(plant, x_det, h)
+    step_vjp, observe_vjp = adjoints(plant, x_det, h)
     g_e = np.empty((N, plant.n_y))
     lam = C_mu[N]
     for k in range(N - 1, -1, -1):

@@ -26,12 +26,14 @@ like `step` over the leading axes of an adjoint g:
 
 The process noise enters with the control, so the step's derivatives at
 control u + w are those of the noisy step, and `observe_vjp` takes no
-state because the observation is linear in it.  Trajectory optimization
-differentiates its rollouts with one adjoint row per step.  The Monte
-Carlo's linearized filter takes its Jacobians as the adjoints of the
-identity and scores its runs by one adjoint row per step.  Both
-difference `step` and `observe`, the black-box method, when a plant
-lacks them.  `HeatPlant` and `LinearPlant` have both.
+state because the observation is linear in it.  `HeatPlant` and
+`LinearPlant` have both.  Every stage differentiates a plant through
+one helper, `adjoints`, which returns these methods when the plant has
+them and, for a black box with only `step` and `observe`, the adjoint
+times their central-difference Jacobians.  Trajectory optimization
+takes one adjoint row per step of its rollouts; the Monte Carlo's
+linearized filter takes its Jacobians as the adjoints of the identity
+and scores its runs by one adjoint row per step.
 """
 
 import math
@@ -47,6 +49,7 @@ __all__ = [
     "HeatPlantConfig",
     "HeatPlant",
     "LinearPlant",
+    "adjoints",
 ]
 
 
@@ -88,22 +91,58 @@ class Plant:
     def observe(self, state, meas_noise, k=0):
         raise NotImplementedError
 
-    def simulate_nominal(self, x0, controls):
-        """Noiseless rollout: states (N+1, n_x) and observations (N+1, n_y).
+    def rollout(self, x0, controls):
+        """Noiseless states (N+1, n_x) of the controls (N, n_u) from x0,
+        none of them observed.
 
         controls must have length N = horizon of the rollout; shorter
         sequences roll out a shorter horizon.
         """
         controls = np.atleast_2d(np.asarray(controls, dtype=float))
-        n_steps = controls.shape[0]
-        states = np.empty((n_steps + 1, self.n_x))
-        obs = np.empty((n_steps + 1, self.n_y))
+        states = np.empty((controls.shape[0] + 1, self.n_x))
         states[0] = np.asarray(x0, dtype=float)
-        obs[0] = self.observe(states[0], 0.0, 0)
-        for k in range(n_steps):
-            states[k + 1] = self.step(states[k], controls[k], 0.0, k)
-            obs[k + 1] = self.observe(states[k + 1], 0.0, k + 1)
-        return states, obs
+        for k, u in enumerate(controls):
+            states[k + 1] = self.step(states[k], u, 0.0, k)
+        return states
+
+    def simulate_nominal(self, x0, controls):
+        """Noiseless rollout: the states (N+1, n_x) of `rollout` and their
+        observations (N+1, n_y)."""
+        states = self.rollout(x0, controls)
+        return states, np.array([self.observe(x, 0.0, k) for k, x in enumerate(states)])
+
+
+def adjoints(plant, states, h):
+    """(step_vjp, observe_vjp) of `plant` along the noiseless `states`
+    (N+1, n_x), as the plant contract defines them.
+
+    A plant's own methods are returned as they are.  A black box lacking
+    one gets the adjoint times a central-difference Jacobian with step
+    h: of `step` at (x, u), formed from one batch of 2(n_x + n_u)
+    single-step rows, or of `observe` at states[k].  A gradient by one
+    reverse pass over N steps then steps 2(n_x + n_u) N rows, where
+    differencing whole rollouts, each forked from the tape at its
+    perturbed control, steps n_u N (N+1): this route is the cheaper one
+    while n_x < n_u (N - 1) / 2, about 622 on the built-in heat benchmark
+    (n_u = 5, N = 250; its n_x is 100).  An h <= 0 is rejected.
+    """
+    if not h > 0:
+        raise ValueError(f"the difference step h must be positive, got {h}")
+
+    def jacobian(f, z):
+        E = h * np.eye(len(z))
+        out = f(z + np.concatenate([E, -E]))
+        return ((out[: len(z)] - out[len(z) :]) / (2.0 * h)).T
+
+    def step_vjp(x, u, g, k):
+        n_x = len(x)
+        gz = g @ jacobian(lambda z: plant.step(z[:, :n_x], z[:, n_x:], 0.0, k), np.concatenate([x, u]))
+        return gz[..., :n_x], gz[..., n_x:]
+
+    def observe_vjp(g, k):
+        return g @ jacobian(lambda x: plant.observe(x, 0.0, k), states[k])
+
+    return getattr(plant, "step_vjp", step_vjp), getattr(plant, "observe_vjp", observe_vjp)
 
 
 def _as_finite(x, what, k):

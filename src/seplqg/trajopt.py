@@ -10,15 +10,13 @@ rollout of U from the prior mean.  Under maximum-likelihood
 observations the planned belief mean is that noiseless state, so the
 plan stays a belief-space plan.
 
-The gradient is the hot path.  When the plant exposes its adjoint
-(`step_vjp`, see `plant`), one reverse pass over the rollout's tape
-gives the exact gradient, one row per step.  A black-box plant with
-only `step` gets central finite differences, 2*N*n_u single-row
-rollouts, each forked from the tape at its perturbation time (a rollout
-perturbed at time j agrees bit for bit with the unperturbed one up to
-j).  `gradient_fd` always takes this path, so it is also the oracle the
-adjoint is tested against.  The line search's rollout of the accepted
-iterate serves the next gradient, so no iterate is rolled out twice.
+The gradient is the hot path: one reverse pass over the rollout's tape,
+one adjoint row per step, with the plant's adjoint from
+`plant.adjoints`, exact when the plant has `step_vjp` and a
+central-difference Jacobian of each step for a black box with only
+`step`.  The rollouts of the descent are not observed.  The line
+search's rollout of the accepted iterate serves the next gradient, so
+no iterate is rolled out twice.
 
 The belief `optimize` reports, its means and their cost, is that of one
 seeded stochastic EnKF rollout of the final controls, which filters the
@@ -32,14 +30,13 @@ import numpy as np
 from .artifacts import load, memory_only, save
 from .belief import enkf_update_members, psd_sqrt
 from .exceptions import GradientEvaluationError, InsufficientEnsembleError
+from .plant import adjoints
 from .rng import stream
 
 __all__ = [
     "CostSpec",
     "NominalTrajectory",
     "OptimizeOptions",
-    "gradient_fd",
-    "gradient_adjoint",
     "optimize",
 ]
 
@@ -181,92 +178,32 @@ class NominalTrajectory:
 # Deterministic descent engine
 # ---------------------------------------------------------------------------
 
-# perturbation times whose forked rollouts are batched together, bounding
-# one batch to 2*n_u*_FD_CHUNK rows
-_FD_CHUNK = 64
-
-
-def _check_finite(costs, n_u, j0=0):
-    """Raise on the first non-finite perturbed cost; entry 2*(n_u*(j-j0)+m)
-    is the +h and the next one the -h rollout of control entry (j, m)."""
-    if not np.all(np.isfinite(costs)):
-        bad = int(np.flatnonzero(~np.isfinite(costs))[0])
-        raise GradientEvaluationError(
-            f"non-finite cost perturbing control entry (k={j0 + bad // (2 * n_u)}, "
-            f"channel={(bad % (2 * n_u)) // 2}, {'+' if bad % 2 == 0 else '-'}h)"
-        )
-
 
 def _check_finite_gradient(grad):
-    """Raise on a non-finite adjoint gradient.  The reverse pass reaches
-    the latest step first and a non-finite adjoint spreads from there to
+    """Raise on a non-finite gradient.  The reverse pass reaches the
+    latest step first and a non-finite adjoint spreads from there to
     every earlier one, so the latest bad step is the one named."""
     bad = np.flatnonzero(~np.isfinite(grad).all(axis=1))
     if bad.size:
         k = int(bad[-1])
         channel = int(np.flatnonzero(~np.isfinite(grad[k]))[0])
-        raise GradientEvaluationError(f"non-finite adjoint gradient at control entry (k={k}, channel={channel})")
+        raise GradientEvaluationError(f"non-finite gradient at control entry (k={k}, channel={channel})")
 
 
-def _states(plant, b0, U):
-    """The noiseless rollout x_det (N+1, n_x) of U from the prior mean."""
-    return plant.simulate_nominal(b0.mean, U)[0]
-
-
-def _gradient_adjoint(plant, spec, U, states):
-    """Exact gradient (N, n_u) by one reverse pass over the noiseless
-    tape: lambda_N = C_x,N, then (g_x, g_u) = step_vjp(x_k, u_k,
-    lambda_k+1), grad_k = C_u,k + g_u and lambda_k = C_x,k + g_x."""
+def _gradient(plant, spec, U, states, h):
+    """Gradient (N, n_u) at U by one reverse pass over its noiseless
+    tape `states`: lambda_N = C_x,N, then (g_x, g_u) = step_vjp(x_k, u_k,
+    lambda_k+1), grad_k = C_u,k + g_u and lambda_k = C_x,k + g_x, the
+    adjoint from `adjoints` with h its difference step for a black box."""
+    step_vjp = adjoints(plant, states, h)[0]
     C_x, grad = spec.gradient(states, U)
     lam = C_x[-1]
     for k in range(U.shape[0] - 1, -1, -1):
-        g_x, g_u = plant.step_vjp(states[k], U[k], lam, k)
+        g_x, g_u = step_vjp(states[k], U[k], lam, k)
         grad[k] += g_u
         lam = C_x[k] + g_x
     _check_finite_gradient(grad)
     return grad
-
-
-def _gradient_fd(plant, spec, U, states, h):
-    """Central-difference gradient (N, n_u).
-
-    The +h and -h rollouts of each control entry (j, m) are single rows
-    forked from the tape's state at j; the rows of _FD_CHUNK
-    perturbation times are stepped as one batch.
-    """
-    N, n_u = U.shape
-    # the control term of a quadratic is exact under central FD
-    grad = spec.gradient(states, U)[1]
-    # rows 2m and 2m+1 of a time's block add +h and -h to channel m
-    dU = h * np.repeat(np.eye(n_u), 2, axis=0)
-    dU[1::2] *= -1.0
-    for j0 in range(0, N, _FD_CHUNK):
-        j1 = min(j0 + _FD_CHUNK, N)
-        X = np.empty((2 * n_u * (j1 - j0), plant.n_x))
-        # suffix state costs of every perturbed rollout
-        suffix = np.zeros(len(X))
-        active = 0
-        for k in range(j0, N):
-            if k < j1:
-                X[active : active + 2 * n_u] = states[k]
-                active += 2 * n_u
-            ub = np.broadcast_to(U[k], (active, n_u)).copy()
-            if k < j1:
-                ub[-2 * n_u :] += dU
-            X[:active] = plant.step(X[:active], ub, 0.0, k)
-            suffix[:active] += spec.state_cost(X[:active], terminal=k == N - 1)
-        _check_finite(suffix, n_u, j0)
-        # shared prefixes cancel exactly
-        grad[j0:j1] += ((suffix[0::2] - suffix[1::2]) / (2.0 * h)).reshape(j1 - j0, n_u)
-    return grad
-
-
-def _gradient(plant, spec, U, states, h):
-    """Gradient (N, n_u) at U, whose noiseless tape is given: reverse
-    mode when the plant has an adjoint, finite differences if not."""
-    if hasattr(plant, "step_vjp"):
-        return _gradient_adjoint(plant, spec, U, states)
-    return _gradient_fd(plant, spec, U, states, h)
 
 
 # ---------------------------------------------------------------------------
@@ -292,29 +229,6 @@ def _enkf_means(plant, b0, U, states, M, seed):
         members = enkf_update_members(members, obs[k + 1], v_draws[k], plant, plant.V, k + 1)
         means[k + 1] = members.mean(axis=0)
     return means, obs
-
-
-def _as_controls(u_seq):
-    return np.atleast_2d(np.asarray(u_seq, dtype=float))
-
-
-def gradient_fd(u_seq, b0, plant, spec, h=1e-4):
-    """Central-difference gradient (N, n_u) of the deterministic cost
-    J(U) = spec.total(x_det(U), U), x_det the noiseless rollout from
-    b0.mean."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    U = _as_controls(u_seq)
-    return _gradient_fd(plant, spec, U, _states(plant, b0, U), h)
-
-
-def gradient_adjoint(u_seq, b0, plant, spec):
-    """Exact gradient (N, n_u) of the deterministic cost by reverse mode;
-    the plant must have `step_vjp`."""
-    if not hasattr(plant, "step_vjp"):
-        raise ValueError("the adjoint gradient needs a plant with step_vjp")
-    U = _as_controls(u_seq)
-    return _gradient_adjoint(plant, spec, U, _states(plant, b0, U))
 
 
 @dataclass
@@ -353,8 +267,8 @@ def optimize(u_init, b0, plant, spec, opts=None):
     opts = opts or OptimizeOptions()
     if opts.M < 2:
         raise InsufficientEnsembleError(f"the EnKF needs at least 2 members, got M={opts.M}")
-    U = _as_controls(u_init).copy()
-    states = _states(plant, b0, U)
+    U = np.atleast_2d(np.asarray(u_init, dtype=float)).copy()
+    states = plant.rollout(b0.mean, U)
     J = spec.total(states, U)
     history = [J]
     iterations = 0
@@ -369,7 +283,7 @@ def optimize(u_init, b0, plant, spec, opts=None):
         accepted = False
         for _ in range(_MAX_HALVINGS):
             U_try = U - alpha * grad
-            states_try = _states(plant, b0, U_try)
+            states_try = plant.rollout(b0.mean, U_try)
             J_try = spec.total(states_try, U_try)
             if J_try < J:
                 accepted = True

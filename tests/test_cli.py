@@ -499,6 +499,29 @@ def test_pipeline_rejects_bad_assertion_values_before_any_stage(tmp_path, assert
     assert not out.exists()
 
 
+def test_closed_beats_open_without_probes_fails_before_any_stage(pipeline_dir, tmp_path):
+    # with no probes the verdict would compare empty arrays and pass
+    raw = {**TINY, "evaluate": {**TINY["evaluate"], "probes": []}, "assertions": {"closed_beats_open": True}}
+    message = "assertions closed_beats_open must be false with no evaluate probes, got []"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(raw).assertions()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        main(["pipeline", "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+    out.mkdir()
+    for name in ("nominal.json", "controller.json"):
+        shutil.copy(pipeline_dir / name, out / name)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        main(["evaluate", "--config", str(cfg), "--out", str(out)])
+    assert sorted(path.name for path in out.iterdir()) == ["controller.json", "nominal.json"]
+    # theorem1, which runs without probes and checks no assertion, runs
+    main(["theorem1", "--config", str(cfg), "--out", str(out), "--runs", "100"])
+    assert (out / "theorem1.json").exists()
+
+
 def test_assertion_entries_get_their_defaults():
     cfg = ExperimentConfig({"assertions": {"theorem1": {"se_mult": 2.0}, "mean_within": 1.0}})
     assert cfg.assertions() == {"theorem1": {"se_mult": 2.0, "frac_cost": 0.02}, "mean_within": 1.0}

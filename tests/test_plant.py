@@ -273,6 +273,18 @@ def test_simulate_nominal_equilibrium():
     assert np.allclose(obs, 150.0, atol=1e-12)
 
 
+def test_rollout_is_simulate_nominal_unobserved():
+    # on a time-varying plant, whose observation depends on k
+    rng = stream(4, "rollout")
+    A, B, C = 0.5 * rng.standard_normal((6, 3, 3)), rng.standard_normal((6, 3, 2)), rng.standard_normal((7, 2, 3))
+    lp = LinearPlant(A, B, C, horizon=6)
+    x0, U = rng.standard_normal(3), rng.standard_normal((6, 2))
+    states, obs = lp.simulate_nominal(x0, U)
+    np.testing.assert_allclose(obs, [C[k] @ x for k, x in enumerate(states)], rtol=1e-12)
+    lp.observe = None  # the rollout alone calls no observe
+    assert np.array_equal(lp.rollout(x0, U), states)
+
+
 def test_linear_simulate_matches_matrix_power_oracle():
     rng = stream(3, "linear-oracle")
     A = 0.5 * rng.standard_normal((3, 3))

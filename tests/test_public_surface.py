@@ -3,8 +3,9 @@ exists, so `from seplqg.<module> import *` cannot fail, every name
 `seplqg/__init__.py` re-exports is the module attribute it names, the
 third-party packages the modules import are the ones `pyproject.toml`
 declares, those the tests import besides are its `test` extra, every
-name the benchmark's tracer patches resolves where it patches it, and
-no module imports a name it does not use."""
+name the benchmark's tracer patches resolves where it patches it, no
+module imports a name it does not use, and every name a module lists in
+`__all__` is read by the program or the benchmark."""
 
 import ast
 import importlib
@@ -19,6 +20,7 @@ import seplqg
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(seplqg.__path__))
 PYPROJECT = Path(seplqg.__file__).parents[2] / "pyproject.toml"
+PERFBENCH = PYPROJECT.parent / "perfbench"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -135,6 +137,26 @@ def test_modules_import_only_names_they_use(name):
     # re-exports, checked by test_package_reexports_resolve
     unused = unused_imports(Path(importlib.import_module(f"seplqg.{name}").__file__))
     assert unused <= set(TRACED_FUNCTIONS.get(name, ())), f"seplqg.{name} imports unused {sorted(unused)}"
+
+
+def read_names(paths):
+    """The bare names the files' code reads: a definition, an import, an
+    `__all__` entry or a docstring reads none."""
+    return {node.id for path in paths for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+# The public names no stage reads by design: the linear plant is the
+# closed-form oracle a user swaps in for the heat slab.
+USER_PLANTS = {"plant.LinearPlant"}
+
+
+def test_every_public_name_is_read_by_the_program_or_the_benchmark():
+    # a public name only the tests call is an API kept for the tests
+    read = read_names([*Path(seplqg.__file__).parent.glob("*.py"), *PERFBENCH.rglob("*.py")])
+    unread = [f"{name}.{attr}" for name in MODULES
+              for attr in getattr(importlib.import_module(f"seplqg.{name}"), "__all__", ()) if attr not in read]
+    assert set(unread) == USER_PLANTS, f"public names nothing but the tests read: {sorted(unread)}"
 
 
 # The cost's weights are held in one format, read only where `CostSpec`

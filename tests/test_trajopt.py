@@ -8,16 +8,9 @@ from seplqg.artifacts import read_json, stored_fields, write_json
 from seplqg import trajopt
 from seplqg.belief import GaussianBelief, enkf_update_members
 from seplqg.exceptions import GradientEvaluationError, InsufficientEnsembleError
-from seplqg.plant import HeatPlant, HeatPlantConfig, LinearPlant, Plant
+from seplqg.plant import HeatPlant, HeatPlantConfig, LinearPlant, Plant, adjoints
 from seplqg.rng import stream
-from seplqg.trajopt import (
-    CostSpec,
-    NominalTrajectory,
-    OptimizeOptions,
-    gradient_adjoint,
-    gradient_fd,
-    optimize,
-)
+from seplqg.trajopt import CostSpec, NominalTrajectory, OptimizeOptions, optimize
 
 
 def lq_toy(W=0.0, prior_var=1e-12):
@@ -235,8 +228,31 @@ def test_rollout_initial_belief_is_prior():
 
 
 # ---------------------------------------------------------------------------
-# gradient_fd
+# the gradient: one reverse pass over the plant's adjoint, or over the
+# central-difference Jacobians of a black box's steps
 # ---------------------------------------------------------------------------
+
+
+class BlackBox(Plant):
+    """A plant seen only through step/observe, as the paper's black box."""
+
+    def __init__(self, plant):
+        super().__init__(plant.n_x, plant.n_u, plant.n_y, plant.W, plant.V, plant.horizon, plant.dt)
+        self.plant = plant
+
+    def step(self, state, control, process_noise, k=0):
+        return self.plant.step(state, control, process_noise, k)
+
+    def observe(self, state, meas_noise, k=0):
+        return self.plant.observe(state, meas_noise, k)
+
+
+def gradient(U, b0, plant, spec, h=1e-2):
+    """The optimizer's gradient of J(U) = spec.total(x_det(U), U), x_det
+    the noiseless rollout from b0.mean; h is the difference step of a
+    black box."""
+    U = np.asarray(U, dtype=float)
+    return trajopt._gradient(plant, spec, U, plant.rollout(b0.mean, U), h)
 
 
 def closed_form_lq_gradient(plant, x0, spec, U):
@@ -258,26 +274,33 @@ def closed_form_lq_gradient(plant, x0, spec, U):
 def test_gradient_matches_closed_form_lq():
     plant, b0, spec = lq_toy()
     U = 0.3 * stream(4, "u").standard_normal((10, 1))
-    g_fd = gradient_fd(U, b0, plant, spec, h=1e-4)
     g_cf = closed_form_lq_gradient(plant, b0.mean, spec, U)
-    assert np.linalg.norm(g_fd - g_cf) / np.linalg.norm(g_cf) < 1e-4
+    # the plant's own adjoint and the black box's differenced Jacobians
+    for route in (plant, BlackBox(plant)):
+        g = gradient(U, b0, route, spec, h=1e-4)
+        assert np.linalg.norm(g - g_cf) / np.linalg.norm(g_cf) < 1e-4
 
 
 def test_gradient_vanishes_at_lq_optimum():
     plant, b0, spec = lq_toy()
     U_star, J_star = lq_direct_solution(plant, b0.mean, spec, 10)
-    g = gradient_fd(U_star, b0, plant, spec, h=1e-5)
-    assert np.linalg.norm(g) <= 1e-3 * (1.0 + abs(J_star))
+    for route in (plant, BlackBox(plant)):
+        g = gradient(U_star, b0, route, spec, h=1e-5)
+        assert np.linalg.norm(g) <= 1e-3 * (1.0 + abs(J_star))
 
 
 def test_gradient_error_scales_quadratically():
+    # the heat slab's step is quadratic in the state and linear in the
+    # control, so central differences of one of its steps are exact up to
+    # roundoff: the truncation error is shown on a black box with a cubic
+    # term
     plant = CubicPlant()
     b0 = GaussianBelief([0.8], [[1e-10]])
     spec = CostSpec.from_weights(1, 1, q_mean=1.0, r_u=0.1, q_terminal=1.0, target=1.2)
     U = np.full((8, 1), 0.3)
-    g1 = gradient_fd(U, b0, plant, spec, h=1e-4)
-    g2 = gradient_fd(U, b0, plant, spec, h=2e-4)
-    g4 = gradient_fd(U, b0, plant, spec, h=4e-4)
+    g1 = gradient(U, b0, plant, spec, h=1e-4)
+    g2 = gradient(U, b0, plant, spec, h=2e-4)
+    g4 = gradient(U, b0, plant, spec, h=4e-4)
     num = np.linalg.norm(g4 - g2)
     den = np.linalg.norm(g2 - g1)
     ratio = num / den
@@ -286,50 +309,43 @@ def test_gradient_error_scales_quadratically():
 
 def test_gradient_halving_h_agrees():
     cfg = HeatPlantConfig(n_grid=20, horizon=10)
-    plant = HeatPlant(cfg)
-    b0 = GaussianBelief(plant.initial_state(), 0.25 * np.eye(20))
+    plant = BlackBox(HeatPlant(cfg))
+    b0 = GaussianBelief(plant.plant.initial_state(), 0.25 * np.eye(20))
     spec = CostSpec.from_weights(20, 5, q_mean=1.0, r_u=1e-3, q_terminal=1.0, target=150.0)
     U = np.zeros((10, 5))
-    g1 = gradient_fd(U, b0, plant, spec, h=1e-2)
-    g2 = gradient_fd(U, b0, plant, spec, h=5e-3)
+    g1 = gradient(U, b0, plant, spec, h=1e-2)
+    g2 = gradient(U, b0, plant, spec, h=5e-3)
     assert np.linalg.norm(g1 - g2) / np.linalg.norm(g2) < 0.05
 
 
 def test_gradient_rejects_bad_h():
+    # `adjoints`, through which every stage differentiates a plant,
+    # rejects the step whether or not the plant has its own adjoint
     plant, b0, spec = lq_toy()
-    with pytest.raises(ValueError):
-        gradient_fd(np.zeros((10, 1)), b0, plant, spec, h=0.0)
-
-
-# ---------------------------------------------------------------------------
-# gradient_adjoint
-# ---------------------------------------------------------------------------
-
-
-class BlackBox(Plant):
-    """A plant seen only through step/observe, as the paper's black box."""
-
-    def __init__(self, plant):
-        super().__init__(plant.n_x, plant.n_u, plant.n_y, plant.W, plant.V, plant.horizon, plant.dt)
-        self.plant = plant
-
-    def step(self, state, control, process_noise, k=0):
-        return self.plant.step(state, control, process_noise, k)
-
-    def observe(self, state, meas_noise, k=0):
-        return self.plant.observe(state, meas_noise, k)
+    for route in (plant, BlackBox(plant)):
+        states = route.rollout(b0.mean, np.zeros((10, 1)))
+        for h in (0.0, -1e-3, np.nan):
+            with pytest.raises(ValueError, match="difference step h must be positive"):
+                adjoints(route, states, h)
+            with pytest.raises(ValueError, match="difference step h must be positive"):
+                optimize(np.zeros((10, 1)), b0, route, spec, OptimizeOptions(h=h))
 
 
 class CountingHeatPlant(HeatPlant):
-    """Heat slab that counts the state rows it steps and the rows its
-    adjoint takes back."""
+    """Heat slab that counts the state rows it steps, the rows it
+    observes and the rows its adjoint takes back."""
 
     rows = 0
+    observed_rows = 0
     vjp_rows = 0
 
     def step(self, state, control, process_noise, k=0):
         self.rows += int(np.prod(np.shape(state)[:-1]))
         return super().step(state, control, process_noise, k)
+
+    def observe(self, state, meas_noise, k=0):
+        self.observed_rows += int(np.prod(np.shape(state)[:-1]))
+        return super().observe(state, meas_noise, k)
 
     def step_vjp(self, state, control, g, k=0):
         self.vjp_rows += int(np.prod(np.shape(g)[:-1]))
@@ -363,33 +379,29 @@ def linear_tv_case():
 
 @pytest.mark.parametrize("case", ["heat", "linear-tv"])
 def test_adjoint_gradient_matches_central_fd(case):
-    # the relative differences measured are 1.1e-10 (heat, h = 1e-3) and
-    # 3.5e-12 (linear, h = 1e-4), the truncation and roundoff of the
-    # differences
     if case == "linear-tv":
         plant, b0, spec, U = linear_tv_case()
         h = 1e-4
     else:
         plant, b0, spec, U = heat_case()
         h = 1e-3
-    g_adj = gradient_adjoint(U, b0, plant, spec)
-    g_fd = gradient_fd(U, b0, plant, spec, h=h)
+    g_adj = gradient(U, b0, plant, spec)
     assert np.all(g_adj != 0.0)
-    assert np.linalg.norm(g_adj - g_fd) / np.linalg.norm(g_fd) <= 1e-9
-    # both differentiate the cost of the noiseless rollout
+    # the black box's gradient, over central-difference Jacobians of its
+    # steps, against the adjoint: measured 2.7e-12 (heat) and 4.7e-14
+    # (linear) at h = 1e-2, 2.2e-11 and 3.1e-13 at h = 1e-3, the roundoff
+    # of the differences
+    for h_box in (1e-2, 1e-3):
+        g_box = gradient(U, b0, BlackBox(plant), spec, h=h_box)
+        assert np.linalg.norm(g_box - g_adj) / np.linalg.norm(g_adj) <= 1e-10
+    # the adjoint differentiates the cost of the noiseless rollout
     def J(V):
-        return spec.total(plant.simulate_nominal(b0.mean, V)[0], V)
+        return spec.total(plant.rollout(b0.mean, V), V)
 
     D = stream(8, "direction").standard_normal(U.shape)
     slope = (J(U + h * D) - J(U - h * D)) / (2.0 * h)
     # measured: 9.9e-12 (heat) and 8.4e-13 (linear) of the sum's scale
     assert abs(slope - (g_adj * D).sum()) <= 1e-10 * np.abs(g_adj * D).sum()
-
-
-def test_adjoint_gradient_needs_step_vjp():
-    plant, b0, spec, U = heat_case()
-    with pytest.raises(ValueError, match="step_vjp"):
-        gradient_adjoint(U, b0, BlackBox(plant), spec)
 
 
 def test_adjoint_gradient_names_first_non_finite_step():
@@ -400,13 +412,20 @@ def test_adjoint_gradient_names_first_non_finite_step():
                 g_control[..., 2] = np.nan
             return g_state, g_control
 
+    class NanBatchBox(BlackBox):
+        # a black box that fails only on batches of rows at k = 5, which
+        # the gradient steps for that step's Jacobian alone
+        def step(self, state, control, process_noise, k=0):
+            out = super().step(state, control, process_noise, k)
+            return np.full_like(out, np.nan) if k == 5 and np.ndim(state) == 2 else out
+
     plant, b0, spec, U = heat_case()
-    plant = NanVjpPlant(plant.config)
-    with pytest.raises(GradientEvaluationError, match=r"k=5, channel=2"):
-        gradient_adjoint(U, b0, plant, spec)
     opts = OptimizeOptions(alpha=20.0, max_iters=1, tol=0.0, M=8)
-    with pytest.raises(GradientEvaluationError, match=r"k=5, channel=2"):
-        optimize(U, b0, plant, spec, opts)
+    for bad, match in ((NanVjpPlant(plant.config), r"k=5, channel=2"), (NanBatchBox(plant), r"k=5, channel=0")):
+        with pytest.raises(GradientEvaluationError, match=match):
+            gradient(U, b0, bad, spec)
+        with pytest.raises(GradientEvaluationError, match=match):
+            optimize(U, b0, bad, spec, opts)
 
 
 def test_one_iteration_black_box_fd_matches_adjoint():
@@ -417,12 +436,14 @@ def test_one_iteration_black_box_fd_matches_adjoint():
     boxed = CountingHeatPlant(plant.config)
     fd = optimize(U, b0, BlackBox(boxed), spec, opts)
     assert adj.iterations == fd.iterations == 1
-    assert np.abs(adj.controls - fd.controls).max() <= 1e-6 * np.abs(fd.controls).max()
-    # the black box has no adjoint, so its gradient takes 2*N*n_u forked
-    # single-row rollouts, the one forked at j of N - j steps; the rest of
-    # the work, the line search and the reported EnKF rollout, is the same
+    # measured: 3.0e-11 of the largest control
+    assert np.abs(adj.controls - fd.controls).max() <= 1e-9 * np.abs(fd.controls).max()
+    # the black box has no adjoint, so each step of its gradient's reverse
+    # pass steps one batch of 2 (n_x + n_u) rows for the step's Jacobian;
+    # the rest of the work, the line search and the reported EnKF
+    # rollout, is the same
     N, n_u = U.shape
-    assert boxed.rows - counted.rows == n_u * N * (N + 1)
+    assert boxed.rows - counted.rows == 2 * (plant.n_x + n_u) * N
     assert counted.vjp_rows == N and boxed.vjp_rows == 0
 
 
@@ -446,7 +467,7 @@ def test_optimize_steps_each_iterate_once(monkeypatch):
         # replay the line search to learn how many points each iteration tries
         U, J, trials = np.zeros((N, 5)), cost(np.zeros((N, 5))), []
         for _ in range(iters):
-            g = gradient_adjoint(U, b0, HeatPlant(config), spec)
+            g = gradient(U, b0, HeatPlant(config), spec)
             alpha, n = opts.alpha / (1.0 + np.abs(g).max()), 1
             while (J_try := cost(U - alpha * g)) >= J:
                 alpha, n = 0.5 * alpha, n + 1
@@ -462,6 +483,9 @@ def test_optimize_steps_each_iterate_once(monkeypatch):
         # observations of the final iterate's tape: no rollout of their own
         assert plant.rows == (1 + sum(trials)) * N + N * M
         assert plant.vjp_rows == iters * N
+        # the descent's rollouts are not observed: the final tape's N+1
+        # states are, once, for the EnKF, which observes its members
+        assert plant.observed_rows == N + 1 + N * M
         assert updates == [(M, 16)] * N
 
 
