@@ -8,14 +8,16 @@ report.json plus the plotting CSVs.  The process exits non-zero if any
 acceptance assertion listed in the config fails.
 
 The first three are written and read by `artifacts.save` and `load`
-and hold the stored fields of `NominalTrajectory`, `LtvRom` and
-`LqgController` (with a copy of the ROM, and no noise covariances:
-every stage takes W and V from the plant the config builds).  Neither
-ROM file holds the Hankel spectra: identify writes them to
-sysid_singvals.csv, one row per valid k with s_1..s_(n_r+1) of H_k,
-the kept singular values and the first discarded one, which is what
-`gap_warning` reads (TV-ERA computes no others).  rom_validation.json
-records the held-out Markov error and the identification settings.
+and hold only what a later stage reads: nominal.json the controls, the
+means, whose first row is the state every run starts from, the
+noiseless observations, the cost and the optimizer's bookkeeping, but no
+covariance; rom.json the ROM matrices, n_r and time_range; and
+controller.json the gains and a copy of the ROM, but no covariance
+traces (in lqg_diag.csv) and no W or V, which every stage takes from the
+plant.  Identify writes the Hankel spectra to sysid_singvals.csv, one
+row per valid k with s_1..s_(n_r+1) of H_k (TV-ERA computes no others),
+and rom_validation.json records the held-out Markov error, the
+identification settings and `gap_warning`, which those spectra set.
 report.json holds the stored fields of `MonteCarloReport` (the run
 counts, base_seed, mean_traj, the probe positions and nodes, run 0's
 closed- and open-loop errors, two_sigma, mse_closed, mse_open,
@@ -51,7 +53,7 @@ import numpy as np
 
 from .artifacts import read_json, stored_fields, write_json
 from .belief import GaussianBelief
-from .config import _ASSERTION_DEFAULTS, ExperimentConfig, benchmark_config
+from .config import _ASSERTION_DEFAULTS, ExperimentConfig, _band_steps, benchmark_config
 from .harness import complexity_report, run_monte_carlo
 from .lqg import LqgController, design_lqg
 from .sysid import LtvRom, collect_impulse_responses, tv_era, validate_rom
@@ -274,8 +276,7 @@ def _run_assertions(cfg, plant, nominal, report, out):
 
     if "nominal_band" in checks:
         c = checks["nominal_band"]
-        ks = [k for k in range(nominal.horizon + 1) if c["t_start"] <= k * plant.dt <= c["t_end"]]
-        window = nominal.means[ks][:, : plant.n_x]
+        window = nominal.means[_band_steps(c, plant.dt, nominal.horizon)]
         ok = bool((window.min() >= c["lo"]) and (window.max() <= c["hi"]))
         emit("nominal_band", ok, f"min {window.min():.2f} max {window.max():.2f} in [{c['lo']}, {c['hi']}]")
     if "rom_error_max" in checks:

@@ -62,6 +62,11 @@ _KEYS = {
 }
 
 
+def _band_steps(band, dt, horizon):
+    """The steps k <= horizon whose k dt is in `band`'s [t_start, t_end]."""
+    return [k for k in range(horizon + 1) if band["t_start"] <= k * dt <= band["t_end"]]
+
+
 def _is_number(value, kind=(int, float)):
     return isinstance(value, kind) and not isinstance(value, bool)
 
@@ -186,8 +191,8 @@ class ExperimentConfig:
         """The sysid section, checked: n_r, p and q integers of at least
         1, Hankel blocks with at least n_r rows and columns (p n_y and
         q n_u >= n_r for the plant's n_y sensors and n_u actuators),
-        epsilon > 0 and finite, and holdout_extra an integer of at least
-        1."""
+        a held-out window for `validate_rom` (horizon >= 2(p + q) - 2),
+        epsilon > 0 and finite, and holdout_extra an integer >= 1."""
         sid = self._section("sysid")
         for key in ("n_r", "p", "q"):
             _require(_is_number(sid[key], int) and sid[key] >= 1, "sysid", key, "an integer >= 1", sid[key])
@@ -195,6 +200,9 @@ class ExperimentConfig:
         for key, channels, name in (("p", plant.n_y, "n_y"), ("q", plant.n_u, "n_u")):
             _require(sid[key] * channels >= sid["n_r"], "sysid", key,
                      f"at least n_r / {name} = {sid['n_r']}/{channels}", sid[key])
+        N = plant.horizon
+        _require(2 * (sid["p"] + sid["q"]) - 2 <= N, "sysid", "p + q", f"at most N/2 + 1 = {N // 2 + 1} on the "
+                 f"horizon N = {N}, for a non-empty held-out window", sid["p"] + sid["q"])
         _require(_is_number(sid["epsilon"]) and sid["epsilon"] > 0, "sysid", "epsilon", "> 0", sid["epsilon"])
         _require(math.isfinite(sid["epsilon"]), "sysid", "epsilon", "finite", sid["epsilon"])
         extra = sid["holdout_extra"]
@@ -233,7 +241,7 @@ class ExperimentConfig:
     def assertions(self):
         """The assertions section, object entries filled with their
         defaults, checked: closed_beats_open true needs an evaluate probe,
-        as it compares nothing without one."""
+        and nominal_band a step in its window, to compare anything."""
         checks = {
             name: {**_ASSERTION_DEFAULTS[name], **entry} if name in _ASSERTION_DEFAULTS else entry
             for name, entry in self.raw.get("assertions", {}).items()
@@ -241,6 +249,10 @@ class ExperimentConfig:
         probes = self._section("evaluate")["probes"]
         _require(not checks.get("closed_beats_open") or probes, "assertions", "closed_beats_open",
                  "false with no evaluate probes", probes)
+        if "nominal_band" in checks:
+            band, plant = checks["nominal_band"], self.plant()
+            _require(_band_steps(band, plant.dt, plant.horizon), "assertions", "nominal_band", f"a window [t_start, "
+                     f"t_end] holding a step time k dt, k in 0..{plant.horizon} and dt = {plant.dt}", band)
         return checks
 
 

@@ -28,7 +28,3 @@ class PerturbationDivergedError(SepLqgError):
 
 class IllPosedCostError(SepLqgError):
     """Riccati inner matrix not invertible; cost weights are ill posed."""
-
-
-class DegenerateMeasurementError(SepLqgError):
-    """Innovation covariance singular along the Kalman recursion."""

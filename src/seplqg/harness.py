@@ -31,12 +31,14 @@ the trajectory the loop regulates to:
 
 with (C_mu, C_u) = `CostSpec.gradient` at x_det and the nominal
 controls, and dmu the mean of the run's linearized Kalman filter (LKF)
-along x_det, which starts at 0 and follows the run's control deviations
-du and measurement deviations e_k+1 = y_k+1 - y_det,k+1:
+along x_det, which starts at 0 with covariance 0, as every run starts
+at x0, and follows the run's control deviations du and measurement
+deviations e_k+1 = y_k+1 - y_det,k+1:
 
     dmu_k+1 = M_k (A_k dmu_k + B_k du_k) + K_k+1 e_k+1,  M_k = I - K_k+1 C_k+1.
 
-So delta_J is linear in each run's du and e.  One backward (adjoint)
+So delta_J is linear in each run's du and e; the gains set only its
+spread, as no control enters the filter error.  One backward (adjoint)
 sweep per `run_monte_carlo`, lambda_N = C_mu,N and lambda_k = C_mu,k +
 A_k' M_k' lambda_k+1, gives its weights g_u,k = C_u,k + B_k' M_k'
 lambda_k+1 and g_e,k = K_k+1' lambda_k+1, by one adjoint row of the
@@ -289,9 +291,9 @@ def _delta_j_weights(plant, nominal, cost, h):
     (y_det (N+1, n_y), g_u (N, n_u), g_e (N, n_y)), y_det the noiseless
     observations.
 
-    A forward `kf_steps` sweep from the nominal prior covariance gives
-    the LKF's gains K_{k+1}.  A backward sweep from lambda_N = C_mu,N
-    then forms g_e,k = K_{k+1}' lambda_{k+1} and, with v = M_k'
+    A forward `kf_steps` sweep from covariance 0, as every run starts at
+    x0 = nominal.means[0], gives the LKF's gains K_{k+1}.  A backward
+    sweep from lambda_N = C_mu,N then forms g_e,k = K_{k+1}' lambda_{k+1} and, with v = M_k'
     lambda_{k+1} = lambda_{k+1} - observe_vjp(g_e,k) and (g_x, g_v) =
     step_vjp(x_k, u_k, v), g_u,k = C_u,k + g_v and lambda_k = C_mu,k +
     g_x.  Only the forward sweep takes each step's Jacobians from
@@ -302,7 +304,7 @@ def _delta_j_weights(plant, nominal, cost, h):
     C_mu, g_u = cost.gradient(x_det, nominal.controls)
     N = nominal.horizon
     models = (_linearize(plant, x_det, nominal.controls, k, h) for k in range(N))
-    gains = [K for K, _ in kf_steps(models, plant.W, plant.V, nominal.prior_cov)]
+    gains = [K for K, _ in kf_steps(models, plant.W, plant.V, np.zeros((plant.n_x, plant.n_x)))]
     step_vjp, observe_vjp = adjoints(plant, x_det, h)
     g_e = np.empty((N, plant.n_y))
     lam = C_mu[N]

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import load, save
-from .exceptions import DegenerateMeasurementError, IllPosedCostError
+from .artifacts import load, memory_only, save
+from .exceptions import IllPosedCostError
 from .sysid import LtvRom
 
 __all__ = [
@@ -61,13 +61,16 @@ def lqr_backward(rom, Qk, QN, R):
     return L, S
 
 
-def _kf_update(P_pred, C, V, k):
-    """Measurement update: gain and symmetrized Joseph-form covariance."""
-    S = C @ P_pred @ C.T + V
+def _kf_update(P_pred, C, V):
+    """Measurement update: gain and symmetrized Joseph-form covariance.
+    A singular innovation covariance S takes the minimum-norm gain P_pred
+    C' S^+, which is exact: the columns of C P_pred lie in S's range."""
+    CP = C @ P_pred
+    S = CP @ C.T + V
     try:
-        K = np.linalg.solve(S, C @ P_pred).T
-    except np.linalg.LinAlgError as e:
-        raise DegenerateMeasurementError(f"innovation covariance singular at step k={k}") from e
+        K = np.linalg.solve(S, CP).T
+    except np.linalg.LinAlgError:
+        K = np.linalg.lstsq(S, CP, rcond=None)[0].T
     IKC = np.eye(P_pred.shape[0]) - K @ C
     P = IKC @ P_pred @ IKC.T + K @ V @ K.T
     return K, 0.5 * (P + P.T)
@@ -78,16 +81,16 @@ def kf_steps(models, W, V, P):
     post-update covariance P at step 0:
 
     P_pred = A_k P_k A_k' + B_k W B_k'
-    K_{k+1} = P_pred C_{k+1}' (C_{k+1} P_pred C_{k+1}' + V)^-1
+    K_{k+1} = P_pred C_{k+1}' (C_{k+1} P_pred C_{k+1}' + V)^-1, ^+ if singular
     P_{k+1} = Joseph(P_pred, K_{k+1}), symmetrized
 
     `models` yields (A_k, B_k, C_{k+1}) for k = 0, 1, ...; the generator
     yields (K_{k+1}, P_{k+1}), so a caller that keeps no covariance
     holds one at a time.
     """
-    for k, (A, B, C) in enumerate(models):
+    for A, B, C in models:
         P_pred = A @ P @ A.T + B @ W @ B.T
-        K, P = _kf_update(P_pred, C, V, k + 1)
+        K, P = _kf_update(P_pred, C, V)
         yield K, P
 
 
@@ -102,7 +105,7 @@ def kf_forward(rom, W, V, P0):
     V = np.asarray(V, dtype=float)
     K = np.empty((rom.horizon + 1, rom.n_r, rom.n_y))
     P = np.empty((rom.horizon + 1, rom.n_r, rom.n_r))
-    K[0], P[0] = _kf_update(np.asarray(P0, dtype=float), rom.C_hat[0], V, 0)
+    K[0], P[0] = _kf_update(np.asarray(P0, dtype=float), rom.C_hat[0], V)
     steps = kf_steps(zip(rom.A_hat, rom.B_hat, rom.C_hat[1:]), np.asarray(W, dtype=float), V, P[0])
     for k, (K_k, P_k) in enumerate(steps, 1):
         K[k], P[k] = K_k, P_k
@@ -116,18 +119,18 @@ class LqgController:
     The controller holds no run state: the ROM deviation estimate a_hat
     is passed to and returned by `lqg_update`.  P_traces holds the
     traces of the post-update estimator covariances, S_traces those of
-    the LQR cost-to-go (diagnostics).  controller.json stores every
-    field, the ROM as the same object rom.json holds.  The noise
-    covariances the gains were designed for are the plant's (`Plant.W`
-    and `.V`), which the controller does not copy; the W and V keys of
-    an older controller.json are ignored.
+    the LQR cost-to-go, diagnostics kept in memory (design writes them to
+    lqg_diag.csv).  controller.json stores the gains and the ROM, as the
+    same object rom.json holds.  The noise covariances the gains were
+    designed for are the plant's (`Plant.W` and `.V`), which the
+    controller does not copy; an older file's other keys are ignored.
     """
 
     rom: LtvRom
     L_gains: np.ndarray
     K_gains: np.ndarray
-    P_traces: np.ndarray
-    S_traces: np.ndarray
+    P_traces: np.ndarray = memory_only(lambda: np.zeros(0))
+    S_traces: np.ndarray = memory_only(lambda: np.zeros(0))
 
     to_json = save
     from_json = classmethod(load)

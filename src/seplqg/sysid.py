@@ -114,10 +114,9 @@ class LtvRom:
     first discarded one (`tv_era` computes no others); gap_warning is
     set when the retained/discarded singular value gap is weak
     (s_(nr+1)/s_1 > 0.5 somewhere).
-    rom.json and the controller's copy store every field but
-    singular_values, which no later stage reads: `tv_era` fills it in
-    memory, and the identify stage writes the spectra to
-    sysid_singvals.csv.  A loaded ROM has none.
+    rom.json and the controller's copy store neither, as no later stage
+    reads them: identify writes them to sysid_singvals.csv and
+    rom_validation.json.  A loaded ROM has none, and gap_warning False.
     """
 
     A_hat: np.ndarray
@@ -126,7 +125,7 @@ class LtvRom:
     n_r: int
     time_range: tuple
     singular_values: dict = memory_only(dict)
-    gap_warning: bool = False
+    gap_warning: bool = memory_only(bool)
 
     def __post_init__(self):
         self.A_hat = np.asarray(self.A_hat, dtype=float)

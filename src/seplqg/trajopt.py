@@ -135,17 +135,15 @@ class NominalTrajectory:
     """Optimized nominal: controls (N, n_u); the belief of those
     controls, its means and the noiseless observations over k = 0..N
     from one seeded EnKF rollout, and nominal_cost, the cost of those
-    means; the prior covariance (n_x, n_x); and optimizer bookkeeping.
-    Later stages read no other covariance, so the per-step belief
-    covariances are not kept.  nominal.json stores every field but
-    cost_history, the deterministic costs of the accepted iterates,
-    which is an in-memory diagnostic.  Keys of the file besides the
-    stored fields, such as those an older nominal.json holds, are
-    ignored."""
+    means; and optimizer bookkeeping.  Every Monte Carlo run starts
+    exactly at x0 = means[0], so no stage reads a covariance, and none is
+    kept.  nominal.json stores every field but cost_history, the
+    deterministic costs of the accepted iterates, which is an in-memory
+    diagnostic.  Keys of the file besides the stored fields, such as the
+    prior_cov an older nominal.json holds, are ignored."""
 
     controls: np.ndarray
     means: np.ndarray
-    prior_cov: np.ndarray
     observations: np.ndarray
     nominal_cost: float
     iterations: int
@@ -155,11 +153,8 @@ class NominalTrajectory:
     def __post_init__(self):
         self.controls = np.atleast_2d(np.asarray(self.controls, dtype=float))
         self.means = np.atleast_2d(np.asarray(self.means, dtype=float))
-        self.prior_cov = np.asarray(self.prior_cov, dtype=float)
         self.observations = np.atleast_2d(np.asarray(self.observations, dtype=float))
         n = self.controls.shape[0]
-        if self.prior_cov.shape != (self.means.shape[1],) * 2:
-            raise ValueError(f"prior_cov must be n_x x n_x, got {self.prior_cov.shape}")
         for name, arr in (("means", self.means), ("observations", self.observations)):
             if arr.shape[0] != n + 1:
                 raise ValueError(f"{name} must have length N+1 = {n + 1}, got {arr.shape[0]}")
@@ -303,7 +298,6 @@ def optimize(u_init, b0, plant, spec, opts=None):
     return NominalTrajectory(
         controls=U,
         means=means,
-        prior_cov=b0.cov,
         observations=observations,
         nominal_cost=spec.total(means, U),
         iterations=iterations,

@@ -18,7 +18,7 @@ from seplqg.config import ExperimentConfig, benchmark_config, spatial_weight
 from seplqg.harness import MonteCarloReport, closed_loop_band, probe_nodes_from_fractions, probe_output_rows
 from seplqg.lqg import LqgController
 from seplqg.plant import HeatPlantConfig
-from seplqg.sysid import collect_impulse_responses, tv_era
+from seplqg.sysid import LtvRom, collect_impulse_responses, tv_era
 from seplqg.trajopt import NominalTrajectory, OptimizeOptions, optimize
 
 
@@ -217,6 +217,11 @@ def test_pipeline_rejects_bad_evaluate_section_before_any_stage(tmp_path, evalua
     ("plant", {"w_scale": -1}, "plant w_scale must be >= 0 and finite, got -1"),
     ("plant", {"v_scale": float("nan")}, "plant v_scale must be >= 0 and finite, got nan"),
     ("plant", {"sensors": [0.5, float("nan")]}, "sensors must be fractions in [0, 1]"),
+    # the held-out window of `validate_rom` needs N >= 2(p + q) - 2
+    ("sysid", {"p": 9, "q": 8},
+     "sysid p + q must be at most N/2 + 1 = 16 on the horizon N = 30, for a non-empty held-out window, got 17"),
+    ("sysid", {"p": 16, "q": 16},
+     "sysid p + q must be at most N/2 + 1 = 16 on the horizon N = 30, for a non-empty held-out window, got 32"),
 ])
 def test_pipeline_rejects_bad_sysid_and_lqg_values_before_any_stage(tmp_path, section, entry, message):
     # the prior section is read by `prior_std`
@@ -487,10 +492,15 @@ def test_config_checks_assertion_entry_keys(entry, message):
     ({"theorem1": {"frac_cost": float("inf")}}, "theorem1 assertion frac_cost must be a finite number, got inf"),
     ({"nominal_band": {"t_start": 0.0, "t_end": 1.0, "lo": "a", "hi": 200.0}},
      "nominal_band assertion lo must be a finite number, got 'a'"),
+    # windows that hold no step time k dt of the horizon, k in 0..30
+    ({"nominal_band": {"t_start": 100.0, "t_end": 200.0, "lo": 0.0, "hi": 200.0}},
+     "assertions nominal_band must be a window [t_start, t_end] holding a step time k dt, k in 0..30 and dt = 0.25"),
+    ({"nominal_band": {"t_start": 5.0, "t_end": 1.0, "lo": 0.0, "hi": 200.0}},
+     "assertions nominal_band must be a window [t_start, t_end] holding a step time k dt, k in 0..30 and dt = 0.25"),
 ])
 def test_pipeline_rejects_bad_assertion_values_before_any_stage(tmp_path, assertions, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        ExperimentConfig({"assertions": assertions})
+        ExperimentConfig({**TINY, "assertions": assertions}).assertions()
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**TINY, "assertions": assertions}))
     out = tmp_path / "out"
@@ -593,9 +603,9 @@ def test_runs_override_is_used_as_given(pipeline_dir, tmp_path):
     assert json.loads((tmp_path / "report.json").read_text())["n_runs"] == 3
 
 
-NOMINAL_KEYS = {"controls", "means", "prior_cov", "observations", "nominal_cost", "iterations", "converged"}
-ROM_KEYS = {"A_hat", "B_hat", "C_hat", "n_r", "time_range", "gap_warning"}
-CONTROLLER_KEYS = {"rom", "L_gains", "K_gains", "P_traces", "S_traces"}
+NOMINAL_KEYS = {"controls", "means", "observations", "nominal_cost", "iterations", "converged"}
+ROM_KEYS = {"A_hat", "B_hat", "C_hat", "n_r", "time_range"}
+CONTROLLER_KEYS = {"rom", "L_gains", "K_gains"}
 REPORT_KEYS = {"n_runs", "n_effective", "base_seed", "mean_traj", "probe_positions", "probe_nodes",
                "run0_closed_err", "run0_open_err", "two_sigma", "mse_closed", "mse_open",
                "delta_J_samples", "nominal_cost", "failures", "delta_J_mean", "delta_J_se", "delta_J_z",
@@ -606,30 +616,59 @@ def test_artifact_files_hold_exactly_the_stored_fields(pipeline_dir):
     art = {name: json.loads((pipeline_dir / f"{name}.json").read_text())
            for name in ("nominal", "rom", "controller", "report")}
     assert set(art["nominal"]) == NOMINAL_KEYS
-    assert set(art["rom"]) == ROM_KEYS  # no singular_values: they are in sysid_singvals.csv
+    # no singular_values or gap_warning: they are in sysid_singvals.csv
+    # and rom_validation.json; no covariance traces: they are in
+    # lqg_diag.csv
+    assert set(art["rom"]) == ROM_KEYS
     assert set(art["controller"]) == CONTROLLER_KEYS
     assert set(art["controller"]["rom"]) == ROM_KEYS
     assert set(art["report"]) == REPORT_KEYS
     # the controller's ROM is the identified one, bit for bit
     for key in ("A_hat", "B_hat", "C_hat"):
         assert np.array(art["controller"]["rom"][key]).tobytes() == np.array(art["rom"][key]).tobytes()
-    for key in ("n_r", "time_range", "gap_warning"):
+    for key in ("n_r", "time_range"):
         assert art["controller"]["rom"][key] == art["rom"][key]
+    validation = json.loads((pipeline_dir / "rom_validation.json").read_text())
+    assert isinstance(validation["gap_warning"], bool)
+    with open(pipeline_dir / "lqg_diag.csv") as fh:
+        assert next(csv.reader(fh)) == ["k", "norm_L", "norm_K", "tr_S", "tr_P"]
 
 
 def test_a_controller_file_with_noise_covariances_loads_as_one_without(pipeline_dir, tmp_path):
     # controller.json held a copy of the plant's W and V before the stages
-    # took them from the plant; such a file's extra keys are ignored
+    # took them from the plant, and the covariance traces and the ROM's
+    # gap_warning before they were kept in memory only; such a file's
+    # extra keys are ignored
     payload = json.loads((pipeline_dir / "controller.json").read_text())
-    (tmp_path / "controller.json").write_text(json.dumps({**payload, "W": np.eye(5).tolist(),
-                                                          "V": np.eye(5).tolist()}))
+    older_payload = {**payload, "W": np.eye(5).tolist(), "V": np.eye(5).tolist(),
+                     "P_traces": [1.0] * 31, "S_traces": [2.0] * 31, "rom": {**payload["rom"], "gap_warning": True}}
+    (tmp_path / "controller.json").write_text(json.dumps(older_payload))
     current = stored_fields(LqgController.from_json(pipeline_dir / "controller.json"))
     older = stored_fields(LqgController.from_json(tmp_path / "controller.json"))
     assert current.keys() == older.keys() == CONTROLLER_KEYS
-    for name in ("L_gains", "K_gains", "P_traces", "S_traces"):
+    for name in ("L_gains", "K_gains"):
         assert current[name].tobytes() == older[name].tobytes()
     for key in ("A_hat", "B_hat", "C_hat"):
         assert current["rom"][key].tobytes() == older["rom"][key].tobytes()
+    assert current["rom"].keys() == older["rom"].keys() == ROM_KEYS
+
+
+def test_nominal_and_rom_files_with_older_keys_load_as_ones_without(pipeline_dir, tmp_path):
+    # nominal.json held the prior covariance, and rom.json gap_warning,
+    # before no later stage read them; such files' extra keys are ignored
+    nominal = json.loads((pipeline_dir / "nominal.json").read_text())
+    rom = json.loads((pipeline_dir / "rom.json").read_text())
+    n_x = len(nominal["means"][0])
+    (tmp_path / "nominal.json").write_text(json.dumps({**nominal, "prior_cov": (0.25 * np.eye(n_x)).tolist()}))
+    (tmp_path / "rom.json").write_text(json.dumps({**rom, "gap_warning": True}))
+    for cls, name, keys in ((NominalTrajectory, "nominal.json", NOMINAL_KEYS), (LtvRom, "rom.json", ROM_KEYS)):
+        current = stored_fields(cls.from_json(pipeline_dir / name))
+        older = stored_fields(cls.from_json(tmp_path / name))
+        assert current.keys() == older.keys() == keys
+        for key, value in current.items():
+            assert np.array_equal(older[key], value), key
+            assert type(older[key]) is type(value), key
+    assert LtvRom.from_json(tmp_path / "rom.json").gap_warning is False
 
 
 def test_singvals_csv_holds_the_hankel_spectra_bit_for_bit(pipeline_dir):

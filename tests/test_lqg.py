@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from seplqg.exceptions import DegenerateMeasurementError
-from seplqg.lqg import LqgController, design_lqg, kf_forward, lqg_update, lqr_backward
+from seplqg.lqg import LqgController, design_lqg, kf_forward, kf_steps, lqg_update, lqr_backward
 from seplqg.plant import LinearPlant
 from seplqg.rng import stream
 from seplqg.sysid import LtvRom
@@ -159,10 +158,25 @@ def test_kf_zero_noise_zero_prior_is_degenerate():
     assert np.allclose(P, 0.0)
 
 
-def test_kf_rejects_singular_innovation():
+def test_kf_gain_of_a_singular_innovation_covariance_is_the_minimum_norm_gain():
+    # W = V = P0 = 0: every innovation covariance is 0, and so is every
+    # gain and covariance
     rom = random_stable_ltv(3, 1, 2, 10, seed=14)
-    with pytest.raises(DegenerateMeasurementError):
-        kf_forward(rom, W=np.zeros((1, 1)), V=np.zeros((2, 2)), P0=np.zeros((3, 3)))
+    K, P = kf_forward(rom, W=np.zeros((1, 1)), V=np.zeros((2, 2)), P0=np.zeros((3, 3)))
+    assert np.all(K == 0.0) and np.all(P == 0.0)
+    # a nonzero S = C P C' of rank 1, exactly singular in floating point
+    # (integer entries, second output row twice the first): the gain is
+    # P C' S^+, which solves S K' = C P exactly
+    P0 = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 1.0]])
+    C = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
+    S = C @ P0 @ C.T
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(S, C @ P0)
+    [(K, P)] = kf_steps([(np.eye(3), np.zeros((3, 1)), C)], np.zeros((1, 1)), np.zeros((2, 2)), P0)
+    expected = P0 @ C.T @ np.linalg.pinv(S)
+    assert np.abs(K - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.abs(S @ K.T - C @ P0).max() <= 1e-12 * np.abs(C @ P0).max()
+    assert np.array_equal(P, P.T) and np.linalg.eigvalsh(P).min() >= -1e-12
 
 
 def test_kf_covariances_symmetric_psd():
@@ -205,7 +219,6 @@ def make_nominal_for(plant, N):
     return NominalTrajectory(
         controls=np.zeros((N, plant.n_u)),
         means=states,
-        prior_cov=np.zeros((plant.n_x, plant.n_x)),
         observations=obs,
         nominal_cost=0.0,
         iterations=0,
@@ -219,7 +232,6 @@ def test_closed_loop_tracks_nominal_exactly_without_deviation():
     nominal = NominalTrajectory(
         controls=stream(1, "u").standard_normal((20, 2)),
         means=np.zeros((21, 3)),
-        prior_cov=np.zeros((3, 3)),
         observations=stream(2, "y").standard_normal((21, 2)),
         nominal_cost=0.0,
         iterations=0,
@@ -275,9 +287,9 @@ def test_controller_json_roundtrip(tmp_path):
     back = LqgController.from_json(path)
     assert np.array_equal(back.L_gains, ctrl.L_gains)
     assert np.array_equal(back.K_gains, ctrl.K_gains)
-    assert np.array_equal(back.P_traces, ctrl.P_traces)
-    assert np.array_equal(back.S_traces, ctrl.S_traces)
     assert np.array_equal(back.rom.A_hat, ctrl.rom.A_hat)
+    # the covariance traces are diagnostics kept in memory only
+    assert back.P_traces.size == back.S_traces.size == 0
 
 
 def test_design_checks_weight_shapes():

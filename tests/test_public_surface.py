@@ -4,8 +4,9 @@ exists, so `from seplqg.<module> import *` cannot fail, every name
 third-party packages the modules import are the ones `pyproject.toml`
 declares, those the tests import besides are its `test` extra, every
 name the benchmark's tracer patches resolves where it patches it, no
-module imports a name it does not use, and every name a module lists in
-`__all__` is read by the program or the benchmark."""
+module imports a name it does not use, every name a module lists in
+`__all__` is read by the program or the benchmark, and every exception
+type of `seplqg.exceptions` is raised by the program."""
 
 import ast
 import importlib
@@ -173,3 +174,27 @@ def test_only_trajopt_reads_the_cost_weights():
             readers[path.stem] = reads
     assert set(readers) <= {"trajopt"}, readers
     assert readers["trajopt"] == COST_WEIGHTS
+
+
+def raised_names(paths):
+    """The bare names the files' code raises, as `raise E` or
+    `raise E(...)`."""
+    raised = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    return raised
+
+
+def test_every_toolkit_exception_is_raised_by_the_program():
+    # an exception type nothing raises is one a caller catches in vain;
+    # SepLqgError is the base class the others share
+    exceptions = importlib.import_module("seplqg.exceptions")
+    types = {name for name, obj in vars(exceptions).items()
+             if isinstance(obj, type) and issubclass(obj, exceptions.SepLqgError)}
+    assert "IntegrationDivergedError" in types
+    unraised = types - {"SepLqgError"} - raised_names(Path(seplqg.__file__).parent.glob("*.py"))
+    assert not unraised, f"exception types the program never raises: {sorted(unraised)}"

@@ -24,7 +24,6 @@ def zero_nominal(plant, x0=None):
     return NominalTrajectory(
         controls=np.zeros((N, plant.n_u)),
         means=states,
-        prior_cov=np.zeros((plant.n_x, plant.n_x)),
         observations=obs,
         nominal_cost=0.0,
         iterations=0,
@@ -121,7 +120,6 @@ def test_impulse_divergence_advises_smaller_epsilon():
     nominal = NominalTrajectory(
         controls=np.zeros((500, 1)),
         means=np.zeros((501, 1)),
-        prior_cov=np.zeros((1, 1)),
         observations=np.zeros((501, 1)),
         nominal_cost=0.0,
         iterations=0,

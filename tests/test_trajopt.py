@@ -223,7 +223,6 @@ def test_rollout_initial_belief_is_prior():
     plant, b0, spec = lq_toy()
     traj = optimize(np.zeros((10, 1)), b0, plant, spec, OptimizeOptions(max_iters=0, M=50, seed=0))
     assert np.array_equal(traj.means[0], b0.mean)
-    assert np.array_equal(traj.prior_cov, b0.cov)
     assert len(traj.means) == 11
 
 
@@ -563,7 +562,6 @@ def test_optimize_nominal_cost_consistency():
     assert np.array_equal(traj.observations, observations)
     assert traj.nominal_cost != traj.cost_history[-1]
     assert traj.means.shape == (11, 16)
-    assert np.array_equal(traj.prior_cov, b0.cov)
     assert traj.controls.shape == (10, 5)
 
 
@@ -584,7 +582,6 @@ def test_trajectory_json_roundtrip(tmp_path):
     back = NominalTrajectory.from_json(path)
     assert np.array_equal(back.controls, traj.controls)
     assert np.array_equal(back.means, traj.means)
-    assert np.array_equal(back.prior_cov, traj.prior_cov)
     assert back.nominal_cost == traj.nominal_cost
     assert back.iterations == traj.iterations
     assert back.converged == traj.converged
@@ -612,7 +609,6 @@ def test_trajectory_length_validation():
         NominalTrajectory(
             controls=np.zeros((5, 1)),
             means=np.zeros((5, 2)),
-            prior_cov=np.zeros((2, 2)),
             observations=np.zeros((6, 1)),
             nominal_cost=0.0,
             iterations=0,
