@@ -231,8 +231,7 @@ def cmd_evaluate(args):
                 ]
             )
     _write_csv(out / "fig3_errors.csv", ["t", "pos", "closed_err", "open_err", "two_sigma"], rows)
-    comp = complexity_report(plant.n_x, ctrl.rom.n_r)
-    (out / "complexity.txt").write_text(comp.summary() + "\n")
+    (out / "complexity.txt").write_text(complexity_report(plant.n_x, ctrl.rom.n_r) + "\n")
     se = report.delta_J_se  # NaN with fewer than 2 kept runs
     print(f"{n_runs} paired runs ({report.failures} failures); "
           f"mse closed {report.mse_closed} open {report.mse_open}; "

@@ -260,7 +260,7 @@ def benchmark_config():
     """The nonlinear heat-slab benchmark: 100 grid points, dt = 0.25 s,
     horizon 250 (62.5 s), five actuators/sensors, unit noise
     covariances.  Its four stages at `--seed 0`, run in one process on a
-    2-core Intel Xeon server, took 6.6-6.8 s in two runs: 4.3-5.6 s
-    (65-83 %) in the 120 optimizer iterations and 0.9-2.1 s in the
+    2-core Intel Xeon server, took 4.4-5.7 s in two runs: 3.4-3.6 s
+    (63-76 %) in the 120 optimizer iterations and 0.8-1.9 s in the
     1000-run evaluate."""
     return ExperimentConfig({})

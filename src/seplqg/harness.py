@@ -42,12 +42,13 @@ spread, as no control enters the filter error.  One backward (adjoint)
 sweep per `run_monte_carlo`, lambda_N = C_mu,N and lambda_k = C_mu,k +
 A_k' M_k' lambda_k+1, gives its weights g_u,k = C_u,k + B_k' M_k'
 lambda_k+1 and g_e,k = K_k+1' lambda_k+1, by one adjoint row of the
-plant per step: each step of a chunk adds two row-wise dot products to
-delta_J, and no run carries a filter.  The filter never feeds back into
-the loop, so it changes no other output.  The probe errors, `mean_traj`
-and the frozen states of diverged runs are still taken against the
-stored belief means `nominal.means`, because the benchmark's run-0
-check (`perfbench/checks.py`) replays the probe errors against them.
+step and the sensor rows C_k+1, formed once: each step of a chunk adds
+two row-wise dot products to delta_J, and no run carries a filter.  The
+filter never feeds back into the loop, so it changes no other output.
+The probe errors, `mean_traj` and the frozen states of diverged runs
+are still taken against the stored belief means `nominal.means`,
+because the benchmark's run-0 check (`perfbench/checks.py`) replays the
+probe errors against them.
 """
 
 from dataclasses import dataclass
@@ -67,7 +68,6 @@ from .sysid import collect_impulse_responses
 
 __all__ = [
     "MonteCarloReport",
-    "ComplexityReport",
     "run_monte_carlo",
     "complexity_report",
     "probe_output_rows",
@@ -276,41 +276,36 @@ def _safe_step(plant, X, U, w, k):
         return out, bad
 
 
-def _linearize(plant, x_det, controls, k, h):
-    """(A_k, B_k, C_{k+1}): the Jacobians of the noiseless step at
-    (x_det,k, u_k) and of the noiseless observation at x_det,k+1, the
-    adjoints of the identity."""
-    step_vjp, observe_vjp = adjoints(plant, x_det, h)
-    A, B = step_vjp(x_det[k], controls[k], np.eye(plant.n_x), k)
-    return A, B, observe_vjp(np.eye(plant.n_y), k + 1)
-
-
 def _delta_j_weights(plant, nominal, cost, h):
     """The weights that score each run's delta_J from its control and
     measurement deviations along the noiseless nominal x_det; returns
     (y_det (N+1, n_y), g_u (N, n_u), g_e (N, n_y)), y_det the noiseless
     observations.
 
-    A forward `kf_steps` sweep from covariance 0, as every run starts at
-    x0 = nominal.means[0], gives the LKF's gains K_{k+1}.  A backward
-    sweep from lambda_N = C_mu,N then forms g_e,k = K_{k+1}' lambda_{k+1} and, with v = M_k'
-    lambda_{k+1} = lambda_{k+1} - observe_vjp(g_e,k) and (g_x, g_v) =
-    step_vjp(x_k, u_k, v), g_u,k = C_u,k + g_v and lambda_k = C_mu,k +
-    g_x.  Only the forward sweep takes each step's Jacobians from
-    `_linearize`; the backward one takes one adjoint row per step, and
-    neither holds an (N, n_x, n_x) array.  `h` is the difference step
-    for a plant without `step_vjp` or `observe_vjp`."""
+    The sensor rows C_{k+1} = observe_vjp(I, k+1) are formed once, as
+    one (N, n_y, n_x) array.  A forward `kf_steps` sweep from covariance
+    0, as every run starts at x0 = nominal.means[0], on (A_k, B_k) =
+    step_vjp(x_k, u_k, I) and C_{k+1} gives the LKF's gains K_{k+1}.  A
+    backward sweep from lambda_N = C_mu,N then forms g_e,k = K_{k+1}'
+    lambda_{k+1} and, with v = M_k' lambda_{k+1} = lambda_{k+1} - g_e,k
+    C_{k+1} and (g_x, g_v) = step_vjp(x_k, u_k, v), g_u,k = C_u,k + g_v
+    and lambda_k = C_mu,k + g_x.  No (N, n_x, n_x) array is held, so a
+    black box's step Jacobian, by differences of step `h`, is formed in
+    both sweeps: all N would take N n_x (n_x + n_u) 8 B, 21 MB at n_x =
+    100 and N = 250."""
     x_det, y_det = plant.simulate_nominal(nominal.means[0], nominal.controls)
     C_mu, g_u = cost.gradient(x_det, nominal.controls)
     N = nominal.horizon
-    models = (_linearize(plant, x_det, nominal.controls, k, h) for k in range(N))
-    gains = [K for K, _ in kf_steps(models, plant.W, plant.V, np.zeros((plant.n_x, plant.n_x)))]
     step_vjp, observe_vjp = adjoints(plant, x_det, h)
+    I_y, I_x = np.eye(plant.n_y), np.eye(plant.n_x)
+    C = np.stack([observe_vjp(I_y, k + 1) for k in range(N)])
+    models = (step_vjp(x_det[k], nominal.controls[k], I_x, k) + (C[k],) for k in range(N))
+    gains = [K for K, _ in kf_steps(models, plant.W, plant.V, np.zeros((plant.n_x, plant.n_x)))]
     g_e = np.empty((N, plant.n_y))
     lam = C_mu[N]
     for k in range(N - 1, -1, -1):
         g_e[k] = lam @ gains[k]
-        g_x, g_v = step_vjp(x_det[k], nominal.controls[k], lam - observe_vjp(g_e[k], k + 1), k)
+        g_x, g_v = step_vjp(x_det[k], nominal.controls[k], lam - g_e[k] @ C[k], k)
         g_u[k] += g_v
         lam = C_mu[k] + g_x
     return y_det, g_u, g_e
@@ -494,29 +489,9 @@ def run_monte_carlo(plant, nominal, controller, n_runs, base_seed, probe_positio
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ComplexityReport:
-    """Riccati sizes of the full belief-space design versus the ROM design."""
-
-    n_x: int
-    n_r: int
-    belief_dim: int
-    ratio: float
-    order_exponent: int
-    no_reduction: bool
-
-    def summary(self):
-        lines = [
-            f"{self.belief_dim} x {self.belief_dim} vs {self.n_r} x {self.n_r} Riccati",
-            f"complexity reduction n_x^4/n_r^2 = {self.ratio:.3g} (O(10^{self.order_exponent}))",
-        ]
-        if self.no_reduction:
-            lines.append("no reduction in estimator/controller order (n_r >= n_x)")
-        return "\n".join(lines)
-
-
 def complexity_report(n_x, n_r):
-    """Arithmetic reproduction of the design-complexity comparison.
+    """Arithmetic reproduction of the design-complexity comparison, as
+    the text of complexity.txt.
 
     The full belief-space design would solve Riccati equations in the
     belief dimension n_x + n_x^2 (mean plus covariance entries); the ROM
@@ -525,12 +500,12 @@ def complexity_report(n_x, n_r):
     """
     if n_x < 1 or n_r < 1:
         raise ValueError("n_x and n_r must be >= 1")
+    belief_dim = n_x + n_x * n_x
     ratio = float(n_x) ** 4 / float(n_r) ** 2
-    return ComplexityReport(
-        n_x=n_x,
-        n_r=n_r,
-        belief_dim=n_x + n_x * n_x,
-        ratio=ratio,
-        order_exponent=int(round(np.log10(ratio))),
-        no_reduction=n_r >= n_x,
-    )
+    lines = [
+        f"{belief_dim} x {belief_dim} vs {n_r} x {n_r} Riccati",
+        f"complexity reduction n_x^4/n_r^2 = {ratio:.3g} (O(10^{int(round(np.log10(ratio)))}))",
+    ]
+    if n_r >= n_x:
+        lines.append("no reduction in estimator/controller order (n_r >= n_x)")
+    return "\n".join(lines)

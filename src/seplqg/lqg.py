@@ -3,9 +3,10 @@
 Backward LQR Riccati recursion for the feedback gains, forward Kalman
 Riccati recursion for the estimator gains (`kf_steps`, the one
 covariance recursion, which the design and the Monte Carlo's linearized
-filter share), and the online control law that
-tracks the nominal trajectory (`lqg_update`, batched over runs; the
-Monte Carlo engine steps all runs of a chunk with it):
+filter share, its measurement update in the closed form P_pred - K C
+P_pred), and the online control law that tracks the nominal trajectory
+(`lqg_update`, batched over runs; the Monte Carlo engine steps all runs
+of a chunk with it):
 
     du_k = -L_k da_hat_k,     u_k = u_bar_k + du_k
 
@@ -62,17 +63,18 @@ def lqr_backward(rom, Qk, QN, R):
 
 
 def _kf_update(P_pred, C, V):
-    """Measurement update: gain and symmetrized Joseph-form covariance.
-    A singular innovation covariance S takes the minimum-norm gain P_pred
-    C' S^+, which is exact: the columns of C P_pred lie in S's range."""
+    """Measurement update: the gain K = P_pred C' S^-1, S = C P_pred C' +
+    V (the minimum-norm P_pred C' S^+ if S is singular), and the
+    covariance P_pred - K C P_pred, symmetrized.  That is the Joseph
+    form's exact value for either gain, as the columns of C P_pred lie in
+    S's range: K S K' = P_pred C' S^+ S S^+ C P_pred = K C P_pred."""
     CP = C @ P_pred
     S = CP @ C.T + V
     try:
         K = np.linalg.solve(S, CP).T
     except np.linalg.LinAlgError:
         K = np.linalg.lstsq(S, CP, rcond=None)[0].T
-    IKC = np.eye(P_pred.shape[0]) - K @ C
-    P = IKC @ P_pred @ IKC.T + K @ V @ K.T
+    P = P_pred - K @ CP
     return K, 0.5 * (P + P.T)
 
 
@@ -82,7 +84,7 @@ def kf_steps(models, W, V, P):
 
     P_pred = A_k P_k A_k' + B_k W B_k'
     K_{k+1} = P_pred C_{k+1}' (C_{k+1} P_pred C_{k+1}' + V)^-1, ^+ if singular
-    P_{k+1} = Joseph(P_pred, K_{k+1}), symmetrized
+    P_{k+1} = P_pred - K_{k+1} C_{k+1} P_pred, symmetrized
 
     `models` yields (A_k, B_k, C_{k+1}) for k = 0, 1, ...; the generator
     yields (K_{k+1}, P_{k+1}), so a caller that keeps no covariance

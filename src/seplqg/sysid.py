@@ -23,7 +23,8 @@ SVD H_k = U_k S_k V_k'.  Then
     B_hat_k = first n_u columns of R_{k+1}
     A_hat_k = pinv(O_{k+1}) H_k^shift pinv(R_k)
 
-Only the n_r leading triplets of each H_k and its s_(n_r+1) are needed.
+Only the n_r leading triplets of each H_k and its s_(n_r+1) are needed,
+and an n_r above the numerical rank of some H_k is rejected.
 The Hankels are gathered and factored in blocks of _BLOCK times k, each
 by a block subspace iteration with a Rayleigh-Ritz step (Halko,
 Martinsson & Tropp, SIAM Review 53(2), 2011, sec. 4.5); a k whose kept
@@ -297,6 +298,9 @@ def tv_era(markov, n_r, p, q):
     there, makes the ROM independent of the SVD routine's sign choices
     and of the block size, which changes no bit.  singular_values[k]
     holds s_1..s_(n_r+1) of H_k, which `gap_warning` reads.
+    The realization divides by s_i^(1/2), so an n_r above the numerical
+    rank of some H_k, s_(n_r) <= max(p n_y, q n_u) eps s_1 (numpy's
+    `matrix_rank` tolerance), raises ValueError.
     """
     n_y, n_u, N = markov.n_y, markov.n_u, markov.horizon
     if p * n_y < n_r or q * n_u < n_r:
@@ -304,6 +308,7 @@ def tv_era(markov, n_r, p, q):
     k_min, k_max = q, N - p  # A_hat_k valid on [k_min, k_max]
     if k_max < k_min:
         raise IndexError(f"horizon {N} too short for Hankel blocks p={p}, q={q}")
+    tol = max(p * n_y, q * n_u) * np.finfo(float).eps
     omega = stream(0, "tv_era").standard_normal((q * n_u, n_r + _OVERSAMPLE))
     singvals = {}
     A_hat = np.empty((N, n_r, n_r))
@@ -316,8 +321,12 @@ def tv_era(markov, n_r, p, q):
         U, s, Vt = _leading_triplets(_hankels(markov, ks, p, q), n_r, omega)
         _rule_signs(U, Vt, None if prev is None else (prev[0], prev[2]))
         singvals.update(zip(ks.tolist(), s))
-        # singular values floored away from zero
-        root = np.maximum(s[:, :n_r], np.maximum(s[:, :1], 1.0) * 1e-14) ** 0.5
+        rank = (s[:, :n_r] > tol * s[:, :1]).sum(axis=1)
+        if (rank < n_r).any():
+            i = np.argmax(rank < n_r)
+            raise ValueError(f"sysid n_r = {n_r} exceeds the numerical rank {rank[i]} of the Hankel "
+                             f"matrix at k={ks[i]}")
+        root = s[:, :n_r] ** 0.5
         C_hat[ks] = U[:, :n_y] * root[:, None, :]
         if prev is not None:
             U, root, Vt = (np.concatenate([x[None], y]) for x, y in zip(prev, (U, root, Vt)))

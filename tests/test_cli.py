@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -124,8 +125,40 @@ def test_closed_beats_open_needs_a_paired_z_above_3(capsys, diffs, z, passed):
 
 
 def test_complexity_txt(pipeline_dir):
-    text = (pipeline_dir / "complexity.txt").read_text()
-    assert "vs 6 x 6 Riccati" in text
+    # belief dimension 24 + 24^2, ratio 24^4 / 6^2 = 9216
+    assert (pipeline_dir / "complexity.txt").read_text() == (
+        "600 x 600 vs 6 x 6 Riccati\n"
+        "complexity reduction n_x^4/n_r^2 = 9.22e+03 (O(10^4))\n"
+    )
+
+
+def test_complexity_txt_names_no_reduction_at_full_order(pipeline_dir, tmp_path):
+    # the tiny controller padded with 18 inert ROM states, to n_r = n_x
+    ctrl = LqgController.from_json(pipeline_dir / "controller.json")
+    rom, pad = ctrl.rom, [(0, 0), (0, 0), (0, 24 - ctrl.rom.n_r)]
+    padded_rom = replace(rom, n_r=24, A_hat=np.pad(rom.A_hat, [pad[0], pad[2], pad[2]]),
+                         B_hat=np.pad(rom.B_hat, [pad[0], pad[2], pad[1]]), C_hat=np.pad(rom.C_hat, pad))
+    LqgController(rom=padded_rom, L_gains=np.pad(ctrl.L_gains, pad),
+                  K_gains=np.pad(ctrl.K_gains, [pad[0], pad[2], pad[1]])).to_json(tmp_path / "controller.json")
+    shutil.copy(pipeline_dir / "nominal.json", tmp_path / "nominal.json")
+    rc = main(["evaluate", "--config", str(pipeline_dir / "cfg.json"), "--out", str(tmp_path), "--runs", "2"])
+    assert rc == 0
+    assert (tmp_path / "complexity.txt").read_text() == (
+        "600 x 600 vs 24 x 24 Riccati\n"
+        "complexity reduction n_x^4/n_r^2 = 576 (O(10^3))\n"
+        "no reduction in estimator/controller order (n_r >= n_x)\n"
+    )
+
+
+def test_an_order_above_the_hankel_rank_fails_in_identify(tmp_path):
+    # the sensor on the Dirichlet node reads a constant, so the Hankels
+    # have rank below 6: identify stops before rom.json is written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY, "plant": {**TINY["plant"], "sensors": [1.0, 0.5]}}))
+    with pytest.raises(ValueError, match=r"sysid n_r = 6 exceeds the numerical rank \d .* at k="):
+        main(["pipeline", "--config", str(cfg), "--out", str(tmp_path), "--seed", "3"])
+    assert (tmp_path / "nominal.json").exists()
+    assert not (tmp_path / "rom.json").exists()
 
 
 def test_evaluate_rerun_is_deterministic(pipeline_dir):

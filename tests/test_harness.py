@@ -8,6 +8,7 @@ from kalman_reference import kalman_predict, kalman_update
 from per_k_reference import band_reference, probe_rows_reference
 from test_sysid import zero_nominal
 from test_trajopt import BlackBox, lq_direct_solution
+from test_trajopt import CountingHeatPlant as CountingSlab
 
 from seplqg import harness
 from seplqg.belief import GaussianBelief, psd_sqrt
@@ -20,7 +21,7 @@ from seplqg.harness import (
     run_monte_carlo,
 )
 from seplqg.lqg import design_lqg
-from seplqg.plant import HeatPlant, HeatPlantConfig, LinearPlant
+from seplqg.plant import HeatPlant, HeatPlantConfig, LinearPlant, adjoints
 from seplqg.rng import stream
 from seplqg.sysid import LtvRom, collect_impulse_responses, tv_era
 from seplqg.trajopt import CostSpec, NominalTrajectory, OptimizeOptions, optimize
@@ -241,6 +242,25 @@ def test_linearized_filter_matches_a_per_run_kalman_filter_on_a_linear_plant(mon
     assert_close(report.delta_J_samples, ref[1], 1e-10)
 
 
+def test_linearized_filter_reads_each_steps_sensor_rows_on_a_time_varying_plant(monkeypatch):
+    # A_k, B_k and C_k vary with k, so a filter or adjoint sweep that read
+    # another step's matrices would score the runs differently
+    _, b0, spec, lti_nominal, ctrl = linear_setup()
+    N = lti_nominal.horizon
+    rng = stream(4, "ltv")
+    A = np.array([[0.92, 0.1], [0.0, 0.8]]) + 0.05 * rng.standard_normal((N, 2, 2))
+    B = np.array([[1.0], [0.4]]) + 0.1 * rng.standard_normal((N, 2, 1))
+    C = np.array([[1.0, 0.2]]) + 0.3 * rng.standard_normal((N + 1, 1, 2))
+    plant = LinearPlant(A, B, C, W=0.2 * np.eye(1), V=0.3 * np.eye(1), horizon=N)
+    states, obs = plant.simulate_nominal(b0.mean, lti_nominal.controls)
+    nominal = replace(lti_nominal, means=states, observations=obs)
+    report, ys, dus = recorded_run(monkeypatch, plant, lambda: run_monte_carlo(
+        plant, nominal, ctrl, n_runs=20, base_seed=6, probe_positions=(), cost=spec))
+    ref = reference_scores(plant, nominal, spec, ys, dus,
+                           lambda k: (*plant.matrices(k)[:2], plant.output_matrix(k + 1)))
+    assert_close(report.delta_J_samples, ref[0], 1e-12)
+
+
 def test_delta_j_matches_a_per_run_kalman_filter_on_the_heat_slab(monkeypatch):
     # rebuild each run's delta_J on a heat slab, under per-entry weights,
     # from a per-run Kalman filter on the plant's Jacobians along x_det
@@ -285,13 +305,16 @@ def test_heat_jacobians_match_central_differences_and_a_black_box_scores_alike()
     # identity batch: the Jacobians agree column by column
     plant, spec, nominal, ctrl = heat_setup()
     x_det = noiseless_nominal(plant, nominal)
+
+    def jacobians(adjoint_pair, k):
+        step_vjp, observe_vjp = adjoint_pair
+        return (*step_vjp(x_det[k], nominal.controls[k], np.eye(16), k), observe_vjp(np.eye(5), k + 1))
+
+    assert adjoints(plant, x_det, 1e-3) == (plant.step_vjp, plant.observe_vjp)
     for k in (0, 11, 29):
-        exact = harness._linearize(plant, x_det, nominal.controls, k, 1e-3)
-        A, B = plant.step_vjp(x_det[k], nominal.controls[k], np.eye(16), k)
-        assert np.array_equal(exact[0], A) and np.array_equal(exact[1], B)
-        assert np.array_equal(exact[2], plant.observe_vjp(np.eye(5), k + 1))
+        exact = jacobians(adjoints(plant, x_det, 1e-3), k)
         for h in (1e-3, 1e-2):
-            fd = harness._linearize(BlackBox(plant), x_det, nominal.controls, k, h)
+            fd = jacobians(adjoints(BlackBox(plant), x_det, h), k)
             for J, ref in zip(fd, exact):
                 for column, ref_column in zip(J.T, ref.T):
                     assert_close(column, ref_column, 1e-8)
@@ -300,6 +323,18 @@ def test_heat_jacobians_match_central_differences_and_a_black_box_scores_alike()
     boxed = run_monte_carlo(BlackBox(plant), nominal, ctrl, **kw)
     assert np.array_equal(adjoint.mse_diff_samples, boxed.mse_diff_samples)
     assert_close(boxed.delta_J_samples, adjoint.delta_J_samples, 1e-6)
+
+
+def test_black_box_weights_form_each_sensor_jacobian_once():
+    # the nominal rollout observes N + 1 rows and each C_k+1 is one
+    # central-difference batch of 2 n_x rows; the step Jacobian is still
+    # formed in both sweeps, 2 (n_x + n_u) rows each per step
+    plant, spec, nominal, ctrl = heat_setup()
+    counting = CountingSlab(plant.config)
+    harness._delta_j_weights(BlackBox(counting), nominal, spec, 1e-2)
+    N, n_x, n_u = nominal.horizon, plant.n_x, plant.n_u
+    assert counting.observed_rows == N + 1 + 2 * n_x * N == 991
+    assert counting.rows == N + 4 * (n_x + n_u) * N == 2550
 
 
 def test_open_loop_equals_closed_loop_with_zero_gains():
@@ -568,21 +603,19 @@ def test_probe_positions_outside_the_slab_are_rejected(bad):
 
 
 def test_complexity_benchmark_numbers():
-    rep = complexity_report(100, 20)
-    assert rep.belief_dim == 10100
-    assert rep.ratio == pytest.approx(2.5e5)
-    assert rep.order_exponent == 5
-    assert not rep.no_reduction
-    text = rep.summary()
-    assert "10100 x 10100 vs 20 x 20 Riccati" in text
-    assert "O(10^5)" in text
+    # belief dimension 100 + 100^2, ratio 100^4 / 20^2 = 2.5e5
+    assert complexity_report(100, 20) == (
+        "10100 x 10100 vs 20 x 20 Riccati\n"
+        "complexity reduction n_x^4/n_r^2 = 2.5e+05 (O(10^5))"
+    )
 
 
 def test_complexity_degenerate_order():
-    rep = complexity_report(50, 50)
-    assert rep.no_reduction
-    assert rep.ratio == pytest.approx(50.0**2)
-    assert "no reduction" in rep.summary()
+    assert complexity_report(50, 50) == (
+        "2550 x 2550 vs 50 x 50 Riccati\n"
+        "complexity reduction n_x^4/n_r^2 = 2.5e+03 (O(10^3))\n"
+        "no reduction in estimator/controller order (n_r >= n_x)"
+    )
 
 
 def test_complexity_validates():

@@ -332,6 +332,15 @@ def test_era_respects_dimension_preconditions():
         tv_era(exact_markov_lti(A, B, C, 6), n_r=3, p=4, q=4)
 
 
+def test_era_rejects_an_order_above_the_hankel_rank():
+    # the order-3 plant's Hankels have rank 3: s_4 is rounding, and a
+    # realization that inverted it would return gains of any size
+    plant, A, B, C = order3_lti()
+    mk = exact_markov_lti(A, B, C, 40)
+    with pytest.raises(ValueError, match=r"sysid n_r = 4 exceeds the numerical rank 3 .* at k=4"):
+        tv_era(mk, n_r=4, p=4, q=4)
+
+
 def test_era_sequences_cover_horizon():
     plant, A, B, C = order3_lti()
     mk = exact_markov_lti(A, B, C, 40)
